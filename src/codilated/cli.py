@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .experiments import (
     DEFAULT_SEED,
     PROBLEM_DEFAULTS,
     ExperimentSpec,
+    _sweep_values,
     build_problem,
     run_experiment,
     run_sweep,
@@ -198,14 +197,8 @@ def _cmd_zeros(args) -> int:
     }[args.kind]
     lines = []
     if args.sweep is not None:
-        values = (
-            [args.sweep[0] + k * args.sweep[2]
-             for k in range(int(np.floor((args.sweep[1] - args.sweep[0]) / args.sweep[2] + 1e-9)) + 1)]
-            if isinstance(args.sweep, tuple)
-            else args.sweep
-        )
         lines.append("lambda,smallest_zero,located")
-        for lam in values:
+        for lam in _sweep_values(args.sweep):
             dil = CoDilation(args.m, lam)
             zr = (
                 find_polynomial_zeros(scheme, dil, args.degree)

@@ -75,19 +75,24 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown problem {self.problem!r}; choose from {sorted(PROBLEM_DEFAULTS)}"
             )
-        if isinstance(self.sweep, tuple):
-            lo, hi, step = self.sweep
-            if not (np.isfinite(lo) and np.isfinite(hi) and step > 0):
-                raise ValueError("sweep range must be finite with step > 0")
+        self.sweep_values()  # rejects a malformed range here, not at the first sweep
 
     def sweep_values(self) -> list[float]:
-        if self.sweep is None:
-            return []
-        if isinstance(self.sweep, tuple):
-            lo, hi, step = self.sweep
-            count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-            return [lo + k * step for k in range(count)]
-        return list(self.sweep)
+        return [] if self.sweep is None else _sweep_values(self.sweep)
+
+
+def _sweep_values(sweep) -> list[float]:
+    """Dilation values of a (min, max, step) range or of an explicit list.
+
+    A range must be finite with step > 0 and min <= max, so it is never empty.
+    """
+    if not isinstance(sweep, tuple):
+        return list(sweep)
+    lo, hi, step = sweep
+    if not (np.isfinite(lo) and np.isfinite(hi) and step > 0 and lo <= hi):
+        raise ValueError("sweep range must be finite with step > 0 and min <= max")
+    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
+    return [lo + k * step for k in range(count)]
 
 
 def build_problem(spec: ExperimentSpec) -> NoisyProblem:

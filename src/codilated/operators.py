@@ -56,9 +56,7 @@ def diagonal_operator(diag) -> LinearOperator:
     d = np.asarray(diag, dtype=float)
     if d.size == 0:
         raise ValueError("diagonal must be nonempty")
-    op = LinearOperator(d.size, d.size, lambda x: d * x, lambda y: d * y)
-    op.diag = d
-    return op
+    return LinearOperator(d.size, d.size, lambda x: d * x, lambda y: d * y)
 
 
 def matrix_operator(a) -> LinearOperator:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count, islice
 from typing import Callable
 
 import numpy as np
@@ -295,6 +296,48 @@ def residual_eval(
     return eval_monic(scheme, dilation, degree, arg) / denom
 
 
+def _entry(stream, n: int):
+    """Item n (counted from 0) of an iterator."""
+    return next(islice(stream, n, None))
+
+
+def _mus(stream, n_max: int) -> np.ndarray:
+    """The mu entries of the first n_max items of a coefficient stream."""
+    return np.fromiter((mu for _, _, mu in islice(stream, n_max)), dtype=float, count=n_max)
+
+
+def _recursive_coefficients(
+    scheme: RecurrenceScheme, dilation: CoDilation | None, kind: ResidualKind
+):
+    """Stream of (a_n, b_n, mu_{n+1}), n = 0, 1, ..., from the recurrence values at 1.
+
+    Symmetric kind: mu_{n+1} = P_n(1)/P_{n+1}(1) = 1/((1 - alpha_n) - beta_n mu_n),
+    a_n = (1 - alpha_n) mu_{n+1} - 1 and b_n = 2 mu_{n+1}.  Asymmetric kind:
+    the even-index ratios mu_{n+1} = P_{2n}(1)/P_{2n+2}(1)
+    = 1/(1 - beta_{2n} - beta_{2n+1} - beta_{2n} beta_{2n-1} mu_n),
+    a_n = (1 - beta_{2n} - beta_{2n+1}) mu_{n+1} - 1 and b_n = mu_{n+1}.
+    Terms with beta_0 are absent, so b_0 is the start factor of the
+    two-step iteration.  Raises DivergentNormalization when a denominator
+    crosses zero, which occurs exactly when the dilation exceeds the
+    critical value.
+    """
+    alpha, beta = scheme.alpha, _effective_beta(scheme, dilation)
+    symmetric = kind is ResidualKind.SYMMETRIC
+    coupling = b2n = 0.0
+    for n in count():
+        damp = 1.0 - alpha(n) if symmetric else 1.0 - b2n - beta(2 * n + 1)
+        den = damp - coupling
+        if den <= 0.0:
+            raise DivergentNormalization(f"mu denominator {den} at n = {n}")
+        mu = 1.0 / den
+        yield damp * mu - 1.0, 2.0 * mu if symmetric else mu, mu
+        if symmetric:
+            coupling = beta(n + 1) * mu
+        else:
+            b2n = beta(2 * n + 2)
+            coupling = b2n * beta(2 * n + 1) * mu
+
+
 def mu_recursive(
     scheme: RecurrenceScheme,
     dilation: CoDilation | None,
@@ -310,54 +353,19 @@ def mu_recursive(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    beta = _effective_beta(scheme, dilation)
-    alpha = scheme.alpha
-    out = np.empty(n_max)
-    if kind is ResidualKind.SYMMETRIC:
-        mu = 1.0 / (1.0 - alpha(0))
-        out[0] = mu
-        for n in range(1, n_max):
-            den = (1.0 - alpha(n)) - beta(n) * mu
-            if den <= 0.0:
-                raise DivergentNormalization(f"denominator {den} at n = {n}")
-            mu = 1.0 / den
-            out[n] = mu
-    else:
-        den = 1.0 - beta(1)
-        if den <= 0.0:
-            raise DivergentNormalization(f"denominator {den} at n = 0")
-        amu = 1.0 / den
-        out[0] = amu
-        for n in range(1, n_max):
-            b2n = beta(2 * n)
-            den = 1.0 - b2n - beta(2 * n + 1) - b2n * beta(2 * n - 1) * amu
-            if den <= 0.0:
-                raise DivergentNormalization(f"denominator {den} at n = {n}")
-            amu = 1.0 / den
-            out[n] = amu
-    return out
+    return _mus(_recursive_coefficients(scheme, dilation, kind), n_max)
 
 
-def _gamma_ratio(nu: float, n: int) -> float:
-    """R(n) = Gamma(2 nu + 1) Gamma(n + 1) / Gamma(n + 2 nu) in (0, Gamma(2 nu + 1)].
+def _r_values(nu: float):
+    """R(0), R(1), ... with R(n) = Gamma(2 nu + 1) Gamma(n + 1) / Gamma(n + 2 nu).
 
     Never forms Gamma directly: R(0) = 2 nu exactly and
-    R(n) = R(n-1) * n / (n + 2 nu - 1), so no overflow for any n.
+    R(n) = R(n-1) * n / (n - 1 + 2 nu), so no overflow for any n.
     """
     r = 2.0 * nu
-    for k in range(1, n + 1):
-        r *= k / (k + 2.0 * nu - 1.0)
-    return r
-
-
-def _gamma_ratio_sequence(nu: float, n_max: int) -> np.ndarray:
-    """R(0) .. R(n_max) as an array (cumulative product form)."""
-    k = np.arange(1, n_max + 1, dtype=float)
-    out = np.empty(n_max + 1)
-    out[0] = 2.0 * nu
-    if n_max:
-        out[1:] = 2.0 * nu * np.cumprod(k / (k + 2.0 * nu - 1.0))
-    return out
+    for n in count(1):
+        yield r
+        r = r * n / (n - 1 + 2.0 * nu)
 
 
 def _require_admissible(params: UltrasphericalParams, lam: float):
@@ -366,39 +374,64 @@ def _require_admissible(params: UltrasphericalParams, lam: float):
         raise ValueError(f"dilation {lam} must be below the critical value {2.0 * params.nu}")
 
 
-def mu_closed_ultraspherical(params: UltrasphericalParams, lam: float, n: int) -> float:
-    """Explicit mu_{n+1} for the co-dilated (m = 1) ultraspherical family, n >= 1.
+def _closed_form_coefficients(params: UltrasphericalParams, lam: float, kind: ResidualKind):
+    """Stream of (a_n, b_n, mu_{n+1}), n = 0, 1, ..., of the co-dilated (m = 1)
+    ultraspherical family from the explicit formulas.
 
-    Evaluated in the overflow-safe form
-        2 (n + nu)/(n + 2 nu) *
-        ((2 nu - lam) + (lam - 1) R(n)) / ((2 nu - lam) + (lam - 1) R(n + 1)).
+    Symmetric kind: mu_1 = 1 and, for n >= 1, in the overflow-safe form
+        mu_{n+1} = 2 (n + nu)/(n + 2 nu) *
+            ((2 nu - lam) + (lam - 1) R(n)) / ((2 nu - lam) + (lam - 1) R(n + 1)).
+    Asymmetric kind: amu_{n+1} = mu_{2n+1} mu_{2n+2}, from
+    amu_1 = 1/(1 - lam beta_1) = (2 nu + 2)/(2 nu + 2 - lam) and an explicit
+    quotient for n >= 1.  a_n and b_n are as in ``_recursive_coefficients``.
+    (nu, lam) is checked when the stream is created, not on its first item.
     """
     _require_admissible(params, lam)
+    return _closed_form_stream(params.nu, lam, kind is ResidualKind.SYMMETRIC)
+
+
+def _closed_form_stream(nu: float, lam: float, symmetric: bool):
+    c0, c1 = 2.0 * nu - lam, lam - 1.0
+    step = 1 if symmetric else 2
+    ratios = islice(_r_values(nu), step, None, step)  # R(step), R(2 step), ...
+    r = next(ratios)
+    if symmetric:
+        yield 0.0, 2.0, 1.0
+    else:
+        amu = (2.0 * nu + 2.0) / (2.0 * nu + 2.0 - lam)
+        yield 0.0, amu, amu
+    for n, r_next in enumerate(ratios, start=1):
+        if symmetric:
+            mu = 2.0 * (n + nu) / (n + 2.0 * nu) * (c0 + c1 * r) / (c0 + c1 * r_next)
+            yield mu - 1.0, 2.0 * mu, mu
+        else:
+            k = 2 * n
+            amu = (
+                4.0
+                * (k + nu)
+                * (k + nu + 1.0)
+                / ((k + 2.0 * nu) * (k + 2.0 * nu + 1.0))
+                * (c0 + c1 * r)
+                / (c0 + c1 * r_next)
+            )
+            damp = 1.0 - (4.0 * n * n + 4.0 * nu * n + nu - 1.0) / (
+                2.0 * (k + nu + 1.0) * (k + nu - 1.0)
+            )
+            yield damp * amu - 1.0, amu, amu
+        r = r_next
+
+
+def mu_closed_ultraspherical(params: UltrasphericalParams, lam: float, n: int) -> float:
+    """Explicit mu_{n+1} for the co-dilated (m = 1) ultraspherical family, n >= 1."""
+    stream = _closed_form_coefficients(params, lam, ResidualKind.SYMMETRIC)
     if n < 1:
         raise ValueError("the explicit formula holds for n >= 1")
-    nu = params.nu
-    r_n = _gamma_ratio(nu, n)
-    r_n1 = r_n * (n + 1.0) / (n + 2.0 * nu)
-    return (
-        2.0
-        * (n + nu)
-        / (n + 2.0 * nu)
-        * ((2.0 * nu - lam) + (lam - 1.0) * r_n)
-        / ((2.0 * nu - lam) + (lam - 1.0) * r_n1)
-    )
+    return _entry(stream, n)[2]
 
 
 def mu_closed_sequence(params: UltrasphericalParams, lam: float, n_max: int) -> np.ndarray:
-    """mu_1 .. mu_{n_max} from the explicit formula (mu_1 = 1), vectorised."""
-    _require_admissible(params, lam)
-    nu = params.nu
-    r = _gamma_ratio_sequence(nu, n_max)
-    n = np.arange(1.0, n_max)
-    bracket = (2.0 * nu - lam) + (lam - 1.0) * r
-    out = np.empty(n_max)
-    out[0] = 1.0
-    out[1:] = 2.0 * (n + nu) / (n + 2.0 * nu) * bracket[1:-1] / bracket[2:]
-    return out
+    """mu_1 .. mu_{n_max} from the explicit formula (mu_1 = 1)."""
+    return _mus(_closed_form_coefficients(params, lam, ResidualKind.SYMMETRIC), n_max)
 
 
 def amu_closed(params: UltrasphericalParams, lam: float, n: int) -> float:
@@ -407,42 +440,15 @@ def amu_closed(params: UltrasphericalParams, lam: float, n: int) -> float:
     The explicit quotient holds for n >= 1; the n = 0 start value is
     amu_1 = 1/(1 - lam beta_1) = (2 nu + 2)/(2 nu + 2 - lam).
     """
-    _require_admissible(params, lam)
+    stream = _closed_form_coefficients(params, lam, ResidualKind.ASYMMETRIC)
     if n < 0:
         raise ValueError("index must be >= 0")
-    nu = params.nu
-    if n == 0:
-        return (2.0 * nu + 2.0) / (2.0 * nu + 2.0 - lam)
-    r_2n = _gamma_ratio(nu, 2 * n)
-    r_2n2 = r_2n * (2 * n + 1.0) * (2 * n + 2.0) / ((2 * n + 2.0 * nu) * (2 * n + 2.0 * nu + 1.0))
-    return (
-        4.0
-        * (2 * n + nu)
-        * (2 * n + nu + 1.0)
-        / ((2 * n + 2.0 * nu) * (2 * n + 2.0 * nu + 1.0))
-        * ((2.0 * nu - lam) + (lam - 1.0) * r_2n)
-        / ((2.0 * nu - lam) + (lam - 1.0) * r_2n2)
-    )
+    return _entry(stream, n)[2]
 
 
 def amu_closed_sequence(params: UltrasphericalParams, lam: float, n_max: int) -> np.ndarray:
-    """amu_1 .. amu_{n_max} from the explicit formula, vectorised."""
-    _require_admissible(params, lam)
-    nu = params.nu
-    r = _gamma_ratio_sequence(nu, 2 * n_max)
-    n = np.arange(1.0, n_max)
-    bracket = (2.0 * nu - lam) + (lam - 1.0) * r
-    out = np.empty(n_max)
-    out[0] = (2.0 * nu + 2.0) / (2.0 * nu + 2.0 - lam)
-    out[1:] = (
-        4.0
-        * (2 * n + nu)
-        * (2 * n + nu + 1.0)
-        / ((2 * n + 2.0 * nu) * (2 * n + 2.0 * nu + 1.0))
-        * bracket[2:-2:2]
-        / bracket[4::2]
-    )
-    return out
+    """amu_1 .. amu_{n_max} from the explicit formula."""
+    return _mus(_closed_form_coefficients(params, lam, ResidualKind.ASYMMETRIC), n_max)
 
 
 def critical_constants(params: UltrasphericalParams) -> CriticalConstants:
@@ -460,7 +466,7 @@ def numerator_quotient_at_one(params: UltrasphericalParams, n: int) -> float:
     if n < 1:
         raise ValueError("quotient is defined for n >= 1")
     nu = params.nu
-    return 2.0 * nu / (2.0 * nu - 1.0) * (1.0 - _gamma_ratio(nu, n) / (2.0 * nu))
+    return 2.0 * nu / (2.0 * nu - 1.0) * (1.0 - _entry(_r_values(nu), n) / (2.0 * nu))
 
 
 def limit_ratio(params: UltrasphericalParams, lam: float) -> float:

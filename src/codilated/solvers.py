@@ -1,12 +1,22 @@
 """Iteration schemes for the normal equation A*A f = A*g.
 
-All methods share the second-order update
+Each method is a lazy generator of steps (f_n, f_{n-1}, mu_n, watched
+residual) run by one driver, ``_drive``, which owns the n = 0 entry, the
+residual history, the callback and the discrepancy, stagnation and
+iteration-cap tests.  A method may end the solve itself by returning a
+StopReason: cg on breakdown or Krylov exhaustion, the adaptive method when
+two consecutive residuals coincide.
 
-    f_{n+1} = f_n + a_n (f_n - f_{n-1}) + b_n * omega * A*(g - A f_n),
+Landweber, the general and asymmetric semi-iterative methods, the co-dilated
+ultraspherical method and the co-dilated nu-method share the second-order
+update
 
-with f_0 = 0 and f_1 a method-specific multiple of omega A*g.  The
-coefficients come either from a recurrence scheme (general and asymmetric
-variants) or from the explicit ultraspherical formulas, and the error obeys
+    f_{n+1} = f_n + a_n (f_n - f_{n-1}) + b_n * omega * A*(g - A f_n),  n >= 0,
+
+from f_0 = f_{-1} = 0, so b_0 is the start factor.  They differ only in the
+stream of (a_n, b_n, mu_{n+1}) fed to it: constant for Landweber, otherwise
+one of the ``orthopoly`` coefficient streams (recursive, from a scheme and a
+dilation, or closed-form co-dilated ultraspherical).  The error obeys
 f - f_n = r_n(omega A*A) f with r_n the matching residual polynomial, which
 is what ``oracle_check`` verifies on diagonal problems.
 
@@ -21,17 +31,18 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
 from .operators import LinearOperator, Problem, cached_norm_sq, diagonal_operator
 from .orthopoly import (
     CoDilation,
-    DivergentNormalization,
     RecurrenceScheme,
     ResidualKind,
     UltrasphericalParams,
-    _effective_beta,
+    _closed_form_coefficients,
+    _recursive_coefficients,
     residual_eval,
     ultraspherical_scheme,
 )
@@ -105,12 +116,14 @@ class SolverConfig:
 
     def __post_init__(self):
         self.method = Method(self.method)
-        if self.omega <= 0:
-            raise ValueError("relaxation parameter omega must be > 0")
-        if self.tau <= 1:
-            raise ValueError("discrepancy factor tau must be > 1")
-        if self.epsilon < 0:
-            raise ValueError("noise level epsilon must be >= 0")
+        if not (np.isfinite(self.omega) and self.omega > 0):
+            raise ValueError("relaxation parameter omega must be finite and > 0")
+        if not (np.isfinite(self.tau) and self.tau > 1):
+            raise ValueError("discrepancy factor tau must be finite and > 1")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError("noise level epsilon must be finite and >= 0")
+        if self.max_iter is not None and self.max_iter < 0:
+            raise ValueError("iteration cap max_iter must be >= 0")
 
     def resolved_max_iter(self) -> int:
         if self.max_iter is not None:
@@ -185,26 +198,35 @@ class _Stagnation:
         return self.count >= STAGNATION_STEPS
 
 
-def _semi_iterative(problem, config, start_factor, coeffs, callback=None):
-    """Shared driver: coeffs yields (a_n, b_n, mu_{n+1}) for n = 1, 2, ..."""
-    op, g = problem.operator, problem.g
-    omega, tau, eps = config.omega, config.tau, config.epsilon
-    max_iter = config.resolved_max_iter()
+def _drive(problem, config, steps, callback) -> SolveReport:
+    """The one iteration loop: history, callback and the stopping tests.
 
-    f_prev = np.zeros(op.domain_dim)
+    ``steps`` yields (f_n, f_{n-1}, mu_n, watched residual) for n = 1, 2, ...
+    and may end the solve by returning a StopReason.  It is advanced only
+    while no test has fired, so a stopped solve applies no further operator.
+    """
+    tau, eps = config.tau, config.epsilon
+    max_iter = config.resolved_max_iter()
+    g = problem.g
+    f = np.zeros(problem.operator.domain_dim)
     history = [float(np.linalg.norm(g))]
-    state = IterationState(0, f_prev, f_prev, 1.0, g.copy(), history[0])
+    state = IterationState(0, f, f, 1.0, g.copy(), history[0])
     if callback is not None:
         callback(state)
+    reason = None
     if discrepancy_stop(state, tau, eps):
-        return SolveReport(0, StopReason.DISCREPANCY, np.asarray(history), f_prev)
-
-    f = start_factor * omega * op.rmatvec(g)
-    mu = start_factor
+        reason = StopReason.DISCREPANCY
+    elif max_iter == 0:
+        reason = StopReason.MAX_ITER
     stag = _Stagnation()
-    n = 1
-    while True:
-        v = g - op.matvec(f)
+    n = 0
+    while reason is None:
+        try:
+            f, f_prev, mu, v = next(steps)
+        except StopIteration as stop:
+            reason = stop.value
+            break
+        n += 1
         rn = float(np.linalg.norm(v))
         history.append(rn)
         state = IterationState(n, f, f_prev, mu, v, rn)
@@ -212,41 +234,29 @@ def _semi_iterative(problem, config, start_factor, coeffs, callback=None):
             callback(state)
         if discrepancy_stop(state, tau, eps):
             reason = StopReason.DISCREPANCY
-            break
-        if stag.update(rn):
+        elif stag.update(rn):
             reason = StopReason.STAGNATION
-            break
-        if n >= max_iter:
+        elif n >= max_iter:
             reason = StopReason.MAX_ITER
-            break
-        a, b, mu = next(coeffs)
-        f_prev, f = f, f + a * (f - f_prev) + b * omega * op.rmatvec(v)
-        n += 1
     return SolveReport(n, reason, np.asarray(history), f)
 
 
-def _landweber_coeffs():
-    while True:
-        yield 0.0, 2.0, 1.0
+def _two_step(problem, omega, coeffs):
+    """Iterates of the second-order update; coeffs yields (a_n, b_n, mu_{n+1})."""
+    op, g = problem.operator, problem.g
+    f = f_prev = np.zeros(op.domain_dim)
+    v = g
+    for a, b, mu in coeffs:
+        f_prev, f = f, f + a * (f - f_prev) + b * omega * op.rmatvec(v)
+        v = g - op.matvec(f)
+        yield f, f_prev, mu, v
 
 
 def landweber(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
     """f_{n+1} = f_n + 2 omega A*(g - A f_n) from f_0 = 0."""
     _check_relaxation(problem.operator, config.omega, Method.LANDWEBER)
-    return _semi_iterative(problem, config, 2.0, _landweber_coeffs(), callback)
-
-
-def _general_coeffs(scheme, dilation):
-    alpha, beta = scheme.alpha, _effective_beta(scheme, dilation)
-    mu = 1.0 / (1.0 - alpha(0))
-    n = 1
-    while True:
-        den = (1.0 - alpha(n)) - beta(n) * mu
-        if den <= 0.0:
-            raise DivergentNormalization(f"mu denominator {den} at n = {n}")
-        mu = 1.0 / den
-        yield (1.0 - alpha(n)) * mu - 1.0, 2.0 * mu, mu
-        n += 1
+    coeffs = repeat((0.0, 2.0, 1.0))
+    return _drive(problem, config, _two_step(problem, config.omega, coeffs), callback)
 
 
 def general_semi_iterative(
@@ -261,26 +271,8 @@ def general_semi_iterative(
     Reduces to ``landweber`` when alpha = beta = 0.
     """
     _check_relaxation(problem.operator, config.omega, Method.GENERAL_SI)
-    mu1 = 1.0 / (1.0 - scheme.alpha(0))
-    return _semi_iterative(problem, config, 2.0 * mu1, _general_coeffs(scheme, dilation), callback)
-
-
-def _ultraspherical_coeffs(nu, lam):
-    # R(n) = Gamma(2nu+1) Gamma(n+1) / Gamma(n+2nu), updated multiplicatively
-    r = 1.0  # R(1)
-    n = 1
-    while True:
-        r_next = r * (n + 1.0) / (n + 2.0 * nu)
-        mu = (
-            2.0
-            * (n + nu)
-            / (n + 2.0 * nu)
-            * ((2.0 * nu - lam) + (lam - 1.0) * r)
-            / ((2.0 * nu - lam) + (lam - 1.0) * r_next)
-        )
-        yield mu - 1.0, 2.0 * mu, mu
-        r = r_next
-        n += 1
+    coeffs = _recursive_coefficients(scheme, dilation, ResidualKind.SYMMETRIC)
+    return _drive(problem, config, _two_step(problem, config.omega, coeffs), callback)
 
 
 def codilated_ultraspherical(
@@ -289,27 +281,9 @@ def codilated_ultraspherical(
     """Symmetric-residual method with explicit co-dilated ultraspherical
     coefficients (dilation index m = 1); lam = 1 is the Chebyshev method
     of Stiefel for nu = 1."""
-    params = UltrasphericalParams(nu)
-    params.require_closed_forms()
-    if lam >= 2.0 * nu:
-        raise ValueError(f"dilation {lam} must be below the critical value {2.0 * nu}")
+    coeffs = _closed_form_coefficients(UltrasphericalParams(nu), lam, ResidualKind.SYMMETRIC)
     _check_relaxation(problem.operator, config.omega, Method.CODILATED_ULTRASPHERICAL)
-    return _semi_iterative(problem, config, 2.0, _ultraspherical_coeffs(nu, lam), callback)
-
-
-def _asymmetric_coeffs(scheme, dilation):
-    beta = _effective_beta(scheme, dilation)
-    amu = 1.0 / (1.0 - beta(1))
-    n = 1
-    while True:
-        b2n = beta(2 * n)
-        damp = 1.0 - b2n - beta(2 * n + 1)
-        den = damp - b2n * beta(2 * n - 1) * amu
-        if den <= 0.0:
-            raise DivergentNormalization(f"amu denominator {den} at n = {n}")
-        amu = 1.0 / den
-        yield damp * amu - 1.0, amu, amu
-        n += 1
+    return _drive(problem, config, _two_step(problem, config.omega, coeffs), callback)
 
 
 def asymmetric_semi_iterative(
@@ -324,30 +298,8 @@ def asymmetric_semi_iterative(
     if not scheme.symmetric:
         raise ValueError("asymmetric residual polynomials need a symmetric scheme")
     _check_relaxation(problem.operator, config.omega, Method.ASYMMETRIC_SI)
-    amu1 = 1.0 / (1.0 - _effective_beta(scheme, dilation)(1))
-    return _semi_iterative(problem, config, amu1, _asymmetric_coeffs(scheme, dilation), callback)
-
-
-def _nu_method_coeffs(nu, lam):
-    r = 2.0 / (2.0 * nu + 1.0)  # R(2)
-    n = 1
-    while True:
-        r_mid = r * (2 * n + 1.0) / (2 * n + 2.0 * nu)
-        r_next = r_mid * (2 * n + 2.0) / (2 * n + 2.0 * nu + 1.0)
-        amu = (
-            4.0
-            * (2 * n + nu)
-            * (2 * n + nu + 1.0)
-            / ((2 * n + 2.0 * nu) * (2 * n + 2.0 * nu + 1.0))
-            * ((2.0 * nu - lam) + (lam - 1.0) * r)
-            / ((2.0 * nu - lam) + (lam - 1.0) * r_next)
-        )
-        damp = 1.0 - (4.0 * n * n + 4.0 * nu * n + nu - 1.0) / (
-            2.0 * (2 * n + nu + 1.0) * (2 * n + nu - 1.0)
-        )
-        yield damp * amu - 1.0, amu, amu
-        r = r_next
-        n += 1
+    coeffs = _recursive_coefficients(scheme, dilation, ResidualKind.ASYMMETRIC)
+    return _drive(problem, config, _two_step(problem, config.omega, coeffs), callback)
 
 
 def codilated_nu(
@@ -358,13 +310,9 @@ def codilated_nu(
     lam = 1 reproduces the classical nu-method; the start iterate is
     f_1 = (2 nu + 2)/(2 nu + 2 - lam) omega A* g.
     """
-    params = UltrasphericalParams(nu)
-    params.require_closed_forms()
-    if lam >= 2.0 * nu:
-        raise ValueError(f"dilation {lam} must be below the critical value {2.0 * nu}")
+    coeffs = _closed_form_coefficients(UltrasphericalParams(nu), lam, ResidualKind.ASYMMETRIC)
     _check_relaxation(problem.operator, config.omega, Method.CODILATED_NU)
-    start = (2.0 * nu + 2.0) / (2.0 * nu + 2.0 - lam)
-    return _semi_iterative(problem, config, start, _nu_method_coeffs(nu, lam), callback)
+    return _drive(problem, config, _two_step(problem, config.omega, coeffs), callback)
 
 
 def adaptive_codilated_one(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
@@ -376,67 +324,62 @@ def adaptive_codilated_one(problem: Problem, config: SolverConfig, callback=None
     dilation parameter and applies the matching correction to the iterate.
     """
     _check_relaxation(problem.operator, config.omega, Method.ADAPTIVE_CODILATED_ONE)
-    op, g = problem.operator, problem.g
-    omega, tau, eps = config.omega, config.tau, config.epsilon
-    max_iter = config.resolved_max_iter()
-
-    f_prev = np.zeros(op.domain_dim)
-    history = [float(np.linalg.norm(g))]
-    state = IterationState(0, f_prev, f_prev, 1.0, g.copy(), history[0])
-    if callback is not None:
-        callback(state)
-    if discrepancy_stop(state, tau, eps):
-        return SolveReport(
-            0, StopReason.DISCREPANCY, np.asarray(history), f_prev, chosen_lambda=1.0, gamma_final=0.0
-        )
-
-    f = (4.0 / 3.0) * omega * op.rmatvec(g)
-    v_prev = g.copy()
-    v = g - op.matvec(f)
-    stag = _Stagnation()
-    n = 1
+    op, g, omega = problem.operator, problem.g, config.omega
+    f = f_prev = np.zeros(op.domain_dim)
     gamma = 0.0
-    while True:
-        dv = v - v_prev
-        dv2 = float(dv @ dv)
-        if dv2 < 1e-300:
-            # consecutive residuals coincide: gamma is indeterminate
-            gamma = 0.0
-            history.append(float(np.linalg.norm(v)))
-            reason = StopReason.STAGNATION
-            break
-        gamma = float(v @ dv) / dv2
-        v_min = v - gamma * dv
-        vm_norm = float(np.linalg.norm(v_min))
-        history.append(vm_norm)
-        state = IterationState(n, f, f_prev, gamma, v_min, vm_norm)
-        if callback is not None:
-            callback(state)
-        if vm_norm < tau * eps:
-            reason = StopReason.DISCREPANCY
-            break
-        if stag.update(vm_norm):
-            reason = StopReason.STAGNATION
-            break
-        if n >= max_iter:
-            reason = StopReason.MAX_ITER
-            break
-        f_prev, f = f, f + (2.0 * n - 1.0) / (2.0 * n + 3.0) * (f - f_prev) + 4.0 * omega * (
-            2.0 * n + 1.0
-        ) / (2.0 * n + 3.0) * op.rmatvec(v)
-        v_prev, v = v, g - op.matvec(f)
-        n += 1
 
-    lam = 1.0 - (2.0 * n + 1.0) * gamma / ((2.0 * n - 1.0) * (1.0 - gamma))
-    f_final = f - gamma * (f - f_prev)
-    return SolveReport(
-        n,
-        reason,
-        np.asarray(history),
-        f_final,
-        chosen_lambda=float(lam),
-        gamma_final=float(gamma),
-    )
+    def steps():
+        nonlocal f, f_prev, gamma
+        f = (4.0 / 3.0) * omega * op.rmatvec(g)
+        v_prev, v = g, g - op.matvec(f)
+        n = 1
+        while True:
+            dv = v - v_prev
+            dv2 = float(dv @ dv)
+            if dv2 < 1e-300:
+                # consecutive residuals coincide: gamma is indeterminate
+                gamma = 0.0
+                yield f, f_prev, gamma, v
+                return StopReason.STAGNATION
+            gamma = float(v @ dv) / dv2
+            yield f, f_prev, gamma, v - gamma * dv
+            f_prev, f = f, f + (2.0 * n - 1.0) / (2.0 * n + 3.0) * (f - f_prev) + 4.0 * omega * (
+                2.0 * n + 1.0
+            ) / (2.0 * n + 3.0) * op.rmatvec(v)
+            v_prev, v = v, g - op.matvec(f)
+            n += 1
+
+    report = _drive(problem, config, steps(), callback)
+    n = report.iterations
+    report.chosen_lambda = 1.0 - (2.0 * n + 1.0) * gamma / ((2.0 * n - 1.0) * (1.0 - gamma))
+    report.gamma_final = gamma
+    report.f_final = f - gamma * (f - f_prev)
+    return report
+
+
+def _cg_steps(problem):
+    op, g = problem.operator, problem.g
+    f = np.zeros(op.domain_dim)
+    r = g.copy()
+    s = op.rmatvec(r)
+    p = s.copy()
+    gamma = gamma0 = float(s @ s)
+    while True:
+        q = op.matvec(p)
+        qq = float(q @ q)
+        if qq <= 0.0:
+            return StopReason.BREAKDOWN
+        alpha = gamma / qq
+        f_prev, f = f, f + alpha * p
+        r = r - alpha * q
+        yield f, f_prev, alpha, g - op.matvec(f)
+        s = op.rmatvec(r)
+        gamma_new = float(s @ s)
+        if gamma_new <= (1e-14) ** 2 * gamma0:
+            # Krylov space exhausted: no further progress possible
+            return StopReason.STAGNATION
+        p = s + (gamma_new / gamma) * p
+        gamma = gamma_new
 
 
 def cg_normal_equations(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
@@ -448,61 +391,7 @@ def cg_normal_equations(problem: Problem, config: SolverConfig, callback=None) -
     with STAGNATION; nonpositive direction curvature is a BREAKDOWN and
     the current iterate is returned as-is.
     """
-    op, g = problem.operator, problem.g
-    tau, eps = config.tau, config.epsilon
-    max_iter = config.resolved_max_iter()
-
-    f = np.zeros(op.domain_dim)
-    history = [float(np.linalg.norm(g))]
-    state = IterationState(0, f, f, 1.0, g.copy(), history[0])
-    if callback is not None:
-        callback(state)
-    if discrepancy_stop(state, tau, eps):
-        return SolveReport(0, StopReason.DISCREPANCY, np.asarray(history), f)
-
-    r = g.copy()
-    s = op.rmatvec(r)
-    p = s.copy()
-    gamma = float(s @ s)
-    gamma0 = gamma
-    stag = _Stagnation()
-    n = 1
-    f_prev = f
-    while True:
-        q = op.matvec(p)
-        qq = float(q @ q)
-        if qq <= 0.0:
-            reason = StopReason.BREAKDOWN
-            n -= 1
-            break
-        alpha = gamma / qq
-        f_prev, f = f, f + alpha * p
-        r = r - alpha * q
-        v = g - op.matvec(f)
-        rn = float(np.linalg.norm(v))
-        history.append(rn)
-        state = IterationState(n, f, f_prev, alpha, v, rn)
-        if callback is not None:
-            callback(state)
-        if discrepancy_stop(state, tau, eps):
-            reason = StopReason.DISCREPANCY
-            break
-        if stag.update(rn):
-            reason = StopReason.STAGNATION
-            break
-        if n >= max_iter:
-            reason = StopReason.MAX_ITER
-            break
-        s = op.rmatvec(r)
-        gamma_new = float(s @ s)
-        if gamma_new <= (1e-14) ** 2 * gamma0:
-            # Krylov space exhausted: no further progress possible
-            reason = StopReason.STAGNATION
-            break
-        p = s + (gamma_new / gamma) * p
-        gamma = gamma_new
-        n += 1
-    return SolveReport(n, reason, np.asarray(history), f)
+    return _drive(problem, config, _cg_steps(problem), callback)
 
 
 def oracle_check(

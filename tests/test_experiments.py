@@ -235,6 +235,13 @@ class TestCli:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert values == sorted(values, reverse=True)
 
+    @pytest.mark.parametrize("sweep", ["1:2:0", "2:1:0.5"])
+    def test_bad_sweep_range_rejected(self, sweep, capsys):
+        # zeros and sweep share the range check
+        assert main(["zeros", "--degree", "6", "--sweep", sweep]) == EXIT_CONFIG
+        assert main(["sweep", "--problem", "diag-last", "--sweep", sweep]) == EXIT_CONFIG
+        assert capsys.readouterr().err.count("error:") == 2
+
     def test_table1_csv(self, tmp_path):
         out = tmp_path / "table.csv"
         assert main(["table1", "--out", str(out)]) == EXIT_OK

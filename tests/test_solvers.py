@@ -3,7 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from codilated.operators import Problem, add_noise, deriv2_assemble, diagonal_operator
+from codilated.operators import (
+    LinearOperator,
+    Problem,
+    add_noise,
+    cached_norm_sq,
+    deriv2_assemble,
+    diagonal_operator,
+)
 from codilated.orthopoly import (
     CoDilation,
     DivergentNormalization,
@@ -361,6 +368,12 @@ class TestConfigAndDriver:
             SolverConfig(epsilon=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(method="no-such-method")
+        for bad in (float("nan"), float("inf")):
+            for field in ("omega", "tau", "epsilon"):
+                with pytest.raises(ValueError):
+                    SolverConfig(**{field: bad})
+        with pytest.raises(ValueError):
+            SolverConfig(max_iter=-1)
 
     def test_max_iter_defaults(self):
         assert SolverConfig(method="landweber").resolved_max_iter() == 10**6
@@ -388,6 +401,27 @@ class TestConfigAndDriver:
         problem = Problem(diagonal_operator(np.zeros(3)), np.ones(3))
         report = landweber(problem, quiet_config(method="landweber", epsilon=0.0))
         assert report.stop_reason is StopReason.STAGNATION
+
+    def test_zero_cap_applies_no_operator(self):
+        d = np.array([1.0, 0.5, 0.25])
+        applied = []
+
+        def apply(x):
+            applied.append(x)
+            return d * x
+
+        op = LinearOperator(3, 3, apply, apply)
+        cached_norm_sq(op)  # the relaxation check's norm estimate precedes the solve
+        problem = Problem(op, np.ones(3))
+        for method in Method:
+            applied.clear()
+            config = SolverConfig(method=method, omega=0.9, epsilon=0.01, max_iter=0)
+            report = solve(problem, config)
+            assert report.stop_reason is StopReason.MAX_ITER
+            assert report.iterations == 0
+            assert report.residual_history.shape == (1,)
+            assert not np.any(report.f_final)
+            assert applied == []
 
     def test_solve_dispatch(self):
         problem = deriv2_problem()
@@ -421,3 +455,13 @@ class TestRelaxationWarnings:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RelaxationWarning)
             codilated_ultraspherical(problem, 1.0, 1.0, quiet_config(omega=96.5, max_iter=3))
+
+    def test_warning_points_at_caller(self):
+        problem = Problem(diagonal_operator(np.ones(4)), np.ones(4))
+        for run in (
+            lambda: landweber(problem, quiet_config(method="landweber", omega=1.0, max_iter=3)),
+            lambda: codilated_ultraspherical(problem, 1.0, 1.0, quiet_config(omega=1.5, max_iter=3)),
+        ):
+            with pytest.warns(RelaxationWarning) as record:
+                run()
+            assert [w.filename for w in record] == [__file__]
