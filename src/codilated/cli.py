@@ -2,8 +2,10 @@
 
 Subcommands: solve, sweep, table1, zeros, checks.  Options may also come
 from a plain-text key=value config file (--config); command-line flags
-override file entries.  Exit codes: 0 success, 1 configuration error,
-2 solve ended at the iteration cap.
+override file entries.  Sweeps and tables run their solves one after
+another in this process.  Exit codes: 0 success, 1 configuration error
+(or failed checks), 2 solve ended at the iteration cap, 3 solve stopped on
+a non-finite residual (divergence).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .experiments import (
     write_table_csv,
 )
 from .checks import run_checks
-from .operators import save_matrix_csv, save_vector_csv
+from .operators import _write_lines, save_matrix_csv, save_vector_csv
 from .orthopoly import CoDilation, ResidualKind, UltrasphericalParams, ultraspherical_scheme
 from .solvers import Method, SolverConfig, StopReason
 from .zeros import find_polynomial_zeros, find_zeros
@@ -33,6 +35,7 @@ from .zeros import find_polynomial_zeros, find_zeros
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_MAX_ITER = 2
+EXIT_DIVERGENCE = 3
 
 
 def _parse_sweep(text: str):
@@ -90,7 +93,6 @@ def _add_common(parser: argparse.ArgumentParser, sweep: bool = False):
     if sweep:
         parser.add_argument("--sweep", type=_parse_sweep, help="min:max:step or explicit list")
         parser.add_argument("--zero-degree", dest="zero_degree", type=int)
-        parser.add_argument("--jobs", type=int, default=1)
 
 
 def _merged(args) -> dict:
@@ -99,10 +101,9 @@ def _merged(args) -> dict:
         for key, value in _read_config_file(args.config).items():
             if key not in _FILE_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            merged[key if key != "lambda" else "lam"] = _FILE_KEYS[key](value)
-    for key in ("problem", "method", "n", "nu", "lam", "omega", "eps", "tau",
-                "seed", "max_iter", "sweep", "zero_degree", "out"):
-        value = getattr(args, key, None)
+            merged[key] = _FILE_KEYS[key](value)
+    for key in _FILE_KEYS:
+        value = getattr(args, "lam" if key == "lambda" else key, None)
         if value is not None:
             merged[key] = value
     return merged
@@ -116,7 +117,7 @@ def _build_spec(merged: dict) -> ExperimentSpec:
     config = SolverConfig(
         method=merged.get("method", Method.CODILATED_NU),
         nu=merged.get("nu", 1.0),
-        lam=merged.get("lam", 1.0),
+        lam=merged.get("lambda", 1.0),
         omega=merged.get("omega", omega_d),
         tau=merged.get("tau", tau_d),
         epsilon=merged.get("eps", eps_d),
@@ -156,6 +157,8 @@ def _cmd_solve(args) -> int:
     print(line)
     if spec.out:
         write_report_csv(spec.out, report, spec.config, spec.seed)
+    if report.stop_reason is StopReason.DIVERGENCE:
+        return EXIT_DIVERGENCE
     return EXIT_MAX_ITER if report.stop_reason is StopReason.MAX_ITER else EXIT_OK
 
 
@@ -164,7 +167,7 @@ def _cmd_sweep(args) -> int:
     spec = _build_spec(merged)
     if spec.sweep is None:
         raise ValueError("sweep requires --sweep")
-    result = run_sweep(spec, jobs=args.jobs)
+    result = run_sweep(spec)
     for row in result.rows:
         print(f"lambda={row.lam!r} iterations={row.iterations} stop={row.stop_reason}")
     if spec.out:
@@ -188,39 +191,29 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    params = UltrasphericalParams(args.nu)
-    scheme = ultraspherical_scheme(params)
-    kind = {
-        "symmetric": ResidualKind.SYMMETRIC,
-        "asymmetric": ResidualKind.ASYMMETRIC,
-        "polynomial": None,
-    }[args.kind]
+    scheme = ultraspherical_scheme(UltrasphericalParams(args.nu))
+    kind = None if args.kind == "polynomial" else ResidualKind(args.kind)
+
+    def locate(dil):
+        if kind is None:
+            return find_polynomial_zeros(scheme, dil, args.degree)
+        return find_zeros(scheme, dil, kind, args.degree)
+
     lines = []
     if args.sweep is not None:
         lines.append("lambda,smallest_zero,located")
         for lam in _sweep_values(args.sweep):
-            dil = CoDilation(args.m, lam)
-            zr = (
-                find_polynomial_zeros(scheme, dil, args.degree)
-                if kind is None
-                else find_zeros(scheme, dil, kind, args.degree)
-            )
+            zr = locate(CoDilation(args.m, lam))
             smallest = repr(zr.smallest) if zr.zeros.size else "nan"
             lines.append(f"{float(lam)!r},{smallest},{zr.zeros.size}")
     else:
-        dil = None if args.lam is None or args.lam == 1.0 else CoDilation(args.m, args.lam)
-        zr = (
-            find_polynomial_zeros(scheme, dil, args.degree)
-            if kind is None
-            else find_zeros(scheme, dil, kind, args.degree)
-        )
+        zr = locate(None if args.lam is None or args.lam == 1.0 else CoDilation(args.m, args.lam))
         lines.append("index,zero")
         lines.extend(f"{j},{float(z)!r}" for j, z in enumerate(zr.zeros, start=1))
     for line in lines:
         print(line)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(args.out, lines)
     return EXIT_OK
 
 

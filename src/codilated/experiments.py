@@ -15,21 +15,28 @@ specs produce byte-identical CSV output.  The perturbation is the raw
 (unnormalised) Gaussian draw scaled by the nominal noise level, the
 convention under which the reference iteration counts were produced;
 the discrepancy threshold still uses the nominal level.  Sweep points
-are independent solves and may run on a thread pool; rows are aggregated
-sorted by the dilation parameter, so parallel and serial runs emit
-identical files.
+and table rows are independent solves of one problem instance, run one
+after another by one point runner that records a failed solve in the row
+instead of raising.  Sweep rows are sorted by the dilation parameter, so
+the order of an explicit list does not change the output.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from .operators import NoisyProblem, add_noise, deriv2_assemble, diagonal_operator
+from .operators import (
+    NoisyProblem,
+    _fmt,
+    _write_lines,
+    add_noise,
+    deriv2_assemble,
+    diagonal_operator,
+)
 from .orthopoly import CoDilation, ResidualKind, UltrasphericalParams, ultraspherical_scheme
-from .solvers import Method, SolveReport, SolverConfig, StopReason, solve
+from .solvers import Method, SolveReport, SolverConfig, solve
 from .zeros import find_zeros
 
 __all__ = [
@@ -84,9 +91,12 @@ class ExperimentSpec:
 def _sweep_values(sweep) -> list[float]:
     """Dilation values of a (min, max, step) range or of an explicit list.
 
-    A range must be finite with step > 0 and min <= max, so it is never empty.
+    A range must be finite with step > 0 and min <= max, so it is never empty;
+    the entries of a list must be finite.
     """
     if not isinstance(sweep, tuple):
+        if not all(np.isfinite(lam) for lam in sweep):
+            raise ValueError("sweep values must be finite")
         return list(sweep)
     lo, hi, step = sweep
     if not (np.isfinite(lo) and np.isfinite(hi) and step > 0 and lo <= hi):
@@ -98,6 +108,8 @@ def _sweep_values(sweep) -> list[float]:
 def build_problem(spec: ExperimentSpec) -> NoisyProblem:
     """Assemble the experiment's problem with its seeded noise realisation."""
     n = spec.n if spec.n is not None else PROBLEM_DEFAULTS[spec.problem][0]
+    if n < 2:
+        raise ValueError("problem size n must be >= 2")
     eps = spec.config.epsilon
     if spec.problem == "deriv2":
         d2 = deriv2_assemble(n)
@@ -115,6 +127,8 @@ def run_experiment(spec: ExperimentSpec) -> SolveReport:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep point; the fields are the sweep CSV columns, in order."""
+
     lam: float
     iterations: int
     stop_reason: str
@@ -128,44 +142,43 @@ class SweepResult:
     zero_degree: int | None
 
 
-def _sweep_point(spec: ExperimentSpec, noisy: NoisyProblem, lam: float) -> SweepRow:
-    config = replace(spec.config, lam=lam)
+def _run_point(noisy: NoisyProblem, config: SolverConfig) -> tuple[int, str, float, float | None]:
+    """(iterations, stop reason, final residual, chosen lambda) of one solve.
+
+    A failed solve is recorded in the stop reason, not raised, so a sweep or
+    table goes on past it.
+    """
     try:
         report = solve(noisy.as_problem(), config)
-        iters = report.iterations
-        reason = report.stop_reason.value
-        final = float(report.residual_history[-1])
     except ArithmeticError as exc:
-        iters, reason, final = 0, f"error:{type(exc).__name__}", float("nan")
+        return 0, f"error:{type(exc).__name__}", float("nan"), None
     except ValueError:
-        # dilation outside the method's admissible range; the zero
-        # attachment below is still well defined there
-        iters, reason, final = 0, "error:inadmissible", float("nan")
-    zero = float("nan")
-    if spec.zero_degree is not None:
-        scheme = ultraspherical_scheme(UltrasphericalParams(spec.config.nu))
-        zr = find_zeros(scheme, CoDilation(1, lam), ResidualKind.ASYMMETRIC, spec.zero_degree)
-        if zr.zeros.size:
-            zero = zr.smallest
-    return SweepRow(lam, iters, reason, final, zero)
+        # dilation outside the method's admissible range
+        return 0, "error:inadmissible", float("nan"), None
+    final = float(report.residual_history[-1])
+    return report.iterations, report.stop_reason.value, final, report.chosen_lambda
 
 
-def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> SweepResult:
+def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """One solve per dilation value; rows sorted by the dilation parameter.
 
-    Each worker owns its problem instance, so points are independent;
-    per-point failures are recorded in the row and the sweep continues.
+    Per-point failures are recorded in the row and the sweep continues.
+    The attached zero is computed even where the solve is inadmissible.
     """
-    lams = spec.sweep_values()
+    lams = sorted(spec.sweep_values())
     if not lams:
         raise ValueError("spec has no sweep values")
     noisy = build_problem(spec)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda lam: _sweep_point(spec, noisy, lam), lams))
-    else:
-        rows = [_sweep_point(spec, noisy, lam) for lam in lams]
-    rows.sort(key=lambda r: r.lam)
+    rows = []
+    for lam in lams:
+        iters, reason, final, _ = _run_point(noisy, replace(spec.config, lam=lam))
+        zero = float("nan")
+        if spec.zero_degree is not None:
+            scheme = ultraspherical_scheme(UltrasphericalParams(spec.config.nu))
+            zr = find_zeros(scheme, CoDilation(1, lam), ResidualKind.ASYMMETRIC, spec.zero_degree)
+            if zr.zeros.size:
+                zero = zr.smallest
+        rows.append(SweepRow(lam, iters, reason, final, zero))
     return SweepResult(rows=rows, zero_degree=spec.zero_degree)
 
 
@@ -188,46 +201,24 @@ def table1_rows(seed: int = DEFAULT_SEED, include_landweber: bool = False) -> li
     rows = list(TABLE1_ROWS)
     if include_landweber:
         rows.append((Method.LANDWEBER, None, None))
-    spec = ExperimentSpec(problem="deriv2", seed=seed)
-    n, omega, eps, tau = PROBLEM_DEFAULTS["deriv2"]
-    noisy = build_problem(
-        replace(spec, config=SolverConfig(method=Method.CG, omega=omega, epsilon=eps, tau=tau))
-    )
+    _, omega, eps, tau = PROBLEM_DEFAULTS["deriv2"]
+    base = SolverConfig(omega=omega, epsilon=eps, tau=tau)
+    noisy = build_problem(ExperimentSpec(problem="deriv2", config=base, seed=seed))
     out = []
     for method, nu, lam in rows:
-        config = SolverConfig(
-            method=method,
-            nu=nu if nu is not None else 1.0,
-            lam=lam if lam is not None else 1.0,
-            omega=omega,
-            epsilon=eps,
-            tau=tau,
-        )
-        try:
-            report = solve(noisy.as_problem(), config)
-            iters = report.iterations
-            reason = report.stop_reason.value
-            chosen = report.chosen_lambda if report.chosen_lambda is not None else lam
-        except ArithmeticError as exc:
-            iters, reason, chosen = 0, f"error:{type(exc).__name__}", lam
+        config = replace(base, method=method, nu=1.0 if nu is None else nu,
+                         lam=1.0 if lam is None else lam)
+        iters, reason, _, chosen = _run_point(noisy, config)
         out.append(
             {
                 "method": method.value,
                 "nu": nu,
-                "lambda": chosen,
+                "lambda": chosen if chosen is not None else lam,
                 "iterations": iters,
                 "stop_reason": reason,
             }
         )
     return out
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))  # plain shortest round-trip form, numpy scalars included
-    return str(value)
 
 
 def write_report_csv(path, report: SolveReport, config: SolverConfig, seed: int) -> None:
@@ -246,44 +237,18 @@ def write_report_csv(path, report: SolveReport, config: SolverConfig, seed: int)
     ]
     for n, rn in enumerate(report.residual_history):
         lines.append(f"{n},{_fmt(float(rn))}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_sweep_csv(path, result: SweepResult) -> None:
-    lines = []
-    if result.zero_degree is not None:
-        lines.append(f"# zero_degree={result.zero_degree}")
+    lines = [] if result.zero_degree is None else [f"# zero_degree={result.zero_degree}"]
     lines.append("lambda,iterations,stop_reason,final_residual,smallest_zero")
-    for row in result.rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row.lam),
-                    str(row.iterations),
-                    row.stop_reason,
-                    _fmt(row.final_residual),
-                    _fmt(row.smallest_zero),
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines.extend(",".join(map(_fmt, astuple(row))) for row in result.rows)
+    _write_lines(path, lines)
 
 
 def write_table_csv(path, rows: list[dict]) -> None:
-    lines = ["method,nu,lambda,iterations,stop_reason"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row["method"],
-                    _fmt(row["nu"]),
-                    _fmt(row["lambda"]),
-                    str(row["iterations"]),
-                    row["stop_reason"],
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = ("method", "nu", "lambda", "iterations", "stop_reason")
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(row[key]) for key in columns) for row in rows)
+    _write_lines(path, lines)

@@ -186,19 +186,26 @@ def cached_norm_sq(operator: LinearOperator) -> float:
     return operator._norm_sq_cache
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(value) -> str:
+    """CSV field: "" for None, shortest round-trip form for floats, else str."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _write_lines(path, lines) -> None:
+    """Write each line followed by a newline as UTF-8 text."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def save_vector_csv(path, v) -> None:
     """One value per line, shortest round-trip decimal form."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for x in np.asarray(v, dtype=float):
-            fh.write(_fmt(x) + "\n")
+    _write_lines(path, (_fmt(x) for x in np.asarray(v, dtype=float)))
 
 
 def save_matrix_csv(path, a) -> None:
     """Row-major: one matrix row per line, comma separated."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.asarray(a, dtype=float):
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    _write_lines(path, (",".join(_fmt(x) for x in row) for row in np.asarray(a, dtype=float)))

@@ -17,6 +17,7 @@ All arithmetic is binary64.  Evaluations are vectorised over the argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count, islice
@@ -99,6 +100,8 @@ class CoDilation:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("dilation index m must be >= 1")
+        if not math.isfinite(self.lam):
+            raise ValueError("dilation factor lam must be finite")
 
 
 @dataclass(frozen=True)
@@ -370,7 +373,7 @@ def _r_values(nu: float):
 
 def _require_admissible(params: UltrasphericalParams, lam: float):
     params.require_closed_forms()
-    if lam >= 2.0 * params.nu:
+    if not lam < 2.0 * params.nu:  # NaN fails too
         raise ValueError(f"dilation {lam} must be below the critical value {2.0 * params.nu}")
 
 

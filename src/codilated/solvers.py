@@ -2,8 +2,8 @@
 
 Each method is a lazy generator of steps (f_n, f_{n-1}, mu_n, watched
 residual) run by one driver, ``_drive``, which owns the n = 0 entry, the
-residual history, the callback and the discrepancy, stagnation and
-iteration-cap tests.  A method may end the solve itself by returning a
+residual history, the callback and the discrepancy, divergence, stagnation
+and iteration-cap tests.  A method may end the solve itself by returning a
 StopReason: cg on breakdown or Krylov exhaustion, the adaptive method when
 two consecutive residuals coincide.
 
@@ -28,6 +28,7 @@ state.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -85,6 +86,7 @@ class StopReason(str, Enum):
     MAX_ITER = "max-iter"
     STAGNATION = "stagnation"
     BREAKDOWN = "breakdown"
+    DIVERGENCE = "divergence"
 
 
 class RelaxationWarning(UserWarning):
@@ -116,6 +118,8 @@ class SolverConfig:
 
     def __post_init__(self):
         self.method = Method(self.method)
+        if not (np.isfinite(self.nu) and np.isfinite(self.lam)):
+            raise ValueError("polynomial parameters nu and lam must be finite")
         if not (np.isfinite(self.omega) and self.omega > 0):
             raise ValueError("relaxation parameter omega must be finite and > 0")
         if not (np.isfinite(self.tau) and self.tau > 1):
@@ -204,6 +208,8 @@ def _drive(problem, config, steps, callback) -> SolveReport:
     ``steps`` yields (f_n, f_{n-1}, mu_n, watched residual) for n = 1, 2, ...
     and may end the solve by returning a StopReason.  It is advanced only
     while no test has fired, so a stopped solve applies no further operator.
+    A non-finite residual norm stops the solve with DIVERGENCE, at n = 0 too,
+    so NaN data apply no operator.
     """
     tau, eps = config.tau, config.epsilon
     max_iter = config.resolved_max_iter()
@@ -216,6 +222,8 @@ def _drive(problem, config, steps, callback) -> SolveReport:
     reason = None
     if discrepancy_stop(state, tau, eps):
         reason = StopReason.DISCREPANCY
+    elif not math.isfinite(history[0]):
+        reason = StopReason.DIVERGENCE
     elif max_iter == 0:
         reason = StopReason.MAX_ITER
     stag = _Stagnation()
@@ -234,6 +242,8 @@ def _drive(problem, config, steps, callback) -> SolveReport:
             callback(state)
         if discrepancy_stop(state, tau, eps):
             reason = StopReason.DISCREPANCY
+        elif not math.isfinite(rn):
+            reason = StopReason.DIVERGENCE
         elif stag.update(rn):
             reason = StopReason.STAGNATION
         elif n >= max_iter:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from codilated.cli import EXIT_CONFIG, EXIT_MAX_ITER, EXIT_OK, main
+from codilated.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_MAX_ITER, EXIT_OK, main
 from codilated.experiments import (
     DEFAULT_SEED,
     PROBLEM_DEFAULTS,
@@ -13,7 +13,7 @@ from codilated.experiments import (
     write_report_csv,
     write_sweep_csv,
 )
-from codilated.solvers import Method, SolverConfig, StopReason
+from codilated.solvers import Method, RelaxationWarning, SolverConfig, StopReason
 
 
 def spec_for(problem, method=Method.CODILATED_NU, **config_kw):
@@ -76,6 +76,17 @@ class TestGoldenRuns:
         assert report.iterations == 71
         assert report.chosen_lambda == pytest.approx(1.6067595, abs=2e-7)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("method", [Method.CODILATED_NU, Method.LANDWEBER])
+    def test_divergence_stops_early(self, method):
+        # omega ||A*A|| = 50: the iterates blow up within a hundred steps
+        spec = spec_for("diag-last", method=method, omega=50.0, max_iter=3000)
+        with pytest.warns(RelaxationWarning):
+            report = run_experiment(spec)
+        assert report.stop_reason is StopReason.DIVERGENCE
+        assert report.iterations < 100
+        assert np.isfinite(report.residual_history[:-1]).all()
+
     def test_zero_noise_hits_iteration_cap(self):
         spec = spec_for("diag-last", epsilon=0.0, max_iter=300)
         report = run_experiment(spec)
@@ -97,13 +108,15 @@ class TestSweep:
         (row,) = run_sweep(spec).rows
         assert row.stop_reason in ("max-iter", "stagnation")
 
-    def test_parallel_equals_serial(self, tmp_path):
+    def test_shuffled_list_equals_range(self, tmp_path):
         spec = spec_for("diag-last")
         spec.sweep = (1.0, 1.9, 0.3)
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        write_sweep_csv(serial, run_sweep(spec, jobs=1))
-        write_sweep_csv(parallel, run_sweep(spec, jobs=4))
-        assert serial.read_bytes() == parallel.read_bytes()
+        ranged, shuffled = tmp_path / "r.csv", tmp_path / "s.csv"
+        write_sweep_csv(ranged, run_sweep(spec))
+        values = spec.sweep_values()
+        spec.sweep = [values[k] for k in (2, 0, 3, 1)]
+        write_sweep_csv(shuffled, run_sweep(spec))
+        assert ranged.read_bytes() == shuffled.read_bytes()
 
     def test_zero_curve_attachment(self):
         # smallest zero decreases towards the critical dilation, then the
@@ -188,6 +201,26 @@ class TestCli:
         assert main(["solve", "--problem", "deriv2", "--tau", "0.5"]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_solve_divergence_exit_code(self, capsys):
+        with pytest.warns(RelaxationWarning):
+            code = main(["solve", "--problem", "diag-last", "--omega", "50", "--max-iter", "3000"])
+        assert code == EXIT_DIVERGENCE
+        assert "stop=divergence" in capsys.readouterr().out
+
+    def test_non_finite_parameters_rejected(self, capsys):
+        for argv in (["solve", "--problem", "diag-last", "--lambda", "nan"],
+                     ["solve", "--problem", "diag-last", "--nu", "inf"],
+                     ["solve", "--problem", "diag-last", "--method", "general-si", "--lambda", "nan"],
+                     ["zeros", "--degree", "6", "--lambda", "nan"]):
+            assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.count("error:") == 4
+
+    @pytest.mark.parametrize("problem", ["diag-last", "diag-second"])  # deriv2_assemble checks n itself
+    def test_tiny_problem_rejected(self, problem, capsys):
+        assert main(["solve", "--problem", problem, "--n", "1"]) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
     def test_config_file_with_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -211,7 +244,7 @@ class TestCli:
         out = tmp_path / "sweep.csv"
         code = main(
             ["sweep", "--problem", "diag-last", "--method", "codilated-nu",
-             "--nu", "1", "--sweep", "1.0:1.9:0.45", "--jobs", "2", "--out", str(out)]
+             "--nu", "1", "--sweep", "1.0:1.9:0.45", "--out", str(out)]
         )
         assert code == EXIT_OK
         lines = out.read_text().splitlines()
@@ -235,7 +268,7 @@ class TestCli:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert values == sorted(values, reverse=True)
 
-    @pytest.mark.parametrize("sweep", ["1:2:0", "2:1:0.5"])
+    @pytest.mark.parametrize("sweep", ["1:2:0", "2:1:0.5", "nan,1.0"])
     def test_bad_sweep_range_rejected(self, sweep, capsys):
         # zeros and sweep share the range check
         assert main(["zeros", "--degree", "6", "--sweep", sweep]) == EXIT_CONFIG

@@ -374,6 +374,16 @@ class TestConfigAndDriver:
                     SolverConfig(**{field: bad})
         with pytest.raises(ValueError):
             SolverConfig(max_iter=-1)
+        for bad in (float("nan"), float("inf")):
+            for field in ("nu", "lam"):
+                with pytest.raises(ValueError):
+                    SolverConfig(**{field: bad})
+            with pytest.raises(ValueError):
+                CoDilation(1, bad)
+        problem = Problem(diagonal_operator(np.ones(3)), np.ones(3))
+        for method in (codilated_nu, codilated_ultraspherical):
+            with pytest.raises(ValueError):
+                method(problem, 1.0, float("nan"), quiet_config())
 
     def test_max_iter_defaults(self):
         assert SolverConfig(method="landweber").resolved_max_iter() == 10**6
@@ -421,6 +431,24 @@ class TestConfigAndDriver:
             assert report.iterations == 0
             assert report.residual_history.shape == (1,)
             assert not np.any(report.f_final)
+            assert applied == []
+
+    def test_nan_data_applies_no_operator(self):
+        d = np.array([1.0, 0.5, 0.25])
+        applied = []
+
+        def apply(x):
+            applied.append(x)
+            return d * x
+
+        op = LinearOperator(3, 3, apply, apply)
+        cached_norm_sq(op)
+        problem = Problem(op, np.array([1.0, np.nan, 1.0]))
+        for method in Method:
+            applied.clear()
+            report = solve(problem, SolverConfig(method=method, omega=0.9, max_iter=50))
+            assert report.stop_reason is StopReason.DIVERGENCE
+            assert report.iterations == 0
             assert applied == []
 
     def test_solve_dispatch(self):
