@@ -98,8 +98,8 @@ def add_noise(
     The generator is NumPy's default PCG64 (``np.random.default_rng``);
     the same seed reproduces the noise bit for bit.
     """
-    if epsilon < 0:
-        raise ValueError("noise level must be >= 0")
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"noise level {epsilon} must be finite and >= 0")
     g_clean = np.asarray(g_clean, dtype=float)
     if epsilon == 0.0:
         g_noisy = g_clean.copy()

@@ -29,6 +29,7 @@ state.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -171,6 +172,16 @@ def discrepancy_stop(state: IterationState, tau: float, epsilon: float) -> bool:
     return state.residual_norm < tau * epsilon
 
 
+def _caller_stacklevel() -> int:
+    """``warnings`` stacklevel of the first frame outside this module, counted
+    from the function that calls this one, so a warning points at the user's
+    call whether it came through ``solve`` or a method function."""
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 def _check_relaxation(op: LinearOperator, omega: float, method: Method) -> None:
     level = omega * cached_norm_sq(op)
     if method is Method.LANDWEBER:
@@ -178,13 +189,13 @@ def _check_relaxation(op: LinearOperator, omega: float, method: Method) -> None:
             warnings.warn(
                 f"omega ||A*A|| = {level:.6g} >= 1: Landweber convergence is not guaranteed",
                 RelaxationWarning,
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
     elif level > 1.0 + 1e-10:
         warnings.warn(
             f"omega ||A*A|| = {level:.6g} > 1: convergence guarantees lapse",
             RelaxationWarning,
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
 
 

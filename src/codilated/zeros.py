@@ -1,12 +1,24 @@
 """Zeros of residual polynomials and moduli of convergence.
 
-Root location is sign-change bracketing on a scan grid followed by
-bisection: degrees reach several hundred and only real roots inside a
-known interval are needed, so this is unconditionally robust (no
-companion matrices).  The scan grid is uniform in the angular variable
-x = cos(theta) with 50 points per degree; oscillations of a degree-n
-family are ~pi/n apart in theta, so adjacent roots and extrema are
-separated by ~50 grid points even where they cluster near the endpoints.
+Zeros of an orthogonal family are the eigenvalues of its symmetric
+tridiagonal Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969): P_n has
+diagonal alpha_0 .. alpha_{n-1} and off-diagonal sqrt(beta_1) ..
+sqrt(beta_{n-1}), and a co-dilation only scales beta_m.  For the asymmetric
+kind of a symmetric scheme, P_{2n}(x) = S_n(x^2) with S_n monic and
+orthogonal (Chihara, 1978): its matrix has diagonal beta_{2k} + beta_{2k+1}
+(beta_0 = 0) and off-diagonal sqrt(beta_{2k-1} beta_{2k}), so the n residual
+zeros y = 1 - t come from one n x n matrix.  An unreduced Jacobi matrix has
+real, simple eigenvalues; those inside the interval are the roots.
+
+Where the matrix does not apply (a dilation lam <= 0, a family that is not
+orthogonal such as the power basis, an off-diagonal square that is not
+positive, or the asymmetric kind of a scheme that is not symmetric), roots
+come from sign-change bracketing on a scan grid followed by bisection.  The
+scan grid is uniform in the angular variable x = cos(theta) with 50 points
+per degree; oscillations of a degree-n family are ~pi/n apart in theta, so
+adjacent roots and extrema are separated by ~50 grid points even where
+they cluster near the endpoints.  The scan is also the tests' independent
+oracle for the matrix path.
 """
 
 from __future__ import annotations
@@ -15,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orthopoly import CoDilation, RecurrenceScheme, ResidualKind, eval_monic, residual_eval
+from .orthopoly import (
+    CoDilation,
+    RecurrenceScheme,
+    ResidualKind,
+    _effective_beta,
+    eval_monic,
+    residual_eval,
+)
 
 __all__ = ["ZeroReport", "find_zeros", "find_polynomial_zeros", "modulus_of_convergence"]
 
@@ -27,7 +46,7 @@ REFINE_TOL = 1e-10
 @dataclass(frozen=True)
 class ZeroReport:
     """Located roots in ascending order; fewer than ``degree`` roots means
-    some left the scanned interval (dilation beyond critical), which is
+    some left the interval (dilation beyond critical), which is
     informative rather than an error."""
 
     degree: int
@@ -49,6 +68,13 @@ def _residual_grid(n: int) -> np.ndarray:
     theta = np.linspace(0.0, np.pi, GRID_POINTS_PER_DEGREE * n + 1)
     grid = 0.5 * (1.0 - np.cos(theta))
     grid[0], grid[-1] = 0.0, 1.0
+    return grid
+
+
+def _polynomial_grid(n: int) -> np.ndarray:
+    """Scan grid for P_n on [-1, 1]: x = cos(theta), ascending."""
+    grid = np.cos(np.linspace(np.pi, 0.0, GRID_POINTS_PER_DEGREE * n + 1))
+    grid[0], grid[-1] = -1.0, 1.0
     return grid
 
 
@@ -79,6 +105,34 @@ def _scan_roots(fn, grid):
     return np.sort(np.asarray(roots, dtype=float))
 
 
+def _jacobi_eigenvalues(
+    scheme: RecurrenceScheme, dilation: CoDilation | None, n: int, folded: bool
+) -> np.ndarray | None:
+    """Ascending zeros of P_n, or of S_n with P_{2n}(x) = S_n(x^2) when
+    ``folded``, as eigenvalues of their n x n Jacobi matrix.
+
+    None where the matrix path does not apply; the caller then scans.
+    """
+    if scheme.allow_zero_beta or (dilation is not None and not dilation.lam > 0.0):
+        return None  # not an orthogonal family
+    beta = _effective_beta(scheme, dilation)
+    if folded:
+        if not scheme.symmetric:
+            return None
+        b = np.array([0.0] + [beta(k) for k in range(1, 2 * n)])  # beta_0 .. beta_{2n-1}
+        diag, off_sq = b[0::2] + b[1::2], b[1:-1:2] * b[2::2]
+    else:
+        diag = np.array([scheme.alpha(k) for k in range(n)])
+        off_sq = np.array([beta(k) for k in range(1, n)])
+    if not np.all(off_sq > 0.0):
+        return None
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(np.sqrt(off_sq), -1))
+
+
+def _inside(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    return np.sort(values[(values >= lo) & (values <= hi)])
+
+
 def find_zeros(
     scheme: RecurrenceScheme,
     dilation: CoDilation | None,
@@ -88,12 +142,14 @@ def find_zeros(
     """Roots of the degree-n residual polynomial in [0, 1]."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    grid = _residual_grid(n)
-
-    def fn(y):
-        return residual_eval(scheme, dilation, kind, n, y)
-
-    zeros = _scan_roots(fn, grid)
+    symmetric = kind is ResidualKind.SYMMETRIC
+    eig = _jacobi_eigenvalues(scheme, dilation, n, folded=not symmetric)
+    if eig is not None:
+        zeros = _inside(0.5 * (1.0 - eig) if symmetric else 1.0 - eig, 0.0, 1.0)
+    else:
+        zeros = _scan_roots(
+            lambda y: residual_eval(scheme, dilation, kind, n, y), _residual_grid(n)
+        )
     return ZeroReport(degree=n, lam=dilation.lam if dilation else 1.0, zeros=zeros)
 
 
@@ -103,14 +159,11 @@ def find_polynomial_zeros(
     """Roots of P_n itself (co-dilated if requested) in [-1, 1]."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    theta = np.linspace(np.pi, 0.0, GRID_POINTS_PER_DEGREE * n + 1)
-    grid = np.cos(theta)
-    grid[0], grid[-1] = -1.0, 1.0
-
-    def fn(x):
-        return eval_monic(scheme, dilation, n, x)
-
-    zeros = _scan_roots(fn, grid)
+    eig = _jacobi_eigenvalues(scheme, dilation, n, folded=False)
+    if eig is not None:
+        zeros = _inside(eig, -1.0, 1.0)
+    else:
+        zeros = _scan_roots(lambda x: eval_monic(scheme, dilation, n, x), _polynomial_grid(n))
     return ZeroReport(degree=n, lam=dilation.lam if dilation else 1.0, zeros=zeros)
 
 

@@ -171,6 +171,11 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(diagonal_operator(np.ones(3)), np.zeros(3), -0.1, 0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        with pytest.raises(ValueError):
+            add_noise(diagonal_operator(np.ones(3)), np.ones(3), epsilon, 1)
+
     def test_as_problem(self):
         op = diagonal_operator(np.ones(4))
         noisy = add_noise(op, np.ones(4), 0.1, 0)

@@ -493,3 +493,13 @@ class TestRelaxationWarnings:
             with pytest.warns(RelaxationWarning) as record:
                 run()
             assert [w.filename for w in record] == [__file__]
+
+    def test_warning_through_solve_points_at_caller(self):
+        problem = Problem(diagonal_operator(np.ones(4)), np.ones(4))
+        for config in (
+            quiet_config(method="landweber", omega=1.0, max_iter=3),
+            quiet_config(method="codilated-ultraspherical", omega=1.5, max_iter=3),
+        ):
+            with pytest.warns(RelaxationWarning) as record:
+                solve(problem, config)
+            assert [w.filename for w in record] == [__file__]

@@ -13,9 +13,11 @@ from codilated.orthopoly import (
     mu_recursive,
     numerator_scheme,
     power_basis_scheme,
+    residual_eval,
     sup_bound_codilated,
     ultraspherical_scheme,
 )
+from codilated import zeros
 from codilated.zeros import find_polynomial_zeros, find_zeros, modulus_of_convergence
 
 CHEB = chebyshev_u_scheme()
@@ -128,6 +130,53 @@ class TestPolynomialZeros:
                         assert xs[j - 1] < x[j - 1] < xs[j]
                     for j in range(math.ceil(n / 2) + 1, n + 1):
                         assert xs[j - 2] < x[j - 1] < xs[j - 1]
+
+
+def located(scheme, dilation, kind, n):
+    """Zeros from ``find_polynomial_zeros`` (kind None) or ``find_zeros``."""
+    if kind is None:
+        return find_polynomial_zeros(scheme, dilation, n).zeros
+    return find_zeros(scheme, dilation, kind, n).zeros
+
+
+def scanned(scheme, dilation, kind, n):
+    """The same zeros by scan-and-bisect, the oracle of the eigenvalue path."""
+    if kind is None:
+        return zeros._scan_roots(
+            lambda x: eval_monic(scheme, dilation, n, x), zeros._polynomial_grid(n)
+        )
+    return zeros._scan_roots(
+        lambda y: residual_eval(scheme, dilation, kind, n, y), zeros._residual_grid(n)
+    )
+
+
+KINDS, KIND_IDS = [SYM, ASYM, None], ["symmetric", "asymmetric", "polynomial"]
+
+
+class TestEigenvaluePath:
+    @pytest.mark.parametrize("nu", [0.75, 1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+    def test_matches_scan(self, nu, kind):
+        scheme = ultraspherical_scheme(UltrasphericalParams(nu))
+        for n in (1, 2, 5, 20, 60, 150, 300):
+            for lam in (-1.0, 0.0, 1e-6, 0.3, 1.0, 1.9, 2 * nu - 1e-3, 2 * nu, 2 * nu + 0.2):
+                dil = CoDilation(1, lam)
+                matrix = zeros._jacobi_eigenvalues(scheme, dil, n, folded=kind is ASYM)
+                assert (matrix is not None) == (lam > 0.0), (n, lam)
+                got, want = located(scheme, dil, kind, n), scanned(scheme, dil, kind, n)
+                assert got.size == want.size, (n, lam)
+                if matrix is None:  # the scan itself ran
+                    assert np.array_equal(got, want), (n, lam)
+                elif got.size:
+                    assert np.max(np.abs(got - want)) <= 1e-13, (n, lam)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+    def test_power_basis_is_scanned(self, kind):
+        # beta == 0: no Jacobi matrix, so the result is the scan's, bit for bit
+        scheme = power_basis_scheme()
+        for n in (1, 2, 5, 20):
+            for dil in (None, CoDilation(1, 1.5)):
+                assert np.array_equal(located(scheme, dil, kind, n), scanned(scheme, dil, kind, n))
 
 
 class TestInteriorZeros:

@@ -65,6 +65,12 @@ def runs():
         zeros = ["zeros", "--nu", "1", "--kind", kind, "--degree", "150"]
         yield f"zeros_{kind}", zeros + ["--lambda", "1.9", "--out", "out.csv"]
         yield f"zeros_{kind}_sweep", zeros + ["--sweep", "1.0:2.2:0.05", "--out", "out.csv"]
+    # lam <= 0 has no Jacobi matrix: these pin the scan-and-bisect path
+    for kind in ("symmetric", "polynomial"):
+        for lam in ("-1", "0"):
+            yield f"zeros_{kind}_scan_{lam}", [
+                "zeros", "--nu", "1", "--kind", kind, "--degree", "40", f"--lambda={lam}",
+                "--out", "out.csv"]
 
 
 def record(run_dir: Path, argv: list[str]) -> int:
