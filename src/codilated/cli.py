@@ -3,9 +3,10 @@
 Subcommands: solve, sweep, table1, zeros, checks.  Options may also come
 from a plain-text key=value config file (--config); command-line flags
 override file entries.  Sweeps and tables run their solves one after
-another in this process.  Exit codes: 0 success, 1 configuration error
-(or failed checks), 2 solve ended at the iteration cap, 3 solve stopped on
-a non-finite residual (divergence).
+another in this process.  Exit codes: 0 success, 1 configuration error,
+arithmetic failure such as a vanishing normalisation (or failed checks), 2
+solve ended at the iteration cap, 3 solve stopped on a non-finite residual
+(divergence).
 """
 
 from __future__ import annotations
@@ -266,7 +267,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -235,8 +235,7 @@ def write_report_csv(path, report: SolveReport, config: SolverConfig, seed: int)
         f"# chosen_lambda={_fmt(report.chosen_lambda)}",
         "n,residual_norm",
     ]
-    for n, rn in enumerate(report.residual_history):
-        lines.append(f"{n},{_fmt(float(rn))}")
+    lines.extend(f"{n},{rn!r}" for n, rn in enumerate(report.residual_history.tolist()))
     _write_lines(path, lines)
 
 

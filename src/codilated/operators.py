@@ -62,7 +62,7 @@ def diagonal_operator(diag) -> LinearOperator:
 def matrix_operator(a) -> LinearOperator:
     a = np.ascontiguousarray(a, dtype=float)
     at = np.ascontiguousarray(a.T)
-    return LinearOperator(a.shape[1], a.shape[0], lambda x: a @ x, lambda y: at @ y)
+    return LinearOperator(a.shape[1], a.shape[0], a.dot, at.dot)
 
 
 @dataclass(frozen=True)

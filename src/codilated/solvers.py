@@ -3,9 +3,10 @@
 Each method is a lazy generator of steps (f_n, f_{n-1}, mu_n, watched
 residual) run by one driver, ``_drive``, which owns the n = 0 entry, the
 residual history, the callback and the discrepancy, divergence, stagnation
-and iteration-cap tests.  A method may end the solve itself by returning a
-StopReason: cg on breakdown or Krylov exhaustion, the adaptive method when
-two consecutive residuals coincide.
+and iteration-cap tests.  The callback gets an ``IterationState`` only when
+one is set; without it a step builds no state object.  A method may end the
+solve itself by returning a StopReason: cg on breakdown or Krylov
+exhaustion, the adaptive method when two consecutive residuals coincide.
 
 Landweber, the general and asymmetric semi-iterative methods, the co-dilated
 ultraspherical method and the co-dilated nu-method share the second-order
@@ -13,10 +14,14 @@ update
 
     f_{n+1} = f_n + a_n (f_n - f_{n-1}) + b_n * omega * A*(g - A f_n),  n >= 0,
 
-from f_0 = f_{-1} = 0, so b_0 is the start factor.  They differ only in the
-stream of (a_n, b_n, mu_{n+1}) fed to it: constant for Landweber, otherwise
-one of the ``orthopoly`` coefficient streams (recursive, from a scheme and a
-dilation, or closed-form co-dilated ultraspherical).  The error obeys
+from f_0 = f_{-1} = 0, so b_0 is the start factor.  Where a_n = 0 (every
+Landweber step, and n = 0 of every stream) the update skips the momentum
+term: while f_n - f_{n-1} is finite, adding 0 * (f_n - f_{n-1}) changes at
+most the sign of a zero entry of f_{n+1}, which never reaches a residual
+norm.  The methods differ only in the stream of (a_n, b_n, mu_{n+1}) fed to
+the update: constant for Landweber, otherwise one of the ``orthopoly``
+coefficient streams (recursive, from a scheme and a dilation, or
+closed-form co-dilated ultraspherical).  The error obeys
 f - f_n = r_n(omega A*A) f with r_n the matching residual polynomial, which
 is what ``oracle_check`` verifies on diagonal problems.
 
@@ -199,20 +204,6 @@ def _check_relaxation(op: LinearOperator, omega: float, method: Method) -> None:
         )
 
 
-class _Stagnation:
-    def __init__(self):
-        self.prev = None
-        self.count = 0
-
-    def update(self, rn: float) -> bool:
-        if self.prev is not None and abs(rn - self.prev) < STAGNATION_RTOL * max(rn, 1e-300):
-            self.count += 1
-        else:
-            self.count = 0
-        self.prev = rn
-        return self.count >= STAGNATION_STEPS
-
-
 def _drive(problem, config, steps, callback) -> SolveReport:
     """The one iteration loop: history, callback and the stopping tests.
 
@@ -220,24 +211,25 @@ def _drive(problem, config, steps, callback) -> SolveReport:
     and may end the solve by returning a StopReason.  It is advanced only
     while no test has fired, so a stopped solve applies no further operator.
     A non-finite residual norm stops the solve with DIVERGENCE, at n = 0 too,
-    so NaN data apply no operator.
+    so NaN data apply no operator.  Stagnation is STAGNATION_STEPS
+    consecutive steps from n = 1 on whose norms agree to STAGNATION_RTOL.
     """
-    tau, eps = config.tau, config.epsilon
+    threshold = config.tau * config.epsilon
     max_iter = config.resolved_max_iter()
     g = problem.g
     f = np.zeros(problem.operator.domain_dim)
-    history = [float(np.linalg.norm(g))]
-    state = IterationState(0, f, f, 1.0, g.copy(), history[0])
+    rn = math.sqrt(g @ g)
+    history = [rn]
     if callback is not None:
-        callback(state)
+        callback(IterationState(0, f, f, 1.0, g.copy(), rn))
     reason = None
-    if discrepancy_stop(state, tau, eps):
+    if rn < threshold:
         reason = StopReason.DISCREPANCY
-    elif not math.isfinite(history[0]):
+    elif not math.isfinite(rn):
         reason = StopReason.DIVERGENCE
     elif max_iter == 0:
         reason = StopReason.MAX_ITER
-    stag = _Stagnation()
+    prev, stalled = math.inf, 0
     n = 0
     while reason is None:
         try:
@@ -246,30 +238,37 @@ def _drive(problem, config, steps, callback) -> SolveReport:
             reason = stop.value
             break
         n += 1
-        rn = float(np.linalg.norm(v))
+        rn = math.sqrt(v @ v)
         history.append(rn)
-        state = IterationState(n, f, f_prev, mu, v, rn)
         if callback is not None:
-            callback(state)
-        if discrepancy_stop(state, tau, eps):
+            callback(IterationState(n, f, f_prev, mu, v, rn))
+        if rn < threshold:
             reason = StopReason.DISCREPANCY
         elif not math.isfinite(rn):
             reason = StopReason.DIVERGENCE
-        elif stag.update(rn):
-            reason = StopReason.STAGNATION
-        elif n >= max_iter:
-            reason = StopReason.MAX_ITER
+        else:
+            stalled = stalled + 1 if abs(rn - prev) < STAGNATION_RTOL * max(rn, 1e-300) else 0
+            prev = rn
+            if stalled >= STAGNATION_STEPS:
+                reason = StopReason.STAGNATION
+            elif n >= max_iter:
+                reason = StopReason.MAX_ITER
     return SolveReport(n, reason, np.asarray(history), f)
 
 
 def _two_step(problem, omega, coeffs):
-    """Iterates of the second-order update; coeffs yields (a_n, b_n, mu_{n+1})."""
+    """Iterates of the second-order update; coeffs yields (a_n, b_n, mu_{n+1}).
+
+    A zero a_n skips the momentum term, which would only add 0 * (f - f_prev).
+    """
     op, g = problem.operator, problem.g
+    matvec, rmatvec = op.matvec, op.rmatvec
     f = f_prev = np.zeros(op.domain_dim)
     v = g
     for a, b, mu in coeffs:
-        f_prev, f = f, f + a * (f - f_prev) + b * omega * op.rmatvec(v)
-        v = g - op.matvec(f)
+        step = b * omega * rmatvec(v)
+        f_prev, f = f, f + step if a == 0.0 else f + a * (f - f_prev) + step
+        v = g - matvec(f)
         yield f, f_prev, mu, v
 
 

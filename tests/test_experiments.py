@@ -300,6 +300,14 @@ class TestCli:
         assert len(zeros) == 4
         assert zeros[0] == pytest.approx(-zeros[-1], abs=1e-13)  # symmetric family
 
+    def test_arithmetic_error_exit_code(self, capsys):
+        # the scan path for lambda <= 0 cannot normalise: P_1100(1) underflows
+        code = main(["zeros", "--nu", "1", "--kind", "symmetric", "--degree", "1100",
+                     "--lambda=-1"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "P_1100(1)" in err
+
     def test_checks_subcommand(self, capsys):
         assert main(["checks"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -60,6 +60,17 @@ class TestMatrixOperator:
             ) * np.linalg.norm(op.rmatvec(y))
             assert abs(op.matvec(x) @ y - x @ op.rmatvec(y)) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("n", [37, 50, 100])
+    def test_products_bit_identical_to_matmul(self, n):
+        a = deriv2_assemble(n).matrix
+        at = np.ascontiguousarray(a.T)
+        op = matrix_operator(a)
+        rng = np.random.default_rng(n)
+        for _ in range(500):
+            x = rng.standard_normal(n)
+            assert np.array_equal(op.matvec(x), a @ x)
+            assert np.array_equal(op.rmatvec(x), at @ x)
+
 
 class TestDeriv2:
     def test_symmetry_and_sign(self):

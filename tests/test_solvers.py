@@ -1,8 +1,10 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from codilated.experiments import PROBLEM_DEFAULTS, ExperimentSpec, build_problem
 from codilated.operators import (
     LinearOperator,
     Problem,
@@ -21,6 +23,7 @@ from codilated.orthopoly import (
     ultraspherical_scheme,
 )
 from codilated.solvers import (
+    STAGNATION_STEPS,
     IterationState,
     Method,
     RelaxationWarning,
@@ -450,6 +453,30 @@ class TestConfigAndDriver:
             assert report.stop_reason is StopReason.DIVERGENCE
             assert report.iterations == 0
             assert applied == []
+
+    @pytest.mark.parametrize("problem_name", ["deriv2", "diag-last"])
+    def test_callback_does_not_change_solve(self, problem_name):
+        _, omega, eps, tau = PROBLEM_DEFAULTS[problem_name]
+        base = SolverConfig(nu=1.0, lam=1.5, omega=omega, epsilon=eps, tau=tau, max_iter=5000)
+        noisy = build_problem(ExperimentSpec(problem=problem_name, config=base))
+        problem = noisy.as_problem()
+        for method in Method:
+            config = replace(base, method=method)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RelaxationWarning)
+                plain = solve(problem, config)
+                watched = solve(problem, config, callback=lambda state: None)
+            assert watched.iterations == plain.iterations
+            assert watched.stop_reason is plain.stop_reason
+            assert np.array_equal(watched.residual_history, plain.residual_history)
+            assert np.array_equal(watched.f_final, plain.f_final)
+
+    def test_stagnation_counts_from_step_one(self):
+        problem = Problem(diagonal_operator(np.zeros(3)), np.ones(3))
+        for callback in (None, lambda state: None):
+            report = landweber(problem, quiet_config(method="landweber"), callback)
+            assert report.stop_reason is StopReason.STAGNATION
+            assert report.iterations == STAGNATION_STEPS + 1
 
     def test_solve_dispatch(self):
         problem = deriv2_problem()
