@@ -15,10 +15,14 @@ specs produce byte-identical CSV output.  The perturbation is the raw
 (unnormalised) Gaussian draw scaled by the nominal noise level, the
 convention under which the reference iteration counts were produced;
 the discrepancy threshold still uses the nominal level.  Sweep points
-and table rows are independent solves of one problem instance, run one
-after another by one point runner that records a failed solve in the row
-instead of raising.  Sweep rows are sorted by the dilation parameter, so
-the order of an explicit list does not change the output.
+and table rows are independent solves of one problem instance.  Two or
+more admissible points of a closed-form sweep (codilated-nu,
+codilated-ultraspherical) are solved together by
+``solvers.solve_dilations``, whose reports equal the single solves' bit for
+bit; every other point and every table row runs through one point runner
+that records a failed solve in the row instead of raising.  Sweep rows are
+sorted by the dilation parameter, so the order of an explicit list does not
+change the output.
 """
 
 from __future__ import annotations
@@ -36,7 +40,14 @@ from .operators import (
     diagonal_operator,
 )
 from .orthopoly import CoDilation, ResidualKind, UltrasphericalParams, ultraspherical_scheme
-from .solvers import Method, SolveReport, SolverConfig, solve
+from .solvers import (
+    Method,
+    SolveReport,
+    SolverConfig,
+    batchable,
+    solve,
+    solve_dilations,
+)
 from .zeros import find_zeros
 
 __all__ = [
@@ -155,6 +166,10 @@ def _run_point(noisy: NoisyProblem, config: SolverConfig) -> tuple[int, str, flo
     except ValueError:
         # dilation outside the method's admissible range
         return 0, "error:inadmissible", float("nan"), None
+    return _outcome(report)
+
+
+def _outcome(report: SolveReport) -> tuple[int, str, float, float | None]:
     final = float(report.residual_history[-1])
     return report.iterations, report.stop_reason.value, final, report.chosen_lambda
 
@@ -162,19 +177,32 @@ def _run_point(noisy: NoisyProblem, config: SolverConfig) -> tuple[int, str, flo
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """One solve per dilation value; rows sorted by the dilation parameter.
 
-    Per-point failures are recorded in the row and the sweep continues.
-    The attached zero is computed even where the solve is inadmissible.
+    Two or more admissible points of a closed-form method (``batchable``)
+    are solved together by ``solve_dilations``, bit-identical to one solve
+    each; every other point goes through ``_run_point``.  Per-point failures are
+    recorded in the row and the sweep continues.  The attached zero is
+    computed even where the solve is inadmissible.
     """
     lams = sorted(spec.sweep_values())
     if not lams:
         raise ValueError("spec has no sweep values")
     noisy = build_problem(spec)
+    config = spec.config
+    in_block = [batchable(config, lam) for lam in lams]
+    if sum(in_block) < 2:  # a lone block row costs more per step than a single solve
+        in_block = [False] * len(lams)
+    block = [lam for lam, flag in zip(lams, in_block) if flag]
+    reports = iter(solve_dilations(noisy.as_problem(), config, block) if block else [])
+    if spec.zero_degree is not None:
+        scheme = ultraspherical_scheme(UltrasphericalParams(config.nu))
     rows = []
-    for lam in lams:
-        iters, reason, final, _ = _run_point(noisy, replace(spec.config, lam=lam))
+    for lam, flag in zip(lams, in_block):
+        if flag:
+            iters, reason, final, _ = _outcome(next(reports))
+        else:
+            iters, reason, final, _ = _run_point(noisy, replace(config, lam=lam))
         zero = float("nan")
         if spec.zero_degree is not None:
-            scheme = ultraspherical_scheme(UltrasphericalParams(spec.config.nu))
             zr = find_zeros(scheme, CoDilation(1, lam), ResidualKind.ASYMMETRIC, spec.zero_degree)
             if zr.zeros.size:
                 zero = zr.smallest

@@ -82,9 +82,15 @@ class RecurrenceScheme:
         for n in range(8):
             if self.symmetric and self.alpha(n) != 0.0:
                 raise ValueError("symmetric scheme requires alpha == 0")
-            b = self.beta(n + 1)
-            if b < 0.0 or (b == 0.0 and not self.allow_zero_beta):
-                raise ValueError(f"beta({n + 1}) = {b} must be positive")
+            _require_beta(self, n + 1)
+
+
+def _require_beta(scheme: RecurrenceScheme, n: int) -> None:
+    """ValueError unless the undilated beta_n is positive, or zero where the
+    scheme allows it."""
+    b = scheme.beta(n)
+    if b < 0.0 or (b == 0.0 and not scheme.allow_zero_beta):
+        raise ValueError(f"beta({n}) = {b} must be positive")
 
 
 @dataclass(frozen=True)
@@ -322,9 +328,17 @@ def _recursive_coefficients(
     Terms with beta_0 are absent, so b_0 is the start factor of the
     two-step iteration.  Raises DivergentNormalization when a denominator
     crosses zero, which occurs exactly when the dilation exceeds the
-    critical value.
+    critical value.  Every base beta_n the stream reaches is checked as
+    ``RecurrenceScheme`` checks beta_1 .. beta_8, so a scheme that turns
+    non-positive later raises ValueError there; a dilation lam <= 0 of a
+    positive beta_m is not rejected by this check.
     """
-    alpha, beta = scheme.alpha, _effective_beta(scheme, dilation)
+    alpha, dilated = scheme.alpha, _effective_beta(scheme, dilation)
+
+    def beta(n: int) -> float:
+        _require_beta(scheme, n)
+        return dilated(n)
+
     symmetric = kind is ResidualKind.SYMMETRIC
     coupling = b2n = 0.0
     for n in count():
@@ -393,19 +407,27 @@ def _closed_form_coefficients(params: UltrasphericalParams, lam: float, kind: Re
     return _closed_form_stream(params.nu, lam, kind is ResidualKind.SYMMETRIC)
 
 
-def _closed_form_stream(nu: float, lam: float, symmetric: bool):
+def _closed_form_stream(nu: float, lam, symmetric: bool):
+    """The closed-form stream for one dilation (a float) or for several at
+    once (an ndarray, one entry per dilation).  R(n) does not depend on lam,
+    so every item is computed by the same elementwise IEEE operations in the
+    same order either way, and entry k of an array item equals the item of
+    the float stream for lam[k] bit for bit.  The n = 0 items a_0 = 0 (and,
+    for the symmetric kind, b_0 = 2 and mu_1 = 1) stay floats.
+    """
     c0, c1 = 2.0 * nu - lam, lam - 1.0
     step = 1 if symmetric else 2
     ratios = islice(_r_values(nu), step, None, step)  # R(step), R(2 step), ...
-    r = next(ratios)
+    num = c0 + c1 * next(ratios)
     if symmetric:
         yield 0.0, 2.0, 1.0
     else:
         amu = (2.0 * nu + 2.0) / (2.0 * nu + 2.0 - lam)
         yield 0.0, amu, amu
     for n, r_next in enumerate(ratios, start=1):
+        den = c0 + c1 * r_next
         if symmetric:
-            mu = 2.0 * (n + nu) / (n + 2.0 * nu) * (c0 + c1 * r) / (c0 + c1 * r_next)
+            mu = 2.0 * (n + nu) / (n + 2.0 * nu) * num / den
             yield mu - 1.0, 2.0 * mu, mu
         else:
             k = 2 * n
@@ -414,14 +436,14 @@ def _closed_form_stream(nu: float, lam: float, symmetric: bool):
                 * (k + nu)
                 * (k + nu + 1.0)
                 / ((k + 2.0 * nu) * (k + 2.0 * nu + 1.0))
-                * (c0 + c1 * r)
-                / (c0 + c1 * r_next)
+                * num
+                / den
             )
             damp = 1.0 - (4.0 * n * n + 4.0 * nu * n + nu - 1.0) / (
                 2.0 * (k + nu + 1.0) * (k + nu - 1.0)
             )
             yield damp * amu - 1.0, amu, amu
-        r = r_next
+        num = den  # this step's denominator is the next step's numerator
 
 
 def mu_closed_ultraspherical(params: UltrasphericalParams, lam: float, n: int) -> float:

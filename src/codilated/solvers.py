@@ -25,6 +25,14 @@ closed-form co-dilated ultraspherical).  The error obeys
 f - f_n = r_n(omega A*A) f with r_n the matching residual polynomial, which
 is what ``oracle_check`` verifies on diagonal problems.
 
+``solve_dilations`` runs the update for the two closed-form methods on a
+block with one row per dilation: the stream takes an array of dilations,
+the operator applies rows of the block, and a second loop,
+``_drive_block``, applies ``_drive``'s tests in ``_drive``'s order row by
+row and drops a row once it stops.  Each row's report is bit-identical to
+the single solve's.  ``_drive`` and ``_two_step`` stay the single-solve
+path, so it pays nothing for the block.
+
 Residual norms are recomputed from v = g - A f every step; nothing is
 updated incrementally, so histories do not drift over long runs.  A solve
 is single-threaded and deterministic; distinct solves share no mutable
@@ -49,7 +57,9 @@ from .orthopoly import (
     ResidualKind,
     UltrasphericalParams,
     _closed_form_coefficients,
+    _closed_form_stream,
     _recursive_coefficients,
+    _require_admissible,
     residual_eval,
     ultraspherical_scheme,
 )
@@ -71,10 +81,13 @@ __all__ = [
     "cg_normal_equations",
     "oracle_check",
     "solve",
+    "batchable",
+    "solve_dilations",
 ]
 
 STAGNATION_STEPS = 50
 STAGNATION_RTOL = 1e-15
+_BLOCK_HISTORY_CHUNK = 1024  # steps of block norms kept as arrays before stacking
 
 
 class Method(str, Enum):
@@ -471,3 +484,156 @@ def solve(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
     if method is Method.GENERAL_SI:
         return general_semi_iterative(problem, scheme, dilation, config, callback)
     return asymmetric_semi_iterative(problem, scheme, dilation, config, callback)
+
+
+# closed-form methods that run on a block of dilations, by residual kind
+_BLOCK_KINDS = {
+    Method.CODILATED_ULTRASPHERICAL: ResidualKind.SYMMETRIC,
+    Method.CODILATED_NU: ResidualKind.ASYMMETRIC,
+}
+
+
+def _block_kind(config: SolverConfig, lams) -> ResidualKind:
+    """Residual kind of the block iteration; ValueError, as ``solve`` would
+    raise it, for another method or an inadmissible dilation."""
+    kind = _BLOCK_KINDS.get(config.method)
+    if kind is None:
+        raise ValueError(f"method {config.method.value} has no block iteration")
+    params = UltrasphericalParams(config.nu)
+    for lam in lams:
+        if not math.isfinite(lam):
+            raise ValueError("polynomial parameters nu and lam must be finite")
+        _require_admissible(params, lam)
+    return kind
+
+
+def batchable(config: SolverConfig, lam: float) -> bool:
+    """Whether ``solve_dilations`` accepts lam under config (whose own lam
+    is ignored): codilated-nu or codilated-ultraspherical at an admissible
+    dilation."""
+    try:
+        _block_kind(config, [lam])
+    except ValueError:
+        return False
+    return True
+
+
+def solve_dilations(problem: Problem, config: SolverConfig, lams) -> list[SolveReport]:
+    """``solve(problem, replace(config, lam=lam))`` for each lam in lams, as
+    one block iteration with one row per dilation.
+
+    Every report equals the single solve's bit for bit: each row takes the
+    same IEEE operations in the same order (the closed-form stream over an
+    array of dilations, row-block operator applies whose rows equal the
+    single applies, row norms sqrt(v . v)), and the stopping tests are
+    ``_drive``'s, in its order, row by row.  Where a_n = 0 at n >= 1 a row
+    adds 0 * (f_n - f_{n-1}), which the single update skips; as there, this
+    changes at most the sign of a zero entry.  A row leaves the block when
+    it stops, so a capped or diverged row costs the others nothing.  The
+    relaxation check runs once per call.  Raises ValueError where ``batchable``
+    is false for some lam; no callback.
+    """
+    kind = _block_kind(config, lams)
+    if len(lams) == 0:
+        return []
+    symmetric = kind is ResidualKind.SYMMETRIC
+    coeffs = _closed_form_stream(config.nu, np.array(lams, dtype=float), symmetric)
+    _check_relaxation(problem.operator, config.omega, config.method)
+    return _drive_block(problem, config, coeffs, len(lams))
+
+
+def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
+    """``_drive`` over ``_two_step`` on a size x N block of iterates.
+
+    ``coeffs`` yields (a_n, b_n, mu_{n+1}) with one entry per dilation,
+    except that a_0 = 0 and b_0 may be floats.  The n = 0 tests see only g,
+    so they stop every row or none.  Later the tests run row by row on
+    Python floats only when a cheap screen (a non-finite norm sum, a norm
+    below the threshold, a stalled row or the cap) says some row stops;
+    stopped rows then leave the block.  Each row's history is kept as
+    pieces, one per removal or per _BLOCK_HISTORY_CHUNK steps.
+    """
+    threshold = config.tau * config.epsilon
+    max_iter = config.resolved_max_iter()
+    op, g, omega = problem.operator, problem.g, config.omega
+    rn0 = math.sqrt(g @ g)
+    reason = None
+    if rn0 < threshold:
+        reason = StopReason.DISCREPANCY
+    elif not math.isfinite(rn0):
+        reason = StopReason.DIVERGENCE
+    elif max_iter == 0:
+        reason = StopReason.MAX_ITER
+    if reason is not None:
+        n0 = np.asarray([rn0])
+        return [SolveReport(0, reason, n0.copy(), np.zeros(op.domain_dim)) for _ in range(size)]
+    pieces = [[np.asarray([rn0])] for _ in range(size)]
+    outcomes = [None] * size
+    rows = np.arange(size)  # block row -> dilation index
+    live = slice(None)  # the entries of a coefficient item still in the block
+    _, b, _ = next(coeffs)  # a_0 = 0: f_1 = f_0 + b_0 omega A*g
+    f = 0.0 + np.broadcast_to(np.multiply(b, omega), (size,))[:, None] * op.rmatvec(g)
+    f_prev = np.zeros_like(f)
+    v = g - op.matvec_rows(f)
+    # prev = NaN fails the stagnation test at n = 1, as _drive's inf does;
+    # stalled is all zero whenever stalling is false
+    prev, stalled, stalling = np.full(size, np.nan), np.zeros(size, dtype=int), False
+    recorded = []
+
+    def keep_recorded():
+        for i, piece in enumerate(np.stack(recorded, axis=1)):
+            pieces[rows[i]].append(piece)
+        recorded.clear()
+
+    n = 1
+    while True:
+        rn = np.sqrt(np.vecdot(v, v))
+        recorded.append(rn)
+        # a row that stops by discrepancy or divergence leaves with any count
+        same = np.abs(rn - prev) < STAGNATION_RTOL * np.maximum(rn, 1e-300)
+        prev = rn
+        if stalling or True in same.tolist():
+            stalled = np.where(same, stalled + 1, 0)
+            stalling = bool(stalled.any())
+        norms = rn.tolist()
+        if (
+            n >= max_iter
+            or not math.isfinite(sum(norms))
+            or min(norms) < threshold
+            or (stalling and stalled.max() >= STAGNATION_STEPS)
+        ):
+            stop = np.zeros(len(norms), dtype=bool)
+            for i, rn_i in enumerate(norms):
+                if rn_i < threshold:
+                    reason = StopReason.DISCREPANCY
+                elif not math.isfinite(rn_i):
+                    reason = StopReason.DIVERGENCE
+                elif stalled[i] >= STAGNATION_STEPS:
+                    reason = StopReason.STAGNATION
+                elif n >= max_iter:
+                    reason = StopReason.MAX_ITER
+                else:
+                    continue
+                stop[i] = True
+                outcomes[rows[i]] = (n, reason, f[i].copy())
+            if stop.any():
+                keep_recorded()
+                if stop.all():
+                    break
+                keep = ~stop
+                rows, f, f_prev, v, prev, stalled = (
+                    x[keep] for x in (rows, f, f_prev, v, prev, stalled)
+                )
+                live = rows
+        if len(recorded) == _BLOCK_HISTORY_CHUNK:
+            keep_recorded()
+        a, b, _ = next(coeffs)
+        a, b = a[live], b[live]
+        step = (b * omega)[:, None] * op.rmatvec_rows(v)
+        f_prev, f = f, f + a[:, None] * (f - f_prev) + step
+        v = g - op.matvec_rows(f)
+        n += 1
+    return [
+        SolveReport(iters, reason, np.concatenate(piece), f_final)
+        for piece, (iters, reason, f_final) in zip(pieces, outcomes)
+    ]

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from codilated import experiments
 from codilated.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_MAX_ITER, EXIT_OK, main
 from codilated.experiments import (
     DEFAULT_SEED,
     PROBLEM_DEFAULTS,
     ExperimentSpec,
+    _run_point,
     build_problem,
     run_experiment,
     run_sweep,
@@ -117,6 +121,34 @@ class TestSweep:
         spec.sweep = [values[k] for k in (2, 0, 3, 1)]
         write_sweep_csv(shuffled, run_sweep(spec))
         assert ranged.read_bytes() == shuffled.read_bytes()
+
+    @pytest.mark.parametrize("method", [Method.CODILATED_NU, Method.CODILATED_ULTRASPHERICAL])
+    @pytest.mark.parametrize("problem", ["deriv2", "diag-last", "diag-second"])
+    def test_block_points_equal_point_runner(self, method, problem):
+        # admissible points run as one block, 4.0 and 4.2 through the point runner
+        spec = spec_for(problem, method, nu=2.0)
+        spec.sweep = [3.9, 1.0, 4.0, 1.0, 4.2, 3.99, -0.5]
+        noisy = build_problem(spec)
+        rows = run_sweep(spec).rows
+        assert [row.lam for row in rows] == sorted(spec.sweep)
+        for row in rows:
+            iterations, reason, final, _ = _run_point(noisy, replace(spec.config, lam=row.lam))
+            assert (row.iterations, row.stop_reason) == (iterations, reason)
+            assert repr(row.final_residual) == repr(final)
+        assert [row.stop_reason for row in rows].count("error:inadmissible") == 2
+
+    @pytest.mark.parametrize(
+        "sweep, single_solves",
+        [([1.0, 1.5, 1.9], 0), ([1.0, 1.5, 2.5], 1), ([1.5, 2.5], 2), ([1.5], 1)],
+    )
+    def test_block_needs_two_admissible_points(self, monkeypatch, sweep, single_solves):
+        calls = []
+        solve = experiments.solve
+        monkeypatch.setattr(experiments, "solve", lambda *a: calls.append(a) or solve(*a))
+        spec = spec_for("diag-last", nu=1.0)
+        spec.sweep = sweep
+        run_sweep(spec)
+        assert len(calls) == single_solves
 
     def test_zero_curve_attachment(self):
         # smallest zero decreases towards the critical dilation, then the

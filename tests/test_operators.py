@@ -3,6 +3,7 @@ import pytest
 from scipy import integrate
 
 from codilated.operators import (
+    LinearOperator,
     Problem,
     add_noise,
     deriv2_assemble,
@@ -70,6 +71,48 @@ class TestMatrixOperator:
             x = rng.standard_normal(n)
             assert np.array_equal(op.matvec(x), a @ x)
             assert np.array_equal(op.rmatvec(x), at @ x)
+
+    @pytest.mark.parametrize("n", [37, 50, 100])
+    def test_row_block_bit_identical_to_dot(self, n):
+        a = deriv2_assemble(n).matrix
+        at = np.ascontiguousarray(a.T)
+        op = matrix_operator(a)
+        rng = np.random.default_rng(n)
+        for rows in range(1, 65):
+            xs = rng.standard_normal((rows, n))
+            assert np.array_equal(op.matvec_rows(xs), np.array([a.dot(x) for x in xs]))
+            assert np.array_equal(op.rmatvec_rows(xs), np.array([at.dot(x) for x in xs]))
+
+
+class TestRowBlockApply:
+    def test_diagonal_block_is_rowwise(self):
+        d = 1.0 / np.arange(1.0, 8.0)
+        op = diagonal_operator(d)
+        xs = np.random.default_rng(3).standard_normal((5, 7))
+        assert np.array_equal(op.matvec_rows(xs), np.array([op.matvec(x) for x in xs]))
+        assert np.array_equal(op.rmatvec_rows(xs), np.array([op.rmatvec(x) for x in xs]))
+
+    def test_fallback_applies_rows_one_at_a_time(self):
+        calls = []
+
+        def forward(x):
+            calls.append(("forward", x.shape))
+            return np.array([x[0] + x[1], 2.0 * x[2]])
+
+        def adjoint(y):
+            calls.append(("adjoint", y.shape))
+            return np.array([y[0], y[0], 2.0 * y[1]])
+
+        op = LinearOperator(3, 2, forward, adjoint)
+        xs = np.arange(12.0).reshape(4, 3)
+        expected = [[1.0, 4.0], [7.0, 10.0], [13.0, 16.0], [19.0, 22.0]]
+        assert np.array_equal(op.matvec_rows(xs), expected)
+        assert calls == [("forward", (3,))] * 4
+        calls.clear()
+        ys = xs[:, :2]
+        assert np.array_equal(op.rmatvec_rows(ys), [[0.0, 0.0, 2.0], [3.0, 3.0, 8.0],
+                                                     [6.0, 6.0, 14.0], [9.0, 9.0, 20.0]])
+        assert calls == [("adjoint", (2,))] * 4
 
 
 class TestDeriv2:

@@ -16,6 +16,7 @@ from codilated.operators import (
 from codilated.orthopoly import (
     CoDilation,
     DivergentNormalization,
+    RecurrenceScheme,
     ResidualKind,
     UltrasphericalParams,
     chebyshev_u_scheme,
@@ -31,6 +32,7 @@ from codilated.solvers import (
     StopReason,
     adaptive_codilated_one,
     asymmetric_semi_iterative,
+    batchable,
     cg_normal_equations,
     codilated_nu,
     codilated_ultraspherical,
@@ -39,6 +41,7 @@ from codilated.solvers import (
     landweber,
     oracle_check,
     solve,
+    solve_dilations,
 )
 
 CHEB = chebyshev_u_scheme()
@@ -132,6 +135,27 @@ class TestGeneralSemiIterative:
             general_semi_iterative(
                 problem, CHEB, CoDilation(1, 2.5), quiet_config(omega=96.5, max_iter=500)
             )
+
+    def test_late_non_positive_beta_rejected(self):
+        # beta_1 .. beta_8 pass the scheme's own check; beta_9 = -1 is reached
+        # by the coefficient stream at n = 8 (symmetric) or n = 4 (asymmetric)
+        scheme = RecurrenceScheme(
+            alpha=lambda n: 0.0, beta=lambda n: 0.25 if n < 9 else -1.0, symmetric=True
+        )
+        problem = Problem(diagonal_operator(1.0 / np.arange(1.0, 11.0)), np.ones(10))
+        config = quiet_config(omega=0.9, max_iter=200)
+        for method in (general_semi_iterative, asymmetric_semi_iterative):
+            with pytest.raises(ValueError, match=r"beta\(9\)"):
+                method(problem, scheme, None, config)
+
+    def test_negative_dilation_still_runs(self):
+        # the check is on the base beta_m, not on the dilated lam beta_m
+        problem = Problem(diagonal_operator(1.0 / np.arange(1.0, 11.0)), np.ones(10))
+        config = quiet_config(omega=0.9, max_iter=200)
+        scheme = ultraspherical_scheme(UltrasphericalParams(2.0))
+        for method in (general_semi_iterative, asymmetric_semi_iterative):
+            report = method(problem, scheme, CoDilation(1, -0.5), config)
+            assert report.iterations == 200
 
 
 class TestCodilatedUltraspherical:
@@ -530,3 +554,112 @@ class TestRelaxationWarnings:
             with pytest.warns(RelaxationWarning) as record:
                 solve(problem, config)
             assert [w.filename for w in record] == [__file__]
+
+    def test_block_warns_once_at_caller(self):
+        problem = Problem(diagonal_operator(np.ones(4)), np.ones(4))
+        config = quiet_config(method="codilated-ultraspherical", omega=1.5, max_iter=3)
+        with pytest.warns(RelaxationWarning) as record:
+            solve_dilations(problem, config, [0.5, 1.0, 1.5])
+        assert [w.filename for w in record] == [__file__]
+
+
+BLOCK_METHODS = [Method.CODILATED_NU, Method.CODILATED_ULTRASPHERICAL]
+
+
+def assert_same_solve(block, single):
+    assert block.iterations == single.iterations
+    assert block.stop_reason is single.stop_reason
+    assert np.array_equal(block.residual_history, single.residual_history, equal_nan=True)
+    assert np.array_equal(block.f_final, single.f_final, equal_nan=True)
+
+
+def assert_block_equals_singles(problem, config, lams):
+    reports = solve_dilations(problem, config, lams)
+    assert len(reports) == len(lams)
+    for lam, report in zip(lams, reports):
+        assert_same_solve(report, solve(problem, replace(config, lam=lam)))
+    return reports
+
+
+class TestSolveDilations:
+    @pytest.mark.parametrize("method", BLOCK_METHODS)
+    @pytest.mark.parametrize("problem_name", ["deriv2", "diag-last", "diag-second"])
+    def test_bit_identical_to_single_solves(self, method, problem_name):
+        _, omega, eps, tau = PROBLEM_DEFAULTS[problem_name]
+        config = SolverConfig(method=method, nu=2.0, omega=omega, epsilon=eps, tau=tau)
+        problem = build_problem(ExperimentSpec(problem=problem_name, config=config)).as_problem()
+        # unsorted, with a duplicate and a negative dilation
+        reports = assert_block_equals_singles(problem, config, [3.99, 1.0, -1.0, 3.9, 1.0, 0.0])
+        assert len({r.iterations for r in reports}) > 1  # rows leave the block at different steps
+
+    @pytest.mark.parametrize("method", BLOCK_METHODS)
+    @pytest.mark.parametrize(
+        "overrides, reasons",
+        [
+            (dict(omega=50.0, max_iter=3000), {StopReason.DIVERGENCE}),
+            (dict(epsilon=0.0, max_iter=300), {StopReason.MAX_ITER}),
+            (dict(max_iter=0), {StopReason.MAX_ITER}),
+            (dict(max_iter=140), {StopReason.MAX_ITER, StopReason.DISCREPANCY}),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stopped_rows(self, method, overrides, reasons):
+        _, omega, eps, tau = PROBLEM_DEFAULTS["diag-last"]
+        config = SolverConfig(method=method, nu=1.0, omega=omega, epsilon=eps, tau=tau)
+        config = replace(config, **overrides)
+        problem = build_problem(ExperimentSpec(problem="diag-last", config=config)).as_problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RelaxationWarning)
+            reports = assert_block_equals_singles(problem, config, [0.5, 1.0, 1.5, 1.95, 1.99])
+        assert {r.stop_reason for r in reports} == reasons
+
+    @pytest.mark.parametrize("method", BLOCK_METHODS)
+    @pytest.mark.parametrize(
+        "diag, g, reasons",
+        [
+            ([0.0, 0.0], [1.0, 1.0], {StopReason.STAGNATION}),
+            # the 1e-6 part oscillates: its rows see several runs of steps whose
+            # norms agree to STAGNATION_RTOL, and the count restarts after each
+            ([0.0, 0.5], [1.0, 1e-6], {StopReason.STAGNATION, StopReason.MAX_ITER}),
+        ],
+    )
+    def test_stalling_rows(self, method, diag, g, reasons):
+        problem = Problem(diagonal_operator(np.array(diag)), np.array(g))
+        config = quiet_config(method=method, max_iter=400)
+        reports = assert_block_equals_singles(problem, config, [-2.0, 0.5, 1.99])
+        assert {r.stop_reason for r in reports} == reasons
+
+    def test_operator_without_block_apply(self):
+        d = np.array([1.0, 0.5, 0.25])
+        applied = []
+
+        def apply(x):
+            applied.append(x.shape)
+            return d * x
+
+        op = LinearOperator(3, 3, apply, apply)
+        cached_norm_sq(op)
+        config = SolverConfig(nu=1.0, omega=0.9, epsilon=1e-3, max_iter=50)
+        assert_block_equals_singles(Problem(op, np.array([1.0, -2.0, 3.0])), config, [0.5, 1.9])
+        assert set(applied) == {(3,)}  # rows one at a time
+
+        applied.clear()
+        reports = solve_dilations(Problem(op, np.array([1.0, np.nan, 1.0])), config, [0.5, 1.9])
+        assert [r.stop_reason for r in reports] == [StopReason.DIVERGENCE] * 2
+        assert [r.iterations for r in reports] == [0, 0]
+        assert applied == []
+
+    def test_rejects_what_solve_rejects(self):
+        problem = deriv2_problem()
+        config = SolverConfig(method="codilated-nu", nu=1.0, omega=96.5)
+        for lam in (2.0, 2.5, float("nan"), -float("inf")):
+            assert not batchable(config, lam)
+            with pytest.raises(ValueError):
+                solve_dilations(problem, config, [1.0, lam])
+        assert batchable(config, 1.99) and batchable(config, -5.0)
+        assert not batchable(replace(config, nu=0.5), 0.1)  # no closed forms
+        for method in set(Method) - set(BLOCK_METHODS):
+            assert not batchable(replace(config, method=method), 1.0)
+            with pytest.raises(ValueError):
+                solve_dilations(problem, replace(config, method=method), [1.0])
+        assert solve_dilations(problem, config, []) == []

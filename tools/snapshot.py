@@ -61,6 +61,19 @@ def runs():
         yield f"sweep_deriv2_{method}", [
             "sweep", "--problem", "deriv2", "--method", method, "--nu", "2",
             "--sweep=-0.5:4.4:0.3", "--out", "out.csv"]
+    # closed-form sweeps, solved as one block of dilations
+    yield "sweep_deriv2_codilated-nu_2", [
+        "sweep", "--problem", "deriv2", "--method", "codilated-nu", "--nu", "2",
+        "--sweep", "3.84:3.99:0.01", "--out", "out.csv"]
+    yield "sweep_deriv2_codilated-ultraspherical", [
+        "sweep", "--problem", "deriv2", "--method", "codilated-ultraspherical",
+        "--sweep", "0:1.9:0.1", "--out", "out.csv"]
+    yield "sweep_diag-last_divergence", [
+        "sweep", "--problem", "diag-last", "--nu", "1", "--sweep", "0.5:2.1:0.2",
+        "--omega", "50", "--max-iter", "3000", "--out", "out.csv"]
+    yield "sweep_diag-last_max_iter", [
+        "sweep", "--problem", "diag-last", "--nu", "1", "--sweep", "0.5:2.1:0.2",
+        "--eps", "0", "--max-iter", "300", "--out", "out.csv"]
     for kind in ZERO_KINDS:
         zeros = ["zeros", "--nu", "1", "--kind", kind, "--degree", "150"]
         yield f"zeros_{kind}", zeros + ["--lambda", "1.9", "--out", "out.csv"]
