@@ -230,7 +230,7 @@ def _fmt(value) -> str:
 def _write_lines(path, lines) -> None:
     """Write each line followed by a newline as UTF-8 text."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in lines)
+        fh.write("\n".join([*lines, ""]))  # the "" ends the last line; no lines, empty file
 
 
 def save_vector_csv(path, v) -> None:

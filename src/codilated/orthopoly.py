@@ -71,6 +71,12 @@ class RecurrenceScheme:
     beta must be positive; the degenerate power basis beta == 0 used as
     an oracle for the plain Landweber residuals is admitted only behind
     ``allow_zero_beta``.
+
+    The stock schemes' alpha and beta also take an integer index ndarray
+    and return the float64 array of the values, each entry bit for bit the
+    float its int index gives; ``zeros`` fills a whole Jacobi matrix from
+    one such call.  A function that takes only ints still works there, at
+    one call per index.
     """
 
     alpha: Callable[[int], float]
@@ -139,27 +145,43 @@ class CriticalConstants:
     lambda_critical: float
 
 
-def _zero(_n: int) -> float:
-    return 0.0
+def _constant(value: float):
+    """Index function of a constant coefficient, for an int or an index array."""
+
+    def coefficient(n):
+        return np.full(n.shape, value) if isinstance(n, np.ndarray) else value
+
+    return coefficient
+
+
+_zero = _constant(0.0)
 
 
 def chebyshev_u_scheme() -> RecurrenceScheme:
     """Monic Chebyshev polynomials of the second kind: alpha = 0, beta = 1/4."""
-    return RecurrenceScheme(alpha=_zero, beta=lambda n: 0.25, symmetric=True)
+    return RecurrenceScheme(alpha=_zero, beta=_constant(0.25), symmetric=True)
 
 
-def ultraspherical_beta(params: UltrasphericalParams, n: int) -> float:
+def ultraspherical_beta(params: UltrasphericalParams, n):
     """Recurrence coefficient beta_n = n(n + 2 nu - 1) / (4 (n + nu)(n + nu - 1)).
 
     The n = 1 value is taken in the reduced form 1 / (2 (1 + nu)), which is
     the same rational function with the removable nu = 0 singularity cleared.
+    n is an int or an integer index ndarray; the array gives every entry by
+    the same IEEE operations as its int, so bit for bit.
     """
-    if n < 1:
+    array = isinstance(n, np.ndarray)
+    if (n.min(initial=1) if array else n) < 1:
         raise ValueError("beta is defined for n >= 1")
     nu = params.nu
-    if n == 1:
-        return 1.0 / (2.0 * (1.0 + nu))
-    return n * (n + 2.0 * nu - 1.0) / (4.0 * (n + nu) * (n + nu - 1.0))
+    first = 1.0 / (2.0 * (1.0 + nu))
+    if not array and n == 1:
+        return first
+    k = np.maximum(n, 2) if array else n  # keeps the general form finite at nu = 0
+    beta = k * (k + 2.0 * nu - 1.0) / (4.0 * (k + nu) * (k + nu - 1.0))
+    if array:
+        beta[n == 1] = first
+    return beta
 
 
 def ultraspherical_scheme(params: UltrasphericalParams) -> RecurrenceScheme:

@@ -31,7 +31,6 @@ from .orthopoly import (
     CoDilation,
     RecurrenceScheme,
     ResidualKind,
-    _effective_beta,
     eval_monic,
     residual_eval,
 )
@@ -105,6 +104,18 @@ def _scan_roots(fn, grid):
     return np.sort(np.asarray(roots, dtype=float))
 
 
+def _values(fn, idx: np.ndarray) -> np.ndarray:
+    """A scheme coefficient at every index of idx: one call on the whole array
+    where fn takes one (see ``RecurrenceScheme``), else one call per index."""
+    try:
+        values = fn(idx)
+    except (TypeError, ValueError):  # an int-only function, e.g. one that branches on n
+        values = None
+    if np.shape(values) != idx.shape:
+        values = [fn(int(k)) for k in idx]
+    return np.asarray(values, dtype=float)
+
+
 def _jacobi_eigenvalues(
     scheme: RecurrenceScheme, dilation: CoDilation | None, n: int, folded: bool
 ) -> np.ndarray | None:
@@ -115,22 +126,28 @@ def _jacobi_eigenvalues(
     """
     if scheme.allow_zero_beta or (dilation is not None and not dilation.lam > 0.0):
         return None  # not an orthogonal family
-    beta = _effective_beta(scheme, dilation)
+    if folded and not scheme.symmetric:
+        return None
+    count = 2 * n if folded else n
+    beta = _values(scheme.beta, np.arange(1, count))  # beta_1 .. beta_{count-1}
+    if dilation is not None and dilation.m < count:
+        beta[dilation.m - 1] = dilation.lam * beta[dilation.m - 1]
     if folded:
-        if not scheme.symmetric:
-            return None
-        b = np.array([0.0] + [beta(k) for k in range(1, 2 * n)])  # beta_0 .. beta_{2n-1}
+        b = np.concatenate(([0.0], beta))  # beta_0 = 0 .. beta_{2n-1}
         diag, off_sq = b[0::2] + b[1::2], b[1:-1:2] * b[2::2]
     else:
-        diag = np.array([scheme.alpha(k) for k in range(n)])
-        off_sq = np.array([beta(k) for k in range(1, n)])
+        diag, off_sq = _values(scheme.alpha, np.arange(n)), beta
     if not np.all(off_sq > 0.0):
         return None
-    return np.linalg.eigvalsh(np.diag(diag) + np.diag(np.sqrt(off_sq), -1))
+    jacobi = np.zeros((n, n))
+    jacobi.flat[:: n + 1] = diag
+    jacobi.flat[n :: n + 1] = np.sqrt(off_sq)  # sub-diagonal: eigvalsh reads the lower triangle
+    return np.linalg.eigvalsh(jacobi)
 
 
 def _inside(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return np.sort(values[(values >= lo) & (values <= hi)])
+    """The ascending values in [lo, hi]."""
+    return values[(values >= lo) & (values <= hi)]
 
 
 def find_zeros(
@@ -145,7 +162,8 @@ def find_zeros(
     symmetric = kind is ResidualKind.SYMMETRIC
     eig = _jacobi_eigenvalues(scheme, dilation, n, folded=not symmetric)
     if eig is not None:
-        zeros = _inside(0.5 * (1.0 - eig) if symmetric else 1.0 - eig, 0.0, 1.0)
+        y = 0.5 * (1.0 - eig) if symmetric else 1.0 - eig
+        zeros = _inside(y[::-1], 0.0, 1.0)  # eig ascends, so y descends
     else:
         zeros = _scan_roots(
             lambda y: residual_eval(scheme, dilation, kind, n, y), _residual_grid(n)

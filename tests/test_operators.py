@@ -12,6 +12,7 @@ from codilated.operators import (
     operator_norm_sq,
     save_matrix_csv,
     save_vector_csv,
+    _write_lines,
 )
 
 
@@ -271,3 +272,15 @@ class TestCsv:
         path = tmp_path / "m.csv"
         save_matrix_csv(path, m)
         assert np.array_equal(np.loadtxt(path, delimiter=","), m)
+
+    @pytest.mark.parametrize(
+        "lines, text",
+        [([], ""), ([""], "\n"), (["a"], "a\n"), (["a", "", "b,c"], "a\n\nb,c\n")],
+    )
+    def test_write_lines_exact_bytes(self, tmp_path, lines, text):
+        # each line ends in one newline; no lines gives an empty file
+        path = tmp_path / "lines.csv"
+        _write_lines(path, lines)
+        assert path.read_bytes() == text.encode("utf-8")
+        _write_lines(path, iter(lines))  # a one-pass iterable too
+        assert path.read_bytes() == text.encode("utf-8")

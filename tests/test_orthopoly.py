@@ -206,6 +206,54 @@ class TestUltrasphericalBeta:
             UltrasphericalParams(0.5).require_closed_forms()
 
 
+STOCK_SCHEMES = {
+    **{f"ultraspherical-{nu}": ultraspherical_scheme(UltrasphericalParams(nu))
+       for nu in (-0.25, 0.0, 0.5, 1.0, 2.0, 3.5)},
+    "chebyshev-u": CHEB,
+    "numerator": numerator_scheme(ultraspherical_scheme(UltrasphericalParams(2.0)), 3),
+    "power-basis": power_basis_scheme(),
+}
+
+
+class TestArrayCoefficients:
+    """alpha and beta of every stock scheme take an index array and give,
+    entry for entry, the float of the int index, bit for bit."""
+
+    @pytest.mark.parametrize("name", STOCK_SCHEMES)
+    def test_array_equals_per_index(self, name):
+        scheme = STOCK_SCHEMES[name]
+        for coefficient, first in ((scheme.alpha, 0), (scheme.beta, 1)):
+            idx = np.arange(first, first + 400)
+            got = coefficient(idx)
+            want = np.array([coefficient(int(k)) for k in idx])
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+            # any order and repetition, not only a contiguous range
+            shuffled = np.random.default_rng(3).permutation(np.repeat(idx[:50], 2))
+            assert coefficient(shuffled).tobytes() == np.array(
+                [coefficient(int(k)) for k in shuffled]).tobytes()
+
+    def test_int_gives_python_float(self):
+        # CSV text is written from repr(); an np.float64 would change it
+        for name, scheme in STOCK_SCHEMES.items():
+            assert type(scheme.beta(1)) is float, name
+            assert type(scheme.beta(7)) is float, name
+            assert type(scheme.alpha(0)) is float, name
+
+    def test_reduced_first_entry_in_array(self):
+        # nu = 0: the general form is 0/0 at n = 1; the array takes the reduced 1/2
+        params = UltrasphericalParams(0.0)
+        with np.errstate(all="raise"):
+            got = ultraspherical_beta(params, np.array([1, 2, 1, 5]))
+        assert got.tolist() == [0.5, 0.25, 0.5, 0.25]
+
+    def test_array_rejects_index_zero(self):
+        params = UltrasphericalParams(2.0)
+        with pytest.raises(ValueError):
+            ultraspherical_beta(params, np.array([3, 0, 2]))
+        assert ultraspherical_beta(params, np.arange(1, 1)).shape == (0,)
+
+
 class TestResidualEval:
     def test_landweber_zero_at_half(self):
         assert residual_eval(power_basis_scheme(), None, SYM, 2, 0.5) == 0.0

@@ -1,0 +1,69 @@
+"""Property tests of zero location on random parameters.
+
+Examples are drawn from a fixed seed (``derandomize=True``), so every run
+checks the same cases.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from codilated import zeros  # noqa: E402
+from codilated.orthopoly import (  # noqa: E402
+    CoDilation,
+    ResidualKind,
+    UltrasphericalParams,
+    critical_constants,
+    ultraspherical_scheme,
+)
+from codilated.zeros import find_zeros  # noqa: E402
+from test_zeros import located, scanned  # noqa: E402
+
+KINDS = st.sampled_from([ResidualKind.SYMMETRIC, ResidualKind.ASYMMETRIC, None])
+NUS = st.floats(min_value=-0.49, max_value=4.0)
+FIXED = settings(derandomize=True, database=None, deadline=None)
+
+
+@settings(FIXED, max_examples=100)
+@given(
+    nu=NUS,
+    lam=st.floats(min_value=1e-3, max_value=9.0),
+    m=st.integers(min_value=1, max_value=3),
+    kind=KINDS,
+    n=st.integers(min_value=1, max_value=60),
+)
+def test_jacobi_matches_scan(nu, lam, m, kind, n):
+    # the bound of the parametrised parity test in test_zeros.py
+    scheme = ultraspherical_scheme(UltrasphericalParams(nu))
+    dil = CoDilation(m, lam)
+    folded = kind is ResidualKind.ASYMMETRIC
+    assert zeros._jacobi_eigenvalues(scheme, dil, n, folded=folded) is not None
+    got, want = located(scheme, dil, kind, n), scanned(scheme, dil, kind, n)
+    assert got.size == want.size
+    if got.size:
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@settings(FIXED, max_examples=100)
+@given(
+    nu=NUS,
+    fractions=st.tuples(
+        st.floats(min_value=1e-6, max_value=1.0), st.floats(min_value=1e-6, max_value=1.0)
+    ),
+    kind=st.sampled_from([ResidualKind.SYMMETRIC, ResidualKind.ASYMMETRIC]),
+    n=st.integers(min_value=1, max_value=60),
+)
+def test_smallest_zero_does_not_increase_in_lambda(nu, fractions, kind, n):
+    # up to the critical dilation every zero stays inside, and the largest
+    # eigenvalue of the Jacobi matrix grows with the dilated entry
+    params = UltrasphericalParams(nu)
+    crit = critical_constants(params).lambda_critical
+    lo, hi = sorted(crit * f for f in fractions)
+    scheme = ultraspherical_scheme(params)
+    low = find_zeros(scheme, CoDilation(1, lo), kind, n)
+    high = find_zeros(scheme, CoDilation(1, hi), kind, n)
+    assert low.zeros.size == high.zeros.size == n
+    # eigvalsh is backward stable: a few ulp of the matrix norm (about 1)
+    assert high.smallest <= low.smallest + 1e-14

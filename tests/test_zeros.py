@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from codilated.cli import main
 from codilated.orthopoly import (
     CoDilation,
+    RecurrenceScheme,
     ResidualKind,
     UltrasphericalParams,
     chebyshev_u_scheme,
@@ -177,6 +179,97 @@ class TestEigenvaluePath:
         for n in (1, 2, 5, 20):
             for dil in (None, CoDilation(1, 1.5)):
                 assert np.array_equal(located(scheme, dil, kind, n), scanned(scheme, dil, kind, n))
+
+
+def per_index_jacobi(scheme, dilation, n, folded):
+    """The Jacobi eigenvalues assembled one Python call per index, the
+    assembly the array path replaced; its oracle, bit for bit."""
+    if scheme.allow_zero_beta or (dilation is not None and not dilation.lam > 0.0):
+        return None
+    if dilation is None or dilation.lam == 1.0:
+        beta = scheme.beta
+    else:
+        def beta(k):
+            return dilation.lam * scheme.beta(k) if k == dilation.m else scheme.beta(k)
+    if folded:
+        if not scheme.symmetric:
+            return None
+        b = np.array([0.0] + [beta(k) for k in range(1, 2 * n)])
+        diag, off_sq = b[0::2] + b[1::2], b[1:-1:2] * b[2::2]
+    else:
+        diag = np.array([scheme.alpha(k) for k in range(n)])
+        off_sq = np.array([beta(k) for k in range(1, n)])
+    if not np.all(off_sq > 0.0):
+        return None
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(np.sqrt(off_sq), -1))
+
+
+def per_index_located(eig, kind):
+    """Zeros from the eigenvalues of ``per_index_jacobi``, mapped and sorted as before."""
+    if kind is None:
+        values, lo, hi = eig, -1.0, 1.0
+    else:
+        values, lo, hi = 0.5 * (1.0 - eig) if kind is SYM else 1.0 - eig, 0.0, 1.0
+    return np.sort(values[(values >= lo) & (values <= hi)])
+
+
+ORACLE_SCHEMES = {
+    **{f"ultraspherical-{nu}": ultraspherical_scheme(UltrasphericalParams(nu))
+       for nu in (-0.25, 0.0, 0.5, 1.0, 2.0, 3.5)},
+    "chebyshev-u": CHEB,
+    "numerator": numerator_scheme(ultraspherical_scheme(UltrasphericalParams(2.0)), 3),
+}
+
+
+class TestArrayAssembly:
+    """The array-built Jacobi matrix equals the per-index one bit for bit."""
+
+    @pytest.mark.parametrize("name", ORACLE_SCHEMES)
+    @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+    def test_matches_per_index_oracle(self, name, kind):
+        scheme = ORACLE_SCHEMES[name]
+        dilations = [None, CoDilation(1, 1.0)] + [
+            CoDilation(m, lam) for m in (1, 2) for lam in (0.4, 1.7)] + [CoDilation(200, 1.7)]
+        for n in (1, 2, 3, 5, 40, 150):
+            for dil in dilations:
+                got = zeros._jacobi_eigenvalues(scheme, dil, n, folded=kind is ASYM)
+                want = per_index_jacobi(scheme, dil, n, folded=kind is ASYM)
+                assert got.tobytes() == want.tobytes(), (n, dil)
+                assert located(scheme, dil, kind, n).tobytes() == per_index_located(
+                    want, kind).tobytes(), (n, dil)
+
+    def test_dilation_beyond_matrix_is_undilated(self):
+        scheme = ultraspherical_scheme(UltrasphericalParams(2.5))
+        for kind in KINDS:
+            plain = located(scheme, None, kind, 5)
+            assert np.array_equal(located(scheme, CoDilation(200, 1.5), kind, 5), plain)
+            # beta_m is the last entry the matrix holds at m = n - 1 (2n - 1 folded)
+            last = 9 if kind is ASYM else 4
+            assert not np.array_equal(located(scheme, CoDilation(last, 1.5), kind, 5), plain)
+            assert np.array_equal(located(scheme, CoDilation(last + 1, 1.5), kind, 5), plain)
+
+    def test_cli_dilation_beyond_degree(self, capsys):
+        base = ["zeros", "--nu", "2.5", "--kind", "polynomial", "--degree", "5"]
+        assert main(base) == 0
+        plain = capsys.readouterr().out
+        assert main(base + ["--m", "200", "--lambda", "1.5"]) == 0
+        assert capsys.readouterr().out == plain
+        assert main(base + ["--m", "2", "--lambda", "1.5"]) == 0
+        assert capsys.readouterr().out != plain
+
+    def test_int_only_scheme_falls_back_per_index(self):
+        # a scheme whose beta branches on n cannot take an array; it still
+        # gets its Jacobi matrix, and a constant lambda gets the right size
+        branching = RecurrenceScheme(
+            alpha=lambda n: 0.0, beta=lambda n: 0.3 if n < 4 else 0.25, symmetric=True)
+        constant = RecurrenceScheme(alpha=lambda n: 0.0, beta=lambda n: 0.25, symmetric=True)
+        for scheme in (branching, constant):
+            for kind in KINDS:
+                for dil in (None, CoDilation(2, 1.5)):
+                    got = zeros._jacobi_eigenvalues(scheme, dil, 12, folded=kind is ASYM)
+                    assert got.tobytes() == per_index_jacobi(
+                        scheme, dil, 12, folded=kind is ASYM).tobytes()
+        assert np.array_equal(located(constant, None, SYM, 6), located(CHEB, None, SYM, 6))
 
 
 class TestInteriorZeros:

@@ -78,6 +78,22 @@ def runs():
         zeros = ["zeros", "--nu", "1", "--kind", kind, "--degree", "150"]
         yield f"zeros_{kind}", zeros + ["--lambda", "1.9", "--out", "out.csv"]
         yield f"zeros_{kind}_sweep", zeros + ["--sweep", "1.0:2.2:0.05", "--out", "out.csv"]
+    # at nu = 1 every beta_n with n >= 2 is 1/4; at nu != 1 each Jacobi entry has its own value
+    for nu, lam in (("0.5", "0.8"), ("2.5", "4.9")):
+        for kind in ZERO_KINDS:
+            yield f"zeros_{kind}_nu{nu}", [
+                "zeros", "--nu", nu, "--kind", kind, "--degree", "150", "--lambda", lam,
+                "--out", "out.csv"]
+    yield "zeros_asymmetric_nu2.5_m2", [
+        "zeros", "--nu", "2.5", "--kind", "asymmetric", "--degree", "150", "--m", "2",
+        "--lambda", "1.7", "--out", "out.csv"]
+    yield "zeros_symmetric_nu2.5_sweep", [
+        "zeros", "--nu", "2.5", "--kind", "symmetric", "--degree", "150",
+        "--sweep", "0.5:5.5:0.25", "--out", "out.csv"]
+    # a dilation index beyond the matrix leaves the family undilated
+    yield "zeros_polynomial_nu2.5_m200", [
+        "zeros", "--nu", "2.5", "--kind", "polynomial", "--degree", "5", "--m", "200",
+        "--lambda", "1.5", "--out", "out.csv"]
     # lam <= 0 has no Jacobi matrix: these pin the scan-and-bisect path
     for kind in ("symmetric", "polynomial"):
         for lam in ("-1", "0"):
