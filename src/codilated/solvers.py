@@ -2,15 +2,17 @@
 
 Each method is a lazy generator of steps (f_n, f_{n-1}, mu_n, watched
 residual) run by one driver, ``_drive``, which owns the n = 0 entry, the
-residual history, the callback and the discrepancy, divergence, stagnation
-and iteration-cap tests.  The callback gets an ``IterationState`` only when
-one is set; without it a step builds no state object.  A method may end the
-solve itself by returning a StopReason: cg on breakdown or Krylov
-exhaustion, the adaptive method when two consecutive residuals coincide.
+residual history, the callback and the stall count, and asks the one stop
+test, ``_stop_reason`` (discrepancy, divergence, stagnation, iteration cap,
+in that order), at n = 0 and after every step.  The callback gets an
+``IterationState`` only when one is set; without it a step builds no state
+object.  A method may end the solve itself by returning a StopReason: cg on
+breakdown or Krylov exhaustion, the adaptive method when two consecutive
+residuals coincide.
 
 Landweber, the general and asymmetric semi-iterative methods, the co-dilated
-ultraspherical method and the co-dilated nu-method share the second-order
-update
+ultraspherical method, the co-dilated nu-method and the adaptive method share
+the second-order update
 
     f_{n+1} = f_n + a_n (f_n - f_{n-1}) + b_n * omega * A*(g - A f_n),  n >= 0,
 
@@ -21,17 +23,18 @@ most the sign of a zero entry of f_{n+1}, which never reaches a residual
 norm.  The methods differ only in the stream of (a_n, b_n, mu_{n+1}) fed to
 the update: constant for Landweber, otherwise one of the ``orthopoly``
 coefficient streams (recursive, from a scheme and a dilation, or
-closed-form co-dilated ultraspherical).  The error obeys
-f - f_n = r_n(omega A*A) f with r_n the matching residual polynomial, which
-is what ``oracle_check`` verifies on diagonal problems.
+closed-form co-dilated ultraspherical); the adaptive method runs the
+nu-method's stream at nu = lam = 1 and watches the affine-minimal residual.
+The error obeys f - f_n = r_n(omega A*A) f with r_n the matching residual
+polynomial, which is what ``oracle_check`` verifies on diagonal problems.
 
 ``solve_dilations`` runs the update for the two closed-form methods on a
 block with one row per dilation: the stream takes an array of dilations,
 the operator applies rows of the block, and a second loop,
-``_drive_block``, applies ``_drive``'s tests in ``_drive``'s order row by
-row and drops a row once it stops.  Each row's report is bit-identical to
-the single solve's.  ``_drive`` and ``_two_step`` stay the single-solve
-path, so it pays nothing for the block.
+``_drive_block``, asks ``_stop_reason`` row by row and drops a row once it
+stops.  Each row's report is bit-identical to the single solve's.
+``_drive`` and ``_two_step`` stay the single-solve path, so it pays nothing
+for the block.
 
 Residual norms are recomputed from v = g - A f every step; nothing is
 updated incrementally, so histories do not drift over long runs.  A solve
@@ -217,15 +220,31 @@ def _check_relaxation(op: LinearOperator, omega: float, method: Method) -> None:
         )
 
 
+def _stop_reason(rn, threshold, stalled, n, max_iter) -> StopReason | None:
+    """The one stopping test, on residual norm rn at step n: discrepancy
+    (rn < threshold), then divergence (rn not finite), then stagnation
+    (``stalled`` steps in a row whose norms agree), then the cap."""
+    if rn < threshold:
+        return StopReason.DISCREPANCY
+    if not math.isfinite(rn):
+        return StopReason.DIVERGENCE
+    if stalled >= STAGNATION_STEPS:
+        return StopReason.STAGNATION
+    if n >= max_iter:
+        return StopReason.MAX_ITER
+    return None
+
+
 def _drive(problem, config, steps, callback) -> SolveReport:
-    """The one iteration loop: history, callback and the stopping tests.
+    """The one iteration loop: history, callback and ``_stop_reason``.
 
     ``steps`` yields (f_n, f_{n-1}, mu_n, watched residual) for n = 1, 2, ...
     and may end the solve by returning a StopReason.  It is advanced only
     while no test has fired, so a stopped solve applies no further operator.
-    A non-finite residual norm stops the solve with DIVERGENCE, at n = 0 too,
-    so NaN data apply no operator.  Stagnation is STAGNATION_STEPS
-    consecutive steps from n = 1 on whose norms agree to STAGNATION_RTOL.
+    The tests run at n = 0 too, so NaN data apply no operator.  The stall
+    count covers consecutive steps from n = 1 on whose norms agree to
+    STAGNATION_RTOL; it is updated before the tests, which read it only
+    where rn is finite and not below the threshold.
     """
     threshold = config.tau * config.epsilon
     max_iter = config.resolved_max_iter()
@@ -235,13 +254,7 @@ def _drive(problem, config, steps, callback) -> SolveReport:
     history = [rn]
     if callback is not None:
         callback(IterationState(0, f, f, 1.0, g.copy(), rn))
-    reason = None
-    if rn < threshold:
-        reason = StopReason.DISCREPANCY
-    elif not math.isfinite(rn):
-        reason = StopReason.DIVERGENCE
-    elif max_iter == 0:
-        reason = StopReason.MAX_ITER
+    reason = _stop_reason(rn, threshold, 0, 0, max_iter)
     prev, stalled = math.inf, 0
     n = 0
     while reason is None:
@@ -255,17 +268,9 @@ def _drive(problem, config, steps, callback) -> SolveReport:
         history.append(rn)
         if callback is not None:
             callback(IterationState(n, f, f_prev, mu, v, rn))
-        if rn < threshold:
-            reason = StopReason.DISCREPANCY
-        elif not math.isfinite(rn):
-            reason = StopReason.DIVERGENCE
-        else:
-            stalled = stalled + 1 if abs(rn - prev) < STAGNATION_RTOL * max(rn, 1e-300) else 0
-            prev = rn
-            if stalled >= STAGNATION_STEPS:
-                reason = StopReason.STAGNATION
-            elif n >= max_iter:
-                reason = StopReason.MAX_ITER
+        stalled = stalled + 1 if abs(rn - prev) < STAGNATION_RTOL * max(rn, 1e-300) else 0
+        prev = rn
+        reason = _stop_reason(rn, threshold, stalled, n, max_iter)
     return SolveReport(n, reason, np.asarray(history), f)
 
 
@@ -351,22 +356,22 @@ def codilated_nu(
 def adaptive_codilated_one(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
     """Adaptive variant of the co-dilated 1-method.
 
-    Runs the lam = 1 iteration while tracking the minimal-norm point
-    v_min on the affine line through the last two residuals; stops once
-    ||v_min|| < tau * epsilon, then maps the minimising gamma back to the
-    dilation parameter and applies the matching correction to the iterate.
+    Runs the lam = 1 co-dilated nu-method at nu = 1 while tracking the
+    minimal-norm point v_min = v_n - gamma (v_n - v_{n-1}) on the affine
+    line through the last two residuals; stops once ||v_min|| < tau *
+    epsilon, then maps the minimising gamma back to the dilation parameter
+    and applies the matching correction to the iterate.  gamma = 1, where
+    v_min is v_{n-1}, has no finite dilation: chosen_lambda is NaN.
     """
     _check_relaxation(problem.operator, config.omega, Method.ADAPTIVE_CODILATED_ONE)
-    op, g, omega = problem.operator, problem.g, config.omega
-    f = f_prev = np.zeros(op.domain_dim)
+    coeffs = _closed_form_coefficients(UltrasphericalParams(1.0), 1.0, ResidualKind.ASYMMETRIC)
+    f = f_prev = np.zeros(problem.operator.domain_dim)
     gamma = 0.0
 
     def steps():
         nonlocal f, f_prev, gamma
-        f = (4.0 / 3.0) * omega * op.rmatvec(g)
-        v_prev, v = g, g - op.matvec(f)
-        n = 1
-        while True:
+        v_prev = problem.g
+        for f, f_prev, _, v in _two_step(problem, config.omega, coeffs):
             dv = v - v_prev
             dv2 = float(dv @ dv)
             if dv2 < 1e-300:
@@ -376,15 +381,12 @@ def adaptive_codilated_one(problem: Problem, config: SolverConfig, callback=None
                 return StopReason.STAGNATION
             gamma = float(v @ dv) / dv2
             yield f, f_prev, gamma, v - gamma * dv
-            f_prev, f = f, f + (2.0 * n - 1.0) / (2.0 * n + 3.0) * (f - f_prev) + 4.0 * omega * (
-                2.0 * n + 1.0
-            ) / (2.0 * n + 3.0) * op.rmatvec(v)
-            v_prev, v = v, g - op.matvec(f)
-            n += 1
+            v_prev = v
 
     report = _drive(problem, config, steps(), callback)
     n = report.iterations
-    report.chosen_lambda = 1.0 - (2.0 * n + 1.0) * gamma / ((2.0 * n - 1.0) * (1.0 - gamma))
+    den = (2.0 * n - 1.0) * (1.0 - gamma)  # zero only at gamma = 1
+    report.chosen_lambda = 1.0 - (2.0 * n + 1.0) * gamma / den if den else math.nan
     report.gamma_final = gamma
     report.f_final = f - gamma * (f - f_prev)
     return report
@@ -557,13 +559,7 @@ def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
     max_iter = config.resolved_max_iter()
     op, g, omega = problem.operator, problem.g, config.omega
     rn0 = math.sqrt(g @ g)
-    reason = None
-    if rn0 < threshold:
-        reason = StopReason.DISCREPANCY
-    elif not math.isfinite(rn0):
-        reason = StopReason.DIVERGENCE
-    elif max_iter == 0:
-        reason = StopReason.MAX_ITER
+    reason = _stop_reason(rn0, threshold, 0, 0, max_iter)
     if reason is not None:
         n0 = np.asarray([rn0])
         return [SolveReport(0, reason, n0.copy(), np.zeros(op.domain_dim)) for _ in range(size)]
@@ -604,18 +600,10 @@ def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
         ):
             stop = np.zeros(len(norms), dtype=bool)
             for i, rn_i in enumerate(norms):
-                if rn_i < threshold:
-                    reason = StopReason.DISCREPANCY
-                elif not math.isfinite(rn_i):
-                    reason = StopReason.DIVERGENCE
-                elif stalled[i] >= STAGNATION_STEPS:
-                    reason = StopReason.STAGNATION
-                elif n >= max_iter:
-                    reason = StopReason.MAX_ITER
-                else:
-                    continue
-                stop[i] = True
-                outcomes[rows[i]] = (n, reason, f[i].copy())
+                reason = _stop_reason(rn_i, threshold, stalled[i], n, max_iter)
+                if reason is not None:
+                    stop[i] = True
+                    outcomes[rows[i]] = (n, reason, f[i].copy())
             if stop.any():
                 keep_recorded()
                 if stop.all():

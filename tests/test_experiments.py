@@ -229,6 +229,17 @@ class TestCli:
         )
         assert code == EXIT_MAX_ITER
 
+    def test_adaptive_gamma_one_exit_code(self, capsys):
+        # two steps reach residual 0; the last minimiser is gamma = 1, which no
+        # finite dilation gives
+        with pytest.warns(RelaxationWarning):
+            code = main(["solve", "--problem", "diag-last", "--method", "adaptive-codilated-one",
+                         "--n", "2", "--omega", "3", "--eps", "0", "--max-iter", "2"])
+        assert code == EXIT_MAX_ITER
+        out = capsys.readouterr().out
+        assert "iterations=2 stop=max-iter" in out
+        assert "chosen_lambda=nan" in out
+
     def test_config_error_exit_code(self, capsys):
         assert main(["solve", "--problem", "deriv2", "--tau", "0.5"]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err

@@ -336,6 +336,43 @@ class TestAdaptive:
         assert report.stop_reason is StopReason.STAGNATION
         assert report.chosen_lambda == 1.0  # gamma degenerate, iterate untouched
 
+    @pytest.mark.parametrize("problem_name", ["deriv2", "diag-last", "diag-second"])
+    def test_iterates_are_the_nu_method_iterates(self, problem_name):
+        _, omega, eps, tau = PROBLEM_DEFAULTS[problem_name]
+        config = SolverConfig(method=Method.ADAPTIVE_CODILATED_ONE, omega=omega, epsilon=eps, tau=tau)
+        problem = build_problem(ExperimentSpec(problem=problem_name, config=config)).as_problem()
+        adaptive, plain = {}, {}
+
+        def log_into(states):
+            return lambda state: states.update({state.n: (state.f_curr.copy(), state.f_prev.copy())})
+
+        report = adaptive_codilated_one(problem, config, callback=log_into(adaptive))
+        plain_config = replace(config, method=Method.CODILATED_NU, epsilon=0.0,
+                               max_iter=report.iterations)
+        codilated_nu(problem, 1.0, 1.0, plain_config, callback=log_into(plain))
+        assert report.stop_reason is StopReason.DISCREPANCY
+        assert adaptive.keys() == plain.keys() == set(range(report.iterations + 1))
+        for n, (f_curr, f_prev) in adaptive.items():
+            assert np.array_equal(f_curr, plain[n][0]) and np.array_equal(f_prev, plain[n][1])
+
+    def test_gamma_one_has_no_dilation(self):
+        # f_1 = 1 leaves v_1 = 0; f_2 = 1.2 gives v_2 = -0.2, whose affine
+        # minimiser on the line through v_1 and v_2 is v_1 itself: gamma = 1
+        problem = Problem(diagonal_operator(np.array([1.0])), np.array([1.0]))
+        config = SolverConfig(method="adaptive-codilated-one", omega=0.75, epsilon=0.0, max_iter=2)
+        states = {}
+
+        def cb(state):
+            states[state.n] = state.f_curr.copy()
+
+        report = adaptive_codilated_one(problem, config, callback=cb)
+        assert report.iterations == 2
+        assert report.stop_reason is StopReason.MAX_ITER
+        assert report.gamma_final == 1.0
+        assert np.isnan(report.chosen_lambda)  # no finite dilation maps to gamma = 1
+        assert report.residual_history.tolist() == [1.0, 0.0, 0.0]
+        assert report.f_final == pytest.approx(states[1], rel=1e-15)  # f_{n-1}
+
 
 class TestCg:
     def test_identity_single_step(self):
@@ -600,6 +637,10 @@ class TestSolveDilations:
             (dict(epsilon=0.0, max_iter=300), {StopReason.MAX_ITER}),
             (dict(max_iter=0), {StopReason.MAX_ITER}),
             (dict(max_iter=140), {StopReason.MAX_ITER, StopReason.DISCREPANCY}),
+            # the cap is the step where a test fires: the lam = 1 row's discrepancy
+            # step for both methods, and every row's divergence step
+            (dict(max_iter=151), {StopReason.MAX_ITER, StopReason.DISCREPANCY}),
+            (dict(omega=50.0, max_iter=69), {StopReason.DIVERGENCE}),
         ],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -615,17 +656,22 @@ class TestSolveDilations:
 
     @pytest.mark.parametrize("method", BLOCK_METHODS)
     @pytest.mark.parametrize(
-        "diag, g, reasons",
+        "diag, g, max_iter, reasons",
         [
-            ([0.0, 0.0], [1.0, 1.0], {StopReason.STAGNATION}),
+            pytest.param([0.0, 0.0], [1.0, 1.0], 400, {StopReason.STAGNATION},
+                         id="diag0-g0-reasons0"),
             # the 1e-6 part oscillates: its rows see several runs of steps whose
             # norms agree to STAGNATION_RTOL, and the count restarts after each
-            ([0.0, 0.5], [1.0, 1e-6], {StopReason.STAGNATION, StopReason.MAX_ITER}),
+            pytest.param([0.0, 0.5], [1.0, 1e-6], 400,
+                         {StopReason.STAGNATION, StopReason.MAX_ITER}, id="diag1-g1-reasons1"),
+            # stagnation fires at n = STAGNATION_STEPS + 1, which is also the cap
+            pytest.param([0.0, 0.0], [1.0, 1.0], STAGNATION_STEPS + 1, {StopReason.STAGNATION},
+                         id="stagnation-at-cap"),
         ],
     )
-    def test_stalling_rows(self, method, diag, g, reasons):
+    def test_stalling_rows(self, method, diag, g, max_iter, reasons):
         problem = Problem(diagonal_operator(np.array(diag)), np.array(g))
-        config = quiet_config(method=method, max_iter=400)
+        config = quiet_config(method=method, max_iter=max_iter)
         reports = assert_block_equals_singles(problem, config, [-2.0, 0.5, 1.99])
         assert {r.stop_reason for r in reports} == reasons
 

@@ -53,6 +53,10 @@ def runs():
     yield "solve_deriv2_dump_problem", [
         "solve", "--problem", "deriv2", "--max-iter", "5", "--dump-problem", "deriv2",
         "--out", "out.csv"]
+    # two residuals whose affine minimiser is the older one: gamma = 1 has no dilation
+    yield "solve_diag-last_adaptive_gamma_one", [
+        "solve", "--problem", "diag-last", "--method", "adaptive-codilated-one", "--n", "2",
+        "--omega", "3", "--eps", "0", "--max-iter", "2", "--out", "out.csv"]
     yield "table1", ["table1", "--out", "out.csv"]
     yield "sweep_diag-last_zero_degree", [
         "sweep", "--problem", "diag-last", "--nu", "1", "--sweep", "1.0:2.2:0.05",
@@ -68,6 +72,10 @@ def runs():
     yield "sweep_deriv2_codilated-ultraspherical", [
         "sweep", "--problem", "deriv2", "--method", "codilated-ultraspherical",
         "--sweep", "0:1.9:0.1", "--out", "out.csv"]
+    # the adaptive method has no block iteration: each point is one solve
+    yield "sweep_diag-last_adaptive-codilated-one", [
+        "sweep", "--problem", "diag-last", "--method", "adaptive-codilated-one",
+        "--sweep", "1.0,1.5", "--max-iter", "500", "--out", "out.csv"]
     yield "sweep_diag-last_divergence", [
         "sweep", "--problem", "diag-last", "--nu", "1", "--sweep", "0.5:2.1:0.2",
         "--omega", "50", "--max-iter", "3000", "--out", "out.csv"]
