@@ -166,8 +166,6 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     merged = _merged(args)
     spec = _build_spec(merged)
-    if spec.sweep is None:
-        raise ValueError("sweep requires --sweep")
     result = run_sweep(spec)
     for row in result.rows:
         print(f"lambda={row.lam!r} iterations={row.iterations} stop={row.stop_reason}")

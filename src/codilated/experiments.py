@@ -15,14 +15,14 @@ specs produce byte-identical CSV output.  The perturbation is the raw
 (unnormalised) Gaussian draw scaled by the nominal noise level, the
 convention under which the reference iteration counts were produced;
 the discrepancy threshold still uses the nominal level.  Sweep points
-and table rows are independent solves of one problem instance.  Two or
-more admissible points of a closed-form sweep (codilated-nu,
-codilated-ultraspherical) are solved together by
-``solvers.solve_dilations``, whose reports equal the single solves' bit for
-bit; every other point and every table row runs through one point runner
-that records a failed solve in the row instead of raising.  Sweep rows are
-sorted by the dilation parameter, so the order of an explicit list does not
-change the output.
+and table rows are independent solves of one problem instance.  A sweep
+needs a method of ``solvers.DILATION_KINDS`` and locates the zeros of its
+residual kind.  Two or more admissible points of a closed-form sweep are
+solved together by ``solvers.solve_dilations``, whose reports equal the
+single solves' bit for bit; every other point and every table row runs
+through one point runner that records a failed solve in the row instead of
+raising.  Sweep rows are sorted by the dilation parameter, so the order of
+an explicit list does not change the output.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from .operators import (
     deriv2_assemble,
     diagonal_operator,
 )
-from .orthopoly import CoDilation, ResidualKind, UltrasphericalParams, ultraspherical_scheme
+from .orthopoly import CoDilation, UltrasphericalParams, ultraspherical_scheme
 from .solvers import (
+    DILATION_KINDS,
     Method,
     SolveReport,
     SolverConfig,
@@ -177,17 +178,21 @@ def _outcome(report: SolveReport) -> tuple[int, str, float, float | None]:
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """One solve per dilation value; rows sorted by the dilation parameter.
 
-    Two or more admissible points of a closed-form method (``batchable``)
-    are solved together by ``solve_dilations``, bit-identical to one solve
-    each; every other point goes through ``_run_point``.  Per-point failures are
-    recorded in the row and the sweep continues.  The attached zero is
-    computed even where the solve is inadmissible.
+    A method without a dilation raises ValueError.  Two or more admissible
+    points of a closed-form method (``batchable``) are solved together by
+    ``solve_dilations``, bit-identical to one solve each; every other point
+    goes through ``_run_point``.  Per-point failures are recorded in the row
+    and the sweep continues.  The attached zero is the smallest of the
+    method's residual kind, computed even where the solve is inadmissible.
     """
+    config = spec.config
+    kind = DILATION_KINDS.get(config.method)
+    if kind is None:
+        raise ValueError(f"method {config.method.value} takes no dilation to sweep")
     lams = sorted(spec.sweep_values())
     if not lams:
-        raise ValueError("spec has no sweep values")
+        raise ValueError("a sweep needs at least one dilation value")
     noisy = build_problem(spec)
-    config = spec.config
     in_block = [batchable(config, lam) for lam in lams]
     if sum(in_block) < 2:  # a lone block row costs more per step than a single solve
         in_block = [False] * len(lams)
@@ -203,7 +208,7 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
             iters, reason, final, _ = _run_point(noisy, replace(config, lam=lam))
         zero = float("nan")
         if spec.zero_degree is not None:
-            zr = find_zeros(scheme, CoDilation(1, lam), ResidualKind.ASYMMETRIC, spec.zero_degree)
+            zr = find_zeros(scheme, CoDilation(1, lam), kind, spec.zero_degree)
             if zr.zeros.size:
                 zero = zr.smallest
         rows.append(SweepRow(lam, iters, reason, final, zero))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import count, islice
 from typing import Callable
 
@@ -91,12 +92,13 @@ class RecurrenceScheme:
             _require_beta(self, n + 1)
 
 
-def _require_beta(scheme: RecurrenceScheme, n: int) -> None:
-    """ValueError unless the undilated beta_n is positive, or zero where the
-    scheme allows it."""
+def _require_beta(scheme: RecurrenceScheme, n: int) -> float:
+    """The undilated beta_n; ValueError unless it is positive, or zero where
+    the scheme allows it."""
     b = scheme.beta(n)
     if b < 0.0 or (b == 0.0 and not scheme.allow_zero_beta):
         raise ValueError(f"beta({n}) = {b} must be positive")
+    return b
 
 
 @dataclass(frozen=True)
@@ -199,10 +201,11 @@ def power_basis_scheme() -> RecurrenceScheme:
     return RecurrenceScheme(alpha=_zero, beta=_zero, symmetric=True, allow_zero_beta=True)
 
 
-def _effective_beta(scheme: RecurrenceScheme, dilation: CoDilation | None):
+def _effective_beta(base: Callable[[int], float], dilation: CoDilation | None):
+    """The beta function base with beta_m scaled by the dilation."""
     if dilation is None or dilation.lam == 1.0:
-        return scheme.beta
-    m, lam, base = dilation.m, dilation.lam, scheme.beta
+        return base
+    m, lam = dilation.m, dilation.lam
 
     def beta(n: int) -> float:
         return lam * base(n) if n == m else base(n)
@@ -224,7 +227,7 @@ def eval_monic(scheme: RecurrenceScheme, dilation: CoDilation | None, n: int, x)
     p_prev = np.ones_like(xa)
     if n == 0:
         return float(p_prev) if scalar else p_prev
-    beta = _effective_beta(scheme, dilation)
+    beta = _effective_beta(scheme.beta, dilation)
     p = xa - scheme.alpha(0)
     for k in range(1, n):
         p_prev, p = p, (xa - scheme.alpha(k)) * p - beta(k) * p_prev
@@ -355,12 +358,7 @@ def _recursive_coefficients(
     non-positive later raises ValueError there; a dilation lam <= 0 of a
     positive beta_m is not rejected by this check.
     """
-    alpha, dilated = scheme.alpha, _effective_beta(scheme, dilation)
-
-    def beta(n: int) -> float:
-        _require_beta(scheme, n)
-        return dilated(n)
-
+    alpha, beta = scheme.alpha, _effective_beta(partial(_require_beta, scheme), dilation)
     symmetric = kind is ResidualKind.SYMMETRIC
     coupling = b2n = 0.0
     for n in count():
@@ -449,22 +447,21 @@ def _closed_form_stream(nu: float, lam, symmetric: bool):
     for n, r_next in enumerate(ratios, start=1):
         den = c0 + c1 * r_next
         if symmetric:
-            mu = 2.0 * (n + nu) / (n + 2.0 * nu) * num / den
-            yield mu - 1.0, 2.0 * mu, mu
+            top = 2.0 * (n + nu) / (n + 2.0 * nu) * num
         else:
             k = 2 * n
-            amu = (
-                4.0
-                * (k + nu)
-                * (k + nu + 1.0)
-                / ((k + 2.0 * nu) * (k + 2.0 * nu + 1.0))
-                * num
-                / den
-            )
+            top = 4.0 * (k + nu) * (k + nu + 1.0) / ((k + 2.0 * nu) * (k + 2.0 * nu + 1.0)) * num
+        try:
+            mu = top / den
+        except ZeroDivisionError:  # den rounds to 0.0 only for nu within ulps of 1/2
+            mu = np.divide(top, den)  # the IEEE quotient, as an array item gets it
+        if symmetric:
+            yield mu - 1.0, 2.0 * mu, mu
+        else:
             damp = 1.0 - (4.0 * n * n + 4.0 * nu * n + nu - 1.0) / (
                 2.0 * (k + nu + 1.0) * (k + nu - 1.0)
             )
-            yield damp * amu - 1.0, amu, amu
+            yield damp * mu - 1.0, mu, mu
         num = den  # this step's denominator is the next step's numerator
 
 

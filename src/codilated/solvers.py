@@ -28,13 +28,14 @@ nu-method's stream at nu = lam = 1 and watches the affine-minimal residual.
 The error obeys f - f_n = r_n(omega A*A) f with r_n the matching residual
 polynomial, which is what ``oracle_check`` verifies on diagonal problems.
 
-``solve_dilations`` runs the update for the two closed-form methods on a
-block with one row per dilation: the stream takes an array of dilations,
-the operator applies rows of the block, and a second loop,
-``_drive_block``, asks ``_stop_reason`` row by row and drops a row once it
-stops.  Each row's report is bit-identical to the single solve's.
-``_drive`` and ``_two_step`` stay the single-solve path, so it pays nothing
-for the block.
+``DILATION_KINDS`` maps the four methods that take a dilation to the kind
+of their residual polynomials.  ``solve_dilations`` runs its two closed-form
+methods on a block with one row per dilation: the stream takes an array of
+dilations, the operator applies rows of the block, and a second loop,
+``_drive_block``, keeps each row's history as a list the way ``_drive``
+does, asks ``_stop_reason`` row by row and drops a row once it stops.  Each
+row's report is bit-identical to the single solve's; the single-solve path
+pays nothing for the block.
 
 Residual norms are recomputed from v = g - A f every step; nothing is
 updated incrementally, so histories do not drift over long runs.  A solve
@@ -84,13 +85,13 @@ __all__ = [
     "cg_normal_equations",
     "oracle_check",
     "solve",
+    "DILATION_KINDS",
     "batchable",
     "solve_dilations",
 ]
 
 STAGNATION_STEPS = 50
 STAGNATION_RTOL = 1e-15
-_BLOCK_HISTORY_CHUNK = 1024  # steps of block norms kept as arrays before stacking
 
 
 class Method(str, Enum):
@@ -101,6 +102,17 @@ class Method(str, Enum):
     CODILATED_NU = "codilated-nu"
     ADAPTIVE_CODILATED_ONE = "adaptive-codilated-one"
     CG = "cg"
+
+
+# the methods that take a dilation lam, by the kind of their residual
+# polynomials; the closed-form ones also run on a block of dilations
+DILATION_KINDS = {
+    Method.GENERAL_SI: ResidualKind.SYMMETRIC,
+    Method.CODILATED_ULTRASPHERICAL: ResidualKind.SYMMETRIC,
+    Method.ASYMMETRIC_SI: ResidualKind.ASYMMETRIC,
+    Method.CODILATED_NU: ResidualKind.ASYMMETRIC,
+}
+_CLOSED_FORM = (Method.CODILATED_ULTRASPHERICAL, Method.CODILATED_NU)
 
 
 class StopReason(str, Enum):
@@ -308,9 +320,7 @@ def general_semi_iterative(
 
     Reduces to ``landweber`` when alpha = beta = 0.
     """
-    _check_relaxation(problem.operator, config.omega, Method.GENERAL_SI)
-    coeffs = _recursive_coefficients(scheme, dilation, ResidualKind.SYMMETRIC)
-    return _drive(problem, config, _two_step(problem, config.omega, coeffs), callback)
+    return _recursive_solve(problem, scheme, dilation, config, Method.GENERAL_SI, callback)
 
 
 def codilated_ultraspherical(
@@ -319,9 +329,7 @@ def codilated_ultraspherical(
     """Symmetric-residual method with explicit co-dilated ultraspherical
     coefficients (dilation index m = 1); lam = 1 is the Chebyshev method
     of Stiefel for nu = 1."""
-    coeffs = _closed_form_coefficients(UltrasphericalParams(nu), lam, ResidualKind.SYMMETRIC)
-    _check_relaxation(problem.operator, config.omega, Method.CODILATED_ULTRASPHERICAL)
-    return _drive(problem, config, _two_step(problem, config.omega, coeffs), callback)
+    return _closed_form_solve(problem, nu, lam, config, Method.CODILATED_ULTRASPHERICAL, callback)
 
 
 def asymmetric_semi_iterative(
@@ -333,11 +341,7 @@ def asymmetric_semi_iterative(
 ) -> SolveReport:
     """Method whose residual polynomials are P_{2n}(sqrt(1-y))/P_{2n}(1);
     these vanish at y = 1, so omega ||A*A|| = 1 is tolerated."""
-    if not scheme.symmetric:
-        raise ValueError("asymmetric residual polynomials need a symmetric scheme")
-    _check_relaxation(problem.operator, config.omega, Method.ASYMMETRIC_SI)
-    coeffs = _recursive_coefficients(scheme, dilation, ResidualKind.ASYMMETRIC)
-    return _drive(problem, config, _two_step(problem, config.omega, coeffs), callback)
+    return _recursive_solve(problem, scheme, dilation, config, Method.ASYMMETRIC_SI, callback)
 
 
 def codilated_nu(
@@ -348,8 +352,22 @@ def codilated_nu(
     lam = 1 reproduces the classical nu-method; the start iterate is
     f_1 = (2 nu + 2)/(2 nu + 2 - lam) omega A* g.
     """
-    coeffs = _closed_form_coefficients(UltrasphericalParams(nu), lam, ResidualKind.ASYMMETRIC)
-    _check_relaxation(problem.operator, config.omega, Method.CODILATED_NU)
+    return _closed_form_solve(problem, nu, lam, config, Method.CODILATED_NU, callback)
+
+
+def _recursive_solve(problem, scheme, dilation, config, method, callback) -> SolveReport:
+    kind = DILATION_KINDS[method]
+    if kind is ResidualKind.ASYMMETRIC and not scheme.symmetric:
+        raise ValueError("asymmetric residual polynomials need a symmetric scheme")
+    _check_relaxation(problem.operator, config.omega, method)
+    coeffs = _recursive_coefficients(scheme, dilation, kind)
+    return _drive(problem, config, _two_step(problem, config.omega, coeffs), callback)
+
+
+def _closed_form_solve(problem, nu, lam, config, method, callback) -> SolveReport:
+    """(nu, lam) is checked before omega, so an inadmissible dilation warns of nothing."""
+    coeffs = _closed_form_coefficients(UltrasphericalParams(nu), lam, DILATION_KINDS[method])
+    _check_relaxation(problem.operator, config.omega, method)
     return _drive(problem, config, _two_step(problem, config.omega, coeffs), callback)
 
 
@@ -364,7 +382,8 @@ def adaptive_codilated_one(problem: Problem, config: SolverConfig, callback=None
     v_min is v_{n-1}, has no finite dilation: chosen_lambda is NaN.
     """
     _check_relaxation(problem.operator, config.omega, Method.ADAPTIVE_CODILATED_ONE)
-    coeffs = _closed_form_coefficients(UltrasphericalParams(1.0), 1.0, ResidualKind.ASYMMETRIC)
+    kind = DILATION_KINDS[Method.CODILATED_NU]
+    coeffs = _closed_form_coefficients(UltrasphericalParams(1.0), 1.0, kind)
     f = f_prev = np.zeros(problem.operator.domain_dim)
     gamma = 0.0
 
@@ -468,45 +487,33 @@ def oracle_check(
 
 
 def solve(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
-    """Dispatch on config.method; scheme-based methods use the co-dilated
-    (m = 1) ultraspherical family with the config's nu and lam."""
+    """Dispatch on config.method; the methods of ``DILATION_KINDS`` use the
+    co-dilated (m = 1) ultraspherical family with the config's nu and lam."""
     method = config.method
+    if method in _CLOSED_FORM:
+        return _closed_form_solve(problem, config.nu, config.lam, config, method, callback)
+    if method in DILATION_KINDS:
+        scheme = ultraspherical_scheme(UltrasphericalParams(config.nu))
+        dilation = None if config.lam == 1.0 else CoDilation(1, config.lam)
+        return _recursive_solve(problem, scheme, dilation, config, method, callback)
     if method is Method.LANDWEBER:
         return landweber(problem, config, callback)
     if method is Method.CG:
         return cg_normal_equations(problem, config, callback)
-    if method is Method.ADAPTIVE_CODILATED_ONE:
-        return adaptive_codilated_one(problem, config, callback)
-    if method is Method.CODILATED_ULTRASPHERICAL:
-        return codilated_ultraspherical(problem, config.nu, config.lam, config, callback)
-    if method is Method.CODILATED_NU:
-        return codilated_nu(problem, config.nu, config.lam, config, callback)
-    scheme = ultraspherical_scheme(UltrasphericalParams(config.nu))
-    dilation = None if config.lam == 1.0 else CoDilation(1, config.lam)
-    if method is Method.GENERAL_SI:
-        return general_semi_iterative(problem, scheme, dilation, config, callback)
-    return asymmetric_semi_iterative(problem, scheme, dilation, config, callback)
-
-
-# closed-form methods that run on a block of dilations, by residual kind
-_BLOCK_KINDS = {
-    Method.CODILATED_ULTRASPHERICAL: ResidualKind.SYMMETRIC,
-    Method.CODILATED_NU: ResidualKind.ASYMMETRIC,
-}
+    return adaptive_codilated_one(problem, config, callback)
 
 
 def _block_kind(config: SolverConfig, lams) -> ResidualKind:
     """Residual kind of the block iteration; ValueError, as ``solve`` would
     raise it, for another method or an inadmissible dilation."""
-    kind = _BLOCK_KINDS.get(config.method)
-    if kind is None:
+    if config.method not in _CLOSED_FORM:
         raise ValueError(f"method {config.method.value} has no block iteration")
     params = UltrasphericalParams(config.nu)
     for lam in lams:
         if not math.isfinite(lam):
             raise ValueError("polynomial parameters nu and lam must be finite")
         _require_admissible(params, lam)
-    return kind
+    return DILATION_KINDS[config.method]
 
 
 def batchable(config: SolverConfig, lam: float) -> bool:
@@ -538,8 +545,7 @@ def solve_dilations(problem: Problem, config: SolverConfig, lams) -> list[SolveR
     kind = _block_kind(config, lams)
     if len(lams) == 0:
         return []
-    symmetric = kind is ResidualKind.SYMMETRIC
-    coeffs = _closed_form_stream(config.nu, np.array(lams, dtype=float), symmetric)
+    coeffs = _closed_form_stream(config.nu, np.asarray(lams, float), kind is ResidualKind.SYMMETRIC)
     _check_relaxation(problem.operator, config.omega, config.method)
     return _drive_block(problem, config, coeffs, len(lams))
 
@@ -552,18 +558,18 @@ def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
     so they stop every row or none.  Later the tests run row by row on
     Python floats only when a cheap screen (a non-finite norm sum, a norm
     below the threshold, a stalled row or the cap) says some row stops;
-    stopped rows then leave the block.  Each row's history is kept as
-    pieces, one per removal or per _BLOCK_HISTORY_CHUNK steps.
+    stopped rows then leave the block.  Each row's history is a list of
+    Python floats, as in ``_drive``.
     """
     threshold = config.tau * config.epsilon
     max_iter = config.resolved_max_iter()
     op, g, omega = problem.operator, problem.g, config.omega
     rn0 = math.sqrt(g @ g)
     reason = _stop_reason(rn0, threshold, 0, 0, max_iter)
+    histories = [[rn0] for _ in range(size)]
     if reason is not None:
-        n0 = np.asarray([rn0])
-        return [SolveReport(0, reason, n0.copy(), np.zeros(op.domain_dim)) for _ in range(size)]
-    pieces = [[np.asarray([rn0])] for _ in range(size)]
+        return [SolveReport(0, reason, np.asarray(h), np.zeros(op.domain_dim)) for h in histories]
+    kept = histories  # the histories of the rows still in the block
     outcomes = [None] * size
     rows = np.arange(size)  # block row -> dilation index
     live = slice(None)  # the entries of a coefficient item still in the block
@@ -574,17 +580,9 @@ def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
     # prev = NaN fails the stagnation test at n = 1, as _drive's inf does;
     # stalled is all zero whenever stalling is false
     prev, stalled, stalling = np.full(size, np.nan), np.zeros(size, dtype=int), False
-    recorded = []
-
-    def keep_recorded():
-        for i, piece in enumerate(np.stack(recorded, axis=1)):
-            pieces[rows[i]].append(piece)
-        recorded.clear()
-
     n = 1
     while True:
         rn = np.sqrt(np.vecdot(v, v))
-        recorded.append(rn)
         # a row that stops by discrepancy or divergence leaves with any count
         same = np.abs(rn - prev) < STAGNATION_RTOL * np.maximum(rn, 1e-300)
         prev = rn
@@ -592,6 +590,8 @@ def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
             stalled = np.where(same, stalled + 1, 0)
             stalling = bool(stalled.any())
         norms = rn.tolist()
+        for history, rn_i in zip(kept, norms):
+            history.append(rn_i)
         if (
             n >= max_iter
             or not math.isfinite(sum(norms))
@@ -604,17 +604,15 @@ def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
                 if reason is not None:
                     stop[i] = True
                     outcomes[rows[i]] = (n, reason, f[i].copy())
+            if stop.all():
+                break
             if stop.any():
-                keep_recorded()
-                if stop.all():
-                    break
                 keep = ~stop
                 rows, f, f_prev, v, prev, stalled = (
                     x[keep] for x in (rows, f, f_prev, v, prev, stalled)
                 )
                 live = rows
-        if len(recorded) == _BLOCK_HISTORY_CHUNK:
-            keep_recorded()
+                kept = [histories[i] for i in rows]
         a, b, _ = next(coeffs)
         a, b = a[live], b[live]
         step = (b * omega)[:, None] * op.rmatvec_rows(v)
@@ -622,6 +620,6 @@ def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
         v = g - op.matvec_rows(f)
         n += 1
     return [
-        SolveReport(iters, reason, np.concatenate(piece), f_final)
-        for piece, (iters, reason, f_final) in zip(pieces, outcomes)
+        SolveReport(iters, reason, np.asarray(history), f_final)
+        for history, (iters, reason, f_final) in zip(histories, outcomes)
     ]

@@ -17,7 +17,9 @@ from codilated.experiments import (
     write_report_csv,
     write_sweep_csv,
 )
+from codilated.orthopoly import CoDilation, ResidualKind, UltrasphericalParams, ultraspherical_scheme
 from codilated.solvers import Method, RelaxationWarning, SolverConfig, StopReason
+from codilated.zeros import find_zeros
 
 
 def spec_for(problem, method=Method.CODILATED_NU, **config_kw):
@@ -163,6 +165,32 @@ class TestSweep:
         assert zeros[2.0] < zeros[1.9]
         assert zeros[2.2] > zeros[2.0]
 
+    @pytest.mark.parametrize(
+        "method, kind",
+        [(Method.CODILATED_ULTRASPHERICAL, ResidualKind.SYMMETRIC),
+         (Method.GENERAL_SI, ResidualKind.SYMMETRIC),
+         (Method.CODILATED_NU, ResidualKind.ASYMMETRIC),
+         (Method.ASYMMETRIC_SI, ResidualKind.ASYMMETRIC)],
+    )
+    def test_zero_curve_of_the_method_residual(self, method, kind):
+        spec = spec_for("diag-last", method, max_iter=300)
+        spec.sweep = [1.0, 1.5]
+        spec.zero_degree = 20
+        scheme = ultraspherical_scheme(UltrasphericalParams(1.0))
+        for row in run_sweep(spec).rows:
+            want = find_zeros(scheme, CoDilation(1, row.lam), kind, 20).smallest
+            assert row.smallest_zero == want
+
+    @pytest.mark.parametrize(
+        "method", [Method.LANDWEBER, Method.CG, Method.ADAPTIVE_CODILATED_ONE]
+    )
+    def test_method_without_dilation_rejected(self, method):
+        # each row would repeat one solve under a lambda that was never used
+        spec = spec_for("diag-last", method, max_iter=300)
+        spec.sweep = [1.0, 1.5]
+        with pytest.raises(ValueError, match="dilation"):
+            run_sweep(spec)
+
     def test_failed_point_recorded_not_raised(self):
         spec = spec_for("diag-last", max_iter=50)
         spec.config.method = Method.GENERAL_SI  # scheme route raises beyond critical
@@ -293,6 +321,17 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "lambda,iterations,stop_reason,final_residual,smallest_zero"
         assert len(lines) == 4  # 1.0, 1.45, 1.9
+
+    def test_sweep_of_method_without_dilation_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(
+            ["sweep", "--problem", "diag-last", "--method", "landweber",
+             "--sweep", "1.0,1.5", "--max-iter", "300", "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert main(["sweep", "--problem", "diag-last"]) == EXIT_CONFIG  # no --sweep
+        assert capsys.readouterr().err.count("error:") == 2
 
     def test_zeros_single_and_sweep(self, tmp_path, capsys):
         code = main(["zeros", "--nu", "1", "--kind", "symmetric", "--degree", "6"])

@@ -1,8 +1,11 @@
-"""Property tests of zero location on random parameters.
+"""Property tests of zero location and of the block solver on random parameters.
 
 Examples are drawn from a fixed seed (``derandomize=True``), so every run
 checks the same cases.
 """
+
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from codilated import zeros  # noqa: E402
+from codilated.operators import Problem, diagonal_operator  # noqa: E402
 from codilated.orthopoly import (  # noqa: E402
     CoDilation,
     ResidualKind,
@@ -18,6 +22,7 @@ from codilated.orthopoly import (  # noqa: E402
     critical_constants,
     ultraspherical_scheme,
 )
+from codilated.solvers import RelaxationWarning, SolverConfig, solve, solve_dilations  # noqa: E402
 from codilated.zeros import find_zeros  # noqa: E402
 from test_zeros import located, scanned  # noqa: E402
 
@@ -67,3 +72,33 @@ def test_smallest_zero_does_not_increase_in_lambda(nu, fractions, kind, n):
     assert low.zeros.size == high.zeros.size == n
     # eigvalsh is backward stable: a few ulp of the matrix norm (about 1)
     assert high.smallest <= low.smallest + 1e-14
+
+
+@st.composite
+def block_cases(draw):
+    """A diagonal problem with N <= 30, nu in (0.5, 4] and 2-4 admissible dilations."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    diag = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    g = np.array(draw(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=n, max_size=n)))
+    nu = draw(st.floats(min_value=0.5, max_value=4.0, exclude_min=True))
+    lam = st.floats(min_value=-2.0, max_value=2.0 * nu, exclude_max=True)
+    lams = draw(st.lists(lam, min_size=2, max_size=4))
+    return diag, g, nu, lams
+
+
+@settings(FIXED, max_examples=60)
+@given(case=block_cases(), method=st.sampled_from(["codilated-nu", "codilated-ultraspherical"]),
+       epsilon=st.floats(min_value=0.0, max_value=0.1))
+def test_block_solve_equals_single_solves(case, method, epsilon):
+    diag, g, nu, lams = case
+    problem = Problem(diagonal_operator(diag), g)
+    config = SolverConfig(method=method, nu=nu, tau=1.5, epsilon=epsilon, max_iter=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RelaxationWarning)  # a norm estimate may round above 1
+        reports = solve_dilations(problem, config, lams)
+        singles = [solve(problem, replace(config, lam=lam)) for lam in lams]
+    for block, single in zip(reports, singles, strict=True):
+        assert (block.iterations, block.stop_reason) == (single.iterations, single.stop_reason)
+        assert np.array_equal(block.residual_history, single.residual_history, equal_nan=True)
+        assert np.array_equal(block.f_final, single.f_final, equal_nan=True)

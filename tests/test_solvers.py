@@ -675,6 +675,16 @@ class TestSolveDilations:
         reports = assert_block_equals_singles(problem, config, [-2.0, 0.5, 1.99])
         assert {r.stop_reason for r in reports} == reasons
 
+    @pytest.mark.parametrize("method", BLOCK_METHODS)
+    def test_denominator_rounded_to_zero(self, method):
+        # at nu one ulp above 1/2 and lam = -1 the first closed-form denominator
+        # is 0.0: the float stream takes the IEEE quotient, as the array stream does
+        problem = Problem(diagonal_operator(np.array([0.5, 0.25])), np.array([1.0, 1.0]))
+        config = quiet_config(method=method, nu=0.5000000000000001, max_iter=50)
+        with pytest.warns(RuntimeWarning):
+            reports = assert_block_equals_singles(problem, config, [-1.0, 0.5])
+        assert [r.stop_reason for r in reports] == [StopReason.DIVERGENCE, StopReason.MAX_ITER]
+
     def test_operator_without_block_apply(self):
         d = np.array([1.0, 0.5, 0.25])
         applied = []

@@ -72,10 +72,15 @@ def runs():
     yield "sweep_deriv2_codilated-ultraspherical", [
         "sweep", "--problem", "deriv2", "--method", "codilated-ultraspherical",
         "--sweep", "0:1.9:0.1", "--out", "out.csv"]
-    # the adaptive method has no block iteration: each point is one solve
-    yield "sweep_diag-last_adaptive-codilated-one", [
-        "sweep", "--problem", "diag-last", "--method", "adaptive-codilated-one",
-        "--sweep", "1.0,1.5", "--max-iter", "500", "--out", "out.csv"]
+    # a symmetric method's zero curve is of its own residual kind
+    yield "sweep_diag-last_codilated-ultraspherical_zero_degree", [
+        "sweep", "--problem", "diag-last", "--method", "codilated-ultraspherical",
+        "--sweep", "1.0,1.5", "--zero-degree", "20", "--out", "out.csv"]
+    # methods without a dilation have no sweep: exit 1, no CSV
+    for method, max_iter in (("adaptive-codilated-one", "500"), ("landweber", "300")):
+        yield f"sweep_diag-last_{method}", [
+            "sweep", "--problem", "diag-last", "--method", method,
+            "--sweep", "1.0,1.5", "--max-iter", max_iter, "--out", "out.csv"]
     yield "sweep_diag-last_divergence", [
         "sweep", "--problem", "diag-last", "--nu", "1", "--sweep", "0.5:2.1:0.2",
         "--omega", "50", "--max-iter", "3000", "--out", "out.csv"]
