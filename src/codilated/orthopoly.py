@@ -399,10 +399,13 @@ def _r_values(nu: float):
     Never forms Gamma directly: R(0) = 2 nu exactly and
     R(n) = R(n-1) * n / (n - 1 + 2 nu), so no overflow for any n.
     """
-    r = 2.0 * nu
+    r = two_nu = 2.0 * nu
     for n in count(1):
         yield r
-        r = r * n / (n - 1 + 2.0 * nu)
+        r = r * n / (n - 1 + two_nu)
+
+
+_CHUNK = 128  # closed-form stream items whose nu- and n-only factors are formed at once
 
 
 def _require_admissible(params: UltrasphericalParams, lam: float):
@@ -433,36 +436,36 @@ def _closed_form_stream(nu: float, lam, symmetric: bool):
     so every item is computed by the same elementwise IEEE operations in the
     same order either way, and entry k of an array item equals the item of
     the float stream for lam[k] bit for bit.  The n = 0 items a_0 = 0 (and,
-    for the symmetric kind, b_0 = 2 and mu_1 = 1) stay floats.
+    for the symmetric kind, b_0 = 2 and mu_1 = 1) stay floats.  The factors
+    that depend only on nu and n are formed as float64 arrays, a chunk of
+    items at a time, by the same operations, and read back as floats.
     """
     c0, c1 = 2.0 * nu - lam, lam - 1.0
-    step = 1 if symmetric else 2
+    step, scale = (1, 2.0) if symmetric else (2, 1.0)  # b_n = scale * mu_{n+1}
     ratios = islice(_r_values(nu), step, None, step)  # R(step), R(2 step), ...
     num = c0 + c1 * next(ratios)
-    if symmetric:
-        yield 0.0, 2.0, 1.0
-    else:
-        amu = (2.0 * nu + 2.0) / (2.0 * nu + 2.0 - lam)
-        yield 0.0, amu, amu
-    for n, r_next in enumerate(ratios, start=1):
-        den = c0 + c1 * r_next
-        if symmetric:
-            top = 2.0 * (n + nu) / (n + 2.0 * nu) * num
-        else:
-            k = 2 * n
-            top = 4.0 * (k + nu) * (k + nu + 1.0) / ((k + 2.0 * nu) * (k + 2.0 * nu + 1.0)) * num
-        try:
-            mu = top / den
-        except ZeroDivisionError:  # den rounds to 0.0 only for nu within ulps of 1/2
-            mu = np.divide(top, den)  # the IEEE quotient, as an array item gets it
-        if symmetric:
-            yield mu - 1.0, 2.0 * mu, mu
-        else:
-            damp = 1.0 - (4.0 * n * n + 4.0 * nu * n + nu - 1.0) / (
-                2.0 * (k + nu + 1.0) * (k + nu - 1.0)
-            )
-            yield damp * mu - 1.0, mu, mu
-        num = den  # this step's denominator is the next step's numerator
+    mu = 1.0 if symmetric else (2.0 * nu + 2.0) / (2.0 * nu + 2.0 - lam)
+    yield 0.0, scale * mu, mu
+    for start in count(1, _CHUNK):
+        n = np.arange(start, start + _CHUNK)
+        k = 2 * n
+        with np.errstate(all="ignore"):  # as floats, these overflow without a warning
+            if symmetric:
+                fac, damp = 2.0 * (n + nu) / (n + 2.0 * nu), np.ones(_CHUNK)
+            else:
+                fac = 4.0 * (k + nu) * (k + nu + 1.0) / ((k + 2.0 * nu) * (k + 2.0 * nu + 1.0))
+                damp = 1.0 - (4.0 * n * n + 4.0 * nu * n + nu - 1.0) / (
+                    2.0 * (k + nu + 1.0) * (k + nu - 1.0)
+                )
+        # zip stops at the end of the chunk before it draws from ratios
+        for fac_n, damp_n, r_next in zip(fac.tolist(), damp.tolist(), ratios):
+            den = c0 + c1 * r_next
+            try:
+                mu = fac_n * num / den
+            except ZeroDivisionError:  # den rounds to 0.0 only for nu within ulps of 1/2
+                mu = np.divide(fac_n * num, den)  # the IEEE quotient, as an array item gets it
+            yield damp_n * mu - 1.0, scale * mu, mu  # symmetric: damp_n = 1
+            num = den  # this step's denominator is the next step's numerator
 
 
 def mu_closed_ultraspherical(params: UltrasphericalParams, lam: float, n: int) -> float:

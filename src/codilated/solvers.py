@@ -2,9 +2,10 @@
 
 Each method is a lazy generator of steps (f_n, f_{n-1}, mu_n, watched
 residual) run by one driver, ``_drive``, which owns the n = 0 entry, the
-residual history, the callback and the stall count, and asks the one stop
-test, ``_stop_reason`` (discrepancy, divergence, stagnation, iteration cap,
-in that order), at n = 0 and after every step.  The callback gets an
+residual history, the callback and the stall count.  The one stop test,
+``_stop_reason`` (discrepancy, divergence, stagnation, iteration cap, in that
+order), decides every stop; after a step it is called only where a screen of
+its four conditions fires, and at n = 0 always.  The callback gets an
 ``IterationState`` only when one is set; without it a step builds no state
 object.  A method may end the solve itself by returning a StopReason: cg on
 breakdown or Krylov exhaustion, the adaptive method when two consecutive
@@ -256,19 +257,22 @@ def _drive(problem, config, steps, callback) -> SolveReport:
     The tests run at n = 0 too, so NaN data apply no operator.  The stall
     count covers consecutive steps from n = 1 on whose norms agree to
     STAGNATION_RTOL; it is updated before the tests, which read it only
-    where rn is finite and not below the threshold.
+    where rn is finite and not below the threshold.  ``_stop_reason`` decides
+    every stop, in its order; a screen of its four conditions only decides
+    when to call it.
     """
     threshold = config.tau * config.epsilon
     max_iter = config.resolved_max_iter()
     g = problem.g
     f = np.zeros(problem.operator.domain_dim)
-    rn = math.sqrt(g @ g)
+    sqrt, inf = math.sqrt, math.inf
+    rn = sqrt(g.dot(g))
     history = [rn]
+    append = history.append
     if callback is not None:
         callback(IterationState(0, f, f, 1.0, g.copy(), rn))
     reason = _stop_reason(rn, threshold, 0, 0, max_iter)
-    prev, stalled = math.inf, 0
-    n = 0
+    prev, stalled, n = inf, 0, 0
     while reason is None:
         try:
             f, f_prev, mu, v = next(steps)
@@ -276,13 +280,15 @@ def _drive(problem, config, steps, callback) -> SolveReport:
             reason = stop.value
             break
         n += 1
-        rn = math.sqrt(v @ v)
-        history.append(rn)
+        rn = sqrt(v.dot(v))
+        append(rn)
         if callback is not None:
             callback(IterationState(n, f, f_prev, mu, v, rn))
-        stalled = stalled + 1 if abs(rn - prev) < STAGNATION_RTOL * max(rn, 1e-300) else 0
+        same = abs(rn - prev) < STAGNATION_RTOL * (rn if rn > 1e-300 else 1e-300)
+        stalled = stalled + 1 if same else 0
         prev = rn
-        reason = _stop_reason(rn, threshold, stalled, n, max_iter)
+        if rn < threshold or not rn < inf or stalled >= STAGNATION_STEPS or n >= max_iter:
+            reason = _stop_reason(rn, threshold, stalled, n, max_iter)
     return SolveReport(n, reason, np.asarray(history), f)
 
 
@@ -392,13 +398,13 @@ def adaptive_codilated_one(problem: Problem, config: SolverConfig, callback=None
         v_prev = problem.g
         for f, f_prev, _, v in _two_step(problem, config.omega, coeffs):
             dv = v - v_prev
-            dv2 = float(dv @ dv)
+            dv2 = float(dv.dot(dv))
             if dv2 < 1e-300:
                 # consecutive residuals coincide: gamma is indeterminate
                 gamma = 0.0
                 yield f, f_prev, gamma, v
                 return StopReason.STAGNATION
-            gamma = float(v @ dv) / dv2
+            gamma = float(v.dot(dv)) / dv2
             yield f, f_prev, gamma, v - gamma * dv
             v_prev = v
 
@@ -417,10 +423,10 @@ def _cg_steps(problem):
     r = g.copy()
     s = op.rmatvec(r)
     p = s.copy()
-    gamma = gamma0 = float(s @ s)
+    gamma = gamma0 = float(s.dot(s))
     while True:
         q = op.matvec(p)
-        qq = float(q @ q)
+        qq = float(q.dot(q))
         if qq <= 0.0:
             return StopReason.BREAKDOWN
         alpha = gamma / qq
@@ -428,7 +434,7 @@ def _cg_steps(problem):
         r = r - alpha * q
         yield f, f_prev, alpha, g - op.matvec(f)
         s = op.rmatvec(r)
-        gamma_new = float(s @ s)
+        gamma_new = float(s.dot(s))
         if gamma_new <= (1e-14) ** 2 * gamma0:
             # Krylov space exhausted: no further progress possible
             return StopReason.STAGNATION
@@ -564,7 +570,7 @@ def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
     threshold = config.tau * config.epsilon
     max_iter = config.resolved_max_iter()
     op, g, omega = problem.operator, problem.g, config.omega
-    rn0 = math.sqrt(g @ g)
+    rn0 = math.sqrt(g.dot(g))
     reason = _stop_reason(rn0, threshold, 0, 0, max_iter)
     histories = [[rn0] for _ in range(size)]
     if reason is not None:

@@ -1,4 +1,5 @@
 import math
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from codilated.orthopoly import (
     RecurrenceScheme,
     ResidualKind,
     UltrasphericalParams,
+    _closed_form_stream,
     amu_closed,
     amu_closed_sequence,
     chebyshev_closed,
@@ -33,6 +35,42 @@ from codilated.orthopoly import (
 CHEB = chebyshev_u_scheme()
 SYM = ResidualKind.SYMMETRIC
 ASYM = ResidualKind.ASYMMETRIC
+
+
+def textbook_closed_form(nu, lam, symmetric):
+    """(a_n, b_n, mu_{n+1}), n = 0, 1, ..., of the co-dilated (m = 1)
+    ultraspherical family, one item at a time from the explicit formulas in
+    Python floats: mu_{n+1} = fac(n) ((2 nu - lam) + (lam - 1) R(n'))
+    / ((2 nu - lam) + (lam - 1) R(n' + s)) with s = 1 (symmetric) or 2
+    (asymmetric) and n' = s n."""
+    c0, c1 = 2.0 * nu - lam, lam - 1.0
+    r = [2.0 * nu]  # R(0), R(1), ...: R(j) = R(j - 1) j / (j - 1 + 2 nu)
+
+    def big_r(j):
+        while len(r) <= j:
+            r.append(r[-1] * len(r) / (len(r) - 1 + 2.0 * nu))
+        return r[j]
+
+    step = 1 if symmetric else 2
+    num = c0 + c1 * big_r(step)
+    if symmetric:
+        yield 0.0, 2.0, 1.0
+    else:
+        amu = (2.0 * nu + 2.0) / (2.0 * nu + 2.0 - lam)
+        yield 0.0, amu, amu
+    for n in count(1):
+        den = c0 + c1 * big_r(step * (n + 1))
+        if symmetric:
+            mu = 2.0 * (n + nu) / (n + 2.0 * nu) * num / den
+            yield mu - 1.0, 2.0 * mu, mu
+        else:
+            k = 2 * n
+            mu = 4.0 * (k + nu) * (k + nu + 1.0) / ((k + 2.0 * nu) * (k + 2.0 * nu + 1.0)) * num / den
+            damp = 1.0 - (4.0 * n * n + 4.0 * nu * n + nu - 1.0) / (
+                2.0 * (k + nu + 1.0) * (k + nu - 1.0)
+            )
+            yield damp * mu - 1.0, mu, mu
+        num = den
 
 
 class TestEvalMonic:
@@ -311,6 +349,28 @@ class TestMuRecursive:
             mu_recursive(CHEB, CoDilation(1, 2.5), 500)
         with pytest.raises(DivergentNormalization):
             mu_recursive(CHEB, CoDilation(1, 2.5), 500, ASYM)
+
+
+class TestClosedFormStream:
+    LAMS = {0.51: [-1.0, 0.0, 0.5, 1.0, 1.019], 1.0: [-0.5, 0.5, 1.0, 1.5, 1.99],
+            2.0: [0.0, 1.0, 3.0, 3.99, 3.99998], 3.7: [-2.0, 1.0, 7.3],
+            math.pi / 2: [-1.0, 0.3, 1.0, 3.1]}
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("nu", sorted(LAMS))
+    def test_items_equal_textbook_formulas(self, nu, symmetric):
+        # 400 items span several chunks of the factors formed as arrays
+        lams = self.LAMS[nu]
+        want = [list(islice(textbook_closed_form(nu, lam, symmetric), 400)) for lam in lams]
+        for lam, items in zip(lams, want):
+            got = list(islice(_closed_form_stream(nu, lam, symmetric), 400))
+            assert got == items
+            assert all(type(x) is float for item in got for x in item)
+        block = islice(_closed_form_stream(nu, np.array(lams), symmetric), 400)
+        for n, item in enumerate(block):  # a_0 (and the symmetric b_0, mu_1) stay floats
+            for j in range(3):
+                entries = np.broadcast_to(item[j], len(lams))
+                assert np.array_equal(entries, [items[n][j] for items in want])
 
 
 class TestMuClosed:

@@ -1,9 +1,11 @@
-"""Property tests of zero location and of the block solver on random parameters.
+"""Property tests of zero location, of the block solver and of stop reasons
+on random parameters.
 
 Examples are drawn from a fixed seed (``derandomize=True``), so every run
 checks the same cases.
 """
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -22,7 +24,14 @@ from codilated.orthopoly import (  # noqa: E402
     critical_constants,
     ultraspherical_scheme,
 )
-from codilated.solvers import RelaxationWarning, SolverConfig, solve, solve_dilations  # noqa: E402
+from codilated.solvers import (  # noqa: E402
+    Method,
+    RelaxationWarning,
+    SolverConfig,
+    StopReason,
+    solve,
+    solve_dilations,
+)
 from codilated.zeros import find_zeros  # noqa: E402
 from test_zeros import located, scanned  # noqa: E402
 
@@ -102,3 +111,24 @@ def test_block_solve_equals_single_solves(case, method, epsilon):
         assert (block.iterations, block.stop_reason) == (single.iterations, single.stop_reason)
         assert np.array_equal(block.residual_history, single.residual_history, equal_nan=True)
         assert np.array_equal(block.f_final, single.f_final, equal_nan=True)
+
+
+@settings(FIXED, max_examples=50)
+@given(case=block_cases(), omega=st.floats(min_value=0.1, max_value=50.0),
+       epsilon=st.floats(min_value=0.0, max_value=0.1))
+def test_non_finite_only_on_divergence(case, omega, epsilon):
+    # omega ||A*A|| up to 50: past every method's range of convergence, far
+    # enough for many solves to overflow within the cap
+    diag, g, nu, lams = case
+    problem = Problem(diagonal_operator(diag), g)
+    for method in Method:
+        config = SolverConfig(method=method, nu=nu, lam=lams[0], omega=omega, tau=1.5,
+                              epsilon=epsilon, max_iter=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # relaxation and overflow warnings
+            report = solve(problem, config)
+        last = report.residual_history[-1]
+        if not (math.isfinite(last) and np.all(np.isfinite(report.f_final))):
+            assert report.stop_reason is StopReason.DIVERGENCE
+        if report.stop_reason is StopReason.DISCREPANCY:
+            assert last < 1.5 * epsilon

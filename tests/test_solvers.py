@@ -1,5 +1,7 @@
+import math
 import warnings
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from codilated.orthopoly import (
     ultraspherical_scheme,
 )
 from codilated.solvers import (
+    STAGNATION_RTOL,
     STAGNATION_STEPS,
     IterationState,
     Method,
@@ -43,6 +46,8 @@ from codilated.solvers import (
     solve,
     solve_dilations,
 )
+from codilated.solvers import _drive, _stop_reason
+from test_orthopoly import textbook_closed_form
 
 CHEB = chebyshev_u_scheme()
 
@@ -547,6 +552,125 @@ class TestConfigAndDriver:
             )
             report = solve(problem, config)
             assert report.iterations <= 50
+
+
+def replayed_stop(history, threshold, max_iter):
+    """(n, reason, conditions) of the first recorded norm at which
+    ``_stop_reason`` fires, with the stall count recomputed from the norms the
+    textbook way, and the names of its conditions that hold there."""
+    stalled, prev = 0, math.inf
+    for n, rn in enumerate(history):
+        if n:
+            same = abs(rn - prev) < STAGNATION_RTOL * max(rn, 1e-300)
+            stalled, prev = (stalled + 1 if same else 0), rn
+        reason = _stop_reason(rn, threshold, stalled, n, max_iter)
+        if reason is not None:
+            held = {"discrepancy": rn < threshold, "divergence": not math.isfinite(rn),
+                    "stagnation": stalled >= STAGNATION_STEPS, "max-iter": n >= max_iter}
+            return n, reason, {name for name, holds in held.items() if holds}
+    return None
+
+
+class TestStopPrecedence:
+    """``_drive`` on synthetic steps whose norms make several stop conditions
+    hold on one step: 50 norms equal to the threshold (the stall count reaches
+    49 at step 50), then a chosen norm at step 51, then rising norms up to
+    step 80, after which the steps end without a reason."""
+
+    THRESHOLD = 1.0
+    BELOW = math.nextafter(1.0, 0.0)  # one ulp below: below the threshold and stalled
+
+    @staticmethod
+    def steps(norms, drawn):
+        for n, rn in enumerate(norms, start=1):
+            drawn.append(n)
+            yield np.array([float(n)]), np.array([n - 1.0]), 1.0, np.array([rn])
+
+    @pytest.mark.parametrize(
+        "last, max_iter, reason, held",
+        [
+            (BELOW, 51, StopReason.DISCREPANCY, {"discrepancy", "stagnation", "max-iter"}),
+            (BELOW, 60, StopReason.DISCREPANCY, {"discrepancy", "stagnation"}),
+            (0.5, 51, StopReason.DISCREPANCY, {"discrepancy", "max-iter"}),
+            (0.5, 60, StopReason.DISCREPANCY, {"discrepancy"}),
+            (math.nan, 51, StopReason.DIVERGENCE, {"divergence", "max-iter"}),
+            (math.nan, 60, StopReason.DIVERGENCE, {"divergence"}),
+            (math.inf, 51, StopReason.DIVERGENCE, {"divergence", "max-iter"}),
+            (math.inf, 60, StopReason.DIVERGENCE, {"divergence"}),
+            (1.0, 51, StopReason.STAGNATION, {"stagnation", "max-iter"}),
+            (1.0, 60, StopReason.STAGNATION, {"stagnation"}),
+            (2.0, 51, StopReason.MAX_ITER, {"max-iter"}),
+            (2.0, 60, StopReason.MAX_ITER, {"max-iter"}),  # at step 60
+        ],
+    )
+    def test_report_equals_stop_reason_on_recorded_norms(self, last, max_iter, reason, held):
+        norms = [self.THRESHOLD] * 50 + [last] + [3.0 + j for j in range(29)]
+        problem = Problem(diagonal_operator(np.ones(1)), np.array([10.0]))
+        config = SolverConfig(tau=2.0, epsilon=self.THRESHOLD / 2.0, max_iter=max_iter)
+        drawn = []
+        report = _drive(problem, config, self.steps(norms, drawn), None)
+        history = report.residual_history
+        assert np.array_equal(history[1:], norms[: report.iterations], equal_nan=True)
+        assert replayed_stop(history.tolist(), self.THRESHOLD, max_iter) == (
+            report.iterations, report.stop_reason, held)
+        assert report.stop_reason is reason
+        assert drawn[-1] == report.iterations  # no step drawn after the stop
+        assert report.f_final[0] == report.iterations
+
+    def test_steps_that_end_give_their_reason(self):
+        problem = Problem(diagonal_operator(np.ones(1)), np.array([10.0]))
+
+        def steps():
+            yield np.ones(1), np.zeros(1), 1.0, np.array([5.0])
+            return StopReason.BREAKDOWN
+
+        report = _drive(problem, SolverConfig(max_iter=10), steps(), None)
+        assert (report.iterations, report.stop_reason) == (1, StopReason.BREAKDOWN)
+
+
+def textbook_two_step(problem, omega, coeffs, threshold, max_iter):
+    """f_{n+1} = f_n + a_n (f_n - f_{n-1}) + b_n omega A*(g - A f_n) from
+    f_0 = f_{-1} = 0, until ||g - A f_n|| < threshold or n = max_iter; the
+    norms as sqrt(v @ v).  Returns the norms and the last iterate."""
+    op, g = problem.operator, problem.g
+    f = f_prev = np.zeros(op.domain_dim)
+    v = g
+    history = [math.sqrt(g @ g)]
+    for a, b, _ in coeffs:
+        if history[-1] < threshold or len(history) > max_iter:
+            break
+        f, f_prev = f + a * (f - f_prev) + b * omega * op.rmatvec(v), f
+        v = g - op.matvec(f)
+        history.append(math.sqrt(v @ v))
+    return history, f
+
+
+class TestTextbookLoop:
+    """Solves on deriv2 equal a textbook loop bit for bit: the norms taken
+    with ``dot`` and the stop screen change no arithmetic."""
+
+    _, OMEGA, EPS, TAU = PROBLEM_DEFAULTS["deriv2"]
+
+    def check(self, config, coeffs, reason):
+        problem = deriv2_problem()
+        report = solve(problem, config)
+        history, f = textbook_two_step(
+            problem, self.OMEGA, coeffs, self.TAU * self.EPS, config.resolved_max_iter())
+        assert report.stop_reason is reason
+        assert report.iterations == len(history) - 1
+        assert report.residual_history.tolist() == history
+        assert np.array_equal(report.f_final, f)
+
+    def test_landweber_2000_steps(self):
+        config = SolverConfig(method="landweber", omega=self.OMEGA, epsilon=self.EPS,
+                              tau=self.TAU, max_iter=2000)
+        self.check(config, repeat((0.0, 2.0, 1.0)), StopReason.MAX_ITER)
+
+    def test_codilated_nu_to_its_stop(self):
+        config = SolverConfig(method="codilated-nu", nu=2.0, lam=3.99, omega=self.OMEGA,
+                              epsilon=self.EPS, tau=self.TAU)
+        coeffs = textbook_closed_form(2.0, 3.99, symmetric=False)
+        self.check(config, coeffs, StopReason.DISCREPANCY)
 
 
 class TestRelaxationWarnings:

@@ -1,0 +1,164 @@
+"""Driver overhead per step: ``solve`` against a plain loop of the same NumPy calls.
+
+    python tools/stepcost.py [--repeats N] [--landweber-steps K]
+
+On the stock ``deriv2`` problem (N = 50, omega = 96.5, eps = 0.01, tau = 4,
+seed 15) each method is solved with ``codilated.solvers.solve`` and then
+replayed by a plain loop written here: the same matrix products, vector
+updates and norms, with the coefficients listed in advance and no stopping
+test.  The loop runs the solve's iteration count, and the script asserts that
+its residual history equals the solve's bit for bit.  It prints the best of
+N timings per step of both, and their difference: the cost of the driver,
+the step generators and the coefficient streams.  The ``src/`` tree next to
+this script is the one measured.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import sys
+import time
+from dataclasses import replace
+from itertools import islice
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from codilated.experiments import PROBLEM_DEFAULTS, ExperimentSpec, build_problem  # noqa: E402
+from codilated.operators import deriv2_assemble  # noqa: E402
+from codilated.orthopoly import ResidualKind, UltrasphericalParams  # noqa: E402
+from codilated.orthopoly import _closed_form_coefficients  # noqa: E402
+from codilated.solvers import Method, SolverConfig, solve  # noqa: E402
+
+
+def nu_coefficients(nu, lam, count):
+    stream = _closed_form_coefficients(UltrasphericalParams(nu), lam, ResidualKind.ASYMMETRIC)
+    return list(islice(stream, count))
+
+
+def plain_two_step(a, at, g, omega, coeffs):
+    """History of f_{n+1} = f_n + a_n (f_n - f_{n-1}) + b_n omega A*(g - A f_n)."""
+    sqrt = math.sqrt
+    f = f_prev = np.zeros(a.shape[1])
+    v = g
+    history = [sqrt(g.dot(g))]
+    for a_n, b_n, _ in coeffs:
+        step = b_n * omega * at.dot(v)
+        f_prev, f = f, f + step if a_n == 0.0 else f + a_n * (f - f_prev) + step
+        v = g - a.dot(f)
+        history.append(sqrt(v.dot(v)))
+    return history
+
+
+def plain_landweber(a, at, g, omega, steps):
+    sqrt = math.sqrt
+    c = 2.0 * omega
+    f = np.zeros(a.shape[1])
+    v = g
+    history = [sqrt(g.dot(g))]
+    for _ in range(steps):
+        f = f + c * at.dot(v)
+        v = g - a.dot(f)
+        history.append(sqrt(v.dot(v)))
+    return history
+
+
+def plain_adaptive(a, at, g, omega, coeffs):
+    """History of the affine-minimal residuals of the nu = lam = 1 nu-method."""
+    sqrt = math.sqrt
+    f = f_prev = np.zeros(a.shape[1])
+    v = g
+    history = [sqrt(g.dot(g))]
+    for a_n, b_n, _ in coeffs:
+        step = b_n * omega * at.dot(v)
+        f_prev, f = f, f + step if a_n == 0.0 else f + a_n * (f - f_prev) + step
+        v_prev, v = v, g - a.dot(f)
+        dv = v - v_prev
+        gamma = float(v.dot(dv)) / float(dv.dot(dv))
+        v_min = v - gamma * dv
+        history.append(sqrt(v_min.dot(v_min)))
+    return history
+
+
+def plain_cg(a, at, g, steps):
+    sqrt = math.sqrt
+    f = np.zeros(a.shape[1])
+    r = g.copy()
+    s = at.dot(r)
+    p = s.copy()
+    gamma = float(s.dot(s))
+    history = [sqrt(g.dot(g))]
+    for _ in range(steps):
+        q = a.dot(p)
+        alpha = gamma / float(q.dot(q))
+        f = f + alpha * p
+        r = r - alpha * q
+        v = g - a.dot(f)
+        history.append(sqrt(v.dot(v)))
+        s = at.dot(r)
+        gamma_new = float(s.dot(s))
+        p = s + (gamma_new / gamma) * p
+        gamma = gamma_new
+    return history
+
+
+def best_of(repeats, *fns):
+    """Best time of each function over ``repeats`` interleaved rounds, so a
+    drift of the machine's speed reaches all of them alike; and their results."""
+    best = [math.inf] * len(fns)
+    for _ in range(repeats):
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best, [fn() for fn in fns]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=15, help="timings per case (best kept)")
+    parser.add_argument("--landweber-steps", type=int, default=5000,
+                        help="Landweber iteration cap (its discrepancy stop is 345 071)")
+    args = parser.parse_args(argv)
+
+    n, omega, eps, tau = PROBLEM_DEFAULTS["deriv2"]
+    base = SolverConfig(omega=omega, epsilon=eps, tau=tau)
+    problem = build_problem(ExperimentSpec(problem="deriv2", config=base)).as_problem()
+    a = np.ascontiguousarray(deriv2_assemble(n).matrix)
+    at = np.ascontiguousarray(a.T)
+    g = problem.g
+
+    def nu_replay(plain):
+        def replay(k):
+            coeffs = nu_coefficients(1.0, 1.0, k)  # listed outside the timed loop
+            return lambda: plain(a, at, g, omega, coeffs)
+        return replay
+
+    # (method, its plain loop: iteration count -> the timed replay)
+    cases = [
+        (Method.LANDWEBER, lambda k: lambda: plain_landweber(a, at, g, omega, k)),
+        (Method.CODILATED_NU, nu_replay(plain_two_step)),
+        (Method.ADAPTIVE_CODILATED_ONE, nu_replay(plain_adaptive)),
+        (Method.CG, lambda k: lambda: plain_cg(a, at, g, k)),
+    ]
+    print(f"{'method':<24}{'steps':>8}{'solve us/step':>15}{'plain us/step':>15}"
+          f"{'overhead':>10}{'ratio':>7}")
+    for method, replay in cases:
+        max_iter = args.landweber_steps if method is Method.LANDWEBER else None
+        config = replace(base, method=method, max_iter=max_iter)
+        k = solve(problem, config).iterations  # warm-up; also memoises the norm estimate
+        (t_solve, t_plain), (report, history) = best_of(
+            args.repeats, lambda: solve(problem, config), replay(k))
+        if history != report.residual_history.tolist():
+            raise AssertionError(f"{method.value}: the plain loop's history differs from the solve's")
+        us_solve, us_plain = 1e6 * t_solve / k, 1e6 * t_plain / k
+        print(f"{method.value:<24}{k:>8}{us_solve:>15.2f}{us_plain:>15.2f}"
+              f"{us_solve - us_plain:>10.2f}{us_solve / us_plain:>7.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
