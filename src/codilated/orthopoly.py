@@ -324,10 +324,11 @@ def residual_eval(
         degree, arg = n, 1.0 - 2.0 * ya
     else:
         degree, arg = 2 * n, np.sqrt(1.0 - ya)
-    denom = eval_monic(scheme, dilation, degree, 1.0)
-    if abs(denom) < 1e-300:
-        raise NormalizationVanishes(f"P_{degree}(1) = {denom}")
-    return eval_monic(scheme, dilation, degree, arg) / denom
+    values = eval_monic(scheme, dilation, degree, np.append(arg, 1.0))  # P(1) last, one pass
+    if abs(values[-1]) < 1e-300:
+        raise NormalizationVanishes(f"P_{degree}(1) = {values[-1]}")
+    r = values[:-1] / values[-1]
+    return float(r[0]) if ya.ndim == 0 else r.reshape(ya.shape)
 
 
 def _entry(stream, n: int):
@@ -405,13 +406,14 @@ def _r_values(nu: float):
         r = r * n / (n - 1 + two_nu)
 
 
-_CHUNK = 128  # closed-form stream items whose nu- and n-only factors are formed at once
+_CHUNK = 128  # closed-form stream items formed at once, as the rows of arrays
 
 
 def _require_admissible(params: UltrasphericalParams, lam: float):
     params.require_closed_forms()
-    if not lam < 2.0 * params.nu:  # NaN fails too
-        raise ValueError(f"dilation {lam} must be below the critical value {2.0 * params.nu}")
+    critical = critical_constants(params).lambda_critical
+    if not lam < critical:  # NaN fails too
+        raise ValueError(f"dilation {lam} must be below the critical value {critical}")
 
 
 def _closed_form_coefficients(params: UltrasphericalParams, lam: float, kind: ResidualKind):
@@ -432,13 +434,13 @@ def _closed_form_coefficients(params: UltrasphericalParams, lam: float, kind: Re
 
 def _closed_form_stream(nu: float, lam, symmetric: bool):
     """The closed-form stream for one dilation (a float) or for several at
-    once (an ndarray, one entry per dilation).  R(n) does not depend on lam,
-    so every item is computed by the same elementwise IEEE operations in the
-    same order either way, and entry k of an array item equals the item of
-    the float stream for lam[k] bit for bit.  The n = 0 items a_0 = 0 (and,
-    for the symmetric kind, b_0 = 2 and mu_1 = 1) stay floats.  The factors
-    that depend only on nu and n are formed as float64 arrays, a chunk of
-    items at a time, by the same operations, and read back as floats.
+    once (an ndarray, one entry per dilation).  The items from n = 1 on are
+    formed _CHUNK at a time as float64 arrays, one row per item and one
+    column per dilation, by the same expressions for either lam; R(n) does
+    not depend on lam and is accumulated in floats.  So entry k of a block
+    item equals the float stream's item for lam[k] bit for bit.  The float
+    stream reads its rows back as floats, the block yields row views; the
+    n = 0 items a_0 = 0 (symmetric: b_0 = 2, mu_1 = 1) stay floats.
     """
     c0, c1 = 2.0 * nu - lam, lam - 1.0
     step, scale = (1, 2.0) if symmetric else (2, 1.0)  # b_n = scale * mu_{n+1}
@@ -446,26 +448,23 @@ def _closed_form_stream(nu: float, lam, symmetric: bool):
     num = c0 + c1 * next(ratios)
     mu = 1.0 if symmetric else (2.0 * nu + 2.0) / (2.0 * nu + 2.0 - lam)
     yield 0.0, scale * mu, mu
+    column = (_CHUNK,) + (1,) * np.ndim(lam)  # a chunk's n-only factors, one per row
+    rows = np.ndarray.tolist if np.ndim(lam) == 0 else iter
     for start in count(1, _CHUNK):
-        n = np.arange(start, start + _CHUNK)
+        n = np.arange(start, start + _CHUNK).reshape(column)
         k = 2 * n
-        with np.errstate(all="ignore"):  # as floats, these overflow without a warning
+        with np.errstate(all="ignore"):  # a huge nu overflows these; the quotient may still warn
             if symmetric:
-                fac, damp = 2.0 * (n + nu) / (n + 2.0 * nu), np.ones(_CHUNK)
+                fac, damp = 2.0 * (n + nu) / (n + 2.0 * nu), 1.0
             else:
                 fac = 4.0 * (k + nu) * (k + nu + 1.0) / ((k + 2.0 * nu) * (k + 2.0 * nu + 1.0))
                 damp = 1.0 - (4.0 * n * n + 4.0 * nu * n + nu - 1.0) / (
                     2.0 * (k + nu + 1.0) * (k + nu - 1.0)
                 )
-        # zip stops at the end of the chunk before it draws from ratios
-        for fac_n, damp_n, r_next in zip(fac.tolist(), damp.tolist(), ratios):
-            den = c0 + c1 * r_next
-            try:
-                mu = fac_n * num / den
-            except ZeroDivisionError:  # den rounds to 0.0 only for nu within ulps of 1/2
-                mu = np.divide(fac_n * num, den)  # the IEEE quotient, as an array item gets it
-            yield damp_n * mu - 1.0, scale * mu, mu  # symmetric: damp_n = 1
-            num = den  # this step's denominator is the next step's numerator
+        den = c0 + c1 * np.fromiter(ratios, float, _CHUNK).reshape(column)
+        mu = fac * np.concatenate(([num], den[:-1])) / den  # num_n is den_{n-1}
+        num = den[-1]
+        yield from zip(rows(damp * mu - 1.0), rows(scale * mu), rows(mu))
 
 
 def mu_closed_ultraspherical(params: UltrasphericalParams, lam: float, n: int) -> float:
@@ -499,12 +498,11 @@ def amu_closed_sequence(params: UltrasphericalParams, lam: float, n_max: int) ->
 
 
 def critical_constants(params: UltrasphericalParams) -> CriticalConstants:
-    """L1 and the critical dilation 1/(1 - L1): 2 nu for nu > 1/2, else 1."""
-    if params.nu > 0.5:
-        l1 = (2.0 * params.nu - 1.0) / (2.0 * params.nu)
-    else:
-        l1 = 0.0
-    return CriticalConstants(L1=l1, lambda_critical=1.0 / (1.0 - l1))
+    """L1 and the critical dilation 1/(1 - L1), taken as 2 nu exactly for nu > 1/2; else 0, 1."""
+    nu = params.nu
+    if nu > 0.5:
+        return CriticalConstants(L1=(2.0 * nu - 1.0) / (2.0 * nu), lambda_critical=2.0 * nu)
+    return CriticalConstants(L1=0.0, lambda_critical=1.0)
 
 
 def numerator_quotient_at_one(params: UltrasphericalParams, n: int) -> float:

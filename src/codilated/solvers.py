@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import repeat
 
@@ -139,7 +139,7 @@ class SolverConfig:
     """Method selection plus iteration parameters.
 
     epsilon is the noise level entering the discrepancy threshold
-    tau * epsilon; max_iter of None picks the per-method default
+    tau * epsilon; max_iter of None picks the default of the method run
     (10^6 for Landweber, 10^3 for cg, 10^4 otherwise).
     """
 
@@ -199,6 +199,11 @@ class SolveReport:
     f_final: np.ndarray
     chosen_lambda: float | None = None
     gamma_final: float | None = None
+
+
+def _run_as(config: SolverConfig, method: Method) -> SolverConfig:
+    """config run by method: an unset max_iter takes method's default cap."""
+    return config if config.method is method else replace(config, method=method)
 
 
 def discrepancy_stop(state: IterationState, tau: float, epsilon: float) -> bool:
@@ -311,8 +316,8 @@ def _two_step(problem, omega, coeffs):
 def landweber(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
     """f_{n+1} = f_n + 2 omega A*(g - A f_n) from f_0 = 0."""
     _check_relaxation(problem.operator, config.omega, Method.LANDWEBER)
-    coeffs = repeat((0.0, 2.0, 1.0))
-    return _drive(problem, config, _two_step(problem, config.omega, coeffs), callback)
+    steps = _two_step(problem, config.omega, repeat((0.0, 2.0, 1.0)))
+    return _drive(problem, _run_as(config, Method.LANDWEBER), steps, callback)
 
 
 def general_semi_iterative(
@@ -366,13 +371,14 @@ def _recursive_solve(problem, scheme, dilation, config, method, callback) -> Sol
     if kind is ResidualKind.ASYMMETRIC and not scheme.symmetric:
         raise ValueError("asymmetric residual polynomials need a symmetric scheme")
     _check_relaxation(problem.operator, config.omega, method)
-    coeffs = _recursive_coefficients(scheme, dilation, kind)
-    return _drive(problem, config, _two_step(problem, config.omega, coeffs), callback)
+    steps = _two_step(problem, config.omega, _recursive_coefficients(scheme, dilation, kind))
+    return _drive(problem, _run_as(config, method), steps, callback)
 
 
 def _closed_form_solve(problem, nu, lam, config, method, callback) -> SolveReport:
     """(nu, lam) is checked before omega, so an inadmissible dilation warns of nothing."""
     coeffs = _closed_form_coefficients(UltrasphericalParams(nu), lam, DILATION_KINDS[method])
+    config = _run_as(config, method)
     _check_relaxation(problem.operator, config.omega, method)
     return _drive(problem, config, _two_step(problem, config.omega, coeffs), callback)
 
@@ -408,7 +414,7 @@ def adaptive_codilated_one(problem: Problem, config: SolverConfig, callback=None
             yield f, f_prev, gamma, v - gamma * dv
             v_prev = v
 
-    report = _drive(problem, config, steps(), callback)
+    report = _drive(problem, _run_as(config, Method.ADAPTIVE_CODILATED_ONE), steps(), callback)
     n = report.iterations
     den = (2.0 * n - 1.0) * (1.0 - gamma)  # zero only at gamma = 1
     report.chosen_lambda = 1.0 - (2.0 * n + 1.0) * gamma / den if den else math.nan
@@ -451,7 +457,7 @@ def cg_normal_equations(problem: Problem, config: SolverConfig, callback=None) -
     with STAGNATION; nonpositive direction curvature is a BREAKDOWN and
     the current iterate is returned as-is.
     """
-    return _drive(problem, config, _cg_steps(problem), callback)
+    return _drive(problem, _run_as(config, Method.CG), _cg_steps(problem), callback)
 
 
 def oracle_check(

@@ -453,6 +453,17 @@ class TestConstants:
         c2 = critical_constants(UltrasphericalParams(2.0))
         assert (c2.L1, c2.lambda_critical) == (0.75, 4.0)
 
+    def test_critical_dilation_is_the_admissibility_bound(self):
+        # 1/(1 - L1) misses 2 nu in the last bit for most of these nu
+        for nu in [0.667781619080954, *np.linspace(0.5001, 10, 20000).tolist()]:
+            params = UltrasphericalParams(nu)
+            crit = critical_constants(params).lambda_critical
+            assert crit == 2.0 * nu
+            assert abs(limit_ratio(params, crit)) < 1e-12 * nu  # zero up to rounding
+            with pytest.raises(ValueError):
+                sup_bound_codilated(params, crit)
+            assert sup_bound_codilated(params, math.nextafter(crit, 0.0)) > 0.0
+
     def test_numerator_quotient_nu_one(self):
         params = UltrasphericalParams(1.0)
         assert numerator_quotient_at_one(params, 1) == pytest.approx(1.0, abs=1e-15)

@@ -460,6 +460,40 @@ class TestConfigAndDriver:
         assert SolverConfig(method="codilated-nu").resolved_max_iter() == 10**4
         assert SolverConfig(method="cg", max_iter=7).resolved_max_iter() == 7
 
+    def test_method_functions_take_their_own_default_cap(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        caps = []
+
+        def driver(problem, config, steps, callback):
+            caps.append(config.resolved_max_iter())
+            raise Reached
+
+        monkeypatch.setattr("codilated.solvers._drive", driver)
+        problem = Problem(diagonal_operator(np.array([0.5, 0.25])), np.ones(2))
+        runs = [
+            (lambda c: landweber(problem, c), 10**6),
+            (lambda c: cg_normal_equations(problem, c), 10**3),
+            (lambda c: general_semi_iterative(problem, CHEB, None, c), 10**4),
+            (lambda c: asymmetric_semi_iterative(problem, CHEB, None, c), 10**4),
+            (lambda c: codilated_ultraspherical(problem, 1.0, 1.0, c), 10**4),
+            (lambda c: codilated_nu(problem, 1.0, 1.0, c), 10**4),
+            (lambda c: adaptive_codilated_one(problem, c), 10**4),
+        ]
+        for run, cap in runs:
+            for method in ("landweber", "cg", "codilated-nu"):  # config.method picks no cap
+                with pytest.raises(Reached):
+                    run(quiet_config(method=method))
+                assert caps.pop() == cap
+
+    def test_landweber_runs_past_the_default_cap_of_other_methods(self):
+        # the residual norm is (1 - 1e-4)^n, below 4 * 0.075 first at n = 12 040
+        problem = Problem(diagonal_operator(np.array([1.0, 0.01])), np.ones(2))
+        report = landweber(problem, quiet_config(omega=0.5, epsilon=0.075))
+        assert report.stop_reason is StopReason.DISCREPANCY
+        assert report.iterations == 12040
+
     def test_history_contract(self):
         problem = deriv2_problem()
         report = codilated_nu(problem, 1.0, 1.0, quiet_config(omega=96.5, epsilon=0.01))

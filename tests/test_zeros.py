@@ -174,11 +174,23 @@ class TestEigenvaluePath:
 
     @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
     def test_power_basis_is_scanned(self, kind):
-        # beta == 0: no Jacobi matrix, so the result is the scan's, bit for bit
-        scheme = power_basis_scheme()
-        for n in (1, 2, 5, 20):
-            for dil in (None, CoDilation(1, 1.5)):
-                assert np.array_equal(located(scheme, dil, kind, n), scanned(scheme, dil, kind, n))
+        # no Jacobi matrix, so the result is the scan's, bit for bit: beta == 0;
+        # the even folding of a scheme with alpha != 0; beta_9 = -1, which
+        # enters the unfolded matrix from degree 10 on (the folded one squares it)
+        cases = [(power_basis_scheme(), dil, n)
+                 for n in (1, 2, 5, 20) for dil in (None, CoDilation(1, 1.5))]
+        if kind is ASYM:
+            skewed = RecurrenceScheme(alpha=lambda n: 0.1, beta=lambda n: 0.25)
+            cases += [(skewed, dil, n) for n in (1, 5, 20) for dil in (None, CoDilation(1, 1.5))]
+        else:
+            tail = RecurrenceScheme(alpha=lambda n: 0.0, beta=lambda n: 0.25 if n < 9 else -1.0,
+                                    symmetric=True)
+            cases += [(tail, None, n) for n in (10, 11, 20)]
+        for scheme, dil, n in cases:
+            assert zeros._jacobi_eigenvalues(scheme, dil, n, folded=kind is ASYM) is None
+            got = located(scheme, dil, kind, n)
+            assert np.array_equal(got, scanned(scheme, dil, kind, n)), (n, dil)
+            assert got.size or scheme.allow_zero_beta, (n, dil)
 
 
 def per_index_jacobi(scheme, dilation, n, folded):

@@ -9,7 +9,13 @@ updates and norms, with the coefficients listed in advance and no stopping
 test.  The loop runs the solve's iteration count, and the script asserts that
 its residual history equals the solve's bit for bit.  It prints the best of
 N timings per step of both, and their difference: the cost of the driver,
-the step generators and the coefficient streams.  The ``src/`` tree next to
+the step generators and the coefficient streams.
+
+The block case runs the ``table1`` nu = 2 dilations of ``codilated-nu``
+through ``solve_dilations`` and replays them by a plain loop over the same
+block of rows, each row leaving the block after its solve's iteration count.
+Every row's history must equal its report's bit for bit; the times are per
+row-step, the sum of the rows' iteration counts.  The ``src/`` tree next to
 this script is the one measured.
 """
 
@@ -20,18 +26,23 @@ import math
 import sys
 import time
 from dataclasses import replace
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from codilated.experiments import PROBLEM_DEFAULTS, ExperimentSpec, build_problem  # noqa: E402
+from codilated.experiments import (  # noqa: E402
+    PROBLEM_DEFAULTS,
+    TABLE1_ROWS,
+    ExperimentSpec,
+    build_problem,
+)
 from codilated.operators import deriv2_assemble  # noqa: E402
 from codilated.orthopoly import ResidualKind, UltrasphericalParams  # noqa: E402
-from codilated.orthopoly import _closed_form_coefficients  # noqa: E402
-from codilated.solvers import Method, SolverConfig, solve  # noqa: E402
+from codilated.orthopoly import _closed_form_coefficients, _closed_form_stream  # noqa: E402
+from codilated.solvers import Method, SolverConfig, solve, solve_dilations  # noqa: E402
 
 
 def nu_coefficients(nu, lam, count):
@@ -51,6 +62,33 @@ def plain_two_step(a, at, g, omega, coeffs):
         v = g - a.dot(f)
         history.append(sqrt(v.dot(v)))
     return history
+
+
+def plain_block(a, at, g, omega, coeffs, counts):
+    """Row histories of the same update on a block with one row per dilation
+    (coeffs: items of one entry per row, b_0 included); row i leaves the
+    block after counts[i] steps."""
+    counts = np.asarray(counts)
+    histories = [[math.sqrt(g.dot(g))] for _ in counts]
+    rows, live = np.arange(counts.size), slice(None)
+    leaving = set(counts.tolist())
+    _, b, _ = coeffs[0]
+    f_prev = np.zeros((counts.size, a.shape[1]))
+    f = (b * omega)[:, None] * at.dot(g)
+    v = g - np.matvec(a, f)
+    for n in count(1):
+        for i, rn in zip(rows.tolist(), np.sqrt(np.vecdot(v, v)).tolist()):
+            histories[i].append(rn)
+        if n in leaving:
+            keep = counts[rows] > n
+            rows, f, f_prev, v = rows[keep], f[keep], f_prev[keep], v[keep]
+            if not rows.size:
+                return histories
+            live = rows
+        a_n, b_n, _ = coeffs[n]
+        step = (b_n[live] * omega)[:, None] * np.matvec(at, v)
+        f_prev, f = f, f + a_n[live][:, None] * (f - f_prev) + step
+        v = g - np.matvec(a, f)
 
 
 def plain_landweber(a, at, g, omega, steps):
@@ -117,6 +155,12 @@ def best_of(repeats, *fns):
     return best, [fn() for fn in fns]
 
 
+def print_row(name, k, t_solve, t_plain):
+    us_solve, us_plain = 1e6 * t_solve / k, 1e6 * t_plain / k
+    print(f"{name:<24}{k:>8}{us_solve:>15.2f}{us_plain:>15.2f}"
+          f"{us_solve - us_plain:>10.2f}{us_solve / us_plain:>7.2f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=15, help="timings per case (best kept)")
@@ -154,9 +198,18 @@ def main(argv=None) -> int:
             args.repeats, lambda: solve(problem, config), replay(k))
         if history != report.residual_history.tolist():
             raise AssertionError(f"{method.value}: the plain loop's history differs from the solve's")
-        us_solve, us_plain = 1e6 * t_solve / k, 1e6 * t_plain / k
-        print(f"{method.value:<24}{k:>8}{us_solve:>15.2f}{us_plain:>15.2f}"
-              f"{us_solve - us_plain:>10.2f}{us_solve / us_plain:>7.2f}")
+        print_row(method.value, k, t_solve, t_plain)
+
+    lams = [lam for method, nu, lam in TABLE1_ROWS if method is Method.CODILATED_NU and nu == 2.0]
+    config = replace(base, method=Method.CODILATED_NU, nu=2.0)
+    counts = [r.iterations for r in solve_dilations(problem, config, lams)]  # warm-up
+    coeffs = list(islice(_closed_form_stream(2.0, np.array(lams), False), max(counts)))
+    (t_solve, t_plain), (reports, histories) = best_of(
+        args.repeats, lambda: solve_dilations(problem, config, lams),
+        lambda: plain_block(a, at, g, omega, coeffs, counts))
+    if histories != [r.residual_history.tolist() for r in reports]:
+        raise AssertionError("block: the plain loop's row histories differ from the reports'")
+    print_row(f"block L={len(lams)} (row-steps)", sum(counts), t_solve, t_plain)
     return 0
 
 
