@@ -318,7 +318,7 @@ def residual_eval(
     happens only for dilations beyond the critical value.
     """
     ya = np.asarray(y, dtype=float)
-    if np.any((ya < 0.0) | (ya > 1.0)):
+    if not np.all((ya >= 0.0) & (ya <= 1.0)):  # NaN fails too
         raise ValueError("residual polynomials are defined on [0, 1]")
     if kind is ResidualKind.SYMMETRIC:
         degree, arg = n, 1.0 - 2.0 * ya

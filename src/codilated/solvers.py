@@ -33,10 +33,10 @@ polynomial, which is what ``oracle_check`` verifies on diagonal problems.
 of their residual polynomials.  ``solve_dilations`` runs its two closed-form
 methods on a block with one row per dilation: the stream takes an array of
 dilations, the operator applies rows of the block, and a second loop,
-``_drive_block``, keeps each row's history as a list the way ``_drive``
-does, asks ``_stop_reason`` row by row and drops a row once it stops.  Each
-row's report is bit-identical to the single solve's; the single-solve path
-pays nothing for the block.
+``_drive_block``, keeps ``_drive``'s history, stall count and screen per
+dilation on Python floats, asks ``_stop_reason`` where a row's screen fires
+and drops a row once it stops.  Each row's report is bit-identical to the
+single solve's; the single-solve path pays nothing for the block.
 
 Residual norms are recomputed from v = g - A f every step; nothing is
 updated incrementally, so histories do not drift over long runs.  A solve
@@ -546,13 +546,14 @@ def solve_dilations(problem: Problem, config: SolverConfig, lams) -> list[SolveR
     Every report equals the single solve's bit for bit: each row takes the
     same IEEE operations in the same order (the closed-form stream over an
     array of dilations, row-block operator applies whose rows equal the
-    single applies, row norms sqrt(v . v)), and the stopping tests are
-    ``_drive``'s, in its order, row by row.  Where a_n = 0 at n >= 1 a row
-    adds 0 * (f_n - f_{n-1}), which the single update skips; as there, this
-    changes at most the sign of a zero entry.  A row leaves the block when
-    it stops, so a capped or diverged row costs the others nothing.  The
-    relaxation check runs once per call.  Raises ValueError where ``batchable``
-    is false for some lam; no callback.
+    single applies, row norms sqrt(v . v)), and each row keeps ``_drive``'s
+    stall count and screen for its dilation, so ``_stop_reason`` stops it at
+    the step and for the reason it stops the single solve.  Where a_n = 0 at
+    n >= 1 a row adds 0 * (f_n - f_{n-1}), which the single update skips; as
+    there, this changes at most the sign of a zero entry.  A row leaves the
+    block when it stops, so a capped or diverged row costs the others
+    nothing.  The relaxation check runs once per call.  Raises ValueError
+    where ``batchable`` is false for some lam; no callback.
     """
     kind = _block_kind(config, lams)
     if len(lams) == 0:
@@ -567,64 +568,47 @@ def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
 
     ``coeffs`` yields (a_n, b_n, mu_{n+1}) with one entry per dilation,
     except that a_0 = 0 and b_0 may be floats.  The n = 0 tests see only g,
-    so they stop every row or none.  Later the tests run row by row on
-    Python floats only when a cheap screen (a non-finite norm sum, a norm
-    below the threshold, a stalled row or the cap) says some row stops;
-    stopped rows then leave the block.  Each row's history is a list of
-    Python floats, as in ``_drive``.
+    so they stop every row or none.  Later each row keeps, per dilation and
+    on Python floats, what ``_drive`` keeps for a solve: the history, the
+    previous norm and the stall count, updated by ``_drive``'s expression
+    and screened by its four comparisons, with ``_stop_reason`` called only
+    where the screen fires.  Stopped rows then leave the block.
     """
     threshold = config.tau * config.epsilon
     max_iter = config.resolved_max_iter()
     op, g, omega = problem.operator, problem.g, config.omega
+    inf = math.inf
     rn0 = math.sqrt(g.dot(g))
     reason = _stop_reason(rn0, threshold, 0, 0, max_iter)
     histories = [[rn0] for _ in range(size)]
     if reason is not None:
         return [SolveReport(0, reason, np.asarray(h), np.zeros(op.domain_dim)) for h in histories]
-    kept = histories  # the histories of the rows still in the block
     outcomes = [None] * size
-    rows = np.arange(size)  # block row -> dilation index
+    prevs, stalls = [inf] * size, [0] * size  # by dilation index, as _drive starts them
+    rows = list(range(size))  # block row -> dilation index
     live = slice(None)  # the entries of a coefficient item still in the block
     _, b, _ = next(coeffs)  # a_0 = 0: f_1 = f_0 + b_0 omega A*g
     f = 0.0 + np.broadcast_to(np.multiply(b, omega), (size,))[:, None] * op.rmatvec(g)
     f_prev = np.zeros_like(f)
     v = g - op.matvec_rows(f)
-    # prev = NaN fails the stagnation test at n = 1, as _drive's inf does;
-    # stalled is all zero whenever stalling is false
-    prev, stalled, stalling = np.full(size, np.nan), np.zeros(size, dtype=int), False
     n = 1
     while True:
-        rn = np.sqrt(np.vecdot(v, v))
-        # a row that stops by discrepancy or divergence leaves with any count
-        same = np.abs(rn - prev) < STAGNATION_RTOL * np.maximum(rn, 1e-300)
-        prev = rn
-        if stalling or True in same.tolist():
-            stalled = np.where(same, stalled + 1, 0)
-            stalling = bool(stalled.any())
-        norms = rn.tolist()
-        for history, rn_i in zip(kept, norms):
-            history.append(rn_i)
-        if (
-            n >= max_iter
-            or not math.isfinite(sum(norms))
-            or min(norms) < threshold
-            or (stalling and stalled.max() >= STAGNATION_STEPS)
-        ):
-            stop = np.zeros(len(norms), dtype=bool)
-            for i, rn_i in enumerate(norms):
-                reason = _stop_reason(rn_i, threshold, stalled[i], n, max_iter)
-                if reason is not None:
-                    stop[i] = True
-                    outcomes[rows[i]] = (n, reason, f[i].copy())
-            if stop.all():
+        left = False
+        for j, (i, rn) in enumerate(zip(rows, np.sqrt(np.vecdot(v, v)).tolist())):
+            histories[i].append(rn)
+            prev, stalled = prevs[i], stalls[i]
+            same = abs(rn - prev) < STAGNATION_RTOL * (rn if rn > 1e-300 else 1e-300)
+            stalled = stalled + 1 if same else 0
+            prevs[i], stalls[i] = rn, stalled
+            if rn < threshold or not rn < inf or stalled >= STAGNATION_STEPS or n >= max_iter:
+                outcomes[i] = (n, _stop_reason(rn, threshold, stalled, n, max_iter), f[j].copy())
+                left = True
+        if left:
+            keep = [j for j, i in enumerate(rows) if outcomes[i] is None]
+            if not keep:
                 break
-            if stop.any():
-                keep = ~stop
-                rows, f, f_prev, v, prev, stalled = (
-                    x[keep] for x in (rows, f, f_prev, v, prev, stalled)
-                )
-                live = rows
-                kept = [histories[i] for i in rows]
+            rows = [rows[j] for j in keep]
+            f, f_prev, v, live = f[keep], f_prev[keep], v[keep], np.array(rows)
         a, b, _ = next(coeffs)
         a, b = a[live], b[live]
         step = (b * omega)[:, None] * op.rmatvec_rows(v)

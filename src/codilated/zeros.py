@@ -220,7 +220,7 @@ def modulus_of_convergence(
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if s < 0:
+    if not s >= 0:  # NaN fails too
         raise ValueError("smoothness s must be >= 0")
     grid = _residual_grid(n)
 

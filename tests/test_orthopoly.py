@@ -305,8 +305,10 @@ class TestResidualEval:
         assert abs(residual_eval(CHEB, None, SYM, 6, y)) < 1e-10
 
     def test_rejects_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            residual_eval(CHEB, None, SYM, 3, 1.2)
+        for y in (1.2, math.nan, np.array([0.25, math.nan, 0.75])):
+            for kind in (SYM, ASYM):
+                with pytest.raises(ValueError):
+                    residual_eval(CHEB, None, kind, 3, y)
 
     def test_normalisation_vanishes_deep_underflow(self):
         # U_n(1) = (n+1)/2^n underflows past n ~ 1020

@@ -834,6 +834,16 @@ class TestSolveDilations:
         assert {r.stop_reason for r in reports} == reasons
 
     @pytest.mark.parametrize("method", BLOCK_METHODS)
+    def test_stall_state_follows_the_dilation(self, method):
+        # the first row leaves by stagnation while the second row's stall count
+        # runs; that count must stay with its dilation when the row moves up
+        problem = Problem(diagonal_operator(np.array([0.0, 0.5])), np.array([1.0, 1e-6]))
+        config = quiet_config(method=method, max_iter=400)
+        first, second, _ = assert_block_equals_singles(problem, config, [0.5, -2.0, 1.99])
+        assert first.stop_reason is second.stop_reason is StopReason.STAGNATION
+        assert first.iterations < second.iterations < first.iterations + STAGNATION_STEPS
+
+    @pytest.mark.parametrize("method", BLOCK_METHODS)
     def test_denominator_rounded_to_zero(self, method):
         # at nu one ulp above 1/2 and lam = -1 the first closed-form denominator
         # is 0.0: the float stream takes the IEEE quotient, as the array stream does

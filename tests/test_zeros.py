@@ -344,6 +344,8 @@ class TestModulus:
             modulus_of_convergence(CHEB, None, SYM, 0, 1.0)
         with pytest.raises(ValueError):
             modulus_of_convergence(CHEB, None, SYM, 3, -1.0)
+        with pytest.raises(ValueError):
+            modulus_of_convergence(CHEB, None, SYM, 3, math.nan)
 
 
 class TestSupBoundCompliance:

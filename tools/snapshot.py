@@ -87,6 +87,10 @@ def runs():
     yield "sweep_diag-last_max_iter", [
         "sweep", "--problem", "diag-last", "--nu", "1", "--sweep", "0.5:2.1:0.2",
         "--eps", "0", "--max-iter", "300", "--out", "out.csv"]
+    # omega A*A ~ 1e-300 leaves every iterate at roundoff from 0: each row stops by stagnation
+    yield "sweep_diag-last_stagnation", [
+        "sweep", "--problem", "diag-last", "--nu", "1", "--sweep", "0.5:1.5:0.5",
+        "--omega", "1e-300", "--out", "out.csv"]
     for kind in ZERO_KINDS:
         zeros = ["zeros", "--nu", "1", "--kind", kind, "--degree", "150"]
         yield f"zeros_{kind}", zeros + ["--lambda", "1.9", "--out", "out.csv"]

@@ -11,9 +11,11 @@ its residual history equals the solve's bit for bit.  It prints the best of
 N timings per step of both, and their difference: the cost of the driver,
 the step generators and the coefficient streams.
 
-The block case runs the ``table1`` nu = 2 dilations of ``codilated-nu``
-through ``solve_dilations`` and replays them by a plain loop over the same
-block of rows, each row leaving the block after its solve's iteration count.
+The block cases run dilations of ``codilated-nu`` through ``solve_dilations``
+and replay them by a plain loop over the same block of rows, each row leaving
+the block after its solve's iteration count: the ``table1`` nu = 2 dilations
+on ``deriv2`` (L = 8), and the ``sweep-zeros`` block, the 20 admissible
+dilations of 1.0:2.2:0.05 at nu = 1 on ``diag-last`` (N = 100, seed 15).
 Every row's history must equal its report's bit for bit; the times are per
 row-step, the sum of the rows' iteration counts.  The ``src/`` tree next to
 this script is the one measured.
@@ -42,7 +44,13 @@ from codilated.experiments import (  # noqa: E402
 from codilated.operators import deriv2_assemble  # noqa: E402
 from codilated.orthopoly import ResidualKind, UltrasphericalParams  # noqa: E402
 from codilated.orthopoly import _closed_form_coefficients, _closed_form_stream  # noqa: E402
-from codilated.solvers import Method, SolverConfig, solve, solve_dilations  # noqa: E402
+from codilated.solvers import (  # noqa: E402
+    Method,
+    SolverConfig,
+    batchable,
+    solve,
+    solve_dilations,
+)
 
 
 def nu_coefficients(nu, lam, count):
@@ -64,18 +72,19 @@ def plain_two_step(a, at, g, omega, coeffs):
     return history
 
 
-def plain_block(a, at, g, omega, coeffs, counts):
+def plain_block(mv, rmv, g, omega, coeffs, counts):
     """Row histories of the same update on a block with one row per dilation
-    (coeffs: items of one entry per row, b_0 included); row i leaves the
-    block after counts[i] steps."""
+    (coeffs: items of one entry per row, b_0 included; mv and rmv apply A and
+    A* to a vector or to every row of a block); row i leaves the block after
+    counts[i] steps."""
     counts = np.asarray(counts)
     histories = [[math.sqrt(g.dot(g))] for _ in counts]
     rows, live = np.arange(counts.size), slice(None)
     leaving = set(counts.tolist())
     _, b, _ = coeffs[0]
-    f_prev = np.zeros((counts.size, a.shape[1]))
-    f = (b * omega)[:, None] * at.dot(g)
-    v = g - np.matvec(a, f)
+    f = (b * omega)[:, None] * rmv(g)
+    f_prev = np.zeros_like(f)
+    v = g - mv(f)
     for n in count(1):
         for i, rn in zip(rows.tolist(), np.sqrt(np.vecdot(v, v)).tolist()):
             histories[i].append(rn)
@@ -86,9 +95,9 @@ def plain_block(a, at, g, omega, coeffs, counts):
                 return histories
             live = rows
         a_n, b_n, _ = coeffs[n]
-        step = (b_n[live] * omega)[:, None] * np.matvec(at, v)
+        step = (b_n[live] * omega)[:, None] * rmv(v)
         f_prev, f = f, f + a_n[live][:, None] * (f - f_prev) + step
-        v = g - np.matvec(a, f)
+        v = g - mv(f)
 
 
 def plain_landweber(a, at, g, omega, steps):
@@ -200,16 +209,30 @@ def main(argv=None) -> int:
             raise AssertionError(f"{method.value}: the plain loop's history differs from the solve's")
         print_row(method.value, k, t_solve, t_plain)
 
-    lams = [lam for method, nu, lam in TABLE1_ROWS if method is Method.CODILATED_NU and nu == 2.0]
-    config = replace(base, method=Method.CODILATED_NU, nu=2.0)
-    counts = [r.iterations for r in solve_dilations(problem, config, lams)]  # warm-up
-    coeffs = list(islice(_closed_form_stream(2.0, np.array(lams), False), max(counts)))
-    (t_solve, t_plain), (reports, histories) = best_of(
-        args.repeats, lambda: solve_dilations(problem, config, lams),
-        lambda: plain_block(a, at, g, omega, coeffs, counts))
-    if histories != [r.residual_history.tolist() for r in reports]:
-        raise AssertionError("block: the plain loop's row histories differ from the reports'")
-    print_row(f"block L={len(lams)} (row-steps)", sum(counts), t_solve, t_plain)
+    table1 = replace(base, method=Method.CODILATED_NU, nu=2.0)
+    table1_lams = [lam for method, nu, lam in TABLE1_ROWS
+                   if method is Method.CODILATED_NU and nu == 2.0]
+    n_d, omega_d, eps_d, tau_d = PROBLEM_DEFAULTS["diag-last"]
+    sweep = SolverConfig(method=Method.CODILATED_NU, nu=1.0, omega=omega_d, epsilon=eps_d,
+                         tau=tau_d)
+    spec = ExperimentSpec(problem="diag-last", config=sweep, sweep=(1.0, 2.2, 0.05))
+    d = 1.0 / np.arange(1.0, n_d + 1.0)  # diag-last's A
+    blocks = [
+        ("table1 nu=2", problem, table1, table1_lams,
+         lambda x: np.matvec(a, x), lambda x: np.matvec(at, x)),
+        ("sweep-zeros", build_problem(spec).as_problem(), sweep,
+         [lam for lam in spec.sweep_values() if batchable(sweep, lam)],
+         lambda x: d * x, lambda x: d * x),
+    ]
+    for name, block_problem, config, lams, mv, rmv in blocks:
+        counts = [r.iterations for r in solve_dilations(block_problem, config, lams)]  # warm-up
+        coeffs = list(islice(_closed_form_stream(config.nu, np.array(lams), False), max(counts)))
+        (t_solve, t_plain), (reports, histories) = best_of(
+            args.repeats, lambda: solve_dilations(block_problem, config, lams),
+            lambda: plain_block(mv, rmv, block_problem.g, config.omega, coeffs, counts))
+        if histories != [r.residual_history.tolist() for r in reports]:
+            raise AssertionError(f"{name}: the plain loop's row histories differ from the reports'")
+        print_row(f"{name} L={len(lams)}", sum(counts), t_solve, t_plain)
     return 0
 
 
