@@ -206,7 +206,7 @@ def _cmd_zeros(args) -> int:
             smallest = repr(zr.smallest) if zr.zeros.size else "nan"
             lines.append(f"{float(lam)!r},{smallest},{zr.zeros.size}")
     else:
-        zr = locate(None if args.lam is None or args.lam == 1.0 else CoDilation(args.m, args.lam))
+        zr = locate(CoDilation(args.m, 1.0 if args.lam is None else args.lam))
         lines.append("index,zero")
         lines.extend(f"{j},{float(z)!r}" for j, z in enumerate(zr.zeros, start=1))
     for line in lines:

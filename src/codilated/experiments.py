@@ -94,6 +94,8 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown problem {self.problem!r}; choose from {sorted(PROBLEM_DEFAULTS)}"
             )
+        if self.zero_degree is not None and self.zero_degree < 1:
+            raise ValueError("zero degree must be >= 1")
         self.sweep_values()  # rejects a malformed range here, not at the first sweep
 
     def sweep_values(self) -> list[float]:

@@ -10,7 +10,12 @@ co-dilation multiplies the single coefficient beta_m by a factor lam; the
 resulting family stays orthogonal for lam > 0 and its extremal zeros move
 monotonically with lam.  Residual polynomials are the normalised values
 P_n(1-2y)/P_n(1) (symmetric) or P_{2n}(sqrt(1-y))/P_{2n}(1) (asymmetric)
-on y in [0, 1]; they drive the semi-iterative solvers.
+on y in [0, 1]; they drive the semi-iterative solvers.  The asymmetric ones
+are those of the even fold S_n, P_{2n}(x) = S_n(x^2) (Chihara, 1978).
+``_jacobi`` is the one reader of the co-dilated coefficients, folded or not:
+``eval_monic``, the recursive stream and ``zeros`` take them from it.
+``residual_eval`` evaluates P_{2n}(sqrt(1-y)) unfolded, as the independent
+oracle of the folded paths.
 
 All arithmetic is binary64.  Evaluations are vectorised over the argument.
 """
@@ -20,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import count, islice
 from typing import Callable
 
@@ -75,9 +79,9 @@ class RecurrenceScheme:
 
     The stock schemes' alpha and beta also take an integer index ndarray
     and return the float64 array of the values, each entry bit for bit the
-    float its int index gives; ``zeros`` fills a whole Jacobi matrix from
-    one such call.  A function that takes only ints still works there, at
-    one call per index.
+    float its int index gives; ``_jacobi`` reads a whole range of
+    coefficients from one such call.  A function that takes only ints still
+    works there, at one call per index.
     """
 
     alpha: Callable[[int], float]
@@ -86,19 +90,21 @@ class RecurrenceScheme:
     allow_zero_beta: bool = False
 
     def __post_init__(self):
-        for n in range(8):
-            if self.symmetric and self.alpha(n) != 0.0:
-                raise ValueError("symmetric scheme requires alpha == 0")
-            _require_beta(self, n + 1)
+        alpha, _ = _jacobi(self, None, 0, 9, folded=False, check=True)  # beta_1 .. beta_8
+        if self.symmetric and np.any(alpha != 0.0):
+            raise ValueError("symmetric scheme requires alpha == 0")
 
 
-def _require_beta(scheme: RecurrenceScheme, n: int) -> float:
-    """The undilated beta_n; ValueError unless it is positive, or zero where
-    the scheme allows it."""
-    b = scheme.beta(n)
-    if b < 0.0 or (b == 0.0 and not scheme.allow_zero_beta):
-        raise ValueError(f"beta({n}) = {b} must be positive")
-    return b
+def _values(fn, idx: np.ndarray) -> np.ndarray:
+    """A scheme coefficient at every index of idx: one call on the whole array
+    where fn takes one (see ``RecurrenceScheme``), else one call per index."""
+    try:
+        values = fn(idx)
+    except (TypeError, ValueError):  # an int-only function, e.g. one that branches on n
+        values = None
+    if np.shape(values) != idx.shape:
+        values = [fn(int(k)) for k in idx]
+    return np.asarray(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -201,16 +207,34 @@ def power_basis_scheme() -> RecurrenceScheme:
     return RecurrenceScheme(alpha=_zero, beta=_zero, symmetric=True, allow_zero_beta=True)
 
 
-def _effective_beta(base: Callable[[int], float], dilation: CoDilation | None):
-    """The beta function base with beta_m scaled by the dilation."""
-    if dilation is None or dilation.lam == 1.0:
-        return base
-    m, lam = dilation.m, dilation.lam
+_CHUNK = 128  # stream items whose coefficients are formed at once, as arrays
 
-    def beta(n: int) -> float:
-        return lam * base(n) if n == m else base(n)
 
-    return beta
+def _jacobi(scheme: RecurrenceScheme, dilation: CoDilation | None, start: int, stop: int,
+            folded: bool, check: bool = False):
+    """Recurrence coefficients (d_k, e_k), k in [start, stop), as float64 arrays.
+
+    Unfolded, d_k = alpha_k and e_k = beta_k; folded (the even fold S_n of a
+    symmetric scheme), d_k = beta_{2k} + beta_{2k+1} and e_k = beta_{2k-1} beta_{2k}.
+    beta_0 = 0, so e_0 = 0.  The dilation scales beta_m before the fold.  With
+    ``check``, ValueError unless each undilated beta read is positive, or zero
+    where the scheme allows it; NaN fails too.
+    """
+    first, end = (2 * start - 1, 2 * stop) if folded else (start, stop)  # beta indices used
+    lo = max(first, 1)  # beta_k = 0 for k <= 0
+    idx = np.arange(lo, end)
+    beta = _values(scheme.beta, idx)
+    if check:
+        ok = beta >= 0.0 if scheme.allow_zero_beta else beta > 0.0
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise ValueError(f"beta({idx[k]}) = {beta[k]} must be positive")
+    b = np.concatenate((np.zeros(lo - first), beta))  # b[i] = beta_{first + i}, a copy
+    if dilation is not None and first <= dilation.m < end:
+        b[dilation.m - first] = dilation.lam * b[dilation.m - first]
+    if folded:
+        return b[1::2] + b[2::2], b[:-1:2] * b[1::2]
+    return _values(scheme.alpha, np.arange(start, stop)), b
 
 
 def eval_monic(scheme: RecurrenceScheme, dilation: CoDilation | None, n: int, x):
@@ -227,10 +251,10 @@ def eval_monic(scheme: RecurrenceScheme, dilation: CoDilation | None, n: int, x)
     p_prev = np.ones_like(xa)
     if n == 0:
         return float(p_prev) if scalar else p_prev
-    beta = _effective_beta(scheme.beta, dilation)
-    p = xa - scheme.alpha(0)
+    alpha, beta = (c.tolist() for c in _jacobi(scheme, dilation, 0, n, folded=False))
+    p = xa - alpha[0]
     for k in range(1, n):
-        p_prev, p = p, (xa - scheme.alpha(k)) * p - beta(k) * p_prev
+        p_prev, p = p, (xa - alpha[k]) * p - beta[k] * p_prev
     return float(p) if scalar else p
 
 
@@ -346,34 +370,28 @@ def _recursive_coefficients(
 ):
     """Stream of (a_n, b_n, mu_{n+1}), n = 0, 1, ..., from the recurrence values at 1.
 
-    Symmetric kind: mu_{n+1} = P_n(1)/P_{n+1}(1) = 1/((1 - alpha_n) - beta_n mu_n),
-    a_n = (1 - alpha_n) mu_{n+1} - 1 and b_n = 2 mu_{n+1}.  Asymmetric kind:
-    the even-index ratios mu_{n+1} = P_{2n}(1)/P_{2n+2}(1)
-    = 1/(1 - beta_{2n} - beta_{2n+1} - beta_{2n} beta_{2n-1} mu_n),
-    a_n = (1 - beta_{2n} - beta_{2n+1}) mu_{n+1} - 1 and b_n = mu_{n+1}.
-    Terms with beta_0 are absent, so b_0 is the start factor of the
-    two-step iteration.  Raises DivergentNormalization when a denominator
-    crosses zero, which occurs exactly when the dilation exceeds the
-    critical value.  Every base beta_n the stream reaches is checked as
-    ``RecurrenceScheme`` checks beta_1 .. beta_8, so a scheme that turns
-    non-positive later raises ValueError there; a dilation lam <= 0 of a
-    positive beta_m is not rejected by this check.
+    With (d_n, e_n) read by ``_jacobi``, _CHUNK items at a time and folded
+    for the asymmetric kind: mu_{n+1} = 1/((1 - d_n) - e_n mu_n), that is
+    P_n(1)/P_{n+1}(1) or P_{2n}(1)/P_{2n+2}(1); a_n = (1 - d_n) mu_{n+1} - 1;
+    b_n = 2 mu_{n+1} (symmetric) or mu_{n+1}.  As e_0 = 0, b_0 is the start
+    factor of the two-step iteration.  Raises DivergentNormalization when a
+    denominator crosses zero, which occurs exactly when the dilation exceeds
+    the critical value.  The base beta_k of each chunk are checked as
+    ``RecurrenceScheme`` checks beta_1 .. beta_8, so a later non-positive or
+    NaN beta_k raises ValueError up to one chunk before it is needed; a
+    dilation lam <= 0 of a positive beta_m is not rejected by this check.
     """
-    alpha, beta = scheme.alpha, _effective_beta(partial(_require_beta, scheme), dilation)
-    symmetric = kind is ResidualKind.SYMMETRIC
-    coupling = b2n = 0.0
-    for n in count():
-        damp = 1.0 - alpha(n) if symmetric else 1.0 - b2n - beta(2 * n + 1)
-        den = damp - coupling
-        if den <= 0.0:
-            raise DivergentNormalization(f"mu denominator {den} at n = {n}")
-        mu = 1.0 / den
-        yield damp * mu - 1.0, 2.0 * mu if symmetric else mu, mu
-        if symmetric:
-            coupling = beta(n + 1) * mu
-        else:
-            b2n = beta(2 * n + 2)
-            coupling = b2n * beta(2 * n + 1) * mu
+    folded = kind is ResidualKind.ASYMMETRIC
+    scale = 1.0 if folded else 2.0
+    mu = 0.0
+    for start in count(0, _CHUNK):
+        d, e = _jacobi(scheme, dilation, start, start + _CHUNK, folded, check=True)
+        for n, damp, coupling in zip(count(start), (1.0 - d).tolist(), e.tolist()):
+            den = damp - coupling * mu
+            if den <= 0.0:
+                raise DivergentNormalization(f"mu denominator {den} at n = {n}")
+            mu = 1.0 / den
+            yield damp * mu - 1.0, scale * mu, mu
 
 
 def mu_recursive(
@@ -404,9 +422,6 @@ def _r_values(nu: float):
     for n in count(1):
         yield r
         r = r * n / (n - 1 + two_nu)
-
-
-_CHUNK = 128  # closed-form stream items formed at once, as the rows of arrays
 
 
 def _require_admissible(params: UltrasphericalParams, lam: float):

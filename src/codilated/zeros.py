@@ -1,14 +1,15 @@
 """Zeros of residual polynomials and moduli of convergence.
 
 Zeros of an orthogonal family are the eigenvalues of its symmetric
-tridiagonal Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969): P_n has
-diagonal alpha_0 .. alpha_{n-1} and off-diagonal sqrt(beta_1) ..
-sqrt(beta_{n-1}), and a co-dilation only scales beta_m.  For the asymmetric
-kind of a symmetric scheme, P_{2n}(x) = S_n(x^2) with S_n monic and
-orthogonal (Chihara, 1978): its matrix has diagonal beta_{2k} + beta_{2k+1}
-(beta_0 = 0) and off-diagonal sqrt(beta_{2k-1} beta_{2k}), so the n residual
-zeros y = 1 - t come from one n x n matrix.  An unreduced Jacobi matrix has
-real, simple eigenvalues; those inside the interval are the roots.
+tridiagonal Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969): with the
+recurrence coefficients (d_k, e_k) of ``orthopoly._jacobi``, the n x n
+matrix has diagonal d_0 .. d_{n-1} and off-diagonal sqrt(e_1) ..
+sqrt(e_{n-1}).  Unfolded, these are the co-dilated alpha_k and beta_k of
+P_n.  For the asymmetric kind they are those of the even fold S_n,
+P_{2n}(x) = S_n(x^2) (Chihara, 1978), so the n residual zeros y = 1 - t
+come from one n x n matrix; ``_jacobi`` applies the dilation and the
+fold.  An unreduced Jacobi matrix has real, simple eigenvalues; those
+inside the interval are the roots.
 
 Where the matrix does not apply (a dilation lam <= 0, a family that is not
 orthogonal such as the power basis, an off-diagonal square that is not
@@ -31,6 +32,7 @@ from .orthopoly import (
     CoDilation,
     RecurrenceScheme,
     ResidualKind,
+    _jacobi,
     eval_monic,
     residual_eval,
 )
@@ -104,18 +106,6 @@ def _scan_roots(fn, grid):
     return np.sort(np.asarray(roots, dtype=float))
 
 
-def _values(fn, idx: np.ndarray) -> np.ndarray:
-    """A scheme coefficient at every index of idx: one call on the whole array
-    where fn takes one (see ``RecurrenceScheme``), else one call per index."""
-    try:
-        values = fn(idx)
-    except (TypeError, ValueError):  # an int-only function, e.g. one that branches on n
-        values = None
-    if np.shape(values) != idx.shape:
-        values = [fn(int(k)) for k in idx]
-    return np.asarray(values, dtype=float)
-
-
 def _jacobi_eigenvalues(
     scheme: RecurrenceScheme, dilation: CoDilation | None, n: int, folded: bool
 ) -> np.ndarray | None:
@@ -128,20 +118,12 @@ def _jacobi_eigenvalues(
         return None  # not an orthogonal family
     if folded and not scheme.symmetric:
         return None
-    count = 2 * n if folded else n
-    beta = _values(scheme.beta, np.arange(1, count))  # beta_1 .. beta_{count-1}
-    if dilation is not None and dilation.m < count:
-        beta[dilation.m - 1] = dilation.lam * beta[dilation.m - 1]
-    if folded:
-        b = np.concatenate(([0.0], beta))  # beta_0 = 0 .. beta_{2n-1}
-        diag, off_sq = b[0::2] + b[1::2], b[1:-1:2] * b[2::2]
-    else:
-        diag, off_sq = _values(scheme.alpha, np.arange(n)), beta
-    if not np.all(off_sq > 0.0):
+    diag, off_sq = _jacobi(scheme, dilation, 0, n, folded)
+    if not np.all(off_sq[1:] > 0.0):
         return None
     jacobi = np.zeros((n, n))
     jacobi.flat[:: n + 1] = diag
-    jacobi.flat[n :: n + 1] = np.sqrt(off_sq)  # sub-diagonal: eigvalsh reads the lower triangle
+    jacobi.flat[n :: n + 1] = np.sqrt(off_sq[1:])  # sub-diagonal: eigvalsh reads the lower triangle
     return np.linalg.eigvalsh(jacobi)
 
 

@@ -333,6 +333,26 @@ class TestCli:
         assert main(["sweep", "--problem", "diag-last"]) == EXIT_CONFIG  # no --sweep
         assert capsys.readouterr().err.count("error:") == 2
 
+    def test_zero_degree_below_one_rejected_before_any_solve(self, monkeypatch, capsys):
+        calls = []
+        for name in ("build_problem", "solve", "solve_dilations"):
+            monkeypatch.setattr(experiments, name, lambda *a, name=name: calls.append(name))
+        for degree in ("0", "-3"):
+            code = main(["sweep", "--problem", "diag-last", "--sweep", "1:1.5:0.5",
+                         "--zero-degree", degree])
+            assert code == EXIT_CONFIG
+        assert calls == []
+        assert capsys.readouterr().err.count("zero degree must be >= 1") == 2
+        with pytest.raises(ValueError, match="zero degree"):
+            ExperimentSpec(problem="diag-last", zero_degree=0)
+
+    def test_zeros_dilation_index_checked_at_every_lambda(self, capsys):
+        # lambda = 1, given or not, builds the same dilation as any other lambda
+        base = ["zeros", "--degree", "6", "--m", "0"]
+        for extra in ([], ["--lambda", "1"], ["--lambda", "1.5"], ["--sweep", "1.0,1.5"]):
+            assert main(base + extra) == EXIT_CONFIG
+        assert capsys.readouterr().err.count("dilation index m must be >= 1") == 4
+
     def test_zeros_single_and_sweep(self, tmp_path, capsys):
         code = main(["zeros", "--nu", "1", "--kind", "symmetric", "--degree", "6"])
         assert code == EXIT_OK

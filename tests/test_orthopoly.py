@@ -12,6 +12,7 @@ from codilated.orthopoly import (
     ResidualKind,
     UltrasphericalParams,
     _closed_form_stream,
+    _recursive_coefficients,
     amu_closed,
     amu_closed_sequence,
     chebyshev_closed,
@@ -35,6 +36,33 @@ from codilated.orthopoly import (
 CHEB = chebyshev_u_scheme()
 SYM = ResidualKind.SYMMETRIC
 ASYM = ResidualKind.ASYMMETRIC
+# a scheme whose beta branches on n, so it takes no index array
+INT_ONLY = RecurrenceScheme(
+    alpha=lambda n: 0.0, beta=lambda n: 0.2 if n < 4 else 0.25, symmetric=True)
+
+
+def per_index_beta(scheme, dilation, k):
+    """beta_k, dilated at k = m, one Python call per index; beta_k = 0 for k <= 0."""
+    if k < 1:
+        return 0.0
+    b = scheme.beta(k)
+    return dilation.lam * b if dilation is not None and k == dilation.m else b
+
+
+def textbook_recursive(scheme, dilation, kind):
+    """(a_n, b_n, mu_{n+1}), n = 0, 1, ..., one item at a time in Python
+    floats: mu_{n+1} = 1/((1 - d_n) - e_n mu_n), a_n = (1 - d_n) mu_{n+1} - 1,
+    with d_n = alpha_n, e_n = beta_n (symmetric) or the even fold's
+    d_n = beta_{2n} + beta_{2n+1}, e_n = beta_{2n-1} beta_{2n} (asymmetric)."""
+    beta = lambda k: per_index_beta(scheme, dilation, k)  # noqa: E731
+    mu = 0.0
+    for n in count():
+        if kind is SYM:
+            d, e, scale = scheme.alpha(n), beta(n), 2.0
+        else:
+            d, e, scale = beta(2 * n) + beta(2 * n + 1), beta(2 * n - 1) * beta(2 * n), 1.0
+        mu = 1.0 / ((1.0 - d) - e * mu)
+        yield (1.0 - d) * mu - 1.0, scale * mu, mu
 
 
 def textbook_closed_form(nu, lam, symmetric):
@@ -94,6 +122,19 @@ class TestEvalMonic:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             eval_monic(CHEB, None, -1, 0.0)
+
+    def test_matches_per_index_recurrence(self):
+        # bit for bit; beta_m is the last coefficient read at m = n - 1, unread beyond
+        xs = np.linspace(-1.0, 1.0, 11)
+        for scheme in (ultraspherical_scheme(UltrasphericalParams(2.0)), INT_ONLY):
+            for n in (2, 5, 129, 300):
+                for m in (n - 1, n, n + 5):
+                    dil = CoDilation(m, 1.5)
+                    p_prev, p = np.ones_like(xs), xs - scheme.alpha(0)
+                    for k in range(1, n):
+                        p_prev, p = p, ((xs - scheme.alpha(k)) * p
+                                        - per_index_beta(scheme, dil, k) * p_prev)
+                    assert eval_monic(scheme, dil, n, xs).tobytes() == p.tobytes(), (n, m)
 
     def test_identities_at_one_exact_ratios(self):
         # the recurrence values at 1 are dyadic rationals, exact in binary64;
@@ -353,6 +394,23 @@ class TestMuRecursive:
             mu_recursive(CHEB, CoDilation(1, 2.5), 500, ASYM)
 
 
+class TestRecursiveStream:
+    @pytest.mark.parametrize("kind", [SYM, ASYM], ids=["symmetric", "asymmetric"])
+    def test_items_equal_per_item_recursion(self, kind):
+        # 400 items span four chunks of coefficients read as arrays; beta_m lies
+        # in a later chunk from m = 128 (symmetric) or m = 255 (asymmetric,
+        # whose beta_255 both of the first two chunks read), and m = 200, 257
+        # are an even and an odd index under the fold; lam stays below the
+        # constant-beta family's critical dilation 1 + 1/m
+        dilations = [None] + [CoDilation(m, lam) for m in (1, 2, 128, 200, 255, 257)
+                              for lam in (0.5, 1.002)]
+        for scheme in (ultraspherical_scheme(UltrasphericalParams(2.0)), INT_ONLY):
+            for dil in dilations:
+                got = list(islice(_recursive_coefficients(scheme, dil, kind), 400))
+                assert got == list(islice(textbook_recursive(scheme, dil, kind), 400)), dil
+                assert all(type(x) is float for item in got for x in item)
+
+
 class TestClosedFormStream:
     LAMS = {0.51: [-1.0, 0.0, 0.5, 1.0, 1.019], 1.0: [-0.5, 0.5, 1.0, 1.5, 1.99],
             2.0: [0.0, 1.0, 3.0, 3.99, 3.99998], 3.7: [-2.0, 1.0, 7.3],
@@ -558,6 +616,10 @@ class TestSchemeValidation:
             RecurrenceScheme(alpha=lambda n: 0.0, beta=lambda n: 0.0)
         with pytest.raises(ValueError):
             RecurrenceScheme(alpha=lambda n: 0.0, beta=lambda n: -0.1)
+        for allow_zero in (False, True):
+            with pytest.raises(ValueError, match=r"beta\(1\) = nan"):
+                RecurrenceScheme(alpha=lambda n: 0.0, beta=lambda n: np.nan, symmetric=True,
+                                 allow_zero_beta=allow_zero)
 
     def test_rejects_asymmetric_alpha_with_flag(self):
         with pytest.raises(ValueError):

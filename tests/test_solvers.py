@@ -142,16 +142,17 @@ class TestGeneralSemiIterative:
             )
 
     def test_late_non_positive_beta_rejected(self):
-        # beta_1 .. beta_8 pass the scheme's own check; beta_9 = -1 is reached
-        # by the coefficient stream at n = 8 (symmetric) or n = 4 (asymmetric)
-        scheme = RecurrenceScheme(
-            alpha=lambda n: 0.0, beta=lambda n: 0.25 if n < 9 else -1.0, symmetric=True
-        )
+        # beta_1 .. beta_8 pass the scheme's own check; beta_9 = -1 or NaN is
+        # read by the coefficient stream's first chunk, before the solve's step 1
         problem = Problem(diagonal_operator(1.0 / np.arange(1.0, 11.0)), np.ones(10))
-        config = quiet_config(omega=0.9, max_iter=200)
-        for method in (general_semi_iterative, asymmetric_semi_iterative):
-            with pytest.raises(ValueError, match=r"beta\(9\)"):
-                method(problem, scheme, None, config)
+        for late in (-1.0, np.nan):
+            scheme = RecurrenceScheme(
+                alpha=lambda n: 0.0, beta=lambda n, b=late: 0.25 if n < 9 else b, symmetric=True
+            )
+            for method in (general_semi_iterative, asymmetric_semi_iterative):
+                for max_iter in (200, 1):  # capped long before beta_9 is needed too
+                    with pytest.raises(ValueError, match=r"beta\(9\)"):
+                        method(problem, scheme, None, quiet_config(omega=0.9, max_iter=max_iter))
 
     def test_negative_dilation_still_runs(self):
         # the check is on the base beta_m, not on the dilated lam beta_m

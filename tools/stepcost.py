@@ -9,7 +9,9 @@ updates and norms, with the coefficients listed in advance and no stopping
 test.  The loop runs the solve's iteration count, and the script asserts that
 its residual history equals the solve's bit for bit.  It prints the best of
 N timings per step of both, and their difference: the cost of the driver,
-the step generators and the coefficient streams.
+the step generators and the coefficient streams.  ``general-si`` and
+``asymmetric-si`` run the co-dilated ultraspherical scheme at nu = 1,
+lam = 1.5 through the recursive coefficient stream.
 
 The block cases run dilations of ``codilated-nu`` through ``solve_dilations``
 and replay them by a plain loop over the same block of rows, each row leaving
@@ -42,8 +44,15 @@ from codilated.experiments import (  # noqa: E402
     build_problem,
 )
 from codilated.operators import deriv2_assemble  # noqa: E402
-from codilated.orthopoly import ResidualKind, UltrasphericalParams  # noqa: E402
-from codilated.orthopoly import _closed_form_coefficients, _closed_form_stream  # noqa: E402
+from codilated.orthopoly import (  # noqa: E402
+    CoDilation,
+    ResidualKind,
+    UltrasphericalParams,
+    _closed_form_coefficients,
+    _closed_form_stream,
+    _recursive_coefficients,
+    ultraspherical_scheme,
+)
 from codilated.solvers import (  # noqa: E402
     Method,
     SolverConfig,
@@ -56,6 +65,12 @@ from codilated.solvers import (  # noqa: E402
 def nu_coefficients(nu, lam, count):
     stream = _closed_form_coefficients(UltrasphericalParams(nu), lam, ResidualKind.ASYMMETRIC)
     return list(islice(stream, count))
+
+
+def recursive_coefficients(nu, lam, kind, count):
+    """The general-si (symmetric) or asymmetric-si items of the m = 1 dilation."""
+    scheme = ultraspherical_scheme(UltrasphericalParams(nu))
+    return list(islice(_recursive_coefficients(scheme, CoDilation(1, lam), kind), count))
 
 
 def plain_two_step(a, at, g, omega, coeffs):
@@ -184,30 +199,40 @@ def main(argv=None) -> int:
     at = np.ascontiguousarray(a.T)
     g = problem.g
 
-    def nu_replay(plain):
+    def two_step_replay(plain, coefficients):
         def replay(k):
-            coeffs = nu_coefficients(1.0, 1.0, k)  # listed outside the timed loop
+            coeffs = coefficients(k)  # listed outside the timed loop
             return lambda: plain(a, at, g, omega, coeffs)
         return replay
 
-    # (method, its plain loop: iteration count -> the timed replay)
+    def nu_one(k):
+        return nu_coefficients(1.0, 1.0, k)
+
+    def recursive(kind):
+        return lambda k: recursive_coefficients(1.0, 1.5, kind, k)
+
+    # (method, its lam, its plain loop: iteration count -> the timed replay)
     cases = [
-        (Method.LANDWEBER, lambda k: lambda: plain_landweber(a, at, g, omega, k)),
-        (Method.CODILATED_NU, nu_replay(plain_two_step)),
-        (Method.ADAPTIVE_CODILATED_ONE, nu_replay(plain_adaptive)),
-        (Method.CG, lambda k: lambda: plain_cg(a, at, g, k)),
+        (Method.LANDWEBER, 1.0, lambda k: lambda: plain_landweber(a, at, g, omega, k)),
+        (Method.GENERAL_SI, 1.5, two_step_replay(plain_two_step, recursive(ResidualKind.SYMMETRIC))),
+        (Method.ASYMMETRIC_SI, 1.5,
+         two_step_replay(plain_two_step, recursive(ResidualKind.ASYMMETRIC))),
+        (Method.CODILATED_NU, 1.0, two_step_replay(plain_two_step, nu_one)),
+        (Method.ADAPTIVE_CODILATED_ONE, 1.0, two_step_replay(plain_adaptive, nu_one)),
+        (Method.CG, 1.0, lambda k: lambda: plain_cg(a, at, g, k)),
     ]
     print(f"{'method':<24}{'steps':>8}{'solve us/step':>15}{'plain us/step':>15}"
           f"{'overhead':>10}{'ratio':>7}")
-    for method, replay in cases:
+    for method, lam, replay in cases:
         max_iter = args.landweber_steps if method is Method.LANDWEBER else None
-        config = replace(base, method=method, max_iter=max_iter)
+        config = replace(base, method=method, lam=lam, max_iter=max_iter)
+        name = method.value if lam == 1.0 else f"{method.value} lam={lam}"
         k = solve(problem, config).iterations  # warm-up; also memoises the norm estimate
         (t_solve, t_plain), (report, history) = best_of(
             args.repeats, lambda: solve(problem, config), replay(k))
         if history != report.residual_history.tolist():
-            raise AssertionError(f"{method.value}: the plain loop's history differs from the solve's")
-        print_row(method.value, k, t_solve, t_plain)
+            raise AssertionError(f"{name}: the plain loop's history differs from the solve's")
+        print_row(name, k, t_solve, t_plain)
 
     table1 = replace(base, method=Method.CODILATED_NU, nu=2.0)
     table1_lams = [lam for method, nu, lam in TABLE1_ROWS
