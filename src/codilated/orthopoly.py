@@ -424,16 +424,19 @@ def _r_values(nu: float):
         r = r * n / (n - 1 + two_nu)
 
 
-def _require_admissible(params: UltrasphericalParams, lam: float):
+def _require_admissible(params: UltrasphericalParams, lam):
+    """ValueError unless nu > 1/2 and each dilation in lam (float or array) is finite, < 2 nu."""
     params.require_closed_forms()
     critical = critical_constants(params).lambda_critical
-    if not lam < critical:  # NaN fails too
-        raise ValueError(f"dilation {lam} must be below the critical value {critical}")
+    bad = [x for x in np.ravel(lam).tolist() if not -math.inf < x < critical]  # NaN fails too
+    if bad:
+        raise ValueError(f"dilation {bad[0]} must be finite and below critical value {critical}")
 
 
-def _closed_form_coefficients(params: UltrasphericalParams, lam: float, kind: ResidualKind):
+def _closed_form_coefficients(params: UltrasphericalParams, lam, kind: ResidualKind):
     """Stream of (a_n, b_n, mu_{n+1}), n = 0, 1, ..., of the co-dilated (m = 1)
-    ultraspherical family from the explicit formulas.
+    ultraspherical family from the explicit formulas; lam is a float or an
+    array of dilations (see ``_closed_form_stream``).
 
     Symmetric kind: mu_1 = 1 and, for n >= 1, in the overflow-safe form
         mu_{n+1} = 2 (n + nu)/(n + 2 nu) *
@@ -449,13 +452,14 @@ def _closed_form_coefficients(params: UltrasphericalParams, lam: float, kind: Re
 
 def _closed_form_stream(nu: float, lam, symmetric: bool):
     """The closed-form stream for one dilation (a float) or for several at
-    once (an ndarray, one entry per dilation).  The items from n = 1 on are
-    formed _CHUNK at a time as float64 arrays, one row per item and one
-    column per dilation, by the same expressions for either lam; R(n) does
-    not depend on lam and is accumulated in floats.  So entry k of a block
-    item equals the float stream's item for lam[k] bit for bit.  The float
-    stream reads its rows back as floats, the block yields row views; the
-    n = 0 items a_0 = 0 (symmetric: b_0 = 2, mu_1 = 1) stay floats.
+    once (an ndarray of any shape, one entry per dilation; a column gives
+    items that broadcast over the rows of a block).  The items from n = 1 on
+    are formed _CHUNK at a time as float64 arrays, one row per item, by the
+    same expressions for either lam; R(n) does not depend on lam and is
+    accumulated in floats.  So each entry of an array item equals the float
+    stream's item for its dilation bit for bit.  The float stream reads its
+    rows back as floats, an array stream yields row views of lam's shape;
+    the n = 0 items a_0 = 0 (symmetric: b_0 = 2, mu_1 = 1) stay floats.
     """
     c0, c1 = 2.0 * nu - lam, lam - 1.0
     step, scale = (1, 2.0) if symmetric else (2, 1.0)  # b_n = scale * mu_{n+1}

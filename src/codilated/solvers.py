@@ -17,26 +17,26 @@ the second-order update
 
     f_{n+1} = f_n + a_n (f_n - f_{n-1}) + b_n * omega * A*(g - A f_n),  n >= 0,
 
-from f_0 = f_{-1} = 0, so b_0 is the start factor.  Where a_n = 0 (every
-Landweber step, and n = 0 of every stream) the update skips the momentum
-term: while f_n - f_{n-1} is finite, adding 0 * (f_n - f_{n-1}) changes at
-most the sign of a zero entry of f_{n+1}, which never reaches a residual
-norm.  The methods differ only in the stream of (a_n, b_n, mu_{n+1}) fed to
-the update: constant for Landweber, otherwise one of the ``orthopoly``
-coefficient streams (recursive, from a scheme and a dilation, or
-closed-form co-dilated ultraspherical); the adaptive method runs the
-nu-method's stream at nu = lam = 1 and watches the affine-minimal residual.
+from f_0 = f_{-1} = 0, so b_0 is the start factor.  Landweber's stream
+yields a_n = None, which leaves the momentum term out; every other stream
+yields a number, whose term is added even where a_n = 0.  The methods
+differ only in the stream of (a_n, b_n, mu_{n+1}) fed to the update:
+constant for Landweber, otherwise one of the ``orthopoly`` coefficient
+streams (recursive, from a scheme and a dilation, or closed-form
+co-dilated ultraspherical); the adaptive method runs the nu-method's
+stream at nu = lam = 1 and watches the affine-minimal residual.
 The error obeys f - f_n = r_n(omega A*A) f with r_n the matching residual
 polynomial, which is what ``oracle_check`` verifies on diagonal problems.
 
 ``DILATION_KINDS`` maps the four methods that take a dilation to the kind
 of their residual polynomials.  ``solve_dilations`` runs its two closed-form
-methods on a block with one row per dilation: the stream takes an array of
-dilations, the operator applies rows of the block, and a second loop,
+methods as ``_two_step`` on a block with one row per dilation, the stream
+on a column of dilations and the operator's row applies.  A second loop,
 ``_drive_block``, keeps ``_drive``'s history, stall count and screen per
 dilation on Python floats, asks ``_stop_reason`` where a row's screen fires
-and drops a row once it stops.  Each row's report is bit-identical to the
-single solve's; the single-solve path pays nothing for the block.
+and restarts ``_two_step`` from the rows still running once rows stop.
+Each row's report is bit-identical to the single solve's; the single-solve
+path pays nothing for the block.
 
 Residual norms are recomputed from v = g - A f every step; nothing is
 updated incrementally, so histories do not drift over long runs.  A solve
@@ -51,7 +51,7 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from .orthopoly import (
     ResidualKind,
     UltrasphericalParams,
     _closed_form_coefficients,
-    _closed_form_stream,
     _recursive_coefficients,
     _require_admissible,
     residual_eval,
@@ -297,18 +296,19 @@ def _drive(problem, config, steps, callback) -> SolveReport:
     return SolveReport(n, reason, np.asarray(history), f)
 
 
-def _two_step(problem, omega, coeffs):
+def _two_step(problem, omega, coeffs, applies=None, state=None):
     """Iterates of the second-order update; coeffs yields (a_n, b_n, mu_{n+1}).
 
-    A zero a_n skips the momentum term, which would only add 0 * (f - f_prev).
+    It runs from state = (f_n, f_{n-1}, g - A f_n), by default f_0 = f_{-1} = 0,
+    with applies = (matvec, rmatvec), by default the single applies.  a_n =
+    None, which only Landweber's stream yields, leaves the momentum term out.
     """
     op, g = problem.operator, problem.g
-    matvec, rmatvec = op.matvec, op.rmatvec
-    f = f_prev = np.zeros(op.domain_dim)
-    v = g
+    matvec, rmatvec = applies or (op.matvec, op.rmatvec)
+    f, f_prev, v = state or (np.zeros(op.domain_dim),) * 2 + (g,)
     for a, b, mu in coeffs:
         step = b * omega * rmatvec(v)
-        f_prev, f = f, f + step if a == 0.0 else f + a * (f - f_prev) + step
+        f_prev, f = f, f + step if a is None else f + a * (f - f_prev) + step
         v = g - matvec(f)
         yield f, f_prev, mu, v
 
@@ -316,7 +316,7 @@ def _two_step(problem, omega, coeffs):
 def landweber(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
     """f_{n+1} = f_n + 2 omega A*(g - A f_n) from f_0 = 0."""
     _check_relaxation(problem.operator, config.omega, Method.LANDWEBER)
-    steps = _two_step(problem, config.omega, repeat((0.0, 2.0, 1.0)))
+    steps = _two_step(problem, config.omega, repeat((None, 2.0, 1.0)))
     return _drive(problem, _run_as(config, Method.LANDWEBER), steps, callback)
 
 
@@ -515,28 +515,15 @@ def solve(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
     return adaptive_codilated_one(problem, config, callback)
 
 
-def _block_kind(config: SolverConfig, lams) -> ResidualKind:
-    """Residual kind of the block iteration; ValueError, as ``solve`` would
-    raise it, for another method or an inadmissible dilation."""
-    if config.method not in _CLOSED_FORM:
-        raise ValueError(f"method {config.method.value} has no block iteration")
-    params = UltrasphericalParams(config.nu)
-    for lam in lams:
-        if not math.isfinite(lam):
-            raise ValueError("polynomial parameters nu and lam must be finite")
-        _require_admissible(params, lam)
-    return DILATION_KINDS[config.method]
-
-
 def batchable(config: SolverConfig, lam: float) -> bool:
     """Whether ``solve_dilations`` accepts lam under config (whose own lam
     is ignored): codilated-nu or codilated-ultraspherical at an admissible
     dilation."""
     try:
-        _block_kind(config, [lam])
+        _require_admissible(UltrasphericalParams(config.nu), lam)
     except ValueError:
         return False
-    return True
+    return config.method in _CLOSED_FORM
 
 
 def solve_dilations(problem: Problem, config: SolverConfig, lams) -> list[SolveReport]:
@@ -544,35 +531,37 @@ def solve_dilations(problem: Problem, config: SolverConfig, lams) -> list[SolveR
     one block iteration with one row per dilation.
 
     Every report equals the single solve's bit for bit: each row takes the
-    same IEEE operations in the same order (the closed-form stream over an
-    array of dilations, row-block operator applies whose rows equal the
-    single applies, row norms sqrt(v . v)), and each row keeps ``_drive``'s
-    stall count and screen for its dilation, so ``_stop_reason`` stops it at
-    the step and for the reason it stops the single solve.  Where a_n = 0 at
-    n >= 1 a row adds 0 * (f_n - f_{n-1}), which the single update skips; as
-    there, this changes at most the sign of a zero entry.  A row leaves the
-    block when it stops, so a capped or diverged row costs the others
-    nothing.  The relaxation check runs once per call.  Raises ValueError
-    where ``batchable`` is false for some lam; no callback.
+    same IEEE operations in the same order (``_two_step`` on the closed-form
+    stream of a column of dilations, row-block operator applies whose rows
+    equal the single applies, row norms sqrt(v . v)), and each row keeps
+    ``_drive``'s stall count and screen for its dilation, so ``_stop_reason``
+    stops it at the step and for the reason it stops the single solve.  A
+    row leaves the block when it stops, so a capped or diverged row costs
+    the others nothing.  The relaxation check runs once per call.  Raises
+    ValueError where ``batchable`` is false for some lam; no callback.
     """
-    kind = _block_kind(config, lams)
-    if len(lams) == 0:
+    if config.method not in _CLOSED_FORM:
+        raise ValueError(f"method {config.method.value} has no block iteration")
+    column, kind = np.asarray(lams, float).reshape(-1, 1), DILATION_KINDS[config.method]
+    coeffs = _closed_form_coefficients(UltrasphericalParams(config.nu), column, kind)
+    if len(column) == 0:
         return []
-    coeffs = _closed_form_stream(config.nu, np.asarray(lams, float), kind is ResidualKind.SYMMETRIC)
     _check_relaxation(problem.operator, config.omega, config.method)
-    return _drive_block(problem, config, coeffs, len(lams))
+    return _drive_block(problem, config, coeffs, len(column))
 
 
 def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
     """``_drive`` over ``_two_step`` on a size x N block of iterates.
 
-    ``coeffs`` yields (a_n, b_n, mu_{n+1}) with one entry per dilation,
-    except that a_0 = 0 and b_0 may be floats.  The n = 0 tests see only g,
-    so they stop every row or none.  Later each row keeps, per dilation and
-    on Python floats, what ``_drive`` keeps for a solve: the history, the
+    ``coeffs`` yields (a_n, b_n, mu_{n+1}) whose entries broadcast over the
+    block's rows, one row per dilation.  The n = 0 tests see only g, so they
+    stop every row or none.  Later each row keeps, per dilation and on
+    Python floats, what ``_drive`` keeps for a solve: the history, the
     previous norm and the stall count, updated by ``_drive``'s expression
     and screened by its four comparisons, with ``_stop_reason`` called only
-    where the screen fires.  Stopped rows then leave the block.
+    where the screen fires.  Once rows stop, ``_two_step`` restarts from the
+    kept rows, reading the rest of ``coeffs`` through one view sliced by
+    their dilation indices.
     """
     threshold = config.tau * config.epsilon
     max_iter = config.resolved_max_iter()
@@ -586,13 +575,12 @@ def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
     outcomes = [None] * size
     prevs, stalls = [inf] * size, [0] * size  # by dilation index, as _drive starts them
     rows = list(range(size))  # block row -> dilation index
-    live = slice(None)  # the entries of a coefficient item still in the block
-    _, b, _ = next(coeffs)  # a_0 = 0: f_1 = f_0 + b_0 omega A*g
-    f = 0.0 + np.broadcast_to(np.multiply(b, omega), (size,))[:, None] * op.rmatvec(g)
-    f_prev = np.zeros_like(f)
-    v = g - op.matvec_rows(f)
-    n = 1
-    while True:
+    applies = op.matvec_rows, op.rmatvec_rows
+    f = np.zeros((size, op.domain_dim))
+    steps = _two_step(problem, omega, coeffs, applies, (f, f, np.broadcast_to(g, (size, g.size))))
+    view = ((a[live], b[live], mu) for a, b, mu in coeffs)  # live: rows as an array
+    for n in count(1):
+        f, f_prev, _, v = next(steps)
         left = False
         for j, (i, rn) in enumerate(zip(rows, np.sqrt(np.vecdot(v, v)).tolist())):
             histories[i].append(rn)
@@ -608,13 +596,8 @@ def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
             if not keep:
                 break
             rows = [rows[j] for j in keep]
-            f, f_prev, v, live = f[keep], f_prev[keep], v[keep], np.array(rows)
-        a, b, _ = next(coeffs)
-        a, b = a[live], b[live]
-        step = (b * omega)[:, None] * op.rmatvec_rows(v)
-        f_prev, f = f, f + a[:, None] * (f - f_prev) + step
-        v = g - op.matvec_rows(f)
-        n += 1
+            live = np.array(rows)
+            steps = _two_step(problem, omega, view, applies, (f[keep], f_prev[keep], v[keep]))
     return [
         SolveReport(iters, reason, np.asarray(history), f_final)
         for history, (iters, reason, f_final) in zip(histories, outcomes)

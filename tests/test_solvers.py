@@ -788,6 +788,18 @@ class TestSolveDilations:
         reports = assert_block_equals_singles(problem, config, [3.99, 1.0, -1.0, 3.9, 1.0, 0.0])
         assert len({r.iterations for r in reports}) > 1  # rows leave the block at different steps
 
+    def test_restarts_after_rows_leave(self):
+        # tau * eps lies between the rows' first residuals: the lam = 0.5 row leaves
+        # at n = 1 and the others at n = 2, 3 and 6, so the block restarts from the
+        # kept rows three times, with kept rows no longer at their dilation's index
+        _, omega, eps, _ = PROBLEM_DEFAULTS["deriv2"]
+        config = SolverConfig(method=Method.CODILATED_NU, nu=1.0, omega=omega, epsilon=eps,
+                              tau=7.27)
+        problem = build_problem(ExperimentSpec(problem="deriv2", config=config)).as_problem()
+        reports = assert_block_equals_singles(problem, config, [-1.0, 0.5, 1.0, 1.5, 1.95])
+        assert [r.iterations for r in reports] == [2, 1, 2, 3, 6]
+        assert {r.stop_reason for r in reports} == {StopReason.DISCREPANCY}
+
     @pytest.mark.parametrize("method", BLOCK_METHODS)
     @pytest.mark.parametrize(
         "overrides, reasons",

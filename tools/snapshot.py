@@ -91,6 +91,11 @@ def runs():
     yield "sweep_diag-last_stagnation", [
         "sweep", "--problem", "diag-last", "--nu", "1", "--sweep", "0.5:1.5:0.5",
         "--omega", "1e-300", "--out", "out.csv"]
+    # tau * eps between the rows' first residuals: the lam = 0.5 row leaves the block
+    # at n = 1, the others at n = 2, 3 and 6, so the block restarts three times
+    yield "sweep_deriv2_codilated-nu_restarts", [
+        "sweep", "--problem", "deriv2", "--nu", "1", "--sweep=-1,0.5,1,1.5,1.95",
+        "--tau", "7.27", "--out", "out.csv"]
     for kind in ZERO_KINDS:
         zeros = ["zeros", "--nu", "1", "--kind", kind, "--degree", "150"]
         yield f"zeros_{kind}", zeros + ["--lambda", "1.9", "--out", "out.csv"]
