@@ -70,13 +70,21 @@ class Problem:
     g: np.ndarray
 
 
+def _finite_entries(entries) -> np.ndarray:
+    """The entries as a float array; ValueError if one is not finite."""
+    a = np.asarray(entries, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("operator entries must be finite")
+    return a
+
+
 def diagonal_operator(diag) -> LinearOperator:
     """Componentwise multiplication; self-adjoint since the diagonal is real.
 
     The product broadcasts over the rows of a block, so it is also the
     block apply.
     """
-    d = np.asarray(diag, dtype=float)
+    d = _finite_entries(diag)
     if d.size == 0:
         raise ValueError("diagonal must be nonempty")
 
@@ -90,7 +98,7 @@ def matrix_operator(a) -> LinearOperator:
     """Dense operator.  Single vectors go through ``dot``, blocks through
     ``np.matvec``, whose rows equal ``dot`` bit for bit (a GEMM's do not);
     the adjoint uses a contiguous copy of the transpose."""
-    a = np.ascontiguousarray(a, dtype=float)
+    a = np.ascontiguousarray(_finite_entries(a))
     at = np.ascontiguousarray(a.T)
     return LinearOperator(
         a.shape[1], a.shape[0], a.dot, at.dot, partial(np.matvec, a), partial(np.matvec, at)
@@ -194,7 +202,9 @@ def operator_norm_sq(
 
     Starts from the normalised all-ones vector; converged means two
     successive Rayleigh quotients differed by less than tol.  Failure to
-    converge is reported through the flag, not raised.
+    converge is reported through the flag, not raised; a Rayleigh quotient
+    that is not finite (the operator yields NaN or inf) ends the iteration
+    there, unconverged.
     """
     x = np.ones(operator.domain_dim) / np.sqrt(operator.domain_dim)
     rho = 0.0
@@ -204,6 +214,8 @@ def operator_norm_sq(
         if norm_y == 0.0:
             return NormEstimate(0.0, True, k)
         rho_new = float(x @ y)
+        if not np.isfinite(rho_new):
+            return NormEstimate(rho_new, False, k)
         if abs(rho_new - rho) < tol:
             return NormEstimate(rho_new, True, k)
         rho = rho_new

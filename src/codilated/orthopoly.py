@@ -216,25 +216,35 @@ def _jacobi(scheme: RecurrenceScheme, dilation: CoDilation | None, start: int, s
 
     Unfolded, d_k = alpha_k and e_k = beta_k; folded (the even fold S_n of a
     symmetric scheme), d_k = beta_{2k} + beta_{2k+1} and e_k = beta_{2k-1} beta_{2k}.
-    beta_0 = 0, so e_0 = 0.  The dilation scales beta_m before the fold.  With
-    ``check``, ValueError unless each undilated beta read is positive, or zero
-    where the scheme allows it; NaN fails too.
+    beta_0 = 0, so e_0 = 0.  The dilation scales beta_m before the fold.
+    ValueError unless each alpha and beta read is finite; with ``check``,
+    also unless each undilated beta read is positive, or zero where the
+    scheme allows it.
     """
     first, end = (2 * start - 1, 2 * stop) if folded else (start, stop)  # beta indices used
     lo = max(first, 1)  # beta_k = 0 for k <= 0
     idx = np.arange(lo, end)
     beta = _values(scheme.beta, idx)
+    ok = np.isfinite(beta)
     if check:
-        ok = beta >= 0.0 if scheme.allow_zero_beta else beta > 0.0
-        if not ok.all():
-            k = int(np.argmin(ok))
-            raise ValueError(f"beta({idx[k]}) = {beta[k]} must be positive")
+        ok &= beta >= 0.0 if scheme.allow_zero_beta else beta > 0.0
+    _require("beta", idx, beta, ok, "finite and positive" if check else "finite")
     b = np.concatenate((np.zeros(lo - first), beta))  # b[i] = beta_{first + i}, a copy
     if dilation is not None and first <= dilation.m < end:
         b[dilation.m - first] = dilation.lam * b[dilation.m - first]
     if folded:
         return b[1::2] + b[2::2], b[:-1:2] * b[1::2]
-    return _values(scheme.alpha, np.arange(start, stop)), b
+    idx = np.arange(start, stop)
+    alpha = _values(scheme.alpha, idx)
+    _require("alpha", idx, alpha, np.isfinite(alpha), "finite")
+    return alpha, b
+
+
+def _require(name: str, idx: np.ndarray, values: np.ndarray, ok: np.ndarray, what: str):
+    """ValueError naming the first coefficient where ok is false."""
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ValueError(f"{name}({idx[k]}) = {values[k]} must be {what}")
 
 
 def eval_monic(scheme: RecurrenceScheme, dilation: CoDilation | None, n: int, x):

@@ -48,8 +48,20 @@ class TestDiagonalOperator:
         with pytest.raises(ValueError):
             diagonal_operator(np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            diagonal_operator(np.array([1.0, bad, 0.5]))
+
 
 class TestMatrixOperator:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        a = np.eye(3)
+        a[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            matrix_operator(a)
+
     def test_adjoint_probe(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((13, 7))
@@ -258,6 +270,16 @@ class TestOperatorNormSq:
         est = operator_norm_sq(op, tol=0.0, max_iters=3)
         assert not est.converged
         assert est.iterations == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_quotient_stops_at_once(self, bad):
+        # an operator built around the entry checks: the first Rayleigh
+        # quotient is not finite, and no later one can converge
+        d = np.array([1.0, bad, 0.5])
+        op = LinearOperator(3, 3, lambda x: d * x, lambda x: d * x)
+        est = operator_norm_sq(op)
+        assert (est.converged, est.iterations) == (False, 1)
+        assert not np.isfinite(est.value)
 
 
 class TestCsv:

@@ -1,5 +1,5 @@
-"""Property tests of zero location, of the block solver and of stop reasons
-on random parameters.
+"""Property tests of zero location, of the block solver, of the solver
+oracle and of stop reasons on random parameters.
 
 Examples are drawn from a fixed seed (``derandomize=True``), so every run
 checks the same cases.
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from codilated import zeros  # noqa: E402
 from codilated.operators import Problem, diagonal_operator  # noqa: E402
@@ -29,6 +29,7 @@ from codilated.solvers import (  # noqa: E402
     RelaxationWarning,
     SolverConfig,
     StopReason,
+    oracle_check,
     solve,
     solve_dilations,
 )
@@ -111,6 +112,35 @@ def test_block_solve_equals_single_solves(case, method, epsilon):
         assert (block.iterations, block.stop_reason) == (single.iterations, single.stop_reason)
         assert np.array_equal(block.residual_history, single.residual_history, equal_nan=True)
         assert np.array_equal(block.f_final, single.f_final, equal_nan=True)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A diagonal spectrum with N <= 20 and omega ||A*A|| <= 1, f_true of
+    sup norm 1, nu in (1/2, 4] and an admissible lam in [-1, 2 nu)."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    diag = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n))
+    f_true = np.array(draw(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=n,
+                                    max_size=n)))
+    assume(f_true.any())
+    f_true /= np.max(np.abs(f_true))  # deviations are relative to it: keep it off underflow
+    omega = draw(st.floats(min_value=0.1, max_value=1.0))
+    nu = draw(st.floats(min_value=0.5, max_value=4.0, exclude_min=True))
+    lam = draw(st.floats(min_value=-1.0, max_value=2.0 * nu, exclude_max=True))
+    return np.array(diag), f_true, omega, nu, lam
+
+
+@settings(FIXED, max_examples=200)
+@given(case=oracle_cases(), kind=st.sampled_from([ResidualKind.SYMMETRIC, ResidualKind.ASYMMETRIC]),
+       n_max=st.integers(min_value=1, max_value=60))
+def test_solver_error_follows_residual_polynomial(case, kind, n_max):
+    # the bound of the fixed cases in test_solvers.py's TestOracleEquivalence
+    diag, f_true, omega, nu, lam = case
+    scheme = ultraspherical_scheme(UltrasphericalParams(nu))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RelaxationWarning)  # a norm estimate may round above 1
+        dev = oracle_check(diag, f_true, scheme, CoDilation(1, lam), kind, omega, n_max)
+    assert dev <= 1e-10
 
 
 @settings(FIXED, max_examples=50)

@@ -192,6 +192,24 @@ class TestEigenvaluePath:
             assert np.array_equal(got, scanned(scheme, dil, kind, n)), (n, dil)
             assert got.size or scheme.allow_zero_beta, (n, dil)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    def test_non_finite_coefficient_rejected(self, which, bad):
+        # past the 8 coefficients the scheme checks itself: neither an empty
+        # report nor a LinAlgError nor a NaN value, on either path
+        def tail(n):
+            return (0.25 if which == "beta" else 0.0) if n < 9 else bad
+
+        scheme = RecurrenceScheme(alpha=tail if which == "alpha" else (lambda n: 0.0),
+                                  beta=tail if which == "beta" else (lambda n: 0.25))
+        for run in (lambda: find_zeros(scheme, None, SYM, 20),
+                    lambda: find_zeros(scheme, None, ASYM, 20),
+                    lambda: find_polynomial_zeros(scheme, None, 20),
+                    lambda: find_polynomial_zeros(scheme, CoDilation(1, -1.0), 20),
+                    lambda: eval_monic(scheme, None, 20, 0.5)):
+            with pytest.raises(ValueError, match=f"{which}\\(9\\) = {bad} must be finite"):
+                run()
+
 
 def per_index_jacobi(scheme, dilation, n, folded):
     """The Jacobi eigenvalues assembled one Python call per index, the
