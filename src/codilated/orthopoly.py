@@ -435,7 +435,8 @@ def _r_values(nu: float):
 
 
 def _require_admissible(params: UltrasphericalParams, lam):
-    """ValueError unless nu > 1/2 and each dilation in lam (float or array) is finite, < 2 nu."""
+    """ValueError unless nu > 1/2 and each dilation in lam (a float or an
+    array) is finite and below the critical value 2 nu."""
     params.require_closed_forms()
     critical = critical_constants(params).lambda_critical
     bad = [x for x in np.ravel(lam).tolist() if not -math.inf < x < critical]  # NaN fails too

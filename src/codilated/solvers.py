@@ -300,8 +300,8 @@ def _two_step(problem, omega, coeffs, applies=None, state=None):
     """Iterates of the second-order update; coeffs yields (a_n, b_n, mu_{n+1}).
 
     It runs from state = (f_n, f_{n-1}, g - A f_n), by default f_0 = f_{-1} = 0,
-    with applies = (matvec, rmatvec), by default the single applies.  a_n =
-    None, which only Landweber's stream yields, leaves the momentum term out.
+    with applies = (matvec, rmatvec), by default the single applies.  A None
+    a_n, which only Landweber's stream yields, leaves the momentum term out.
     """
     op, g = problem.operator, problem.g
     matvec, rmatvec = applies or (op.matvec, op.rmatvec)
@@ -578,7 +578,7 @@ def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
     applies = op.matvec_rows, op.rmatvec_rows
     f = np.zeros((size, op.domain_dim))
     steps = _two_step(problem, omega, coeffs, applies, (f, f, np.broadcast_to(g, (size, g.size))))
-    view = ((a[live], b[live], mu) for a, b, mu in coeffs)  # live: rows as an array
+    view = ((a[live], b[live], mu) for a, b, mu in coeffs)  # live is set at each restart
     for n in count(1):
         f, f_prev, _, v = next(steps)
         left = False

@@ -197,11 +197,10 @@ class TestEigenvaluePath:
     def test_non_finite_coefficient_rejected(self, which, bad):
         # past the 8 coefficients the scheme checks itself: neither an empty
         # report nor a LinAlgError nor a NaN value, on either path
-        def tail(n):
-            return (0.25 if which == "beta" else 0.0) if n < 9 else bad
-
-        scheme = RecurrenceScheme(alpha=tail if which == "alpha" else (lambda n: 0.0),
-                                  beta=tail if which == "beta" else (lambda n: 0.25))
+        coefficients = {"alpha": lambda n: 0.0, "beta": lambda n: 0.25}
+        good = coefficients[which]
+        coefficients[which] = lambda n: good(n) if n < 9 else bad
+        scheme = RecurrenceScheme(**coefficients)
         for run in (lambda: find_zeros(scheme, None, SYM, 20),
                     lambda: find_zeros(scheme, None, ASYM, 20),
                     lambda: find_polynomial_zeros(scheme, None, 20),
