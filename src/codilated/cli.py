@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .experiments import (
     DEFAULT_SEED,
@@ -28,7 +29,7 @@ from .experiments import (
     write_table_csv,
 )
 from .checks import run_checks
-from .operators import _write_lines, save_matrix_csv, save_vector_csv
+from .operators import _write_lines, deriv2_assemble, save_matrix_csv, save_vector_csv
 from .orthopoly import CoDilation, ResidualKind, UltrasphericalParams, ultraspherical_scheme
 from .solvers import Method, SolverConfig, StopReason
 from .zeros import find_polynomial_zeros, find_zeros
@@ -61,91 +62,70 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-_FILE_KEYS = {
-    "problem": str,
-    "method": str,
-    "nu": float,
-    "lambda": float,
-    "omega": float,
-    "eps": float,
-    "tau": float,
-    "seed": int,
-    "n": int,
-    "max_iter": int,
-    "sweep": _parse_sweep,
-    "zero_degree": int,
-    "out": str,
+# the solve and sweep options: key -> (type, SolverConfig or ExperimentSpec
+# field, argparse extras).  Each key is a config-file key of both and, with
+# "-" for "_", a flag, of sweep alone for the _SWEEP_ONLY keys; a flag
+# overrides the file entry.
+_OPTIONS = {
+    "problem": (str, "problem", {"choices": sorted(PROBLEM_DEFAULTS)}),
+    "method": (str, "method", {"choices": [m.value for m in Method]}),
+    "n": (int, "n", {"help": "problem size override"}),
+    "nu": (float, "nu", {}),
+    "lambda": (float, "lam", {}),
+    "omega": (float, "omega", {}),
+    "eps": (float, "epsilon", {"help": "noise level"}),
+    "tau": (float, "tau", {}),
+    "seed": (int, "seed", {}),
+    "max_iter": (int, "max_iter", {}),
+    "out": (str, "out", {"help": "output CSV path"}),
+    "sweep": (_parse_sweep, "sweep", {"help": "min:max:step or explicit list"}),
+    "zero_degree": (int, "zero_degree", {}),
 }
+_SWEEP_ONLY = ("sweep", "zero_degree")
+_CONFIG_FIELDS = {f.name for f in fields(SolverConfig)}
 
 
 def _add_common(parser: argparse.ArgumentParser, sweep: bool = False):
     parser.add_argument("--config", help="key=value file; flags override its entries")
-    parser.add_argument("--problem", choices=sorted(PROBLEM_DEFAULTS))
-    parser.add_argument("--method", choices=[m.value for m in Method])
-    parser.add_argument("--n", type=int, help="problem size override")
-    parser.add_argument("--nu", type=float)
-    parser.add_argument("--lambda", dest="lam", type=float)
-    parser.add_argument("--omega", type=float)
-    parser.add_argument("--eps", type=float, help="noise level")
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--max-iter", dest="max_iter", type=int)
-    parser.add_argument("--out", help="output CSV path")
-    if sweep:
-        parser.add_argument("--sweep", type=_parse_sweep, help="min:max:step or explicit list")
-        parser.add_argument("--zero-degree", dest="zero_degree", type=int)
+    for key, (kind, _, extras) in _OPTIONS.items():
+        if sweep or key not in _SWEEP_ONLY:
+            parser.add_argument("--" + key.replace("_", "-"), type=kind, **extras)
 
 
 def _merged(args) -> dict:
     merged: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         for key, value in _read_config_file(args.config).items():
-            if key not in _FILE_KEYS:
+            if key not in _OPTIONS:
                 raise ValueError(f"unknown config key {key!r}")
-            merged[key] = _FILE_KEYS[key](value)
-    for key in _FILE_KEYS:
-        value = getattr(args, "lam" if key == "lambda" else key, None)
-        if value is not None:
-            merged[key] = value
+            merged[key] = _OPTIONS[key][0](value)
+    merged.update((k, v) for k, v in vars(args).items() if k in _OPTIONS and v is not None)
     return merged
 
 
-def _build_spec(merged: dict) -> ExperimentSpec:
+def _build_spec(args) -> ExperimentSpec:
+    """The spec of the merged options; omega, eps and tau default to the
+    problem's, every other field to its dataclass default."""
+    merged = _merged(args)
     problem = merged.get("problem", "deriv2")
     if problem not in PROBLEM_DEFAULTS:
         raise ValueError(f"unknown problem {problem!r}")
-    _, omega_d, eps_d, tau_d = PROBLEM_DEFAULTS[problem]
-    config = SolverConfig(
-        method=merged.get("method", Method.CODILATED_NU),
-        nu=merged.get("nu", 1.0),
-        lam=merged.get("lambda", 1.0),
-        omega=merged.get("omega", omega_d),
-        tau=merged.get("tau", tau_d),
-        epsilon=merged.get("eps", eps_d),
-        max_iter=merged.get("max_iter"),
-    )
-    return ExperimentSpec(
-        problem=problem,
-        n=merged.get("n"),
-        config=config,
-        sweep=merged.get("sweep"),
-        seed=merged.get("seed", DEFAULT_SEED),
-        zero_degree=merged.get("zero_degree"),
-        out=merged.get("out"),
-    )
+    _, omega, eps, tau = PROBLEM_DEFAULTS[problem]
+    config, spec = {"omega": omega, "epsilon": eps, "tau": tau}, {}
+    for key, value in merged.items():
+        field = _OPTIONS[key][1]
+        (config if field in _CONFIG_FIELDS else spec)[field] = value
+    return ExperimentSpec(config=SolverConfig(**config), **spec)
 
 
 def _cmd_solve(args) -> int:
-    merged = _merged(args)
-    spec = _build_spec(merged)
+    spec = _build_spec(args)
     if args.dump_problem:
         noisy = build_problem(spec)
         save_vector_csv(args.dump_problem + "_g_clean.csv", noisy.g_clean)
         save_vector_csv(args.dump_problem + "_g_noisy.csv", noisy.g_noisy)
         if spec.problem == "deriv2":
-            from .operators import deriv2_assemble
-
-            d2 = deriv2_assemble(spec.n or PROBLEM_DEFAULTS["deriv2"][0])
+            d2 = deriv2_assemble(noisy.operator.domain_dim)
             save_matrix_csv(args.dump_problem + "_matrix.csv", d2.matrix)
             save_vector_csv(args.dump_problem + "_f_exact.csv", d2.f_exact)
     report = run_experiment(spec)
@@ -164,8 +144,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    merged = _merged(args)
-    spec = _build_spec(merged)
+    spec = _build_spec(args)
     result = run_sweep(spec)
     for row in result.rows:
         print(f"lambda={row.lam!r} iterations={row.iterations} stop={row.stop_reason}")

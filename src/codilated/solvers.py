@@ -38,6 +38,12 @@ and restarts ``_two_step`` from the rows still running once rows stop.
 Each row's report is bit-identical to the single solve's; the single-solve
 path pays nothing for the block.
 
+Every solve, single or block, passes one gate, ``_gate``, after it has
+built its coefficient stream (so an inadmissible (nu, lam) raises before any
+warning) and before its loop.  The gate checks omega ||A*A|| once per solve
+against the method's relaxation bound, skips cg, which has none, warns also
+where the level is not finite, and picks the method's default iteration cap.
+
 Residual norms are recomputed from v = g - A f every step; nothing is
 updated incrementally, so histories do not drift over long runs.  A solve
 is single-threaded and deterministic; distinct solves share no mutable
@@ -55,7 +61,7 @@ from itertools import count, repeat
 
 import numpy as np
 
-from .operators import LinearOperator, Problem, cached_norm_sq, diagonal_operator
+from .operators import Problem, cached_norm_sq, diagonal_operator
 from .orthopoly import (
     CoDilation,
     RecurrenceScheme,
@@ -200,11 +206,6 @@ class SolveReport:
     gamma_final: float | None = None
 
 
-def _run_as(config: SolverConfig, method: Method) -> SolverConfig:
-    """config run by method: an unset max_iter takes method's default cap."""
-    return config if config.method is method else replace(config, method=method)
-
-
 def discrepancy_stop(state: IterationState, tau: float, epsilon: float) -> bool:
     """Morozov discrepancy principle: stop once ||A f_n - g|| < tau * epsilon."""
     return state.residual_norm < tau * epsilon
@@ -220,21 +221,21 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def _check_relaxation(op: LinearOperator, omega: float, method: Method) -> None:
-    level = omega * cached_norm_sq(op)
-    if method is Method.LANDWEBER:
-        if level >= 1.0 - 1e-10:
-            warnings.warn(
-                f"omega ||A*A|| = {level:.6g} >= 1: Landweber convergence is not guaranteed",
-                RelaxationWarning,
-                stacklevel=_caller_stacklevel(),
-            )
-    elif level > 1.0 + 1e-10:
-        warnings.warn(
-            f"omega ||A*A|| = {level:.6g} > 1: convergence guarantees lapse",
-            RelaxationWarning,
-            stacklevel=_caller_stacklevel(),
-        )
+def _gate(problem: Problem, config: SolverConfig, method: Method) -> SolverConfig:
+    """config run by method, so an unset max_iter takes method's default cap,
+    after the relaxation check (see the module docstring)."""
+    if method is not Method.CG:
+        level = config.omega * cached_norm_sq(problem.operator)
+        if method is Method.LANDWEBER:
+            ok, lapse = level < 1.0 - 1e-10, ">= 1: Landweber convergence is not guaranteed"
+        else:
+            ok, lapse = level <= 1.0 + 1e-10, "> 1: convergence guarantees lapse"
+        if not ok:  # NaN fails both comparisons
+            if not math.isfinite(level):
+                lapse = "is not finite: the norm estimate failed"
+            message = f"omega ||A*A|| = {level:.6g} {lapse}"
+            warnings.warn(message, RelaxationWarning, stacklevel=_caller_stacklevel())
+    return config if config.method is method else replace(config, method=method)
 
 
 def _stop_reason(rn, threshold, stalled, n, max_iter) -> StopReason | None:
@@ -315,9 +316,8 @@ def _two_step(problem, omega, coeffs, applies=None, state=None):
 
 def landweber(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
     """f_{n+1} = f_n + 2 omega A*(g - A f_n) from f_0 = 0."""
-    _check_relaxation(problem.operator, config.omega, Method.LANDWEBER)
     steps = _two_step(problem, config.omega, repeat((None, 2.0, 1.0)))
-    return _drive(problem, _run_as(config, Method.LANDWEBER), steps, callback)
+    return _drive(problem, _gate(problem, config, Method.LANDWEBER), steps, callback)
 
 
 def general_semi_iterative(
@@ -370,17 +370,14 @@ def _recursive_solve(problem, scheme, dilation, config, method, callback) -> Sol
     kind = DILATION_KINDS[method]
     if kind is ResidualKind.ASYMMETRIC and not scheme.symmetric:
         raise ValueError("asymmetric residual polynomials need a symmetric scheme")
-    _check_relaxation(problem.operator, config.omega, method)
     steps = _two_step(problem, config.omega, _recursive_coefficients(scheme, dilation, kind))
-    return _drive(problem, _run_as(config, method), steps, callback)
+    return _drive(problem, _gate(problem, config, method), steps, callback)
 
 
 def _closed_form_solve(problem, nu, lam, config, method, callback) -> SolveReport:
-    """(nu, lam) is checked before omega, so an inadmissible dilation warns of nothing."""
     coeffs = _closed_form_coefficients(UltrasphericalParams(nu), lam, DILATION_KINDS[method])
-    config = _run_as(config, method)
-    _check_relaxation(problem.operator, config.omega, method)
-    return _drive(problem, config, _two_step(problem, config.omega, coeffs), callback)
+    steps = _two_step(problem, config.omega, coeffs)
+    return _drive(problem, _gate(problem, config, method), steps, callback)
 
 
 def adaptive_codilated_one(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
@@ -393,9 +390,9 @@ def adaptive_codilated_one(problem: Problem, config: SolverConfig, callback=None
     and applies the matching correction to the iterate.  gamma = 1, where
     v_min is v_{n-1}, has no finite dilation: chosen_lambda is NaN.
     """
-    _check_relaxation(problem.operator, config.omega, Method.ADAPTIVE_CODILATED_ONE)
     kind = DILATION_KINDS[Method.CODILATED_NU]
     coeffs = _closed_form_coefficients(UltrasphericalParams(1.0), 1.0, kind)
+    config = _gate(problem, config, Method.ADAPTIVE_CODILATED_ONE)
     f = f_prev = np.zeros(problem.operator.domain_dim)
     gamma = 0.0
 
@@ -414,7 +411,7 @@ def adaptive_codilated_one(problem: Problem, config: SolverConfig, callback=None
             yield f, f_prev, gamma, v - gamma * dv
             v_prev = v
 
-    report = _drive(problem, _run_as(config, Method.ADAPTIVE_CODILATED_ONE), steps(), callback)
+    report = _drive(problem, config, steps(), callback)
     n = report.iterations
     den = (2.0 * n - 1.0) * (1.0 - gamma)  # zero only at gamma = 1
     report.chosen_lambda = 1.0 - (2.0 * n + 1.0) * gamma / den if den else math.nan
@@ -457,7 +454,7 @@ def cg_normal_equations(problem: Problem, config: SolverConfig, callback=None) -
     with STAGNATION; nonpositive direction curvature is a BREAKDOWN and
     the current iterate is returned as-is.
     """
-    return _drive(problem, _run_as(config, Method.CG), _cg_steps(problem), callback)
+    return _drive(problem, _gate(problem, config, Method.CG), _cg_steps(problem), callback)
 
 
 def oracle_check(
@@ -546,8 +543,7 @@ def solve_dilations(problem: Problem, config: SolverConfig, lams) -> list[SolveR
     coeffs = _closed_form_coefficients(UltrasphericalParams(config.nu), column, kind)
     if len(column) == 0:
         return []
-    _check_relaxation(problem.operator, config.omega, config.method)
-    return _drive_block(problem, config, coeffs, len(column))
+    return _drive_block(problem, _gate(problem, config, config.method), coeffs, len(column))
 
 
 def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:

@@ -1,9 +1,10 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from codilated import experiments
+from codilated import cli, experiments
 from codilated.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_MAX_ITER, EXIT_OK, main
 from codilated.experiments import (
     DEFAULT_SEED,
@@ -310,6 +311,54 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no_such_key=1\n")
         assert main(["solve", "--config", str(cfg)]) == EXIT_CONFIG
+
+    # a non-default value for every solve and sweep option, with the base
+    # arguments it runs on
+    OPTION_CASES = {
+        "problem": ("diag-second", ["solve"]),
+        "method": ("asymmetric-si", ["solve"]),
+        "n": ("30", ["solve"]),
+        "nu": ("2", ["solve"]),
+        "lambda": ("1.5", ["solve"]),
+        "omega": ("50", ["solve"]),
+        "eps": ("0.02", ["solve"]),
+        "tau": ("3", ["solve"]),
+        "seed": ("3", ["solve"]),
+        "max_iter": ("100", ["solve"]),
+        "out": ("other.csv", ["solve"]),
+        "sweep": ("1.0:1.5:0.25", ["sweep", "--problem", "diag-last"]),
+        "zero_degree": ("20", ["sweep", "--problem", "diag-last", "--sweep", "1.0,1.5"]),
+    }
+
+    def test_option_cases_cover_every_option(self):
+        assert set(self.OPTION_CASES) == set(cli._OPTIONS)
+
+    @pytest.mark.parametrize("key", sorted(OPTION_CASES))
+    def test_flag_and_config_entry_agree(self, key, tmp_path, monkeypatch, capsys):
+        value, base = self.OPTION_CASES[key]
+        if key != "out":
+            base = base + ["--out", "out.csv"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        outcomes = []
+        for name, extra in (("flag", ["--" + key.replace("_", "-"), value]),
+                            ("file", ["--config", str(cfg)])):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RelaxationWarning)
+                code = main(base + extra)
+            files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+            outcomes.append((code, capsys.readouterr().out, files))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2]  # the run wrote its CSV
+
+    def test_config_file_unknown_problem(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem=nosuch\n")
+        assert main(["solve", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -758,6 +758,51 @@ class TestRelaxationWarnings:
             solve_dilations(problem, config, [0.5, 1.0, 1.5])
         assert [w.filename for w in record] == [__file__]
 
+    @staticmethod
+    def relaxation_warnings(run):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            run()
+        return [w for w in record if issubclass(w.category, RelaxationWarning)]
+
+    def test_non_finite_norm_estimate_warns_at_caller(self):
+        # the power iteration meets the NaN entry at once: NormEstimate(nan, False, 1)
+        d = np.array([1.0, math.nan, 0.5])
+        problem = Problem(LinearOperator(3, 3, lambda x: d * x, lambda x: d * x), np.ones(3))
+        for run in (
+            lambda: landweber(problem, quiet_config(omega=0.5, max_iter=3)),
+            lambda: codilated_nu(problem, 1.0, 1.0, quiet_config(omega=0.5, max_iter=3)),
+            lambda: solve_dilations(problem, quiet_config(omega=0.5, max_iter=3), [0.5, 1.0]),
+        ):
+            record = self.relaxation_warnings(run)
+            assert [w.filename for w in record] == [__file__]
+            assert "not finite" in str(record[0].message)
+
+    def test_every_method_but_cg_warns_once_at_caller(self):
+        # omega ||A*A|| = 1.5: beyond the bound of every method
+        problem = Problem(diagonal_operator(np.ones(4)), np.ones(4))
+        config = quiet_config(omega=1.5, max_iter=3)
+        for run in (
+            lambda: landweber(problem, config),
+            lambda: general_semi_iterative(problem, CHEB, None, config),
+            lambda: codilated_ultraspherical(problem, 1.0, 1.0, config),
+            lambda: asymmetric_semi_iterative(problem, CHEB, None, config),
+            lambda: codilated_nu(problem, 1.0, 1.0, config),
+            lambda: adaptive_codilated_one(problem, config),
+            lambda: solve_dilations(problem, config, [0.5, 1.0, 1.5]),
+        ):
+            assert [w.filename for w in self.relaxation_warnings(run)] == [__file__]
+        for method in Method:
+            record = self.relaxation_warnings(lambda: solve(problem, replace(config, method=method)))
+            assert [w.filename for w in record] == ([] if method is Method.CG else [__file__])
+
+    def test_cg_estimates_no_norm(self):
+        problem = Problem(diagonal_operator(np.ones(4)), np.ones(4))
+        assert self.relaxation_warnings(
+            lambda: cg_normal_equations(problem, quiet_config(omega=1.5, max_iter=3))
+        ) == []
+        assert problem.operator._norm_sq_cache is None
+
 
 BLOCK_METHODS = [Method.CODILATED_NU, Method.CODILATED_ULTRASPHERICAL]
 

@@ -6,7 +6,8 @@ Each run goes through ``codilated.cli.main`` in this process, using the
 ``src/`` tree next to this script, with its own directory under OUT_DIR as
 the working directory.  The directory keeps the arguments (``argv.txt``),
 the exit code (``exit_code.txt``), the standard output (``stdout.txt``) and
-every file the run wrote.  Standard error (relaxation warnings, error
+every file the run wrote.  A run named in ``CONFIG_FILES`` first writes its
+config file there as ``run.cfg``.  Standard error (relaxation warnings, error
 messages) is not recorded.
 
 A refactor shows that it changed no output by snapshotting both trees and
@@ -35,6 +36,14 @@ METHODS = ("landweber", "general-si", "codilated-ultraspherical", "asymmetric-si
            "codilated-nu", "adaptive-codilated-one", "cg")
 PROBLEMS = ("deriv2", "diag-last", "diag-second")
 ZERO_KINDS = ("symmetric", "asymmetric", "polynomial")
+# config files of the --config runs, by run name
+CONFIG_FILES = {
+    # every solve key from the file; --lambda overrides the file's entry
+    "solve_config_file": "problem=diag-last\nmethod=codilated-nu\nn=60\nnu=1.5\n"
+    "lambda=2.5\nomega=0.9\neps=0.02\ntau=3.5\nseed=7\nmax_iter=4000\nout=file.csv\n",
+    "sweep_config_file": "# the sweep keys\nproblem=diag-last\nsweep=1.0:1.95:0.15\n"
+    "zero_degree=40\nout=out.csv\n",
+}
 
 
 def runs():
@@ -96,6 +105,8 @@ def runs():
     yield "sweep_deriv2_codilated-nu_restarts", [
         "sweep", "--problem", "deriv2", "--nu", "1", "--sweep=-1,0.5,1,1.5,1.95",
         "--tau", "7.27", "--out", "out.csv"]
+    yield "solve_config_file", ["solve", "--config", "run.cfg", "--lambda", "2.9"]
+    yield "sweep_config_file", ["sweep", "--config", "run.cfg"]
     for kind in ZERO_KINDS:
         zeros = ["zeros", "--nu", "1", "--kind", kind, "--degree", "150"]
         yield f"zeros_{kind}", zeros + ["--lambda", "1.9", "--out", "out.csv"]
@@ -124,8 +135,10 @@ def runs():
                 "--out", "out.csv"]
 
 
-def record(run_dir: Path, argv: list[str]) -> int:
+def record(run_dir: Path, argv: list[str], config: str | None = None) -> int:
     run_dir.mkdir()
+    if config is not None:
+        (run_dir / "run.cfg").write_text(config, encoding="utf-8")
     stdout = io.StringIO()
     cwd = os.getcwd()
     os.chdir(run_dir)
@@ -143,7 +156,7 @@ def record(run_dir: Path, argv: list[str]) -> int:
 def snapshot(out_dir: Path) -> None:
     out_dir.mkdir(parents=True)  # refuses an existing directory: no stale files
     for name, argv in runs():
-        code = record(out_dir / name, argv)
+        code = record(out_dir / name, argv, CONFIG_FILES.get(name))
         print(f"{name}: exit {code}", file=sys.stderr)
 
 
