@@ -3,10 +3,10 @@
 Subcommands: solve, sweep, table1, zeros, checks.  Options may also come
 from a plain-text key=value config file (--config); command-line flags
 override file entries.  Sweeps and tables run their solves one after
-another in this process.  Exit codes: 0 success, 1 configuration error,
-arithmetic failure such as a vanishing normalisation (or failed checks), 2
-solve ended at the iteration cap, 3 solve stopped on a non-finite residual
-(divergence).
+another in this process.  Exit codes: 0 success, 1 configuration error
+(a malformed flag among them), arithmetic failure such as a vanishing
+normalisation (or failed checks), 2 solve ended at the iteration cap, 3
+solve stopped on a non-finite residual (divergence).
 """
 
 from __future__ import annotations
@@ -199,8 +199,16 @@ def _cmd_checks(_args) -> int:
     return EXIT_OK if run_checks() else EXIT_CONFIG
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as ValueError, which ``main`` reports
+    as a configuration error, where argparse would exit with code 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="codilated",
         description="Semi-iterative accelerated Landweber solvers built from "
         "co-dilated orthogonal polynomials",
@@ -240,9 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -26,12 +26,14 @@ __all__ = [
 class LinearOperator:
     """Real linear operator with explicit forward and adjoint actions.
 
-    ``matvec_rows``/``rmatvec_rows`` apply the operator to every row of a
-    2-D block; each row of the result equals the single-vector apply of
-    that row bit for bit.  An operator built without block applies falls
-    back to applying its rows one at a time.  The actions are fixed at
-    construction; the only mutable state is the memoised norm estimate of
-    ``cached_norm_sq``.
+    The attributes ``matvec_rows``/``rmatvec_rows`` apply the operator to
+    every row of a 2-D block; each row of the result equals the
+    single-vector apply of that row bit for bit.  An operator built without
+    block applies falls back to applying its rows one at a time.
+    ``matvec``/``rmatvec`` stay methods so that a tracer can count applies
+    by patching the class.  The actions are fixed at construction; the only
+    other state is ``norm_estimate``, the whole ``operator_norm_sq`` result,
+    computed on first read and kept.
     """
 
     def __init__(
@@ -41,9 +43,8 @@ class LinearOperator:
         self.range_dim = int(range_dim)
         self._matvec = matvec
         self._rmatvec = rmatvec
-        self._matvec_rows = matvec_rows or partial(_row_by_row, matvec)
-        self._rmatvec_rows = rmatvec_rows or partial(_row_by_row, rmatvec)
-        self._norm_sq_cache = None
+        self.matvec_rows = matvec_rows or partial(_row_by_row, matvec)
+        self.rmatvec_rows = rmatvec_rows or partial(_row_by_row, rmatvec)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._matvec(x)
@@ -51,11 +52,9 @@ class LinearOperator:
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         return self._rmatvec(y)
 
-    def matvec_rows(self, xs: np.ndarray) -> np.ndarray:
-        return self._matvec_rows(xs)
-
-    def rmatvec_rows(self, ys: np.ndarray) -> np.ndarray:
-        return self._rmatvec_rows(ys)
+    @cached_property
+    def norm_estimate(self) -> NormEstimate:
+        return operator_norm_sq(self)  # looked up at call time: a patched global is seen
 
 
 def _row_by_row(apply, block: np.ndarray) -> np.ndarray:
@@ -221,13 +220,6 @@ def operator_norm_sq(
         rho = rho_new
         x = y / norm_y
     return NormEstimate(rho, False, max_iters)
-
-
-def cached_norm_sq(operator: LinearOperator) -> float:
-    """Memoised ||A* A|| estimate used for relaxation-parameter checks."""
-    if operator._norm_sq_cache is None:
-        operator._norm_sq_cache = operator_norm_sq(operator).value
-    return operator._norm_sq_cache
 
 
 def _fmt(value) -> str:

@@ -40,9 +40,11 @@ path pays nothing for the block.
 
 Every solve, single or block, passes one gate, ``_gate``, after it has
 built its coefficient stream (so an inadmissible (nu, lam) raises before any
-warning) and before its loop.  The gate checks omega ||A*A|| once per solve
-against the method's relaxation bound, skips cg, which has none, warns also
-where the level is not finite, and picks the method's default iteration cap.
+warning) and before its loop.  The gate checks omega ||A*A||, from the
+operator's memoised ``norm_estimate``, once per solve against the method's
+relaxation bound, skips cg, which has none, warns also where the level is not
+finite or the estimate did not converge (one warning per solve, naming the
+power iterations), and picks the method's default iteration cap.
 
 Residual norms are recomputed from v = g - A f every step; nothing is
 updated incrementally, so histories do not drift over long runs.  A solve
@@ -61,7 +63,7 @@ from itertools import count, repeat
 
 import numpy as np
 
-from .operators import Problem, cached_norm_sq, diagonal_operator
+from .operators import Problem, diagonal_operator
 from .orthopoly import (
     CoDilation,
     RecurrenceScheme,
@@ -225,15 +227,20 @@ def _gate(problem: Problem, config: SolverConfig, method: Method) -> SolverConfi
     """config run by method, so an unset max_iter takes method's default cap,
     after the relaxation check (see the module docstring)."""
     if method is not Method.CG:
-        level = config.omega * cached_norm_sq(problem.operator)
+        estimate = problem.operator.norm_estimate
+        level = config.omega * estimate.value
         if method is Method.LANDWEBER:
             ok, lapse = level < 1.0 - 1e-10, ">= 1: Landweber convergence is not guaranteed"
         else:
             ok, lapse = level <= 1.0 + 1e-10, "> 1: convergence guarantees lapse"
-        if not ok:  # NaN fails both comparisons
-            if not math.isfinite(level):
-                lapse = "is not finite: the norm estimate failed"
-            message = f"omega ||A*A|| = {level:.6g} {lapse}"
+        lapses = [] if ok else [lapse]  # NaN fails both comparisons
+        if not math.isfinite(level):
+            lapses = ["is not finite: the norm estimate failed"]
+        elif not estimate.converged:
+            lapses.append(f"rests on a norm estimate that did not converge in "
+                          f"{estimate.iterations} iterations")
+        if lapses:
+            message = f"omega ||A*A|| = {level:.6g} " + ", and ".join(lapses)
             warnings.warn(message, RelaxationWarning, stacklevel=_caller_stacklevel())
     return config if config.method is method else replace(config, method=method)
 

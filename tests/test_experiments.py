@@ -360,6 +360,24 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "abc"],
+        ["sweep", "--method", "nosuch"],
+        ["zeros", "--degree", "x"],
+        ["zeros"],  # --degree is required
+        ["nosuch"],
+    ])
+    def test_malformed_flag_is_config_error(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["solve", "--help"])
+        assert exit_.value.code == 0
+        assert "--max-iter" in capsys.readouterr().out
+
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(

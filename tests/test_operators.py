@@ -271,6 +271,15 @@ class TestOperatorNormSq:
         assert not est.converged
         assert est.iterations == 3
 
+    @pytest.mark.parametrize("make", [
+        lambda: diagonal_operator(1.0 / np.arange(1.0, 51.0)),
+        lambda: deriv2_assemble(50).to_operator(),
+    ])
+    def test_memoised_estimate_is_the_estimate(self, make):
+        op = make()
+        assert op.norm_estimate == operator_norm_sq(op)
+        assert op.norm_estimate is op.norm_estimate
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_quotient_stops_at_once(self, bad):
         # an operator built around the entry checks: the first Rayleigh

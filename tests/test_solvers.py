@@ -6,12 +6,13 @@ from itertools import repeat
 import numpy as np
 import pytest
 
+from codilated import operators
 from codilated.experiments import PROBLEM_DEFAULTS, ExperimentSpec, build_problem
 from codilated.operators import (
     LinearOperator,
+    NormEstimate,
     Problem,
     add_noise,
-    cached_norm_sq,
     deriv2_assemble,
     diagonal_operator,
 )
@@ -525,7 +526,7 @@ class TestConfigAndDriver:
             return d * x
 
         op = LinearOperator(3, 3, apply, apply)
-        cached_norm_sq(op)  # the relaxation check's norm estimate precedes the solve
+        op.norm_estimate  # the relaxation check's norm estimate precedes the solve
         problem = Problem(op, np.ones(3))
         for method in Method:
             applied.clear()
@@ -546,7 +547,7 @@ class TestConfigAndDriver:
             return d * x
 
         op = LinearOperator(3, 3, apply, apply)
-        cached_norm_sq(op)
+        op.norm_estimate
         problem = Problem(op, np.array([1.0, np.nan, 1.0]))
         for method in Method:
             applied.clear()
@@ -801,7 +802,44 @@ class TestRelaxationWarnings:
         assert self.relaxation_warnings(
             lambda: cg_normal_equations(problem, quiet_config(omega=1.5, max_iter=3))
         ) == []
-        assert problem.operator._norm_sq_cache is None
+        assert "norm_estimate" not in vars(problem.operator)
+
+    def test_unconverged_norm_estimate_warns_once_at_caller(self, monkeypatch):
+        monkeypatch.setattr(
+            operators, "operator_norm_sq", lambda op: NormEstimate(0.5, False, 100000)
+        )
+        problem = Problem(diagonal_operator(np.ones(4)), np.ones(4))
+        config = quiet_config(omega=1.0, max_iter=3)
+        for run in (
+            lambda: landweber(problem, config),
+            lambda: codilated_nu(problem, 1.0, 1.0, config),
+            lambda: solve_dilations(problem, config, [0.5, 1.0]),
+        ):
+            record = self.relaxation_warnings(run)
+            assert [w.filename for w in record] == [__file__]
+            assert "did not converge in 100000" in str(record[0].message)
+        # beyond the bound too: still one warning, which says both
+        beyond = replace(config, omega=3.0)
+        record = self.relaxation_warnings(lambda: codilated_nu(problem, 1.0, 1.0, beyond))
+        assert [w.filename for w in record] == [__file__]
+        assert "> 1" in str(record[0].message) and "100000" in str(record[0].message)
+
+    def test_norm_estimated_once_per_operator(self, monkeypatch):
+        calls = []
+
+        def counted(op):
+            calls.append(op)
+            return NormEstimate(1.0, True, 1)
+
+        monkeypatch.setattr(operators, "operator_norm_sq", counted)
+        problem = Problem(diagonal_operator(np.ones(4)), np.ones(4))
+        other = Problem(diagonal_operator(np.ones(4)), np.ones(4))
+        config = quiet_config(omega=0.9, max_iter=3)
+        solve(problem, config)
+        solve(problem, replace(config, method="landweber", omega=0.5))
+        solve_dilations(problem, config, [0.5, 1.0])
+        solve_dilations(other, config, [0.5, 1.0])
+        assert calls == [problem.operator, other.operator]
 
 
 BLOCK_METHODS = [Method.CODILATED_NU, Method.CODILATED_ULTRASPHERICAL]
@@ -920,7 +958,7 @@ class TestSolveDilations:
             return d * x
 
         op = LinearOperator(3, 3, apply, apply)
-        cached_norm_sq(op)
+        op.norm_estimate
         config = SolverConfig(nu=1.0, omega=0.9, epsilon=1e-3, max_iter=50)
         assert_block_equals_singles(Problem(op, np.array([1.0, -2.0, 3.0])), config, [0.5, 1.9])
         assert set(applied) == {(3,)}  # rows one at a time

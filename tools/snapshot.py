@@ -5,7 +5,8 @@
 Each run goes through ``codilated.cli.main`` in this process, using the
 ``src/`` tree next to this script, with its own directory under OUT_DIR as
 the working directory.  The directory keeps the arguments (``argv.txt``),
-the exit code (``exit_code.txt``), the standard output (``stdout.txt``) and
+the exit code (``exit_code.txt``; the code of a ``SystemExit`` that ``main``
+raises counts as the run's exit code), the standard output (``stdout.txt``) and
 every file the run wrote.  A run named in ``CONFIG_FILES`` first writes its
 config file there as ``run.cfg``.  Standard error (relaxation warnings, error
 messages) is not recorded.
@@ -133,6 +134,11 @@ def runs():
             yield f"zeros_{kind}_scan_{lam}", [
                 "zeros", "--nu", "1", "--kind", kind, "--degree", "40", f"--lambda={lam}",
                 "--out", "out.csv"]
+    # malformed flags are configuration errors
+    yield "malformed_solve_n", ["solve", "--n", "abc"]
+    yield "malformed_sweep_method", ["sweep", "--method", "nosuch"]
+    yield "malformed_zeros_degree", ["zeros", "--degree", "x"]
+    yield "malformed_command", ["nosuch"]
 
 
 def record(run_dir: Path, argv: list[str], config: str | None = None) -> int:
@@ -145,6 +151,8 @@ def record(run_dir: Path, argv: list[str], config: str | None = None) -> int:
     try:
         with contextlib.redirect_stdout(stdout):
             code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     finally:
         os.chdir(cwd)
     (run_dir / "argv.txt").write_text(shlex.join(argv) + "\n", encoding="utf-8")
