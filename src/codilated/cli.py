@@ -3,10 +3,11 @@
 Subcommands: solve, sweep, table1, zeros, checks.  Options may also come
 from a plain-text key=value config file (--config); command-line flags
 override file entries.  Sweeps and tables run their solves one after
-another in this process.  Exit codes: 0 success, 1 configuration error
-(a malformed flag among them), arithmetic failure such as a vanishing
-normalisation (or failed checks), 2 solve ended at the iteration cap, 3
-solve stopped on a non-finite residual (divergence).
+another in this process.  This module handles arguments and stdout; the
+experiments module writes every file.  Exit codes: 0 success, 1
+configuration error (a malformed flag among them), arithmetic failure such
+as a vanishing normalisation (or failed checks), 2 solve ended at the
+iteration cap, 3 solve stopped on a non-finite residual (divergence).
 """
 
 from __future__ import annotations
@@ -20,16 +21,16 @@ from .experiments import (
     PROBLEM_DEFAULTS,
     ExperimentSpec,
     _sweep_values,
-    build_problem,
+    dump_problem,
     run_experiment,
     run_sweep,
     table1_rows,
+    write_lines,
     write_report_csv,
     write_sweep_csv,
     write_table_csv,
 )
 from .checks import run_checks
-from .operators import _write_lines, deriv2_assemble, save_matrix_csv, save_vector_csv
 from .orthopoly import CoDilation, ResidualKind, UltrasphericalParams, ultraspherical_scheme
 from .solvers import Method, SolverConfig, StopReason
 from .zeros import find_polynomial_zeros, find_zeros
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_MAX_ITER = 2
 EXIT_DIVERGENCE = 3
+_STOP_EXIT = {StopReason.DIVERGENCE: EXIT_DIVERGENCE, StopReason.MAX_ITER: EXIT_MAX_ITER}
 
 
 def _parse_sweep(text: str):
@@ -121,13 +123,7 @@ def _build_spec(args) -> ExperimentSpec:
 def _cmd_solve(args) -> int:
     spec = _build_spec(args)
     if args.dump_problem:
-        noisy = build_problem(spec)
-        save_vector_csv(args.dump_problem + "_g_clean.csv", noisy.g_clean)
-        save_vector_csv(args.dump_problem + "_g_noisy.csv", noisy.g_noisy)
-        if spec.problem == "deriv2":
-            d2 = deriv2_assemble(noisy.operator.domain_dim)
-            save_matrix_csv(args.dump_problem + "_matrix.csv", d2.matrix)
-            save_vector_csv(args.dump_problem + "_f_exact.csv", d2.f_exact)
+        dump_problem(args.dump_problem, spec)
     report = run_experiment(spec)
     line = (
         f"method={spec.config.method.value} iterations={report.iterations} "
@@ -138,9 +134,7 @@ def _cmd_solve(args) -> int:
     print(line)
     if spec.out:
         write_report_csv(spec.out, report, spec.config, spec.seed)
-    if report.stop_reason is StopReason.DIVERGENCE:
-        return EXIT_DIVERGENCE
-    return EXIT_MAX_ITER if report.stop_reason is StopReason.MAX_ITER else EXIT_OK
+    return _STOP_EXIT.get(report.stop_reason, EXIT_OK)
 
 
 def _cmd_sweep(args) -> int:
@@ -154,10 +148,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    rows = table1_rows(
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        include_landweber=args.with_landweber,
-    )
+    rows = table1_rows(seed=args.seed, include_landweber=args.with_landweber)
     for row in rows:
         print(
             f"{row['method']:<24} nu={row['nu']} lambda={row['lambda']} "
@@ -188,10 +179,9 @@ def _cmd_zeros(args) -> int:
         zr = locate(CoDilation(args.m, 1.0 if args.lam is None else args.lam))
         lines.append("index,zero")
         lines.extend(f"{j},{float(z)!r}" for j, z in enumerate(zr.zeros, start=1))
-    for line in lines:
-        print(line)
+    print(*lines, sep="\n")
     if args.out:
-        _write_lines(args.out, lines)
+        write_lines(args.out, lines)
     return EXIT_OK
 
 
@@ -225,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_table = sub.add_parser("table1", help="iteration-count table on deriv2")
-    p_table.add_argument("--seed", type=int)
+    p_table.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_table.add_argument("--with-landweber", action="store_true")
     p_table.add_argument("--out")
     p_table.set_defaults(fn=_cmd_table1)

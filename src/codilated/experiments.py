@@ -23,22 +23,19 @@ single solves' bit for bit; every other point and every table row runs
 through one point runner that records a failed solve in the row instead of
 raising.  Sweep rows are sorted by the dilation parameter, so the order of
 an explicit list does not change the output.
+
+Every file the package writes goes through ``write_lines`` here, in
+bounded memory, with ``_fmt`` as the one rule for a CSV field.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, replace
+from itertools import chain, islice
 
 import numpy as np
 
-from .operators import (
-    NoisyProblem,
-    _fmt,
-    _write_lines,
-    add_noise,
-    deriv2_assemble,
-    diagonal_operator,
-)
+from .operators import NoisyProblem, add_noise, deriv2_assemble, diagonal_operator
 from .orthopoly import CoDilation, UltrasphericalParams, ultraspherical_scheme
 from .solvers import (
     DILATION_KINDS,
@@ -58,9 +55,12 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "build_problem",
+    "dump_problem",
     "run_experiment",
     "run_sweep",
     "table1_rows",
+    "write_array_csv",
+    "write_lines",
     "write_report_csv",
     "write_sweep_csv",
     "write_table_csv",
@@ -180,7 +180,8 @@ def _outcome(report: SolveReport) -> tuple[int, str, float, float | None]:
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """One solve per dilation value; rows sorted by the dilation parameter.
 
-    A method without a dilation raises ValueError.  Two or more admissible
+    A method without a dilation, and a nu outside the ultraspherical range
+    nu > -1/2, raise ValueError before any solve.  Two or more admissible
     points of a closed-form method (``batchable``) are solved together by
     ``solve_dilations``, bit-identical to one solve each; every other point
     goes through ``_run_point``.  Per-point failures are recorded in the row
@@ -194,14 +195,13 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     lams = sorted(spec.sweep_values())
     if not lams:
         raise ValueError("a sweep needs at least one dilation value")
+    scheme = ultraspherical_scheme(UltrasphericalParams(config.nu))  # checks nu before any solve
     noisy = build_problem(spec)
     in_block = [batchable(config, lam) for lam in lams]
     if sum(in_block) < 2:  # a lone block row costs more per step than a single solve
         in_block = [False] * len(lams)
     block = [lam for lam, flag in zip(lams, in_block) if flag]
     reports = iter(solve_dilations(noisy.as_problem(), config, block) if block else [])
-    if spec.zero_degree is not None:
-        scheme = ultraspherical_scheme(UltrasphericalParams(config.nu))
     rows = []
     for lam, flag in zip(lams, in_block):
         if flag:
@@ -244,45 +244,69 @@ def table1_rows(seed: int = DEFAULT_SEED, include_landweber: bool = False) -> li
         config = replace(base, method=method, nu=1.0 if nu is None else nu,
                          lam=1.0 if lam is None else lam)
         iters, reason, _, chosen = _run_point(noisy, config)
-        out.append(
-            {
-                "method": method.value,
-                "nu": nu,
-                "lambda": chosen if chosen is not None else lam,
-                "iterations": iters,
-                "stop_reason": reason,
-            }
-        )
+        out.append({"method": method.value, "nu": nu,
+                    "lambda": chosen if chosen is not None else lam,
+                    "iterations": iters, "stop_reason": reason})
     return out
+
+
+_WRITE_CHUNK = 4096  # lines joined per write
+
+
+def _fmt(value) -> str:
+    """CSV field: "" for None, shortest round-trip form for floats, else str."""
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _csv_row(values) -> str:
+    return ",".join(map(_fmt, values))
+
+
+def write_lines(path, lines) -> None:
+    """Write each line followed by a newline as UTF-8 text; no lines, an empty
+    file.  ``lines`` is read once, lazily, ``_WRITE_CHUNK`` lines per write."""
+    lines = iter(lines)
+    with open(path, "w", encoding="utf-8") as fh:
+        while chunk := list(islice(lines, _WRITE_CHUNK)):
+            fh.write("\n".join([*chunk, ""]))  # the "" ends the chunk's last line
+
+
+def write_array_csv(path, a) -> None:
+    """One row of a 2-D array per line, comma separated; a vector, one value per line."""
+    a = np.asarray(a, dtype=float)
+    write_lines(path, map(_csv_row, (a[:, None] if a.ndim == 1 else a).tolist()))
+
+
+def dump_problem(prefix: str, spec: ExperimentSpec) -> None:
+    """The spec's g_clean and g_noisy, and for deriv2 its matrix and f_exact,
+    each to ``{prefix}_{name}.csv``."""
+    noisy = build_problem(spec)
+    arrays = {"g_clean": noisy.g_clean, "g_noisy": noisy.g_noisy}
+    if spec.problem == "deriv2":
+        d2 = deriv2_assemble(noisy.operator.domain_dim)
+        arrays.update(matrix=d2.matrix, f_exact=d2.f_exact)
+    for name, a in arrays.items():
+        write_array_csv(f"{prefix}_{name}.csv", a)
 
 
 def write_report_csv(path, report: SolveReport, config: SolverConfig, seed: int) -> None:
     """Header block of key=value comment lines, then (n, residual_norm) rows."""
-    lines = [
-        f"# method={config.method.value}",
-        f"# nu={_fmt(config.nu)}",
-        f"# lambda={_fmt(config.lam)}",
-        f"# omega={_fmt(config.omega)}",
-        f"# tau={_fmt(config.tau)}",
-        f"# epsilon={_fmt(config.epsilon)}",
-        f"# seed={seed}",
-        f"# stop_reason={report.stop_reason.value}",
-        f"# chosen_lambda={_fmt(report.chosen_lambda)}",
-        "n,residual_norm",
-    ]
-    lines.extend(f"{n},{rn!r}" for n, rn in enumerate(report.residual_history.tolist()))
-    _write_lines(path, lines)
+    header = {"method": config.method.value, "nu": config.nu, "lambda": config.lam,
+              "omega": config.omega, "tau": config.tau, "epsilon": config.epsilon, "seed": seed,
+              "stop_reason": report.stop_reason.value, "chosen_lambda": report.chosen_lambda}
+    lines = [f"# {key}={_fmt(value)}" for key, value in header.items()] + ["n,residual_norm"]
+    rows = (f"{n},{rn!r}" for n, rn in enumerate(report.residual_history.tolist()))
+    write_lines(path, chain(lines, rows))
 
 
 def write_sweep_csv(path, result: SweepResult) -> None:
     lines = [] if result.zero_degree is None else [f"# zero_degree={result.zero_degree}"]
     lines.append("lambda,iterations,stop_reason,final_residual,smallest_zero")
-    lines.extend(",".join(map(_fmt, astuple(row))) for row in result.rows)
-    _write_lines(path, lines)
+    write_lines(path, chain(lines, (_csv_row(astuple(row)) for row in result.rows)))
 
 
 def write_table_csv(path, rows: list[dict]) -> None:
     columns = ("method", "nu", "lambda", "iterations", "stop_reason")
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(row[key]) for key in columns) for row in rows)
-    _write_lines(path, lines)
+    write_lines(path, [",".join(columns), *(_csv_row(row[k] for k in columns) for row in rows)])

@@ -1,4 +1,7 @@
-"""Linear operators, test problems, seeded noise, and norm estimation."""
+"""Linear operators, test problems, seeded noise, and norm estimation.
+
+Nothing here writes a file; the experiments module holds the CSV output.
+"""
 
 from __future__ import annotations
 
@@ -18,8 +21,6 @@ __all__ = [
     "deriv2_assemble",
     "add_noise",
     "operator_norm_sq",
-    "save_vector_csv",
-    "save_matrix_csv",
 ]
 
 
@@ -63,10 +64,14 @@ def _row_by_row(apply, block: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Problem:
-    """Data pair (A, g) consumed by the solvers."""
+    """Data pair (A, g) consumed by the solvers; ValueError if g is not finite."""
 
     operator: LinearOperator
     g: np.ndarray
+
+    def __post_init__(self):
+        if not np.isfinite(self.g).all():
+            raise ValueError("data g must be finite")
 
 
 def _finite_entries(entries) -> np.ndarray:
@@ -221,27 +226,3 @@ def operator_norm_sq(
         x = y / norm_y
     return NormEstimate(rho, False, max_iters)
 
-
-def _fmt(value) -> str:
-    """CSV field: "" for None, shortest round-trip form for floats, else str."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_lines(path, lines) -> None:
-    """Write each line followed by a newline as UTF-8 text."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([*lines, ""]))  # the "" ends the last line; no lines, empty file
-
-
-def save_vector_csv(path, v) -> None:
-    """One value per line, shortest round-trip decimal form."""
-    _write_lines(path, (_fmt(x) for x in np.asarray(v, dtype=float)))
-
-
-def save_matrix_csv(path, a) -> None:
-    """Row-major: one matrix row per line, comma separated."""
-    _write_lines(path, (",".join(_fmt(x) for x in row) for row in np.asarray(a, dtype=float)))

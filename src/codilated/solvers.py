@@ -266,7 +266,8 @@ def _drive(problem, config, steps, callback) -> SolveReport:
     ``steps`` yields (f_n, f_{n-1}, mu_n, watched residual) for n = 1, 2, ...
     and may end the solve by returning a StopReason.  It is advanced only
     while no test has fired, so a stopped solve applies no further operator.
-    The tests run at n = 0 too, so NaN data apply no operator.  The stall
+    The tests run at n = 0 too, so finite data whose norm overflows apply no
+    operator (``Problem`` rejects data that are not finite).  The stall
     count covers consecutive steps from n = 1 on whose norms agree to
     STAGNATION_RTOL; it is updated before the tests, which read it only
     where rn is finite and not below the threshold.  ``_stop_reason`` decides

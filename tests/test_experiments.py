@@ -15,6 +15,8 @@ from codilated.experiments import (
     run_experiment,
     run_sweep,
     table1_rows,
+    write_array_csv,
+    write_lines,
     write_report_csv,
     write_sweep_csv,
 )
@@ -153,6 +155,18 @@ class TestSweep:
         run_sweep(spec)
         assert len(calls) == single_solves
 
+    @pytest.mark.parametrize("zero_degree", [None, 20])
+    @pytest.mark.parametrize("method", [Method.GENERAL_SI, Method.CODILATED_NU])
+    def test_invalid_nu_raises_before_any_solve(self, monkeypatch, method, zero_degree):
+        # nu <= -1/2 has no ultraspherical family, whether or not zeros are located
+        built = []
+        monkeypatch.setattr(experiments, "build_problem", built.append)
+        spec = spec_for("diag-last", method, nu=-0.75)
+        spec.sweep, spec.zero_degree = [1.0, 1.5], zero_degree
+        with pytest.raises(ValueError, match="nu > -1/2"):
+            run_sweep(spec)
+        assert built == []
+
     def test_zero_curve_attachment(self):
         # smallest zero decreases towards the critical dilation, then the
         # reported in-interval root jumps to the second-smallest branch
@@ -239,6 +253,72 @@ class TestCsvEmission:
         write_report_csv(a, run_experiment(spec), spec.config, spec.seed)
         write_report_csv(b, run_experiment(spec), spec.config, spec.seed)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_vector_roundtrip(self, tmp_path):
+        v = np.array([1.0, -0.25, 1e-17, 3.141592653589793])
+        path = tmp_path / "v.csv"
+        write_array_csv(path, v)
+        assert np.array_equal(np.loadtxt(path), v)
+
+    def test_matrix_roundtrip(self, tmp_path):
+        m = np.random.default_rng(0).standard_normal((4, 3))
+        path = tmp_path / "m.csv"
+        write_array_csv(path, m)
+        assert np.array_equal(np.loadtxt(path, delimiter=","), m)
+
+    @pytest.mark.parametrize(
+        "lines, text",
+        [([], ""), ([""], "\n"), (["a"], "a\n"), (["a", "", "b,c"], "a\n\nb,c\n")],
+    )
+    def test_write_lines_exact_bytes(self, tmp_path, lines, text):
+        # each line ends in one newline; no lines gives an empty file
+        path = tmp_path / "lines.csv"
+        write_lines(path, lines)
+        assert path.read_bytes() == text.encode("utf-8")
+        write_lines(path, iter(lines))  # a one-pass iterable too
+        assert path.read_bytes() == text.encode("utf-8")
+
+    def test_write_lines_holds_one_chunk_at_a_time(self, monkeypatch):
+        # each write joins at most one chunk, and a line is read only once
+        # every earlier chunk has been written
+        chunk = experiments._WRITE_CHUNK
+        writes, read_after = [], []
+
+        class Recorder:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def write(self, text):
+                writes.append(text)
+
+        def lines():
+            for k in range(3 * chunk + 5):
+                read_after.append(len(writes))
+                yield str(k)
+
+        monkeypatch.setattr(experiments, "open", lambda *a, **kw: Recorder(), raising=False)
+        write_lines("unused.csv", lines())
+        assert [text.count("\n") for text in writes] == [chunk, chunk, chunk, 5]
+        assert read_after == [k // chunk for k in range(3 * chunk + 5)]
+        assert "".join(writes) == "".join(f"{k}\n" for k in range(3 * chunk + 5))
+
+    def test_long_report_equals_per_row_reference(self, tmp_path):
+        # a history over three write chunks plus a remainder, of widely ranging floats
+        size = 3 * experiments._WRITE_CHUNK + 17
+        rng = np.random.default_rng(7)
+        history = rng.uniform(0.5, 1.0, size) * 10.0 ** rng.integers(-300, 300, size)
+        spec = spec_for("diag-last")
+        report = replace(run_experiment(spec), residual_history=history)
+        header, full = tmp_path / "header.csv", tmp_path / "full.csv"
+        empty = replace(report, residual_history=history[:0])
+        write_report_csv(header, empty, spec.config, spec.seed)
+        write_report_csv(full, report, spec.config, spec.seed)
+        rows = "".join(f"{n},{float(history[n])!r}\n" for n in range(size))
+        assert header.read_text().endswith("\nn,residual_norm\n")
+        assert full.read_bytes() == (header.read_text() + rows).encode("utf-8")
 
 
 class TestCli:
@@ -450,6 +530,17 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "method,nu,lambda,iterations,stop_reason"
         assert len(lines) == 18  # 17 rows without the Landweber opt-in
+
+    @pytest.mark.parametrize("zero_degree", [[], ["--zero-degree", "20"]])
+    @pytest.mark.parametrize("method", ["general-si", "codilated-nu"])
+    def test_sweep_of_invalid_nu_exits_1(self, tmp_path, capsys, method, zero_degree):
+        out = tmp_path / "out.csv"
+        code = main(["sweep", "--problem", "diag-last", "--method", method, "--nu=-0.75",
+                     "--sweep", "1.0,1.5", *zero_degree, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("error:") == 1
+        assert not out.exists()
 
     def test_dump_problem(self, tmp_path):
         prefix = str(tmp_path / "deriv2")

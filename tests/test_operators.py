@@ -10,9 +10,6 @@ from codilated.operators import (
     diagonal_operator,
     matrix_operator,
     operator_norm_sq,
-    save_matrix_csv,
-    save_vector_csv,
-    _write_lines,
 )
 
 
@@ -290,28 +287,3 @@ class TestOperatorNormSq:
         assert (est.converged, est.iterations) == (False, 1)
         assert not np.isfinite(est.value)
 
-
-class TestCsv:
-    def test_vector_roundtrip(self, tmp_path):
-        v = np.array([1.0, -0.25, 1e-17, 3.141592653589793])
-        path = tmp_path / "v.csv"
-        save_vector_csv(path, v)
-        assert np.array_equal(np.loadtxt(path), v)
-
-    def test_matrix_roundtrip(self, tmp_path):
-        m = np.random.default_rng(0).standard_normal((4, 3))
-        path = tmp_path / "m.csv"
-        save_matrix_csv(path, m)
-        assert np.array_equal(np.loadtxt(path, delimiter=","), m)
-
-    @pytest.mark.parametrize(
-        "lines, text",
-        [([], ""), ([""], "\n"), (["a"], "a\n"), (["a", "", "b,c"], "a\n\nb,c\n")],
-    )
-    def test_write_lines_exact_bytes(self, tmp_path, lines, text):
-        # each line ends in one newline; no lines gives an empty file
-        path = tmp_path / "lines.csv"
-        _write_lines(path, lines)
-        assert path.read_bytes() == text.encode("utf-8")
-        _write_lines(path, iter(lines))  # a one-pass iterable too
-        assert path.read_bytes() == text.encode("utf-8")

@@ -539,6 +539,14 @@ class TestConfigAndDriver:
             assert applied == []
 
     def test_nan_data_applies_no_operator(self):
+        # data that are not finite are rejected where they enter, before any solve
+        op = diagonal_operator(np.array([1.0, 0.5, 0.25]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Problem(op, np.array([1.0, bad, 1.0]))
+
+    def test_overflowing_data_norm_applies_no_operator(self):
+        # finite data whose norm overflows: the n = 0 tests stop every method
         d = np.array([1.0, 0.5, 0.25])
         applied = []
 
@@ -548,10 +556,11 @@ class TestConfigAndDriver:
 
         op = LinearOperator(3, 3, apply, apply)
         op.norm_estimate
-        problem = Problem(op, np.array([1.0, np.nan, 1.0]))
+        problem = Problem(op, np.full(3, 1e200))
         for method in Method:
             applied.clear()
-            report = solve(problem, SolverConfig(method=method, omega=0.9, max_iter=50))
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                report = solve(problem, SolverConfig(method=method, omega=0.9, max_iter=50))
             assert report.stop_reason is StopReason.DIVERGENCE
             assert report.iterations == 0
             assert applied == []
@@ -963,8 +972,9 @@ class TestSolveDilations:
         assert_block_equals_singles(Problem(op, np.array([1.0, -2.0, 3.0])), config, [0.5, 1.9])
         assert set(applied) == {(3,)}  # rows one at a time
 
-        applied.clear()
-        reports = solve_dilations(Problem(op, np.array([1.0, np.nan, 1.0])), config, [0.5, 1.9])
+        applied.clear()  # finite data whose norm overflows stop every row at n = 0
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            reports = solve_dilations(Problem(op, np.full(3, 1e200)), config, [0.5, 1.9])
         assert [r.stop_reason for r in reports] == [StopReason.DIVERGENCE] * 2
         assert [r.iterations for r in reports] == [0, 0]
         assert applied == []

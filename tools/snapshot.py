@@ -91,6 +91,11 @@ def runs():
         yield f"sweep_diag-last_{method}", [
             "sweep", "--problem", "diag-last", "--method", method,
             "--sweep", "1.0,1.5", "--max-iter", max_iter, "--out", "out.csv"]
+    # nu <= -1/2 has no ultraspherical family: exit 1 before any solve, no CSV
+    for method in ("general-si", "codilated-nu"):
+        yield f"sweep_diag-last_{method}_invalid_nu", [
+            "sweep", "--problem", "diag-last", "--method", method, "--nu=-0.75",
+            "--sweep", "1.0,1.5", "--out", "out.csv"]
     yield "sweep_diag-last_divergence", [
         "sweep", "--problem", "diag-last", "--nu", "1", "--sweep", "0.5:2.1:0.2",
         "--omega", "50", "--max-iter", "3000", "--out", "out.csv"]
