@@ -21,7 +21,6 @@ from .experiments import (
     PROBLEM_DEFAULTS,
     ExperimentSpec,
     _sweep_values,
-    dump_problem,
     run_experiment,
     run_sweep,
     table1_rows,
@@ -122,9 +121,7 @@ def _build_spec(args) -> ExperimentSpec:
 
 def _cmd_solve(args) -> int:
     spec = _build_spec(args)
-    if args.dump_problem:
-        dump_problem(args.dump_problem, spec)
-    report = run_experiment(spec)
+    report = run_experiment(spec, args.dump_problem)
     line = (
         f"method={spec.config.method.value} iterations={report.iterations} "
         f"stop={report.stop_reason.value} final_residual={float(report.residual_history[-1])!r}"

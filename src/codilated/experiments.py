@@ -22,16 +22,20 @@ solved together by ``solvers.solve_dilations``, whose reports equal the
 single solves' bit for bit; every other point and every table row runs
 through one point runner that records a failed solve in the row instead of
 raising.  Sweep rows are sorted by the dilation parameter, so the order of
-an explicit list does not change the output.
+an explicit list does not change the output; a sweep range spans at most
+MAX_SWEEP_POINTS points.  ``SweepRow`` and ``SweepResult`` are
+``NamedTuple``s: a row is written as the tuple it is.
 
 Every file the package writes goes through ``write_lines`` here, in
-bounded memory, with ``_fmt`` as the one rule for a CSV field.
+bounded memory, with ``_fmt`` as the one rule for a CSV field; a problem
+dump writes the very arrays ``build_problem`` assembled for the solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,12 +54,12 @@ from .zeros import find_zeros
 
 __all__ = [
     "DEFAULT_SEED",
+    "MAX_SWEEP_POINTS",
     "PROBLEM_DEFAULTS",
     "ExperimentSpec",
     "SweepRow",
     "SweepResult",
     "build_problem",
-    "dump_problem",
     "run_experiment",
     "run_sweep",
     "table1_rows",
@@ -67,6 +71,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 15
+MAX_SWEEP_POINTS = 10**5  # points of one sweep range
 
 # per-problem defaults: (N, omega, epsilon, tau)
 PROBLEM_DEFAULTS = {
@@ -105,7 +110,8 @@ class ExperimentSpec:
 def _sweep_values(sweep) -> list[float]:
     """Dilation values of a (min, max, step) range or of an explicit list.
 
-    A range must be finite with step > 0 and min <= max, so it is never empty;
+    A range must be finite with step > 0 and min <= max, so it is never empty,
+    and span at most MAX_SWEEP_POINTS points, checked before any is formed;
     the entries of a list must be finite.
     """
     if not isinstance(sweep, tuple):
@@ -115,32 +121,47 @@ def _sweep_values(sweep) -> list[float]:
     lo, hi, step = sweep
     if not (np.isfinite(lo) and np.isfinite(hi) and step > 0 and lo <= hi):
         raise ValueError("sweep range must be finite with step > 0 and min <= max")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + k * step for k in range(count)]
+    steps = np.floor((hi - lo) / step + 1e-9)  # a float: inf where the quotient overflows
+    if steps >= MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep range has more than {MAX_SWEEP_POINTS} points")
+    return [lo + k * step for k in range(int(steps) + 1)]
 
 
-def build_problem(spec: ExperimentSpec) -> NoisyProblem:
-    """Assemble the experiment's problem with its seeded noise realisation."""
+def build_problem(spec: ExperimentSpec, dump: str | None = None) -> NoisyProblem:
+    """Assemble the experiment's problem with its seeded noise realisation.
+
+    With a ``dump`` prefix, the problem as built is also written, each array
+    to ``{dump}_{name}.csv``: g_clean, g_noisy and, for deriv2, the matrix
+    and f_exact.
+    """
     n = spec.n if spec.n is not None else PROBLEM_DEFAULTS[spec.problem][0]
     if n < 2:
         raise ValueError("problem size n must be >= 2")
     eps = spec.config.epsilon
     if spec.problem == "deriv2":
         d2 = deriv2_assemble(n)
-        return add_noise(d2.to_operator(), d2.g_vector, eps, spec.seed, normalize=False)
-    op = diagonal_operator(1.0 / np.arange(1.0, n + 1.0))
-    g = np.zeros(n)
-    g[-1 if spec.problem == "diag-last" else 1] = 1.0
-    return add_noise(op, g, eps, spec.seed, normalize=False)
+        noisy = add_noise(d2.to_operator(), d2.g_vector, eps, spec.seed, normalize=False)
+        assembled = {"matrix": d2.matrix, "f_exact": d2.f_exact}
+    else:
+        op = diagonal_operator(1.0 / np.arange(1.0, n + 1.0))
+        g = np.zeros(n)
+        g[-1 if spec.problem == "diag-last" else 1] = 1.0
+        noisy = add_noise(op, g, eps, spec.seed, normalize=False)
+        assembled = {}
+    if dump:
+        for name, a in {"g_clean": noisy.g_clean, "g_noisy": noisy.g_noisy, **assembled}.items():
+            write_array_csv(f"{dump}_{name}.csv", a)
+    return noisy
 
 
-def run_experiment(spec: ExperimentSpec) -> SolveReport:
-    noisy = build_problem(spec)
+def run_experiment(spec: ExperimentSpec, dump: str | None = None) -> SolveReport:
+    """Solve the spec's problem; a ``dump`` prefix writes that very problem
+    first (see ``build_problem``)."""
+    noisy = build_problem(spec, dump)
     return solve(noisy.as_problem(), spec.config)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One sweep point; the fields are the sweep CSV columns, in order."""
 
     lam: float
@@ -150,8 +171,7 @@ class SweepRow:
     smallest_zero: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     rows: list[SweepRow]
     zero_degree: int | None
 
@@ -279,18 +299,6 @@ def write_array_csv(path, a) -> None:
     write_lines(path, map(_csv_row, (a[:, None] if a.ndim == 1 else a).tolist()))
 
 
-def dump_problem(prefix: str, spec: ExperimentSpec) -> None:
-    """The spec's g_clean and g_noisy, and for deriv2 its matrix and f_exact,
-    each to ``{prefix}_{name}.csv``."""
-    noisy = build_problem(spec)
-    arrays = {"g_clean": noisy.g_clean, "g_noisy": noisy.g_noisy}
-    if spec.problem == "deriv2":
-        d2 = deriv2_assemble(noisy.operator.domain_dim)
-        arrays.update(matrix=d2.matrix, f_exact=d2.f_exact)
-    for name, a in arrays.items():
-        write_array_csv(f"{prefix}_{name}.csv", a)
-
-
 def write_report_csv(path, report: SolveReport, config: SolverConfig, seed: int) -> None:
     """Header block of key=value comment lines, then (n, residual_norm) rows."""
     header = {"method": config.method.value, "nu": config.nu, "lambda": config.lam,
@@ -304,7 +312,7 @@ def write_report_csv(path, report: SolveReport, config: SolverConfig, seed: int)
 def write_sweep_csv(path, result: SweepResult) -> None:
     lines = [] if result.zero_degree is None else [f"# zero_degree={result.zero_degree}"]
     lines.append("lambda,iterations,stop_reason,final_residual,smallest_zero")
-    write_lines(path, chain(lines, (_csv_row(astuple(row)) for row in result.rows)))
+    write_lines(path, chain(lines, map(_csv_row, result.rows)))
 
 
 def write_table_csv(path, rows: list[dict]) -> None:

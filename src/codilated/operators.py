@@ -1,12 +1,16 @@
 """Linear operators, test problems, seeded noise, and norm estimation.
 
-Nothing here writes a file; the experiments module holds the CSV output.
+``Problem`` is a frozen dataclass that checks its data; ``NoisyProblem``,
+``Deriv2Problem`` and ``NormEstimate`` only carry values and are
+``NamedTuple``s.  Nothing here writes a file; the experiments module holds
+the CSV output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,8 +113,7 @@ def matrix_operator(a) -> LinearOperator:
     )
 
 
-@dataclass(frozen=True)
-class NoisyProblem:
+class NoisyProblem(NamedTuple):
     """Right-hand side perturbed by a seeded Gaussian draw.
 
     ``epsilon`` records the realised noise level: it always equals
@@ -157,8 +160,7 @@ def add_noise(
     return NoisyProblem(operator, g_clean, level, int(seed), g_noisy)
 
 
-@dataclass(frozen=True)
-class Deriv2Problem:
+class Deriv2Problem(NamedTuple):
     """Galerkin discretisation of the first-kind integral equation whose
     kernel is the Green's function k(s,t) = min(s,t)(max(s,t) - 1) on the
     unit square, with right-hand side g(s) = (s^3 - s)/6 and exact solution
@@ -192,8 +194,10 @@ def deriv2_assemble(n: int) -> Deriv2Problem:
     return Deriv2Problem(n_points=n, matrix=a, g_vector=g, f_exact=f)
 
 
-@dataclass(frozen=True)
-class NormEstimate:
+class NormEstimate(NamedTuple):
+    """Result of ``operator_norm_sq``: the estimate of ||A*A||, whether the
+    power iteration converged, and its iteration count."""
+
     value: float
     converged: bool
     iterations: int

@@ -18,6 +18,9 @@ are those of the even fold S_n, P_{2n}(x) = S_n(x^2) (Chihara, 1978).
 oracle of the folded paths.
 
 All arithmetic is binary64.  Evaluations are vectorised over the argument.
+The records that check their parameters (``RecurrenceScheme``,
+``CoDilation``, ``UltrasphericalParams``) are frozen dataclasses;
+``CriticalConstants`` only carries values and is a ``NamedTuple``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count, islice
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -145,8 +148,7 @@ class ResidualKind(Enum):
     ASYMMETRIC = "asymmetric"
 
 
-@dataclass(frozen=True)
-class CriticalConstants:
+class CriticalConstants(NamedTuple):
     """Limit constant L1 and the largest admissible dilation 1/(1 - L1)."""
 
     L1: float

@@ -6,10 +6,10 @@ residual history, the callback and the stall count.  The one stop test,
 ``_stop_reason`` (discrepancy, divergence, stagnation, iteration cap, in that
 order), decides every stop; after a step it is called only where a screen of
 its four conditions fires, and at n = 0 always.  The callback gets an
-``IterationState`` only when one is set; without it a step builds no state
-object.  A method may end the solve itself by returning a StopReason: cg on
-breakdown or Krylov exhaustion, the adaptive method when two consecutive
-residuals coincide.
+``IterationState`` (a ``NamedTuple``) only when one is set; without it a
+step builds no state object.  A method may end the solve itself by
+returning a StopReason: cg on breakdown or Krylov exhaustion, the adaptive
+method when two consecutive residuals coincide.
 
 Landweber, the general and asymmetric semi-iterative methods, the co-dilated
 ultraspherical method, the co-dilated nu-method and the adaptive method share
@@ -60,6 +60,7 @@ import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import count, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,8 +178,7 @@ class SolverConfig:
         return _DEFAULT_MAX_ITER.get(self.method, 10**4)
 
 
-@dataclass(slots=True)
-class IterationState:
+class IterationState(NamedTuple):
     """Snapshot of one iteration; residual_norm is always recomputed
     from residual = g - A f_curr, never updated incrementally."""
 

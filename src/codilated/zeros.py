@@ -19,12 +19,13 @@ scan grid is uniform in the angular variable x = cos(theta) with 50 points
 per degree; oscillations of a degree-n family are ~pi/n apart in theta, so
 adjacent roots and extrema are separated by ~50 grid points even where
 they cluster near the endpoints.  The scan is also the tests' independent
-oracle for the matrix path.
+oracle for the matrix path.  Results come back as a ``ZeroReport``, a
+``NamedTuple``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,7 @@ BISECTION_TOL = 1e-13
 REFINE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ZeroReport:
+class ZeroReport(NamedTuple):
     """Located roots in ascending order; fewer than ``degree`` roots means
     some left the interval (dilation beyond critical), which is
     informative rather than an error."""

@@ -8,9 +8,11 @@ from codilated import cli, experiments
 from codilated.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_MAX_ITER, EXIT_OK, main
 from codilated.experiments import (
     DEFAULT_SEED,
+    MAX_SWEEP_POINTS,
     PROBLEM_DEFAULTS,
     ExperimentSpec,
     _run_point,
+    _sweep_values,
     build_problem,
     run_experiment,
     run_sweep,
@@ -64,6 +66,15 @@ class TestProblemConstruction:
         assert spec.sweep_values() == [1.0, 1.5, 2.0]
         spec_list = ExperimentSpec(problem="deriv2", sweep=[1.9, 1.0])
         assert spec_list.sweep_values() == [1.9, 1.0]
+
+    def test_sweep_range_bounded_before_expansion(self):
+        top = float(MAX_SWEEP_POINTS)
+        assert len(_sweep_values((0.0, top - 1.0, 1.0))) == MAX_SWEEP_POINTS
+        for sweep in [(0.0, 1.0, 1e-12), (0.0, top, 1.0), (-1e308, 1e308, 1.0)]:
+            with pytest.raises(ValueError, match="more than"):
+                _sweep_values(sweep)
+        with pytest.raises(ValueError, match="more than"):
+            ExperimentSpec(problem="deriv2", sweep=(0.0, 1.0, 1e-12))
 
 
 class TestGoldenRuns:
@@ -551,6 +562,48 @@ class TestCli:
         g = np.loadtxt(prefix + "_g_noisy.csv")
         m = np.loadtxt(prefix + "_matrix.csv", delimiter=",")
         assert g.shape == (50,) and m.shape == (50, 50)
+
+    def test_dump_problem_builds_and_assembles_once(self, tmp_path, monkeypatch):
+        calls = {"build_problem": 0, "deriv2_assemble": 0}
+
+        def counted(name):
+            fn = getattr(experiments, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, wrapper)
+
+        counted("build_problem")
+        counted("deriv2_assemble")
+        prefix = str(tmp_path / "deriv2")
+        code = main(
+            ["solve", "--problem", "deriv2", "--max-iter", "5", "--dump-problem", prefix]
+        )
+        assert code == EXIT_MAX_ITER
+        assert calls == {"build_problem": 1, "deriv2_assemble": 1}
+
+    def test_dump_problem_of_diagonal_problem(self, tmp_path):
+        prefix = str(tmp_path / "diag")
+        code = main(
+            ["solve", "--problem", "diag-last", "--max-iter", "5", "--dump-problem", prefix]
+        )
+        assert code == EXIT_MAX_ITER
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == ["diag_g_clean.csv", "diag_g_noisy.csv"]
+        noisy = build_problem(spec_for("diag-last"))
+        np.testing.assert_array_equal(np.loadtxt(prefix + "_g_noisy.csv"), noisy.g_noisy)
+
+    @pytest.mark.parametrize(
+        "command", [["zeros", "--degree", "6"], ["sweep", "--problem", "diag-last"]]
+    )
+    def test_oversized_sweep_range_rejected(self, command, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([*command, "--sweep", "0:1:1e-12", "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("error:") == 1
+        assert not out.exists()
 
     def test_zeros_polynomial_kind(self, capsys):
         code = main(["zeros", "--nu", "1", "--kind", "polynomial", "--degree", "4"])

@@ -63,6 +63,10 @@ def runs():
     yield "solve_deriv2_dump_problem", [
         "solve", "--problem", "deriv2", "--max-iter", "5", "--dump-problem", "deriv2",
         "--out", "out.csv"]
+    # a diagonal problem has no matrix or exact solution to dump: g_clean and g_noisy only
+    yield "solve_diag-last_dump_problem", [
+        "solve", "--problem", "diag-last", "--max-iter", "5", "--dump-problem", "diag-last",
+        "--out", "out.csv"]
     # two residuals whose affine minimiser is the older one: gamma = 1 has no dilation
     yield "solve_diag-last_adaptive_gamma_one", [
         "solve", "--problem", "diag-last", "--method", "adaptive-codilated-one", "--n", "2",
