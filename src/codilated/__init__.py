@@ -22,16 +22,13 @@ from .orthopoly import (
     RecurrenceScheme,
     ResidualKind,
     UltrasphericalParams,
-    amu_closed,
-    amu_closed_sequence,
     chebyshev_closed,
     chebyshev_u_scheme,
     critical_constants,
     eval_codilated_via_representation,
     eval_monic,
     limit_ratio,
-    mu_closed_sequence,
-    mu_closed_ultraspherical,
+    mu_closed,
     mu_recursive,
     numerator_quotient_at_one,
     numerator_scheme,

@@ -13,13 +13,12 @@ from .orthopoly import (
     CoDilation,
     ResidualKind,
     UltrasphericalParams,
-    amu_closed_sequence,
     chebyshev_closed,
     chebyshev_u_scheme,
     critical_constants,
     eval_codilated_via_representation,
     eval_monic,
-    mu_closed_sequence,
+    mu_closed,
     mu_recursive,
     numerator_scheme,
     sup_bound_codilated,
@@ -91,13 +90,10 @@ def check_mu_consistency():
         for lam in (-0.5, 0.0, 0.5, 1.0, 1.5, 1.9 * nu):
             if lam >= 2.0 * nu:  # closed forms reject dilations at critical
                 continue
-            dil = CoDilation(1, lam)
-            rec = mu_recursive(scheme, dil, 1000)
-            clo = mu_closed_sequence(params, lam, 1000)
-            worst = max(worst, float(np.max(np.abs(rec - clo) / clo)))
-            arec = mu_recursive(scheme, dil, 500, ResidualKind.ASYMMETRIC)
-            aclo = amu_closed_sequence(params, lam, 500)
-            worst = max(worst, float(np.max(np.abs(arec - aclo) / aclo)))
+            for kind, n_max in ((ResidualKind.SYMMETRIC, 1000), (ResidualKind.ASYMMETRIC, 500)):
+                rec = mu_recursive(scheme, CoDilation(1, lam), n_max, kind)
+                clo = mu_closed(params, lam, n_max, kind)
+                worst = max(worst, float(np.max(np.abs(rec - clo) / clo)))
     return worst < 1e-12, f"max rel deviation {worst:.2e}"
 
 

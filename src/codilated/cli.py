@@ -13,6 +13,7 @@ iteration cap, 3 solve stopped on a non-finite residual (divergence).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 
@@ -20,6 +21,7 @@ from .experiments import (
     DEFAULT_SEED,
     PROBLEM_DEFAULTS,
     ExperimentSpec,
+    _csv_row,
     _sweep_values,
     run_experiment,
     run_sweep,
@@ -165,17 +167,15 @@ def _cmd_zeros(args) -> int:
             return find_polynomial_zeros(scheme, dil, args.degree)
         return find_zeros(scheme, dil, kind, args.degree)
 
-    lines = []
     if args.sweep is not None:
-        lines.append("lambda,smallest_zero,located")
+        header, rows = "lambda,smallest_zero,located", []
         for lam in _sweep_values(args.sweep):
             zr = locate(CoDilation(args.m, lam))
-            smallest = repr(zr.smallest) if zr.zeros.size else "nan"
-            lines.append(f"{float(lam)!r},{smallest},{zr.zeros.size}")
+            rows.append((lam, zr.smallest if zr.zeros.size else math.nan, zr.zeros.size))
     else:
         zr = locate(CoDilation(args.m, 1.0 if args.lam is None else args.lam))
-        lines.append("index,zero")
-        lines.extend(f"{j},{float(z)!r}" for j, z in enumerate(zr.zeros, start=1))
+        header, rows = "index,zero", enumerate(zr.zeros.tolist(), start=1)
+    lines = [header, *map(_csv_row, rows)]
     print(*lines, sep="\n")
     if args.out:
         write_lines(args.out, lines)

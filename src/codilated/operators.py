@@ -68,12 +68,16 @@ def _row_by_row(apply, block: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Problem:
-    """Data pair (A, g) consumed by the solvers; ValueError if g is not finite."""
+    """Data pair (A, g) consumed by the solvers; ValueError unless g is one
+    finite vector of A's range."""
 
     operator: LinearOperator
     g: np.ndarray
 
     def __post_init__(self):
+        if np.shape(self.g) != (self.operator.range_dim,):
+            raise ValueError(f"data g of shape {np.shape(self.g)} is not a vector of the "
+                             f"operator's range, of dimension {self.operator.range_dim}")
         if not np.isfinite(self.g).all():
             raise ValueError("data g must be finite")
 

@@ -51,10 +51,7 @@ __all__ = [
     "ultraspherical_beta",
     "residual_eval",
     "mu_recursive",
-    "mu_closed_ultraspherical",
-    "mu_closed_sequence",
-    "amu_closed",
-    "amu_closed_sequence",
+    "mu_closed",
     "critical_constants",
     "numerator_quotient_at_one",
     "limit_ratio",
@@ -367,13 +364,10 @@ def residual_eval(
     return float(r[0]) if ya.ndim == 0 else r.reshape(ya.shape)
 
 
-def _entry(stream, n: int):
-    """Item n (counted from 0) of an iterator."""
-    return next(islice(stream, n, None))
-
-
 def _mus(stream, n_max: int) -> np.ndarray:
-    """The mu entries of the first n_max items of a coefficient stream."""
+    """The mu entries of the first n_max items of a coefficient stream, n_max >= 1."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     return np.fromiter((mu for _, _, mu in islice(stream, n_max)), dtype=float, count=n_max)
 
 
@@ -419,8 +413,6 @@ def mu_recursive(
     Raises DivergentNormalization when a recursion denominator crosses zero,
     which occurs exactly when the dilation exceeds the critical value.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     return _mus(_recursive_coefficients(scheme, dilation, kind), n_max)
 
 
@@ -499,34 +491,20 @@ def _closed_form_stream(nu: float, lam, symmetric: bool):
         yield from zip(rows(damp * mu - 1.0), rows(scale * mu), rows(mu))
 
 
-def mu_closed_ultraspherical(params: UltrasphericalParams, lam: float, n: int) -> float:
-    """Explicit mu_{n+1} for the co-dilated (m = 1) ultraspherical family, n >= 1."""
-    stream = _closed_form_coefficients(params, lam, ResidualKind.SYMMETRIC)
-    if n < 1:
-        raise ValueError("the explicit formula holds for n >= 1")
-    return _entry(stream, n)[2]
-
-
-def mu_closed_sequence(params: UltrasphericalParams, lam: float, n_max: int) -> np.ndarray:
-    """mu_1 .. mu_{n_max} from the explicit formula (mu_1 = 1)."""
-    return _mus(_closed_form_coefficients(params, lam, ResidualKind.SYMMETRIC), n_max)
-
-
-def amu_closed(params: UltrasphericalParams, lam: float, n: int) -> float:
-    """Explicit asymmetric coefficient amu_{n+1} = mu_{2n+1} mu_{2n+2}.
-
-    The explicit quotient holds for n >= 1; the n = 0 start value is
-    amu_1 = 1/(1 - lam beta_1) = (2 nu + 2)/(2 nu + 2 - lam).
+def mu_closed(
+    params: UltrasphericalParams,
+    lam: float,
+    n_max: int,
+    kind: ResidualKind = ResidualKind.SYMMETRIC,
+) -> np.ndarray:
+    """Normalisation coefficients mu_1 .. mu_{n_max} of the co-dilated (m = 1)
+    ultraspherical family from the explicit formulas of
+    ``_closed_form_coefficients``; for the asymmetric kind the entries are
+    amu_{n+1} = mu_{2n+1} mu_{2n+2}.  The mirror of ``mu_recursive`` under
+    ``CoDilation(1, lam)``.  ValueError unless nu > 1/2 and lam is finite and
+    below the critical value 2 nu.
     """
-    stream = _closed_form_coefficients(params, lam, ResidualKind.ASYMMETRIC)
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    return _entry(stream, n)[2]
-
-
-def amu_closed_sequence(params: UltrasphericalParams, lam: float, n_max: int) -> np.ndarray:
-    """amu_1 .. amu_{n_max} from the explicit formula."""
-    return _mus(_closed_form_coefficients(params, lam, ResidualKind.ASYMMETRIC), n_max)
+    return _mus(_closed_form_coefficients(params, lam, kind), n_max)
 
 
 def critical_constants(params: UltrasphericalParams) -> CriticalConstants:
@@ -543,7 +521,8 @@ def numerator_quotient_at_one(params: UltrasphericalParams, n: int) -> float:
     if n < 1:
         raise ValueError("quotient is defined for n >= 1")
     nu = params.nu
-    return 2.0 * nu / (2.0 * nu - 1.0) * (1.0 - _entry(_r_values(nu), n) / (2.0 * nu))
+    r_n = next(islice(_r_values(nu), n, None))
+    return 2.0 * nu / (2.0 * nu - 1.0) * (1.0 - r_n / (2.0 * nu))
 
 
 def limit_ratio(params: UltrasphericalParams, lam: float) -> float:

@@ -23,13 +23,12 @@ from codilated.orthopoly import (
     CoDilation,
     ResidualKind,
     UltrasphericalParams,
-    amu_closed_sequence,
     chebyshev_closed,
     chebyshev_u_scheme,
     critical_constants,
     eval_codilated_via_representation,
     eval_monic,
-    mu_closed_sequence,
+    mu_closed,
     mu_recursive,
     numerator_scheme,
     power_basis_scheme,
@@ -138,15 +137,12 @@ def test_criterion_4_mu_consistency():
             for lam in (-0.5, 0.0, 0.5, 1.0, 1.5, 1.9 * nu):
                 if lam >= 2.0 * nu:
                     continue
-                dil = CoDilation(1, lam)
-                rec = mu_recursive(scheme, dil, 2000)
-                clo = mu_closed_sequence(params, lam, 2000)
-                assert np.max(np.abs(rec - clo) / clo) <= 1e-12
-                arec = mu_recursive(scheme, dil, 2000, ASYM)
-                aclo = amu_closed_sequence(params, lam, 2000)
-                assert np.max(np.abs(arec - aclo) / aclo) <= 1e-12
-            assert np.all(np.isfinite(mu_closed_sequence(params, 1.9 * nu, 10**5)))
-            assert np.all(np.isfinite(amu_closed_sequence(params, 1.9 * nu, 10**5)))
+                for kind in (SYM, ASYM):
+                    rec = mu_recursive(scheme, CoDilation(1, lam), 2000, kind)
+                    clo = mu_closed(params, lam, 2000, kind)
+                    assert np.max(np.abs(rec - clo) / clo) <= 1e-12
+            for kind in (SYM, ASYM):
+                assert np.all(np.isfinite(mu_closed(params, 1.9 * nu, 10**5, kind)))
 
 
 def test_criterion_5_polynomial_identities():

@@ -238,8 +238,21 @@ class TestTable:
         assert adaptive["lambda"] == pytest.approx(1.99737, abs=1e-5)
         assert not any(r["method"] == "landweber" for r in rows)
 
-    def test_landweber_opt_in_listed_last(self):
+    def test_landweber_opt_in_listed_last(self, monkeypatch):
+        # the row's iteration count is criterion 1's; here only its place and config
+        configs = []
+
+        def record(noisy, config):
+            configs.append(config)
+            return 1, "discrepancy", 0.0, None
+
+        monkeypatch.setattr(experiments, "_run_point", record)
         rows = table1_rows(include_landweber=True)
+        assert len(configs) == len(rows) == 18
+        _, omega, eps, tau = PROBLEM_DEFAULTS["deriv2"]
+        last = configs[-1]
+        assert (last.method, last.omega, last.epsilon, last.tau) == (
+            Method.LANDWEBER, omega, eps, tau)
         assert rows[-1]["method"] == "landweber"
 
 

@@ -13,16 +13,13 @@ from codilated.orthopoly import (
     UltrasphericalParams,
     _closed_form_stream,
     _recursive_coefficients,
-    amu_closed,
-    amu_closed_sequence,
     chebyshev_closed,
     chebyshev_u_scheme,
     critical_constants,
     eval_codilated_via_representation,
     eval_monic,
     limit_ratio,
-    mu_closed_sequence,
-    mu_closed_ultraspherical,
+    mu_closed,
     mu_recursive,
     numerator_quotient_at_one,
     numerator_scheme,
@@ -433,75 +430,69 @@ class TestClosedFormStream:
                 assert np.array_equal(entries, [items[n][j] for items in want])
 
 
+def mu_at(params, lam, n, kind=SYM):
+    """mu_{n+1} (symmetric) or amu_{n+1} (asymmetric), read from ``mu_closed``."""
+    return mu_closed(params, lam, n + 1, kind)[n]
+
+
 class TestMuClosed:
     def test_nu_one_lam_one(self):
-        assert mu_closed_ultraspherical(UltrasphericalParams(1.0), 1.0, 1) == pytest.approx(
-            4 / 3, abs=1e-15
-        )
+        assert mu_at(UltrasphericalParams(1.0), 1.0, 1) == pytest.approx(4 / 3, abs=1e-15)
 
     def test_nu_one_general_formula(self):
         params = UltrasphericalParams(1.0)
         for lam in (-0.5, 0.5, 1.9):
             for n in (1, 5, 40):
                 expected = 2 * ((2 - lam) * n + lam) / ((2 - lam) * n + 2)
-                assert mu_closed_ultraspherical(params, lam, n) == pytest.approx(
-                    expected, rel=1e-14
-                )
+                assert mu_at(params, lam, n) == pytest.approx(expected, rel=1e-14)
 
     def test_nu_two_lam_one(self):
-        assert mu_closed_ultraspherical(UltrasphericalParams(2.0), 1.0, 1) == pytest.approx(
-            6 / 5, abs=1e-15
-        )
+        assert mu_at(UltrasphericalParams(2.0), 1.0, 1) == pytest.approx(6 / 5, abs=1e-15)
+
+    def test_start_value(self):
+        assert mu_closed(UltrasphericalParams(1.5), 0.5, 1)[0] == 1.0
 
     def test_rejects_inadmissible(self):
         with pytest.raises(ValueError):
-            mu_closed_ultraspherical(UltrasphericalParams(0.4), 0.5, 1)
+            mu_closed(UltrasphericalParams(0.4), 0.5, 2)
         with pytest.raises(ValueError):
-            mu_closed_ultraspherical(UltrasphericalParams(1.0), 2.0, 1)
-        with pytest.raises(ValueError):
-            mu_closed_ultraspherical(UltrasphericalParams(1.0), 1.0, 0)
+            mu_closed(UltrasphericalParams(1.0), 2.0, 2)
 
-    def test_sequence_matches_scalar(self):
-        params = UltrasphericalParams(1.5)
-        seq = mu_closed_sequence(params, 0.5, 30)
-        assert seq[0] == 1.0
-        for n in range(1, 30):
-            assert seq[n] == pytest.approx(mu_closed_ultraspherical(params, 0.5, n), rel=1e-15)
+    @pytest.mark.parametrize("kind", [SYM, ASYM])
+    def test_both_readers_reject_empty_range(self, kind):
+        for n_max in (0, -1):
+            with pytest.raises(ValueError, match="n_max must be >= 1"):
+                mu_closed(UltrasphericalParams(1.0), 1.0, n_max, kind)
+            with pytest.raises(ValueError, match="n_max must be >= 1"):
+                mu_recursive(ultraspherical_scheme(UltrasphericalParams(1.0)),
+                             CoDilation(1, 1.0), n_max, kind)
 
 
 class TestAmuClosed:
     def test_nu_one_lam_one(self):
-        assert amu_closed(UltrasphericalParams(1.0), 1.0, 1) == pytest.approx(2.4, abs=1e-15)
+        assert mu_at(UltrasphericalParams(1.0), 1.0, 1, ASYM) == pytest.approx(2.4, abs=1e-15)
 
     def test_nu_one_general_formula(self):
         params = UltrasphericalParams(1.0)
         for lam in (0.0, 1.5, 1.9):
             for n in (1, 7, 33):
                 expected = 4 * ((2 - lam) * 2 * n + lam) / ((2 - lam) * 2 * n + 4 - lam)
-                assert amu_closed(params, lam, n) == pytest.approx(expected, rel=1e-14)
+                assert mu_at(params, lam, n, ASYM) == pytest.approx(expected, rel=1e-14)
 
     def test_start_value(self):
-        assert amu_closed(UltrasphericalParams(1.0), 0.0, 0) == 1.0
+        assert mu_at(UltrasphericalParams(1.0), 0.0, 0, ASYM) == 1.0
         for nu in (0.75, 1.0, 2.0):
             for lam in (0.5, 1.9 * nu):
                 expected = (2 * nu + 2) / (2 * nu + 2 - lam)
-                assert amu_closed(UltrasphericalParams(nu), lam, 0) == pytest.approx(
+                assert mu_at(UltrasphericalParams(nu), lam, 0, ASYM) == pytest.approx(
                     expected, rel=1e-15
                 )
 
     def test_product_of_mu(self):
         params = UltrasphericalParams(2.0)
         for n in (1, 4, 19):
-            prod = mu_closed_ultraspherical(params, 1.5, 2 * n) * mu_closed_ultraspherical(
-                params, 1.5, 2 * n + 1
-            )
-            assert amu_closed(params, 1.5, n) == pytest.approx(prod, rel=1e-13)
-
-    def test_sequence_matches_scalar(self):
-        params = UltrasphericalParams(0.75)
-        seq = amu_closed_sequence(params, 1.2, 25)
-        for n in range(25):
-            assert seq[n] == pytest.approx(amu_closed(params, 1.2, n), rel=1e-15)
+            prod = mu_at(params, 1.5, 2 * n) * mu_at(params, 1.5, 2 * n + 1)
+            assert mu_at(params, 1.5, n, ASYM) == pytest.approx(prod, rel=1e-13)
 
 
 class TestConstants:

@@ -545,6 +545,16 @@ class TestConfigAndDriver:
             with pytest.raises(ValueError, match="finite"):
                 Problem(op, np.array([1.0, bad, 1.0]))
 
+    @pytest.mark.parametrize("diag, g", [([1.0, 0.5, 0.25], np.ones(1)),
+                                         ([0.5], np.ones(3)),
+                                         ([1.0, 0.5], np.ones((2, 1)))])
+    def test_data_off_the_range_rejected(self, diag, g):
+        # data must be one vector of the operator's range: nothing is broadcast
+        config = SolverConfig(method=Method.CODILATED_NU, omega=0.9, epsilon=0.01)
+        for run in (lambda p: solve(p, config), lambda p: solve_dilations(p, config, [0.5, 1.5])):
+            with pytest.raises(ValueError, match="range"):
+                run(Problem(diagonal_operator(diag), g))
+
     def test_overflowing_data_norm_applies_no_operator(self):
         # finite data whose norm overflows: the n = 0 tests stop every method
         d = np.array([1.0, 0.5, 0.25])

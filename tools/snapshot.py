@@ -143,6 +143,8 @@ def runs():
             yield f"zeros_{kind}_scan_{lam}", [
                 "zeros", "--nu", "1", "--kind", kind, "--degree", "40", f"--lambda={lam}",
                 "--out", "out.csv"]
+    # the invariant suite: its stdout carries each check's worst deviation
+    yield "checks", ["checks"]
     # malformed flags are configuration errors
     yield "malformed_solve_n", ["solve", "--n", "abc"]
     yield "malformed_sweep_method", ["sweep", "--method", "nosuch"]
