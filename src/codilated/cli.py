@@ -4,10 +4,11 @@ Subcommands: solve, sweep, table1, zeros, checks.  Options may also come
 from a plain-text key=value config file (--config); command-line flags
 override file entries.  Sweeps and tables run their solves one after
 another in this process.  This module handles arguments and stdout; the
-experiments module writes every file.  Exit codes: 0 success, 1
-configuration error (a malformed flag among them), arithmetic failure such
-as a vanishing normalisation (or failed checks), 2 solve ended at the
-iteration cap, 3 solve stopped on a non-finite residual (divergence).
+experiments module writes every file.  Only the checks command imports the
+invariant suites.  Exit codes: 0 success, 1 configuration error (a
+malformed flag among them), arithmetic failure such as a vanishing
+normalisation (or failed checks), 2 solve ended at the iteration cap, 3
+solve stopped on a non-finite residual (divergence).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields
 
 from .experiments import (
     DEFAULT_SEED,
@@ -31,7 +31,6 @@ from .experiments import (
     write_sweep_csv,
     write_table_csv,
 )
-from .checks import run_checks
 from .orthopoly import CoDilation, ResidualKind, UltrasphericalParams, ultraspherical_scheme
 from .solvers import Method, SolverConfig, StopReason
 from .zeros import find_polynomial_zeros, find_zeros
@@ -85,7 +84,7 @@ _OPTIONS = {
     "zero_degree": (int, "zero_degree", {}),
 }
 _SWEEP_ONLY = ("sweep", "zero_degree")
-_CONFIG_FIELDS = {f.name for f in fields(SolverConfig)}
+_CONFIG_FIELDS = set(SolverConfig.__slots__)
 
 
 def _add_common(parser: argparse.ArgumentParser, sweep: bool = False):
@@ -108,7 +107,7 @@ def _merged(args) -> dict:
 
 def _build_spec(args) -> ExperimentSpec:
     """The spec of the merged options; omega, eps and tau default to the
-    problem's, every other field to its dataclass default."""
+    problem's, every other field to the default of its record's constructor."""
     merged = _merged(args)
     problem = merged.get("problem", "deriv2")
     if problem not in PROBLEM_DEFAULTS:
@@ -183,6 +182,8 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_checks(_args) -> int:
+    from .checks import run_checks  # only this command pays for compiling the suites
+
     return EXIT_OK if run_checks() else EXIT_CONFIG
 
 

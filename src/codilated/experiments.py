@@ -33,7 +33,6 @@ dump writes the very arrays ``build_problem`` assembled for the solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 from typing import NamedTuple
 
@@ -46,11 +45,12 @@ from .solvers import (
     Method,
     SolveReport,
     SolverConfig,
+    _SlotRecord,
     batchable,
     solve,
     solve_dilations,
 )
-from .zeros import find_zeros
+from .zeros import _check_degree, find_zeros
 
 __all__ = [
     "DEFAULT_SEED",
@@ -81,26 +81,35 @@ PROBLEM_DEFAULTS = {
 }
 
 
-@dataclass
-class ExperimentSpec:
-    """One experiment: a problem, a solver configuration, optionally a
-    dilation sweep, and an output path."""
+class ExperimentSpec(_SlotRecord):
+    """One experiment: a problem, a solver configuration (by default
+    ``SolverConfig()``), optionally a dilation sweep, and an output path.
 
-    problem: str = "deriv2"
-    n: int | None = None
-    config: SolverConfig = field(default_factory=SolverConfig)
-    sweep: tuple[float, float, float] | list[float] | None = None
-    seed: int = DEFAULT_SEED
-    zero_degree: int | None = None
-    out: str | None = None
+    A malformed sweep range, or a zero degree outside 1 ..
+    ``zeros.MAX_DEGREE``, raises ValueError here, before any solve.
+    """
 
-    def __post_init__(self):
-        if self.problem not in PROBLEM_DEFAULTS:
+    __slots__ = ("problem", "n", "config", "sweep", "seed", "zero_degree", "out")
+
+    def __init__(
+        self,
+        problem: str = "deriv2",
+        n: int | None = None,
+        config: SolverConfig | None = None,
+        sweep: tuple[float, float, float] | list[float] | None = None,
+        seed: int = DEFAULT_SEED,
+        zero_degree: int | None = None,
+        out: str | None = None,
+    ):
+        if problem not in PROBLEM_DEFAULTS:
             raise ValueError(
-                f"unknown problem {self.problem!r}; choose from {sorted(PROBLEM_DEFAULTS)}"
+                f"unknown problem {problem!r}; choose from {sorted(PROBLEM_DEFAULTS)}"
             )
-        if self.zero_degree is not None and self.zero_degree < 1:
-            raise ValueError("zero degree must be >= 1")
+        if zero_degree is not None:
+            _check_degree(zero_degree, "zero degree")
+        self.problem, self.n, self.sweep, self.seed = problem, n, sweep, seed
+        self.config = SolverConfig() if config is None else config
+        self.zero_degree, self.out = zero_degree, out
         self.sweep_values()  # rejects a malformed range here, not at the first sweep
 
     def sweep_values(self) -> list[float]:
@@ -227,7 +236,7 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
         if flag:
             iters, reason, final, _ = _outcome(next(reports))
         else:
-            iters, reason, final, _ = _run_point(noisy, replace(config, lam=lam))
+            iters, reason, final, _ = _run_point(noisy, config.replace(lam=lam))
         zero = float("nan")
         if spec.zero_degree is not None:
             zr = find_zeros(scheme, CoDilation(1, lam), kind, spec.zero_degree)
@@ -261,8 +270,8 @@ def table1_rows(seed: int = DEFAULT_SEED, include_landweber: bool = False) -> li
     noisy = build_problem(ExperimentSpec(problem="deriv2", config=base, seed=seed))
     out = []
     for method, nu, lam in rows:
-        config = replace(base, method=method, nu=1.0 if nu is None else nu,
-                         lam=1.0 if lam is None else lam)
+        config = base.replace(method=method, nu=1.0 if nu is None else nu,
+                              lam=1.0 if lam is None else lam)
         iters, reason, _, chosen = _run_point(noisy, config)
         out.append({"method": method.value, "nu": nu,
                     "lambda": chosen if chosen is not None else lam,

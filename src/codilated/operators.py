@@ -1,14 +1,13 @@
 """Linear operators, test problems, seeded noise, and norm estimation.
 
-``Problem`` is a frozen dataclass that checks its data; ``NoisyProblem``,
-``Deriv2Problem`` and ``NormEstimate`` only carry values and are
-``NamedTuple``s.  Nothing here writes a file; the experiments module holds
-the CSV output.
+The records are ``NamedTuple``s: ``Problem`` checks its data in the
+``__new__`` of a thin subclass, which ``_replace`` also runs;
+``NoisyProblem``, ``Deriv2Problem`` and ``NormEstimate`` only carry values.
+Nothing here writes a file; the experiments module holds the CSV output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -66,20 +65,25 @@ def _row_by_row(apply, block: np.ndarray) -> np.ndarray:
     return np.stack([apply(row) for row in block])
 
 
-@dataclass(frozen=True)
-class Problem:
-    """Data pair (A, g) consumed by the solvers; ValueError unless g is one
-    finite vector of A's range."""
-
+class _Problem(NamedTuple):
     operator: LinearOperator
     g: np.ndarray
 
-    def __post_init__(self):
-        if np.shape(self.g) != (self.operator.range_dim,):
-            raise ValueError(f"data g of shape {np.shape(self.g)} is not a vector of the "
-                             f"operator's range, of dimension {self.operator.range_dim}")
-        if not np.isfinite(self.g).all():
+
+class Problem(_Problem):
+    """Data pair (A, g) consumed by the solvers; ValueError unless g is one
+    finite vector of A's range."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
+
+    def __new__(cls, operator: LinearOperator, g: np.ndarray):
+        if np.shape(g) != (operator.range_dim,):
+            raise ValueError(f"data g of shape {np.shape(g)} is not a vector of the "
+                             f"operator's range, of dimension {operator.range_dim}")
+        if not np.isfinite(g).all():
             raise ValueError("data g must be finite")
+        return super().__new__(cls, operator, g)
 
 
 def _finite_entries(entries) -> np.ndarray:

@@ -18,15 +18,15 @@ are those of the even fold S_n, P_{2n}(x) = S_n(x^2) (Chihara, 1978).
 oracle of the folded paths.
 
 All arithmetic is binary64.  Evaluations are vectorised over the argument.
-The records that check their parameters (``RecurrenceScheme``,
-``CoDilation``, ``UltrasphericalParams``) are frozen dataclasses;
-``CriticalConstants`` only carries values and is a ``NamedTuple``.
+The records are ``NamedTuple``s.  Those that check their parameters
+(``RecurrenceScheme``, ``CoDilation``, ``UltrasphericalParams``) do so in
+the ``__new__`` of a thin subclass, which ``_replace`` also runs;
+``CriticalConstants`` only carries values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import count, islice
 from typing import Callable, NamedTuple
@@ -67,8 +67,14 @@ class DivergentNormalization(ArithmeticError):
     """A denominator in the mu recursion crossed zero (dilation beyond critical)."""
 
 
-@dataclass(frozen=True)
-class RecurrenceScheme:
+class _RecurrenceScheme(NamedTuple):
+    alpha: Callable[[int], float]
+    beta: Callable[[int], float]
+    symmetric: bool = False
+    allow_zero_beta: bool = False
+
+
+class RecurrenceScheme(_RecurrenceScheme):
     """Coefficients of a monic three-term recurrence.
 
     alpha and beta are pure functions of the index (alpha_n for n >= 0,
@@ -84,15 +90,15 @@ class RecurrenceScheme:
     works there, at one call per index.
     """
 
-    alpha: Callable[[int], float]
-    beta: Callable[[int], float]
-    symmetric: bool = False
-    allow_zero_beta: bool = False
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
-    def __post_init__(self):
-        alpha, _ = _jacobi(self, None, 0, 9, folded=False, check=True)  # beta_1 .. beta_8
-        if self.symmetric and np.any(alpha != 0.0):
+    def __new__(cls, alpha, beta, symmetric=False, allow_zero_beta=False):
+        self = super().__new__(cls, alpha, beta, symmetric, allow_zero_beta)
+        alphas, _ = _jacobi(self, None, 0, 9, folded=False, check=True)  # beta_1 .. beta_8
+        if symmetric and np.any(alphas != 0.0):
             raise ValueError("symmetric scheme requires alpha == 0")
+        return self
 
 
 def _values(fn, idx: np.ndarray) -> np.ndarray:
@@ -107,32 +113,42 @@ def _values(fn, idx: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-@dataclass(frozen=True)
-class CoDilation:
+class _CoDilation(NamedTuple):
+    m: int
+    lam: float
+
+
+class CoDilation(_CoDilation):
     """Dilation of the coefficient beta_m by the factor lam.
 
     lam = 1 reproduces the undilated scheme exactly.
     """
 
-    m: int
-    lam: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m: int, lam: float):
+        if m < 1:
             raise ValueError("dilation index m must be >= 1")
-        if not math.isfinite(self.lam):
+        if not math.isfinite(lam):
             raise ValueError("dilation factor lam must be finite")
+        return super().__new__(cls, m, lam)
 
 
-@dataclass(frozen=True)
-class UltrasphericalParams:
-    """Parameter nu > -1/2 of the weight (1 - x^2)^(nu - 1/2) on [-1, 1]."""
-
+class _UltrasphericalParams(NamedTuple):
     nu: float
 
-    def __post_init__(self):
-        if not self.nu > -0.5:
+
+class UltrasphericalParams(_UltrasphericalParams):
+    """Parameter nu > -1/2 of the weight (1 - x^2)^(nu - 1/2) on [-1, 1]."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
+
+    def __new__(cls, nu: float):
+        if not nu > -0.5:
             raise ValueError("ultraspherical parameter requires nu > -1/2")
+        return super().__new__(cls, nu)
 
     def require_closed_forms(self):
         """The explicit x=1 formulas only exist for nu > 1/2."""

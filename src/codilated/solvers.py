@@ -49,7 +49,8 @@ power iterations), and picks the method's default iteration cap.
 Residual norms are recomputed from v = g - A f every step; nothing is
 updated incrementally, so histories do not drift over long runs.  A solve
 is single-threaded and deterministic; distinct solves share no mutable
-state.
+state.  A ``SolveReport`` is a ``NamedTuple``; ``SolverConfig`` is a
+mutable ``__slots__`` record whose ``replace`` re-runs its checks.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import count, repeat
 from typing import NamedTuple
@@ -142,35 +142,65 @@ _DEFAULT_MAX_ITER = {
 }
 
 
-@dataclass
-class SolverConfig:
+class _SlotRecord:
+    """Field-wise ``replace``, ``==`` and ``repr`` of a mutable record whose
+    ``__slots__`` name its fields in the order of its ``__init__``.
+    ``replace`` rebuilds through ``__init__``, so a change is coerced and
+    checked like a new record."""
+
+    __slots__ = ()
+    __hash__ = None  # mutable
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def replace(self, **changes):
+        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class SolverConfig(_SlotRecord):
     """Method selection plus iteration parameters.
 
     epsilon is the noise level entering the discrepancy threshold
     tau * epsilon; max_iter of None picks the default of the method run
-    (10^6 for Landweber, 10^3 for cg, 10^4 otherwise).
+    (10^6 for Landweber, 10^3 for cg, 10^4 otherwise).  method may be given
+    by its value, e.g. "landweber".
     """
 
-    method: Method = Method.CODILATED_NU
-    nu: float = 1.0
-    lam: float = 1.0
-    omega: float = 1.0
-    tau: float = 4.0
-    epsilon: float = 0.0
-    max_iter: int | None = None
+    __slots__ = ("method", "nu", "lam", "omega", "tau", "epsilon", "max_iter")
 
-    def __post_init__(self):
-        self.method = Method(self.method)
-        if not (np.isfinite(self.nu) and np.isfinite(self.lam)):
+    def __init__(
+        self,
+        method: Method | str = Method.CODILATED_NU,
+        nu: float = 1.0,
+        lam: float = 1.0,
+        omega: float = 1.0,
+        tau: float = 4.0,
+        epsilon: float = 0.0,
+        max_iter: int | None = None,
+    ):
+        self.method = Method(method)
+        if not (np.isfinite(nu) and np.isfinite(lam)):
             raise ValueError("polynomial parameters nu and lam must be finite")
-        if not (np.isfinite(self.omega) and self.omega > 0):
+        if not (np.isfinite(omega) and omega > 0):
             raise ValueError("relaxation parameter omega must be finite and > 0")
-        if not (np.isfinite(self.tau) and self.tau > 1):
+        if not (np.isfinite(tau) and tau > 1):
             raise ValueError("discrepancy factor tau must be finite and > 1")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+        if not (np.isfinite(epsilon) and epsilon >= 0):
             raise ValueError("noise level epsilon must be finite and >= 0")
-        if self.max_iter is not None and self.max_iter < 0:
+        if max_iter is not None and max_iter < 0:
             raise ValueError("iteration cap max_iter must be >= 0")
+        self.nu, self.lam, self.omega, self.tau = nu, lam, omega, tau
+        self.epsilon, self.max_iter = epsilon, max_iter
 
     def resolved_max_iter(self) -> int:
         if self.max_iter is not None:
@@ -190,8 +220,7 @@ class IterationState(NamedTuple):
     residual_norm: float
 
 
-@dataclass
-class SolveReport:
+class SolveReport(NamedTuple):
     """Full outcome of a solve.
 
     residual_history has length iterations + 1 (the n = 0 entry is ||g||);
@@ -242,7 +271,7 @@ def _gate(problem: Problem, config: SolverConfig, method: Method) -> SolverConfi
         if lapses:
             message = f"omega ||A*A|| = {level:.6g} " + ", and ".join(lapses)
             warnings.warn(message, RelaxationWarning, stacklevel=_caller_stacklevel())
-    return config if config.method is method else replace(config, method=method)
+    return config if config.method is method else config.replace(method=method)
 
 
 def _stop_reason(rn, threshold, stalled, n, max_iter) -> StopReason | None:
@@ -422,10 +451,11 @@ def adaptive_codilated_one(problem: Problem, config: SolverConfig, callback=None
     report = _drive(problem, config, steps(), callback)
     n = report.iterations
     den = (2.0 * n - 1.0) * (1.0 - gamma)  # zero only at gamma = 1
-    report.chosen_lambda = 1.0 - (2.0 * n + 1.0) * gamma / den if den else math.nan
-    report.gamma_final = gamma
-    report.f_final = f - gamma * (f - f_prev)
-    return report
+    return report._replace(
+        f_final=f - gamma * (f - f_prev),
+        chosen_lambda=1.0 - (2.0 * n + 1.0) * gamma / den if den else math.nan,
+        gamma_final=gamma,
+    )
 
 
 def _cg_steps(problem):
@@ -532,7 +562,7 @@ def batchable(config: SolverConfig, lam: float) -> bool:
 
 
 def solve_dilations(problem: Problem, config: SolverConfig, lams) -> list[SolveReport]:
-    """``solve(problem, replace(config, lam=lam))`` for each lam in lams, as
+    """``solve(problem, config.replace(lam=lam))`` for each lam in lams, as
     one block iteration with one row per dilation.
 
     Every report equals the single solve's bit for bit: each row takes the

@@ -20,7 +20,8 @@ per degree; oscillations of a degree-n family are ~pi/n apart in theta, so
 adjacent roots and extrema are separated by ~50 grid points even where
 they cluster near the endpoints.  The scan is also the tests' independent
 oracle for the matrix path.  Results come back as a ``ZeroReport``, a
-``NamedTuple``.
+``NamedTuple``.  A degree runs from 1 to MAX_DEGREE, checked before anything
+of its size is built.
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ from .orthopoly import (
     residual_eval,
 )
 
-__all__ = ["ZeroReport", "find_zeros", "find_polynomial_zeros", "modulus_of_convergence"]
+__all__ = [
+    "MAX_DEGREE", "ZeroReport", "find_zeros", "find_polynomial_zeros", "modulus_of_convergence"
+]
 
+MAX_DEGREE = 4096  # the n x n Jacobi matrix of the largest degree takes 128 MiB
 GRID_POINTS_PER_DEGREE = 50
 BISECTION_TOL = 1e-13
 REFINE_TOL = 1e-10
@@ -57,6 +61,14 @@ class ZeroReport(NamedTuple):
     @property
     def smallest(self) -> float:
         return float(self.zeros[0])
+
+
+def _check_degree(n: int, name: str = "degree") -> None:
+    """ValueError unless 1 <= n <= MAX_DEGREE, before anything of size n is built."""
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1")
+    if n > MAX_DEGREE:
+        raise ValueError(f"{name} must be <= {MAX_DEGREE}")
 
 
 def _residual_grid(n: int) -> np.ndarray:
@@ -139,8 +151,7 @@ def find_zeros(
     n: int,
 ) -> ZeroReport:
     """Roots of the degree-n residual polynomial in [0, 1]."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    _check_degree(n)
     symmetric = kind is ResidualKind.SYMMETRIC
     eig = _jacobi_eigenvalues(scheme, dilation, n, folded=not symmetric)
     if eig is not None:
@@ -157,8 +168,7 @@ def find_polynomial_zeros(
     scheme: RecurrenceScheme, dilation: CoDilation | None, n: int
 ) -> ZeroReport:
     """Roots of P_n itself (co-dilated if requested) in [-1, 1]."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    _check_degree(n)
     eig = _jacobi_eigenvalues(scheme, dilation, n, folded=False)
     if eig is not None:
         zeros = _inside(eig, -1.0, 1.0)
@@ -200,8 +210,7 @@ def modulus_of_convergence(
     Approximated on the angular scan grid with golden-section refinement
     around the grid maximum.
     """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    _check_degree(n)
     if not s >= 0:  # NaN fails too
         raise ValueError("smoothness s must be >= 0")
     grid = _residual_grid(n)

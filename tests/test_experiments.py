@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,7 +147,7 @@ class TestSweep:
         rows = run_sweep(spec).rows
         assert [row.lam for row in rows] == sorted(spec.sweep)
         for row in rows:
-            iterations, reason, final, _ = _run_point(noisy, replace(spec.config, lam=row.lam))
+            iterations, reason, final, _ = _run_point(noisy, spec.config.replace(lam=row.lam))
             assert (row.iterations, row.stop_reason) == (iterations, reason)
             assert repr(row.final_residual) == repr(final)
         assert [row.stop_reason for row in rows].count("error:inadmissible") == 2
@@ -335,9 +334,9 @@ class TestCsvEmission:
         rng = np.random.default_rng(7)
         history = rng.uniform(0.5, 1.0, size) * 10.0 ** rng.integers(-300, 300, size)
         spec = spec_for("diag-last")
-        report = replace(run_experiment(spec), residual_history=history)
+        report = run_experiment(spec)._replace(residual_history=history)
         header, full = tmp_path / "header.csv", tmp_path / "full.csv"
-        empty = replace(report, residual_history=history[:0])
+        empty = report._replace(residual_history=history[:0])
         write_report_csv(header, empty, spec.config, spec.seed)
         write_report_csv(full, report, spec.config, spec.seed)
         rows = "".join(f"{n},{float(history[n])!r}\n" for n in range(size))
@@ -516,6 +515,18 @@ class TestCli:
         assert capsys.readouterr().err.count("zero degree must be >= 1") == 2
         with pytest.raises(ValueError, match="zero degree"):
             ExperimentSpec(problem="diag-last", zero_degree=0)
+
+    @pytest.mark.parametrize("degree", ["4097", "1000000"])
+    def test_zero_degree_above_bound_rejected_before_any_solve(self, monkeypatch, capsys,
+                                                               tmp_path, degree):
+        calls = []
+        for name in ("build_problem", "solve", "solve_dilations", "find_zeros"):
+            monkeypatch.setattr(experiments, name, lambda *a, name=name: calls.append(name))
+        out = tmp_path / "out.csv"
+        code = main(["sweep", "--problem", "diag-last", "--sweep", "1:1.5:0.5",
+                     "--zero-degree", degree, "--out", str(out)])
+        assert (code, calls, out.exists()) == (EXIT_CONFIG, [], False)
+        assert capsys.readouterr().err == "error: zero degree must be <= 4096\n"
 
     def test_zeros_dilation_index_checked_at_every_lambda(self, capsys):
         # lambda = 1, given or not, builds the same dilation as any other lambda

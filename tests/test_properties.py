@@ -2,18 +2,19 @@
 oracle and of stop reasons on random parameters.
 
 Examples are drawn from a fixed seed (``derandomize=True``), so every run
-checks the same cases.
+checks the same cases.  Hypothesis derives that seed from the test's source
+and also draws literals it finds in the code, so an edit there may change
+the drawn cases; a case that must stay covered is pinned with ``@example``.
 """
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from codilated import zeros  # noqa: E402
 from codilated.operators import Problem, diagonal_operator  # noqa: E402
@@ -100,6 +101,10 @@ def block_cases(draw):
 @settings(FIXED, max_examples=60)
 @given(case=block_cases(), method=st.sampled_from(["codilated-nu", "codilated-ultraspherical"]),
        epsilon=st.floats(min_value=0.0, max_value=0.1))
+# nu one ulp above 1/2 on zero data: the closed-form quotient is 0/0 (NaN), so one
+# row stagnates and the other diverges at n = 2, in the block as in the single solves
+@example(case=(np.zeros(1), np.zeros(1), 0.5000000000000001, [0.0, -1.0]),
+         method="codilated-nu", epsilon=0.0)
 def test_block_solve_equals_single_solves(case, method, epsilon):
     diag, g, nu, lams = case
     problem = Problem(diagonal_operator(diag), g)
@@ -107,7 +112,7 @@ def test_block_solve_equals_single_solves(case, method, epsilon):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RelaxationWarning)  # a norm estimate may round above 1
         reports = solve_dilations(problem, config, lams)
-        singles = [solve(problem, replace(config, lam=lam)) for lam in lams]
+        singles = [solve(problem, config.replace(lam=lam)) for lam in lams]
     for block, single in zip(reports, singles, strict=True):
         assert (block.iterations, block.stop_reason) == (single.iterations, single.stop_reason)
         assert np.array_equal(block.residual_history, single.residual_history, equal_nan=True)

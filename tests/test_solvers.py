@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 from itertools import repeat
 
 import numpy as np
@@ -234,8 +233,7 @@ class TestAsymmetricAndNuMethods:
 
     def test_rejects_asymmetric_scheme(self):
         problem = deriv2_problem()
-        skewed = power_basis_scheme()
-        object.__setattr__(skewed, "symmetric", False)
+        skewed = power_basis_scheme()._replace(symmetric=False)
         with pytest.raises(ValueError):
             asymmetric_semi_iterative(problem, skewed, None, quiet_config())
 
@@ -354,8 +352,8 @@ class TestAdaptive:
             return lambda state: states.update({state.n: (state.f_curr.copy(), state.f_prev.copy())})
 
         report = adaptive_codilated_one(problem, config, callback=log_into(adaptive))
-        plain_config = replace(config, method=Method.CODILATED_NU, epsilon=0.0,
-                               max_iter=report.iterations)
+        plain_config = config.replace(method=Method.CODILATED_NU, epsilon=0.0,
+                                      max_iter=report.iterations)
         codilated_nu(problem, 1.0, 1.0, plain_config, callback=log_into(plain))
         assert report.stop_reason is StopReason.DISCREPANCY
         assert adaptive.keys() == plain.keys() == set(range(report.iterations + 1))
@@ -582,7 +580,7 @@ class TestConfigAndDriver:
         noisy = build_problem(ExperimentSpec(problem=problem_name, config=base))
         problem = noisy.as_problem()
         for method in Method:
-            config = replace(base, method=method)
+            config = base.replace(method=method)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RelaxationWarning)
                 plain = solve(problem, config)
@@ -813,7 +811,7 @@ class TestRelaxationWarnings:
         ):
             assert [w.filename for w in self.relaxation_warnings(run)] == [__file__]
         for method in Method:
-            record = self.relaxation_warnings(lambda: solve(problem, replace(config, method=method)))
+            record = self.relaxation_warnings(lambda: solve(problem, config.replace(method=method)))
             assert [w.filename for w in record] == ([] if method is Method.CG else [__file__])
 
     def test_cg_estimates_no_norm(self):
@@ -838,7 +836,7 @@ class TestRelaxationWarnings:
             assert [w.filename for w in record] == [__file__]
             assert "did not converge in 100000" in str(record[0].message)
         # beyond the bound too: still one warning, which says both
-        beyond = replace(config, omega=3.0)
+        beyond = config.replace(omega=3.0)
         record = self.relaxation_warnings(lambda: codilated_nu(problem, 1.0, 1.0, beyond))
         assert [w.filename for w in record] == [__file__]
         assert "> 1" in str(record[0].message) and "100000" in str(record[0].message)
@@ -855,7 +853,7 @@ class TestRelaxationWarnings:
         other = Problem(diagonal_operator(np.ones(4)), np.ones(4))
         config = quiet_config(omega=0.9, max_iter=3)
         solve(problem, config)
-        solve(problem, replace(config, method="landweber", omega=0.5))
+        solve(problem, config.replace(method="landweber", omega=0.5))
         solve_dilations(problem, config, [0.5, 1.0])
         solve_dilations(other, config, [0.5, 1.0])
         assert calls == [problem.operator, other.operator]
@@ -875,7 +873,7 @@ def assert_block_equals_singles(problem, config, lams):
     reports = solve_dilations(problem, config, lams)
     assert len(reports) == len(lams)
     for lam, report in zip(lams, reports):
-        assert_same_solve(report, solve(problem, replace(config, lam=lam)))
+        assert_same_solve(report, solve(problem, config.replace(lam=lam)))
     return reports
 
 
@@ -920,7 +918,7 @@ class TestSolveDilations:
     def test_stopped_rows(self, method, overrides, reasons):
         _, omega, eps, tau = PROBLEM_DEFAULTS["diag-last"]
         config = SolverConfig(method=method, nu=1.0, omega=omega, epsilon=eps, tau=tau)
-        config = replace(config, **overrides)
+        config = config.replace(**overrides)
         problem = build_problem(ExperimentSpec(problem="diag-last", config=config)).as_problem()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RelaxationWarning)
@@ -997,9 +995,9 @@ class TestSolveDilations:
             with pytest.raises(ValueError):
                 solve_dilations(problem, config, [1.0, lam])
         assert batchable(config, 1.99) and batchable(config, -5.0)
-        assert not batchable(replace(config, nu=0.5), 0.1)  # no closed forms
+        assert not batchable(config.replace(nu=0.5), 0.1)  # no closed forms
         for method in set(Method) - set(BLOCK_METHODS):
-            assert not batchable(replace(config, method=method), 1.0)
+            assert not batchable(config.replace(method=method), 1.0)
             with pytest.raises(ValueError):
-                solve_dilations(problem, replace(config, method=method), [1.0])
+                solve_dilations(problem, config.replace(method=method), [1.0])
         assert solve_dilations(problem, config, []) == []

@@ -84,6 +84,54 @@ class TestFindZeros:
             find_zeros(CHEB, None, SYM, 0)
 
 
+class Unbounded(Exception):
+    """Raised by the stand-ins of ``no_allocation``: a degree got past the bound."""
+
+
+@pytest.fixture
+def no_allocation(monkeypatch):
+    """Stand-ins for the three builders of degree-sized arrays (Jacobi
+    coefficients, residual and polynomial scan grids), so a test of the
+    bound never allocates for an unbounded degree."""
+
+    def reached(*args, **kwargs):
+        raise Unbounded
+
+    for name in ("_jacobi", "_residual_grid", "_polynomial_grid"):
+        monkeypatch.setattr(zeros, name, reached)
+
+
+class TestDegreeBound:
+    @pytest.mark.parametrize("degree", [4097, 10**6])
+    def test_degree_above_bound_rejected_before_any_allocation(self, no_allocation, degree):
+        for locate in (
+            lambda: find_zeros(CHEB, None, SYM, degree),
+            lambda: find_zeros(CHEB, CoDilation(1, 1.5), ASYM, degree),
+            lambda: find_zeros(CHEB, CoDilation(1, -1.0), SYM, degree),  # the scan path
+            lambda: find_polynomial_zeros(CHEB, None, degree),
+            lambda: find_polynomial_zeros(CHEB, CoDilation(1, 0.0), degree),  # the scan path
+            lambda: modulus_of_convergence(CHEB, None, SYM, degree, 1.0),
+        ):
+            with pytest.raises(ValueError, match="degree must be <= 4096"):
+                locate()
+
+    def test_bound_admits_its_own_degree(self, no_allocation):
+        assert zeros.MAX_DEGREE == 4096
+        with pytest.raises(Unbounded):
+            find_zeros(CHEB, None, SYM, 4096)
+        with pytest.raises(Unbounded):
+            find_polynomial_zeros(CHEB, None, 4096)
+
+    @pytest.mark.parametrize("extra", [[], ["--sweep", "1.0,1.5"], ["--kind", "polynomial"]])
+    @pytest.mark.parametrize("degree", ["4097", "1000000"])
+    def test_cli_degree_above_bound_exits_1(self, no_allocation, capsys, tmp_path, degree, extra):
+        out = tmp_path / "zeros.csv"
+        assert main(["zeros", "--degree", degree, *extra, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: degree must be <= 4096\n"
+        assert not out.exists()
+
+
 class TestPolynomialZeros:
     def test_chebyshev_zeros(self):
         report = find_polynomial_zeros(CHEB, None, 8)

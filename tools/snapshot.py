@@ -7,9 +7,12 @@ Each run goes through ``codilated.cli.main`` in this process, using the
 the working directory.  The directory keeps the arguments (``argv.txt``),
 the exit code (``exit_code.txt``; the code of a ``SystemExit`` that ``main``
 raises counts as the run's exit code), the standard output (``stdout.txt``) and
-every file the run wrote.  A run named in ``CONFIG_FILES`` first writes its
-config file there as ``run.cfg``.  Standard error (relaxation warnings, error
-messages) is not recorded.
+every file the run wrote.  Any other exception that escapes ``main`` is written
+to ``exception.txt`` (its traceback to standard error) and counts as exit code
+1, the interpreter's code for it.
+A run named in ``CONFIG_FILES`` first writes its config file there as
+``run.cfg``.  Standard error (relaxation warnings, error messages) is not
+recorded.
 
 A refactor shows that it changed no output by snapshotting both trees and
 comparing them byte for byte:
@@ -27,6 +30,7 @@ import io
 import os
 import shlex
 import sys
+import traceback
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -150,6 +154,11 @@ def runs():
     yield "malformed_sweep_method", ["sweep", "--method", "nosuch"]
     yield "malformed_zeros_degree", ["zeros", "--degree", "x"]
     yield "malformed_command", ["nosuch"]
+    # a degree above zeros.MAX_DEGREE is refused before any solve or allocation
+    yield "zeros_degree_over_bound", ["zeros", "--degree", "1000000", "--out", "out.csv"]
+    yield "sweep_diag-last_zero_degree_over_bound", [
+        "sweep", "--problem", "diag-last", "--sweep", "1.0,1.5", "--zero-degree", "1000000",
+        "--out", "out.csv"]
 
 
 def record(run_dir: Path, argv: list[str], config: str | None = None) -> int:
@@ -164,6 +173,10 @@ def record(run_dir: Path, argv: list[str], config: str | None = None) -> int:
             code = main(argv)
     except SystemExit as exc:
         code = exc.code
+    except Exception as exc:  # noqa: BLE001 - an escaped error is the run's outcome
+        code = 1
+        traceback.print_exc()
+        (run_dir / "exception.txt").write_text(f"{type(exc).__name__}: {exc}\n", encoding="utf-8")
     finally:
         os.chdir(cwd)
     (run_dir / "argv.txt").write_text(shlex.join(argv) + "\n", encoding="utf-8")
