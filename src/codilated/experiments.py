@@ -10,13 +10,14 @@ Three stock problems are provided:
 * ``deriv2``       the Galerkin-discretised Green's-function integral
                    equation from the operators module.
 
-All randomness flows through one seed (default DEFAULT_SEED); identical
-specs produce byte-identical CSV output.  The perturbation is the raw
-(unnormalised) Gaussian draw scaled by the nominal noise level, the
-convention under which the reference iteration counts were produced;
-the discrepancy threshold still uses the nominal level.  Sweep points
-and table rows are independent solves of one problem instance.  A sweep
-needs a method of ``solvers.DILATION_KINDS`` and locates the zeros of its
+A problem size is an integer from 2 to the problem's MAX_N, checked before
+anything of its size is built.  All randomness flows through one seed (default
+DEFAULT_SEED); identical specs produce byte-identical CSV output.  The
+perturbation is the raw (unnormalised) Gaussian draw scaled by the nominal
+noise level, the convention under which the reference iteration counts
+were produced; the discrepancy threshold still uses the nominal level.
+Sweep points and table rows are independent solves of one problem
+instance.  A sweep needs a method of ``solvers.DILATION_KINDS`` and locates the zeros of its
 residual kind.  Two or more admissible points of a closed-form sweep are
 solved together by ``solvers.solve_dilations``, whose reports equal the
 single solves' bit for bit; every other point and every table row runs
@@ -54,6 +55,7 @@ from .zeros import _check_degree, find_zeros
 
 __all__ = [
     "DEFAULT_SEED",
+    "MAX_N",
     "MAX_SWEEP_POINTS",
     "PROBLEM_DEFAULTS",
     "ExperimentSpec",
@@ -79,14 +81,18 @@ PROBLEM_DEFAULTS = {
     "diag-second": (100, 1.0, 0.01, 4.0),
     "deriv2": (50, 96.5, 0.01, 4.0),
 }
+# largest problem size per problem: deriv2 assembles n x n float64 arrays, 32 MiB
+# each at n = 2048 (about four at once); a diagonal problem's vectors take 8 MiB
+MAX_N = {"diag-last": 2**20, "diag-second": 2**20, "deriv2": 2**11}
 
 
 class ExperimentSpec(_SlotRecord):
     """One experiment: a problem, a solver configuration (by default
     ``SolverConfig()``), optionally a dilation sweep, and an output path.
 
-    A malformed sweep range, or a zero degree outside 1 ..
-    ``zeros.MAX_DEGREE``, raises ValueError here, before any solve.
+    A malformed sweep range, a problem size that is not an integer in 2 ..
+    ``MAX_N`` of the problem, or a zero degree outside 1 .. ``zeros.MAX_DEGREE``, raises
+    ValueError here, before any solve or allocation.
     """
 
     __slots__ = ("problem", "n", "config", "sweep", "seed", "zero_degree", "out")
@@ -105,6 +111,7 @@ class ExperimentSpec(_SlotRecord):
             raise ValueError(
                 f"unknown problem {problem!r}; choose from {sorted(PROBLEM_DEFAULTS)}"
             )
+        _problem_size(problem, n)
         if zero_degree is not None:
             _check_degree(zero_degree, "zero degree")
         self.problem, self.n, self.sweep, self.seed = problem, n, sweep, seed
@@ -114,6 +121,19 @@ class ExperimentSpec(_SlotRecord):
 
     def sweep_values(self) -> list[float]:
         return [] if self.sweep is None else _sweep_values(self.sweep)
+
+
+def _problem_size(problem: str, n: int | None) -> int:
+    """n, or the problem's default size; ValueError unless n is an integer with
+    2 <= n <= MAX_N[problem], before anything of size n is built."""
+    n = PROBLEM_DEFAULTS[problem][0] if n is None else n
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"problem size n must be an integer, not {n!r}")
+    if n < 2:
+        raise ValueError("problem size n must be >= 2")
+    if n > MAX_N[problem]:
+        raise ValueError(f"problem size n must be <= {MAX_N[problem]} for {problem}")
+    return n
 
 
 def _sweep_values(sweep) -> list[float]:
@@ -143,9 +163,7 @@ def build_problem(spec: ExperimentSpec, dump: str | None = None) -> NoisyProblem
     to ``{dump}_{name}.csv``: g_clean, g_noisy and, for deriv2, the matrix
     and f_exact.
     """
-    n = spec.n if spec.n is not None else PROBLEM_DEFAULTS[spec.problem][0]
-    if n < 2:
-        raise ValueError("problem size n must be >= 2")
+    n = _problem_size(spec.problem, spec.n)
     eps = spec.config.epsilon
     if spec.problem == "deriv2":
         d2 = deriv2_assemble(n)

@@ -15,7 +15,11 @@ are those of the even fold S_n, P_{2n}(x) = S_n(x^2) (Chihara, 1978).
 ``_jacobi`` is the one reader of the co-dilated coefficients, folded or not:
 ``eval_monic``, the recursive stream and ``zeros`` take them from it.
 ``residual_eval`` evaluates P_{2n}(sqrt(1-y)) unfolded, as the independent
-oracle of the folded paths.
+oracle of the folded paths.  The closed-form co-dilated ultraspherical
+stream takes the factors that depend on nu alone from ``_NU_MEMO``, a
+bounded memo of read-only arrays shared by every stream at that nu and kind;
+it is the module's one piece of state shared between calls, and nothing in
+it depends on the dilation.
 
 All arithmetic is binary64.  Evaluations are vectorised over the argument.
 The records are ``NamedTuple``s.  Those that check their parameters
@@ -27,6 +31,7 @@ the ``__new__`` of a thin subclass, which ``_replace`` also runs;
 from __future__ import annotations
 
 import math
+import threading
 from enum import Enum
 from itertools import count, islice
 from typing import Callable, NamedTuple
@@ -432,14 +437,17 @@ def mu_recursive(
     return _mus(_recursive_coefficients(scheme, dilation, kind), n_max)
 
 
-def _r_values(nu: float):
-    """R(0), R(1), ... with R(n) = Gamma(2 nu + 1) Gamma(n + 1) / Gamma(n + 2 nu).
+def _r_values(nu: float, start: int = 0, carry: float | None = None):
+    """R(start), R(start + 1), ... with R(n) = Gamma(2 nu + 1) Gamma(n + 1) / Gamma(n + 2 nu),
+    from the carry R(start) (R(0) by default).
 
     Never forms Gamma directly: R(0) = 2 nu exactly and
-    R(n) = R(n-1) * n / (n - 1 + 2 nu), so no overflow for any n.
+    R(n) = R(n-1) * n / (n - 1 + 2 nu), so no overflow for any n; a run
+    resumed from a carry takes the same operations as one from R(0).
     """
-    r = two_nu = 2.0 * nu
-    for n in count(1):
+    two_nu = 2.0 * nu
+    r = two_nu if carry is None else carry
+    for n in count(start + 1):
         yield r
         r = r * n / (n - 1 + two_nu)
 
@@ -476,35 +484,88 @@ def _closed_form_stream(nu: float, lam, symmetric: bool):
     once (an ndarray of any shape, one entry per dilation; a column gives
     items that broadcast over the rows of a block).  The items from n = 1 on
     are formed _CHUNK at a time as float64 arrays, one row per item, by the
-    same expressions for either lam; R(n) does not depend on lam and is
-    accumulated in floats.  So each entry of an array item equals the float
-    stream's item for its dilation bit for bit.  The float stream reads its
-    rows back as floats, an array stream yields row views of lam's shape;
-    the n = 0 items a_0 = 0 (symmetric: b_0 = 2, mu_1 = 1) stay floats.
+    same expressions for either lam.  The factors that depend on nu alone
+    (``_nu_factors``) are read from a memo shared by every stream at that nu
+    and kind, each a read-only 1-D array viewed as lam's column; only den,
+    the quotient, a_n and b_n are formed per stream.  So each entry of an
+    array item equals the float stream's item for its dilation bit for bit,
+    whichever stream formed the factors.  The float stream reads its rows
+    back as floats, an array stream yields row views of lam's shape; the
+    n = 0 items a_0 = 0 (symmetric: b_0 = 2, mu_1 = 1) stay floats.
     """
     c0, c1 = 2.0 * nu - lam, lam - 1.0
     step, scale = (1, 2.0) if symmetric else (2, 1.0)  # b_n = scale * mu_{n+1}
-    ratios = islice(_r_values(nu), step, None, step)  # R(step), R(2 step), ...
-    num = c0 + c1 * next(ratios)
+    carry = next(islice(_r_values(nu), step, None))  # R(step start) of the next chunk
+    num = c0 + c1 * carry
     mu = 1.0 if symmetric else (2.0 * nu + 2.0) / (2.0 * nu + 2.0 - lam)
     yield 0.0, scale * mu, mu
     column = (_CHUNK,) + (1,) * np.ndim(lam)  # a chunk's n-only factors, one per row
     rows = np.ndarray.tolist if np.ndim(lam) == 0 else iter
     for start in count(1, _CHUNK):
-        n = np.arange(start, start + _CHUNK).reshape(column)
-        k = 2 * n
-        with np.errstate(all="ignore"):  # a huge nu overflows these; the quotient may still warn
-            if symmetric:
-                fac, damp = 2.0 * (n + nu) / (n + 2.0 * nu), 1.0
-            else:
-                fac = 4.0 * (k + nu) * (k + nu + 1.0) / ((k + 2.0 * nu) * (k + 2.0 * nu + 1.0))
-                damp = 1.0 - (4.0 * n * n + 4.0 * nu * n + nu - 1.0) / (
-                    2.0 * (k + nu + 1.0) * (k + nu - 1.0)
-                )
-        den = c0 + c1 * np.fromiter(ratios, float, _CHUNK).reshape(column)
-        mu = fac * np.concatenate(([num], den[:-1])) / den  # num_n is den_{n-1}
+        fac, damp, ratios = _nu_factors(nu, symmetric, start, carry)
+        carry = float(ratios[-1])
+        den = c0 + c1 * ratios.reshape(column)
+        mu = fac.reshape(column) * np.concatenate(([num], den[:-1])) / den  # num_n is den_{n-1}
         num = den[-1]
-        yield from zip(rows(damp * mu - 1.0), rows(scale * mu), rows(mu))
+        a = mu - 1.0 if damp is None else damp.reshape(column) * mu - 1.0
+        yield from zip(rows(a), rows(scale * mu), rows(mu))
+
+
+# The nu-only factors of the closed-form streams, shared by every stream at a
+# (nu, symmetric) key: per key the chunks of items 1 .. _MEMO_ITEMS, each chunk
+# up to three read-only float64 arrays of _CHUNK entries, for at most
+# _MEMO_KEYS keys, the least recently used dropped first.  So the memo holds at
+# most 8 * 2**14 * 3 * 8 bytes = 3 MiB of entries (plus 8 * 128 chunks of array
+# headers, about 0.3 MiB).  Nothing in it depends on lam.  The lock makes each
+# lookup, and each check that a chunk is next in line with its store, atomic
+# across threads; the chunks are formed outside it.
+_MEMO_KEYS = 8
+_MEMO_ITEMS = 2**14
+_NU_MEMO: dict[tuple[float, bool], list] = {}
+_NU_LOCK = threading.Lock()
+
+
+def _nu_factors(nu: float, symmetric: bool, start: int, carry: float):
+    """(fac, damp, R) of the closed-form items n in [start, start + _CHUNK), start
+    = 1 mod _CHUNK: fac(n) and damp(n) of the quotient (damp is None for the
+    symmetric kind, whose damping is 1) and R(s (n + 1)), s = 1 (symmetric) or
+    2, from the carry R(s start).
+
+    Read from ``_NU_MEMO`` where it holds the chunk.  Else the chunk is formed
+    from the carry; it is stored when it is the key's next chunk within
+    _MEMO_ITEMS, so a stream past the cap, or one whose key was dropped
+    meanwhile, forms its own chunks and stores nothing.
+    """
+    key, index = (nu, symmetric), start // _CHUNK
+    with _NU_LOCK:
+        chunks = _NU_MEMO.pop(key, None)
+        if chunks is None:
+            chunks = []
+            if len(_NU_MEMO) >= _MEMO_KEYS:
+                del _NU_MEMO[next(iter(_NU_MEMO))]  # least recently used
+        _NU_MEMO[key] = chunks  # now the most recently used
+        if index < len(chunks):
+            return chunks[index]
+    step = 1 if symmetric else 2
+    n = np.arange(start, start + _CHUNK)
+    k = 2 * n
+    with np.errstate(all="ignore"):  # a huge nu overflows these; a quotient may still warn
+        if symmetric:
+            fac, damp = 2.0 * (n + nu) / (n + 2.0 * nu), None
+        else:
+            fac = 4.0 * (k + nu) * (k + nu + 1.0) / ((k + 2.0 * nu) * (k + 2.0 * nu + 1.0))
+            damp = 1.0 - (4.0 * n * n + 4.0 * nu * n + nu - 1.0) / (
+                2.0 * (k + nu + 1.0) * (k + nu - 1.0)
+            )
+    ratios = islice(_r_values(nu, step * start, carry), step, None, step)
+    factors = (fac, damp, np.fromiter(ratios, float, _CHUNK))
+    for a in factors:
+        if a is not None:
+            a.flags.writeable = False
+    with _NU_LOCK:
+        if index == len(chunks) and start + _CHUNK - 1 <= _MEMO_ITEMS:
+            chunks.append(factors)
+    return factors
 
 
 def mu_closed(

@@ -48,9 +48,12 @@ power iterations), and picks the method's default iteration cap.
 
 Residual norms are recomputed from v = g - A f every step; nothing is
 updated incrementally, so histories do not drift over long runs.  A solve
-is single-threaded and deterministic; distinct solves share no mutable
-state.  A ``SolveReport`` is a ``NamedTuple``; ``SolverConfig`` is a
-mutable ``__slots__`` record whose ``replace`` re-runs its checks.
+is single-threaded and deterministic.  Distinct solves share one thing: the
+closed-form streams' memo of nu-only factors in ``orthopoly``.  Its entries
+are read-only, and each is the same bit for bit whichever solve formed it,
+so no solve depends on another.  A ``SolveReport`` is a ``NamedTuple``;
+``SolverConfig`` is a mutable ``__slots__`` record whose ``replace`` re-runs
+its checks.
 """
 
 from __future__ import annotations

@@ -76,6 +76,60 @@ class TestProblemConstruction:
             ExperimentSpec(problem="deriv2", sweep=(0.0, 1.0, 1e-12))
 
 
+class TestProblemSizeBound:
+    """A problem size above the problem's bound is refused before anything of
+    its size is built: the assembly and noise stand-ins raise if reached."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture
+    def assembly(self, monkeypatch):
+        calls = []
+
+        def refuse(*args, name, **kwargs):
+            calls.append(name)
+            raise self.Reached(name)
+
+        for name in ("deriv2_assemble", "diagonal_operator", "add_noise"):
+            monkeypatch.setattr(experiments, name, lambda *a, name=name, **k: refuse(name=name))
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "deriv2", "--n", "20000"],
+        ["solve", "--problem", "diag-last", "--n", "2000000"],
+        ["sweep", "--problem", "diag-last", "--n", "2000000", "--sweep", "1.0,1.5"],
+        ["sweep", "--problem", "deriv2", "--n", "20000", "--sweep", "1.0,1.5"],
+    ])
+    def test_cli_exits_with_one_error_line(self, assembly, capsys, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        assert (assembly, out.exists()) == ([], False)
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem size n must be <= ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("problem", sorted(PROBLEM_DEFAULTS))
+    def test_bound_checked_in_spec_and_build(self, assembly, problem):
+        bound = experiments.MAX_N[problem]
+        with pytest.raises(ValueError, match=f"must be <= {bound}"):
+            ExperimentSpec(problem=problem, n=bound + 1)
+        spec = ExperimentSpec(problem=problem, n=bound)  # the bound itself is admitted
+        with pytest.raises(self.Reached):
+            build_problem(spec)
+        spec.n = bound + 1  # a slot set after the checks
+        with pytest.raises(ValueError, match=f"must be <= {bound}"):
+            build_problem(spec)
+        assert len(assembly) == 1
+
+    @pytest.mark.parametrize("n", [50.5, 60.0, True, "50"])
+    def test_non_integer_size_rejected(self, assembly, n):
+        # deriv2 at n = 50.5 would assemble 51 points with the spacing 1/50.5
+        for problem in sorted(PROBLEM_DEFAULTS):
+            with pytest.raises(ValueError, match="must be an integer"):
+                ExperimentSpec(problem=problem, n=n)
+        assert assembly == []
+
+
 class TestGoldenRuns:
     def test_diag_last_nu_method_golden(self):
         # frozen with the reference seed; the data sit on the smallest

@@ -1,10 +1,17 @@
 import math
+import sys
+import threading
 from itertools import count, islice
 
 import numpy as np
 import pytest
 
+from codilated import orthopoly
+from codilated.experiments import table1_rows
 from codilated.orthopoly import (
+    _CHUNK,
+    _MEMO_ITEMS,
+    _MEMO_KEYS,
     CoDilation,
     DivergentNormalization,
     NormalizationVanishes,
@@ -408,6 +415,21 @@ class TestRecursiveStream:
                 assert all(type(x) is float for item in got for x in item)
 
 
+def textbook_items(nu, lam, symmetric, count):
+    return list(islice(textbook_closed_form(nu, lam, symmetric), count))
+
+
+def memo_arrays():
+    return [a for chunks in orthopoly._NU_MEMO.values() for chunk in chunks
+            for a in chunk if a is not None]
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty memo of nu-only factors, restored after the test."""
+    monkeypatch.setattr(orthopoly, "_NU_MEMO", {})
+
+
 class TestClosedFormStream:
     LAMS = {0.51: [-1.0, 0.0, 0.5, 1.0, 1.019], 1.0: [-0.5, 0.5, 1.0, 1.5, 1.99],
             2.0: [0.0, 1.0, 3.0, 3.99, 3.99998], 3.7: [-2.0, 1.0, 7.3],
@@ -428,6 +450,100 @@ class TestClosedFormStream:
             for j in range(3):
                 entries = np.broadcast_to(item[j], len(lams))
                 assert np.array_equal(entries, [items[n][j] for items in want])
+
+    # streams that share the memo of nu-only factors give the textbook items
+    # whichever of them formed the factors, and the memo stays bounded
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_two_streams_interleaved(self, cold_memo, symmetric):
+        lams = (1.0, 3.99)
+        streams = [_closed_form_stream(2.0, lam, symmetric) for lam in lams]
+        got = [[], []]
+        for turn, taken in enumerate((5, 300, 1, 200, 50)):  # each forms chunks the other reads
+            for i in (0, 1) if turn % 2 == 0 else (1, 0):
+                got[i].extend(islice(streams[i], taken))
+        for items, lam in zip(got, lams):
+            assert items == textbook_items(2.0, lam, symmetric, len(items))
+
+    @pytest.mark.parametrize("block_first", [False, True])
+    def test_block_and_single_streams_share_factors(self, cold_memo, block_first):
+        lams = [0.0, 1.0, 1.9]
+        want = [textbook_items(1.0, lam, False, 500) for lam in lams]
+        order = ["block", "single"] if block_first else ["single", "block"]
+        for which in order:
+            if which == "single":
+                for lam, items in zip(lams, want):
+                    assert list(islice(_closed_form_stream(1.0, lam, False), 500)) == items
+            else:
+                block = islice(_closed_form_stream(1.0, np.array(lams)[:, None], False), 500)
+                for n, item in enumerate(block):
+                    for j in range(3):
+                        entries = np.broadcast_to(item[j], (len(lams), 1)).ravel()
+                        assert np.array_equal(entries, [items[n][j] for items in want])
+        assert len(orthopoly._NU_MEMO[(1.0, False)]) == -(-499 // _CHUNK)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_stream_past_the_item_cap(self, cold_memo, symmetric):
+        total = _MEMO_ITEMS + 3 * _CHUNK  # the first fills the memo, the second reads it
+        want = textbook_items(1.5, 2.9, symmetric, total)
+        for _ in range(2):
+            assert list(islice(_closed_form_stream(1.5, 2.9, symmetric), total)) == want
+            assert len(orthopoly._NU_MEMO[(1.5, symmetric)]) * _CHUNK == _MEMO_ITEMS
+
+    def test_stream_whose_key_was_dropped(self, cold_memo):
+        stream = _closed_form_stream(2.0, 3.9, False)
+        items = list(islice(stream, 300))
+        for nu in range(3, 3 + _MEMO_KEYS):  # drop (2.0, False), the least recently used
+            list(islice(_closed_form_stream(float(nu), 1.0, False), 2))
+        assert (2.0, False) not in orthopoly._NU_MEMO
+        items += islice(stream, 400)  # its own factors from its own carry
+        assert items == textbook_items(2.0, 3.9, False, 700)
+        assert orthopoly._NU_MEMO[(2.0, False)] == []  # formed out of line: none stored
+
+    def test_streams_in_threads(self, cold_memo):
+        # more threads than cores, switching often: a chunk stored twice or out
+        # of line would shift every later chunk of the key and change its items
+        lams = [0.0, 1.0, 2.5, 3.9, 3.99, 3.999]
+        got, interval = {}, sys.getswitchinterval()
+
+        def consume(lam):
+            got[lam] = list(islice(_closed_form_stream(2.0, lam, False), 1500))
+
+        threads = [threading.Thread(target=consume, args=(lam,)) for lam in lams]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {lam: textbook_items(2.0, lam, False, 1500) for lam in lams}
+        assert len(orthopoly._NU_MEMO[(2.0, False)]) == -(-1499 // _CHUNK)
+
+    def test_table1_cold_and_warm(self, cold_memo):
+        cold = table1_rows()
+        mu_closed(UltrasphericalParams(2.0), 3.9, 10**5, ASYM)
+        assert table1_rows() == cold
+
+    def test_memo_arrays_are_read_only(self, cold_memo):
+        mu_closed(UltrasphericalParams(2.0), 3.9, 1000, ASYM)
+        mu_closed(UltrasphericalParams(2.0), 3.9, 1000, SYM)
+        arrays = memo_arrays()
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[0][0] = 0.0
+
+    def test_memo_stays_within_its_bound(self, cold_memo):
+        # acceptance criterion 4's calls: ten keys, each read to n = 10**5
+        for nu in (0.75, 1.0, 1.5, 2.0, 3.0):
+            for kind in (SYM, ASYM):
+                mu_closed(UltrasphericalParams(nu), 1.9 * nu, 10**5, kind)
+        memo = orthopoly._NU_MEMO
+        assert len(memo) == _MEMO_KEYS
+        assert all(len(chunks) * _CHUNK <= _MEMO_ITEMS for chunks in memo.values())
+        assert sum(a.nbytes for a in memo_arrays()) <= _MEMO_KEYS * _MEMO_ITEMS * 3 * 8
+        assert _MEMO_KEYS * _MEMO_ITEMS * 3 * 8 == 3 * 2**20  # the 3 MiB stated
 
 
 def mu_at(params, lam, n, kind=SYM):

@@ -159,6 +159,13 @@ def runs():
     yield "sweep_diag-last_zero_degree_over_bound", [
         "sweep", "--problem", "diag-last", "--sweep", "1.0,1.5", "--zero-degree", "1000000",
         "--out", "out.csv"]
+    # a problem size one above experiments.MAX_N is refused before anything of its size
+    # is built; the iteration cap keeps a tree without the bound cheap
+    yield "solve_deriv2_n_over_bound", [
+        "solve", "--problem", "deriv2", "--n", "2049", "--max-iter", "5", "--out", "out.csv"]
+    yield "sweep_diag-last_n_over_bound", [
+        "sweep", "--problem", "diag-last", "--n", "1048577", "--sweep", "1.0,1.5",
+        "--max-iter", "5", "--out", "out.csv"]
 
 
 def record(run_dir: Path, argv: list[str], config: str | None = None) -> int:
