@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import NoisyProblem, add_noise, deriv2_assemble, diagonal_operator
-from .orthopoly import CoDilation, UltrasphericalParams, ultraspherical_scheme
+from .orthopoly import CoDilation, UltrasphericalParams, _require_integer, ultraspherical_scheme
 from .solvers import (
     DILATION_KINDS,
     Method,
@@ -127,10 +127,7 @@ def _problem_size(problem: str, n: int | None) -> int:
     """n, or the problem's default size; ValueError unless n is an integer with
     2 <= n <= MAX_N[problem], before anything of size n is built."""
     n = PROBLEM_DEFAULTS[problem][0] if n is None else n
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"problem size n must be an integer, not {n!r}")
-    if n < 2:
-        raise ValueError("problem size n must be >= 2")
+    _require_integer(n, "problem size n", 2)
     if n > MAX_N[problem]:
         raise ValueError(f"problem size n must be <= {MAX_N[problem]} for {problem}")
     return n

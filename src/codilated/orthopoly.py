@@ -452,6 +452,14 @@ def _r_values(nu: float, start: int = 0, carry: float | None = None):
         r = r * n / (n - 1 + two_nu)
 
 
+def _require_integer(value, what: str, minimum: int) -> None:
+    """ValueError unless value is an int or a NumPy integer (a bool is neither) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    if value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}")
+
+
 def _require_admissible(params: UltrasphericalParams, lam):
     """ValueError unless nu > 1/2 and each dilation in lam (a float or an
     array) is finite and below the critical value 2 nu."""

@@ -76,6 +76,7 @@ from .orthopoly import (
     _closed_form_coefficients,
     _recursive_coefficients,
     _require_admissible,
+    _require_integer,
     residual_eval,
     ultraspherical_scheme,
 )
@@ -200,8 +201,8 @@ class SolverConfig(_SlotRecord):
             raise ValueError("discrepancy factor tau must be finite and > 1")
         if not (np.isfinite(epsilon) and epsilon >= 0):
             raise ValueError("noise level epsilon must be finite and >= 0")
-        if max_iter is not None and max_iter < 0:
-            raise ValueError("iteration cap max_iter must be >= 0")
+        if max_iter is not None:
+            _require_integer(max_iter, "iteration cap max_iter", 0)
         self.nu, self.lam, self.omega, self.tau = nu, lam, omega, tau
         self.epsilon, self.max_iter = epsilon, max_iter
 

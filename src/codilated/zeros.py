@@ -35,6 +35,7 @@ from .orthopoly import (
     RecurrenceScheme,
     ResidualKind,
     _jacobi,
+    _require_integer,
     eval_monic,
     residual_eval,
 )
@@ -64,9 +65,8 @@ class ZeroReport(NamedTuple):
 
 
 def _check_degree(n: int, name: str = "degree") -> None:
-    """ValueError unless 1 <= n <= MAX_DEGREE, before anything of size n is built."""
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1")
+    """ValueError unless n is an integer, 1 <= n <= MAX_DEGREE, before anything is built."""
+    _require_integer(n, name, 1)
     if n > MAX_DEGREE:
         raise ValueError(f"{name} must be <= {MAX_DEGREE}")
 
@@ -211,8 +211,8 @@ def modulus_of_convergence(
     around the grid maximum.
     """
     _check_degree(n)
-    if not s >= 0:  # NaN fails too
-        raise ValueError("smoothness s must be >= 0")
+    if not 0 <= s < np.inf:  # NaN fails too
+        raise ValueError("smoothness s must be finite and >= 0")
     grid = _residual_grid(n)
 
     def fn(y):

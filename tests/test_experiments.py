@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -703,3 +704,34 @@ class TestCli:
         assert main(["checks"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out and out.count("PASS") >= 8
+
+    def test_checks_subcommand_failing_check(self, capsys, monkeypatch):
+        from codilated import checks
+
+        # no deviation is below a bound of -inf, so the representation check fails
+        table = [entry[:3] + (-math.inf,) + entry[4:] if entry[0] == "representation" else entry
+                 for entry in checks.ALL_CHECKS]
+        monkeypatch.setattr(checks, "ALL_CHECKS", table)
+        assert main(["checks"]) == EXIT_CONFIG
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines] == [f"{entry[0]}:" for entry in table]
+        assert lines[1].startswith("FAIL  representation: max rel deviation ")
+        assert all(line.startswith("PASS  ") for i, line in enumerate(lines) if i != 1)
+
+    def test_checks_nan_deviation_fails(self, monkeypatch):
+        from codilated import checks
+
+        # at x = 0, a zero of P_1, the m = 2 relative deviation is 0/0, after finite m = 1 ones
+        with np.errstate(invalid="ignore"):
+            worst = checks.determinant_deviation((1.0,), (1, 2), 3, np.array([0.0, 0.5]))
+        assert math.isnan(worst) and not worst < 1e-10
+        # a NaN margin after the first value compared: P*_2(1), then every largest zero
+        evaluate, locate = checks.eval_monic, checks.find_polynomial_zeros
+        monkeypatch.setattr(checks, "eval_monic",
+                            lambda s, d, n, x: math.nan if n == 2 else evaluate(s, d, n, x))
+        assert math.isnan(checks.interior_zeros_excess((1.0,), 5, (), 0.05))
+        monkeypatch.setattr(checks, "eval_monic", evaluate)
+        monkeypatch.setattr(checks, "find_polynomial_zeros", lambda s, d, n: locate(s, d, n)._replace(
+            zeros=np.append(locate(s, d, n).zeros[:-1], math.nan)))
+        assert math.isnan(checks.interior_zeros_excess((1.0,), 5, (10,), 0.05))
+        assert math.isnan(checks.zero_monotonicity_excess((1.0,), (1,), (5,)))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from codilated import orthopoly
+from codilated.checks import chebyshev_deviation, determinant_deviation, representation_deviation
 from codilated.experiments import table1_rows
 from codilated.orthopoly import (
     _CHUNK,
@@ -180,26 +181,15 @@ class TestChebyshevClosed:
             chebyshev_closed("star", 3, 0.5)
 
     def test_recurrence_against_closed_forms(self):
+        # U_n and U*_n (n <= 40) from the recurrence against the closed forms
         xs = np.linspace(-1.0, 1.0, 101)
-        for n in range(41):
-            u = eval_monic(CHEB, None, n, xs)
-            assert np.max(np.abs(u - chebyshev_closed("U", n, xs))) < 1e-12
-            for lam in (0.0, 1.5, 2.0):
-                star = eval_monic(CHEB, CoDilation(1, lam), n, xs)
-                assert np.max(np.abs(star - chebyshev_closed("star", n, xs, lam=lam))) < 1e-12
+        assert chebyshev_deviation(40, (0.0, 1.5, 2.0), xs) < 1e-12
 
     def test_three_forms_agree_pairwise(self):
         # (2-lam) U_n + (lam-1) T_n == lam U_n + (1-lam) x U_{n-1}
         #                           == U_n + (1-lam)/4 U_{n-2}
         xs = np.linspace(-1.0, 1.0, 61)
-        for lam in (-0.5, 0.0, 1.5, 2.0):
-            for n in range(2, 41):
-                f1 = chebyshev_closed("star", n, xs, lam=lam)
-                u_n = chebyshev_closed("U", n, xs)
-                f2 = lam * u_n + (1 - lam) * xs * chebyshev_closed("U", n - 1, xs)
-                f3 = u_n + (1 - lam) / 4.0 * chebyshev_closed("U", n - 2, xs)
-                assert np.max(np.abs(f1 - f2)) < 1e-12
-                assert np.max(np.abs(f1 - f3)) < 1e-12
+        assert chebyshev_deviation(40, (-0.5, 0.0, 1.5, 2.0), xs) < 1e-12
 
 
 class TestNumeratorScheme:
@@ -244,24 +234,12 @@ class TestRepresentation:
     def test_matches_recurrence_across_families(self):
         # relative to the operand magnitude: at the critical dilation the
         # representation cancels catastrophically at x = +-1 by design
-        xs = np.linspace(-1.0, 1.0, 41)
+        grid = {}
         for nu in (0.75, 1.0, 1.5, 2.0, 3.0):
-            scheme = ultraspherical_scheme(UltrasphericalParams(nu))
             crit = critical_constants(UltrasphericalParams(nu)).lambda_critical
-            for m in (1, 2, 3):
-                numer = numerator_scheme(scheme, m)
-                for lam in (-1.0, 0.0, 0.5 * (1 + crit), crit):
-                    dil = CoDilation(m, lam)
-                    for n in (m + 1, m + 9, 60):
-                        a = eval_monic(scheme, dil, n, xs)
-                        b = eval_codilated_via_representation(scheme, dil, n, xs)
-                        operand = np.abs(lam * eval_monic(scheme, None, n, xs)) + np.abs(
-                            (1 - lam)
-                            * eval_monic(scheme, None, m, xs)
-                            * eval_monic(numer, None, max(n - m, 0), xs)
-                        )
-                        scale = np.maximum(np.abs(a), operand)
-                        assert np.max(np.abs(a - b) / np.maximum(scale, 1e-300)) <= 1e-11
+            grid[nu] = (-1.0, 0.0, 0.5 * (1 + crit), crit)
+        xs = np.linspace(-1.0, 1.0, 41)
+        assert representation_deviation(grid, (1, 2, 3), (1, 9), 60, xs) <= 1e-11
 
 
 class TestUltrasphericalBeta:
@@ -687,18 +665,7 @@ class TestNormalizationAsymptotics:
 class TestDeterminantIdentity:
     def test_identity_across_schemes(self):
         xs = np.arange(-0.9, 0.95, 0.2)
-        for nu in (0.75, 1.0, 2.0):
-            scheme = ultraspherical_scheme(UltrasphericalParams(nu))
-            for m in (1, 2, 5):
-                numer = numerator_scheme(scheme, m)
-                prod = 1.0
-                for n in range(m, m + 26):
-                    prod = np.prod([scheme.beta(k) for k in range(m, n + 1)])
-                    lhs = eval_monic(scheme, None, n + 1, xs) * eval_monic(
-                        numer, None, n - m, xs
-                    ) - eval_monic(numer, None, n - m + 1, xs) * eval_monic(scheme, None, n, xs)
-                    rhs = -prod * eval_monic(scheme, None, m - 1, xs)
-                    assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) < 1e-10
+        assert determinant_deviation((0.75, 1.0, 2.0), (1, 2, 5), 26, xs) < 1e-10
 
 
 class TestAffineCombination:

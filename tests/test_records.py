@@ -148,6 +148,8 @@ def test_checked_records_keep_their_constructors():
     ({"tau": 1.0}, "tau must be finite and > 1"),
     ({"epsilon": -0.5}, "epsilon must be finite and >= 0"),
     ({"max_iter": -1}, "max_iter must be >= 0"),
+    ({"max_iter": 2.5}, "max_iter must be an integer"),
+    ({"max_iter": True}, "max_iter must be an integer"),
 ])
 def test_solver_config_checks_at_construction_and_replace(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -173,6 +175,7 @@ def test_solver_config_value_semantics():
                             "omega=1.0, tau=4.0, epsilon=0.0, max_iter=7)")
     assert config == SolverConfig(Method.CG, max_iter=7)
     assert config != SolverConfig(Method.CG)
+    assert SolverConfig(max_iter=np.int64(7)).resolved_max_iter() == 7
     config.lam = 1.5  # mutable, as before
     assert config.lam == 1.5
     with pytest.raises(AttributeError):

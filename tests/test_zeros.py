@@ -4,37 +4,31 @@ import numpy as np
 import pytest
 
 from codilated.cli import main
+from codilated.experiments import ExperimentSpec
 from codilated.orthopoly import (
     CoDilation,
     RecurrenceScheme,
     ResidualKind,
     UltrasphericalParams,
     chebyshev_u_scheme,
-    critical_constants,
     eval_monic,
-    mu_recursive,
     numerator_scheme,
     power_basis_scheme,
     residual_eval,
-    sup_bound_codilated,
     ultraspherical_scheme,
 )
 from codilated import zeros
+from codilated.checks import (
+    interior_zeros_excess,
+    limit_constant,
+    sup_bound_excess,
+    zero_monotonicity_excess,
+)
 from codilated.zeros import find_polynomial_zeros, find_zeros, modulus_of_convergence
 
 CHEB = chebyshev_u_scheme()
 SYM = ResidualKind.SYMMETRIC
 ASYM = ResidualKind.ASYMMETRIC
-
-
-def limit_constant(scheme, m, n_max=3000):
-    """L_m = lim P_n(1) / (P_{n-m}^{(m)}(1) P_m(1)) via stable mu-ratio products."""
-    mus = mu_recursive(scheme, None, n_max)
-    mus_num = mu_recursive(numerator_scheme(scheme, m), None, n_max)
-    ratio = eval_monic(scheme, None, m, 1.0)  # P_n(1)/P_{n-m}^{(m)}(1) at n = m
-    for n in range(m, n_max):
-        ratio *= mus_num[n - m] / mus[n]
-    return ratio / eval_monic(scheme, None, m, 1.0)
 
 
 class TestFindZeros:
@@ -101,19 +95,33 @@ def no_allocation(monkeypatch):
         monkeypatch.setattr(zeros, name, reached)
 
 
+def locators(degree):
+    """Every entry point that sizes its work by a degree."""
+    return (
+        lambda: find_zeros(CHEB, None, SYM, degree),
+        lambda: find_zeros(CHEB, CoDilation(1, 1.5), ASYM, degree),
+        lambda: find_zeros(CHEB, CoDilation(1, -1.0), SYM, degree),  # the scan path
+        lambda: find_polynomial_zeros(CHEB, None, degree),
+        lambda: find_polynomial_zeros(CHEB, CoDilation(1, 0.0), degree),  # the scan path
+        lambda: modulus_of_convergence(CHEB, None, SYM, degree, 1.0),
+    )
+
+
 class TestDegreeBound:
     @pytest.mark.parametrize("degree", [4097, 10**6])
     def test_degree_above_bound_rejected_before_any_allocation(self, no_allocation, degree):
-        for locate in (
-            lambda: find_zeros(CHEB, None, SYM, degree),
-            lambda: find_zeros(CHEB, CoDilation(1, 1.5), ASYM, degree),
-            lambda: find_zeros(CHEB, CoDilation(1, -1.0), SYM, degree),  # the scan path
-            lambda: find_polynomial_zeros(CHEB, None, degree),
-            lambda: find_polynomial_zeros(CHEB, CoDilation(1, 0.0), degree),  # the scan path
-            lambda: modulus_of_convergence(CHEB, None, SYM, degree, 1.0),
-        ):
+        for locate in locators(degree):
             with pytest.raises(ValueError, match="degree must be <= 4096"):
                 locate()
+
+    @pytest.mark.parametrize("degree", [10.5, 10.0, True, "10"])
+    def test_non_integer_degree_rejected_before_any_allocation(self, no_allocation, degree):
+        for locate in locators(degree):
+            with pytest.raises(ValueError, match="degree must be an integer"):
+                locate()
+        # a sweep spec is rejected before its first solve
+        with pytest.raises(ValueError, match="zero degree must be an integer"):
+            ExperimentSpec(problem="diag-last", sweep=[1.0, 1.5], zero_degree=degree)
 
     def test_bound_admits_its_own_degree(self, no_allocation):
         assert zeros.MAX_DEGREE == 4096
@@ -121,6 +129,8 @@ class TestDegreeBound:
             find_zeros(CHEB, None, SYM, 4096)
         with pytest.raises(Unbounded):
             find_polynomial_zeros(CHEB, None, 4096)
+        with pytest.raises(Unbounded):  # a NumPy integer is a degree too
+            find_zeros(CHEB, None, SYM, np.int64(4096))
 
     @pytest.mark.parametrize("extra", [[], ["--sweep", "1.0,1.5"], ["--kind", "polynomial"]])
     @pytest.mark.parametrize("degree", ["4097", "1000000"])
@@ -146,19 +156,7 @@ class TestPolynomialZeros:
     def test_extremal_zero_monotonicity(self):
         # largest zero grows and smallest shrinks as the dilation increases,
         # for dilations up to the m-dependent critical value 1/(1 - L_m)
-        for nu in (1.0, 1.5):
-            scheme = ultraspherical_scheme(UltrasphericalParams(nu))
-            for m in (1, 2, 3):
-                crit = 1.0 / (1.0 - limit_constant(scheme, m)) - 1e-6
-                for n in (5, 25, 60):
-                    prev = None
-                    for lam in (0.5, 1.0, 0.5 * (1 + crit), crit):
-                        zr = find_polynomial_zeros(scheme, CoDilation(m, lam), n)
-                        assert zr.zeros.size == n
-                        if prev is not None:
-                            assert zr.zeros[-1] >= prev[-1] - 1e-12
-                            assert zr.zeros[0] <= prev[0] + 1e-12
-                        prev = zr.zeros
+        assert zero_monotonicity_excess((1.0, 1.5), (1, 2, 3), (5, 25, 60)) <= 1e-12
 
     def test_zeros_coincide_up_to_dilation_index(self):
         scheme = ultraspherical_scheme(UltrasphericalParams(1.0))
@@ -350,27 +348,16 @@ class TestArrayAssembly:
 
 
 class TestInteriorZeros:
+    # interior_zeros_excess checks both: P*_n(1) > 0 (n <= 200) and every
+    # zero of P*_n in (-1, 1) at the critical dilation, and some
+    # P*_n(1) < 0 at critical + 0.05
     @pytest.mark.parametrize("nu", [1.0, 2.0])
     def test_inside_at_critical(self, nu):
-        params = UltrasphericalParams(nu)
-        scheme = ultraspherical_scheme(params)
-        crit = critical_constants(params).lambda_critical
-        dil = CoDilation(1, crit)
-        # positivity at x = 1 for every degree; monic symmetric polynomials
-        # then cannot have roots outside (-1, 1)
-        assert all(eval_monic(scheme, dil, n, 1.0) > 0.0 for n in range(1, 201))
-        for n in (10, 50, 200):
-            zr = find_polynomial_zeros(scheme, dil, n)
-            assert zr.zeros.size == n
-            assert zr.zeros[0] > -1.0 and zr.zeros[-1] < 1.0
+        assert interior_zeros_excess((nu,), 200, (10, 50, 200), 0.05) < 0.0
 
     @pytest.mark.parametrize("nu", [1.0, 2.0])
     def test_escape_beyond_critical(self, nu):
-        params = UltrasphericalParams(nu)
-        scheme = ultraspherical_scheme(params)
-        crit = critical_constants(params).lambda_critical
-        dil = CoDilation(1, crit + 0.05)
-        assert any(eval_monic(scheme, dil, n, 1.0) <= 0.0 for n in range(1, 201))
+        assert interior_zeros_excess((nu,), 200, (), 0.05) < 0.0
 
 
 class TestModulus:
@@ -411,18 +398,13 @@ class TestModulus:
             modulus_of_convergence(CHEB, None, SYM, 3, -1.0)
         with pytest.raises(ValueError):
             modulus_of_convergence(CHEB, None, SYM, 3, math.nan)
+        scheme = ultraspherical_scheme(UltrasphericalParams(1.0))
+        with pytest.raises(ValueError, match="s must be finite"):
+            modulus_of_convergence(scheme, None, ASYM, 8, math.inf)
 
 
 class TestSupBoundCompliance:
     def test_sampled_values_never_exceed_bound(self):
         xs = np.linspace(-1.0, 1.0, 401)
-        for nu in (0.75, 1.0, 2.0):
-            params = UltrasphericalParams(nu)
-            scheme = ultraspherical_scheme(params)
-            for lam in (-1.0, 0.5, 1.0, 1.0 + (2 * nu - 1) / 2, 1.9 * nu):
-                bound = sup_bound_codilated(params, lam)
-                dil = CoDilation(1, lam)
-                for n in range(1, 26):
-                    at_one = eval_monic(scheme, dil, n, 1.0)
-                    vals = np.abs(eval_monic(scheme, dil, n, xs) / at_one)
-                    assert np.max(vals) <= bound + 1e-9
+        grid = {nu: (-1.0, 0.5, 1.0, 1.0 + (2 * nu - 1) / 2, 1.9 * nu) for nu in (0.75, 1.0, 2.0)}
+        assert sup_bound_excess(grid, 25, xs) <= 1e-9
