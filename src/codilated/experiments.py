@@ -107,10 +107,6 @@ class ExperimentSpec(_SlotRecord):
         zero_degree: int | None = None,
         out: str | None = None,
     ):
-        if problem not in PROBLEM_DEFAULTS:
-            raise ValueError(
-                f"unknown problem {problem!r}; choose from {sorted(PROBLEM_DEFAULTS)}"
-            )
         _problem_size(problem, n)
         if zero_degree is not None:
             _check_degree(zero_degree, "zero degree")
@@ -124,8 +120,10 @@ class ExperimentSpec(_SlotRecord):
 
 
 def _problem_size(problem: str, n: int | None) -> int:
-    """n, or the problem's default size; ValueError unless n is an integer with
-    2 <= n <= MAX_N[problem], before anything of size n is built."""
+    """n, or the problem's default size; ValueError unless the problem is known and n
+    is an integer with 2 <= n <= MAX_N[problem], before anything of size n is built."""
+    if problem not in PROBLEM_DEFAULTS:
+        raise ValueError(f"unknown problem {problem!r}; choose from {sorted(PROBLEM_DEFAULTS)}")
     n = PROBLEM_DEFAULTS[problem][0] if n is None else n
     _require_integer(n, "problem size n", 2)
     if n > MAX_N[problem]:

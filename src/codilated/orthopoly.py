@@ -16,10 +16,10 @@ are those of the even fold S_n, P_{2n}(x) = S_n(x^2) (Chihara, 1978).
 ``eval_monic``, the recursive stream and ``zeros`` take them from it.
 ``residual_eval`` evaluates P_{2n}(sqrt(1-y)) unfolded, as the independent
 oracle of the folded paths.  The closed-form co-dilated ultraspherical
-stream takes the factors that depend on nu alone from ``_NU_MEMO``, a
-bounded memo of read-only arrays shared by every stream at that nu and kind;
-it is the module's one piece of state shared between calls, and nothing in
-it depends on the dilation.
+stream takes the factors that depend on nu alone from ``_nu_factors``, a
+``functools.lru_cache`` of read-only arrays shared by every stream at that
+nu and kind; it is the module's one piece of state shared between calls,
+and nothing in it depends on the dilation.
 
 All arithmetic is binary64.  Evaluations are vectorised over the argument.
 The records are ``NamedTuple``s.  Those that check their parameters
@@ -30,8 +30,8 @@ the ``__new__`` of a thin subclass, which ``_replace`` also runs;
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from enum import Enum
 from itertools import count, islice
 from typing import Callable, NamedTuple
@@ -326,10 +326,12 @@ def chebyshev_closed(kind: str, n: int, x, lam: float | None = None):
     kind is "T", "U" or "star"; "star" is the combination
     (2 - lam) U_n + (lam - 1) T_n.  Endpoints use the exact values
     U_n(1) = (n+1)/2^n and T_n(1) = 2^(1-n).  Serves as an oracle for the
-    recurrence evaluation, hence restricted to |x| <= 1.
+    recurrence evaluation, hence restricted to |x| <= 1 (NaN excluded) and
+    to integer degrees n >= 0.
     """
+    _require_integer(n, "degree n", 0)
     xa = np.asarray(x, dtype=float)
-    if np.any(np.abs(xa) > 1.0):
+    if not np.all(np.abs(xa) <= 1.0):  # NaN fails too
         raise ValueError("closed forms are restricted to |x| <= 1")
     if kind == "star":
         if lam is None:
@@ -492,9 +494,9 @@ def _closed_form_stream(nu: float, lam, symmetric: bool):
     once (an ndarray of any shape, one entry per dilation; a column gives
     items that broadcast over the rows of a block).  The items from n = 1 on
     are formed _CHUNK at a time as float64 arrays, one row per item, by the
-    same expressions for either lam.  The factors that depend on nu alone
-    (``_nu_factors``) are read from a memo shared by every stream at that nu
-    and kind, each a read-only 1-D array viewed as lam's column; only den,
+    same expressions for either lam.  The factors that depend on nu alone are
+    read-only 1-D arrays from ``_nu_factors``, whose cache every stream at
+    that nu and kind shares, each viewed as lam's column; only den,
     the quotient, a_n and b_n are formed per stream.  So each entry of an
     array item equals the float stream's item for its dilation bit for bit,
     whichever stream formed the factors.  The float stream reads its rows
@@ -519,41 +521,20 @@ def _closed_form_stream(nu: float, lam, symmetric: bool):
         yield from zip(rows(a), rows(scale * mu), rows(mu))
 
 
-# The nu-only factors of the closed-form streams, shared by every stream at a
-# (nu, symmetric) key: per key the chunks of items 1 .. _MEMO_ITEMS, each chunk
-# up to three read-only float64 arrays of _CHUNK entries, for at most
-# _MEMO_KEYS keys, the least recently used dropped first.  So the memo holds at
-# most 8 * 2**14 * 3 * 8 bytes = 3 MiB of entries (plus 8 * 128 chunks of array
-# headers, about 0.3 MiB).  Nothing in it depends on lam.  The lock makes each
-# lookup, and each check that a chunk is next in line with its store, atomic
-# across threads; the chunks are formed outside it.
-_MEMO_KEYS = 8
-_MEMO_ITEMS = 2**14
-_NU_MEMO: dict[tuple[float, bool], list] = {}
-_NU_LOCK = threading.Lock()
+# The nu-only factors of the closed-form streams, one chunk per cache entry,
+# shared by every stream at a (nu, symmetric) key: each chunk up to three
+# read-only float64 arrays of _CHUNK entries, so the cache holds at most
+# 1024 * 3 * 128 * 8 bytes = 3 MiB of entries.  Nothing in it depends on lam.
+_MEMO_CHUNKS = 1024
 
 
+@functools.lru_cache(maxsize=_MEMO_CHUNKS)
 def _nu_factors(nu: float, symmetric: bool, start: int, carry: float):
     """(fac, damp, R) of the closed-form items n in [start, start + _CHUNK), start
     = 1 mod _CHUNK: fac(n) and damp(n) of the quotient (damp is None for the
     symmetric kind, whose damping is 1) and R(s (n + 1)), s = 1 (symmetric) or
-    2, from the carry R(s start).
-
-    Read from ``_NU_MEMO`` where it holds the chunk.  Else the chunk is formed
-    from the carry; it is stored when it is the key's next chunk within
-    _MEMO_ITEMS, so a stream past the cap, or one whose key was dropped
-    meanwhile, forms its own chunks and stores nothing.
+    2, from the carry R(s start), which (nu, symmetric, start) already fix.
     """
-    key, index = (nu, symmetric), start // _CHUNK
-    with _NU_LOCK:
-        chunks = _NU_MEMO.pop(key, None)
-        if chunks is None:
-            chunks = []
-            if len(_NU_MEMO) >= _MEMO_KEYS:
-                del _NU_MEMO[next(iter(_NU_MEMO))]  # least recently used
-        _NU_MEMO[key] = chunks  # now the most recently used
-        if index < len(chunks):
-            return chunks[index]
     step = 1 if symmetric else 2
     n = np.arange(start, start + _CHUNK)
     k = 2 * n
@@ -570,9 +551,6 @@ def _nu_factors(nu: float, symmetric: bool, start: int, carry: float):
     for a in factors:
         if a is not None:
             a.flags.writeable = False
-    with _NU_LOCK:
-        if index == len(chunks) and start + _CHUNK - 1 <= _MEMO_ITEMS:
-            chunks.append(factors)
     return factors
 
 

@@ -40,11 +40,12 @@ path pays nothing for the block.
 
 Every solve, single or block, passes one gate, ``_gate``, after it has
 built its coefficient stream (so an inadmissible (nu, lam) raises before any
-warning) and before its loop.  The gate checks omega ||A*A||, from the
-operator's memoised ``norm_estimate``, once per solve against the method's
-relaxation bound, skips cg, which has none, warns also where the level is not
-finite or the estimate did not converge (one warning per solve, naming the
-power iterations), and picks the method's default iteration cap.
+warning) and before its loop.  The gate rebuilds the config, so a field set
+after construction is checked before any operator apply, then checks omega
+||A*A||, from the operator's memoised ``norm_estimate``, once per solve
+against the method's relaxation bound, skips cg, which has none, warns also
+where the level is not finite or the estimate did not converge (one warning
+per solve, naming the power iterations), and picks the method's default cap.
 
 Residual norms are recomputed from v = g - A f every step; nothing is
 updated incrementally, so histories do not drift over long runs.  A solve
@@ -257,8 +258,9 @@ def _caller_stacklevel() -> int:
 
 
 def _gate(problem: Problem, config: SolverConfig, method: Method) -> SolverConfig:
-    """config run by method, so an unset max_iter takes method's default cap,
-    after the relaxation check (see the module docstring)."""
+    """config rebuilt for method, so its checks run again and an unset max_iter
+    takes method's default cap; then the relaxation check (module docstring)."""
+    config = config.replace(method=method)
     if method is not Method.CG:
         estimate = problem.operator.norm_estimate
         level = config.omega * estimate.value
@@ -275,7 +277,7 @@ def _gate(problem: Problem, config: SolverConfig, method: Method) -> SolverConfi
         if lapses:
             message = f"omega ||A*A|| = {level:.6g} " + ", and ".join(lapses)
             warnings.warn(message, RelaxationWarning, stacklevel=_caller_stacklevel())
-    return config if config.method is method else config.replace(method=method)
+    return config
 
 
 def _stop_reason(rn, threshold, stalled, n, max_iter) -> StopReason | None:

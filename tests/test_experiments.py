@@ -58,6 +58,11 @@ class TestProblemConstruction:
     def test_unknown_problem_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(problem="no-such-problem")
+        for n in (None, 50):  # a slot set after the checks
+            spec = ExperimentSpec(problem="deriv2", n=n)
+            spec.problem = "nosuch"
+            with pytest.raises(ValueError, match="unknown problem 'nosuch'"):
+                build_problem(spec)
 
     def test_sweep_validation(self):
         with pytest.raises(ValueError):

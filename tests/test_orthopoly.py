@@ -6,13 +6,11 @@ from itertools import count, islice
 import numpy as np
 import pytest
 
-from codilated import orthopoly
 from codilated.checks import chebyshev_deviation, determinant_deviation, representation_deviation
 from codilated.experiments import table1_rows
 from codilated.orthopoly import (
     _CHUNK,
-    _MEMO_ITEMS,
-    _MEMO_KEYS,
+    _MEMO_CHUNKS,
     CoDilation,
     DivergentNormalization,
     NormalizationVanishes,
@@ -20,6 +18,8 @@ from codilated.orthopoly import (
     ResidualKind,
     UltrasphericalParams,
     _closed_form_stream,
+    _nu_factors,
+    _r_values,
     _recursive_coefficients,
     chebyshev_closed,
     chebyshev_u_scheme,
@@ -175,6 +175,16 @@ class TestChebyshevClosed:
     def test_rejects_outside_interval(self):
         with pytest.raises(ValueError):
             chebyshev_closed("U", 3, 1.5)
+        for kind in ("T", "U", "star"):  # NaN too
+            for x in (math.nan, [0.5, math.nan]):
+                with pytest.raises(ValueError, match=r"\|x\| <= 1"):
+                    chebyshev_closed(kind, 3, x, lam=1.5)
+
+    @pytest.mark.parametrize("n", [-1, 2.5, True, "2"])
+    def test_rejects_bad_degree(self, n):
+        for kind in ("T", "U", "star"):
+            with pytest.raises(ValueError, match="degree n"):
+                chebyshev_closed(kind, n, 0.5, lam=1.5)
 
     def test_star_needs_lam(self):
         with pytest.raises(ValueError):
@@ -397,15 +407,17 @@ def textbook_items(nu, lam, symmetric, count):
     return list(islice(textbook_closed_form(nu, lam, symmetric), count))
 
 
-def memo_arrays():
-    return [a for chunks in orthopoly._NU_MEMO.values() for chunk in chunks
-            for a in chunk if a is not None]
+def chunks_read(items):
+    """Chunks of nu-only factors that the first ``items`` items of a stream read."""
+    return -(-(items - 1) // _CHUNK)
 
 
 @pytest.fixture
-def cold_memo(monkeypatch):
-    """An empty memo of nu-only factors, restored after the test."""
-    monkeypatch.setattr(orthopoly, "_NU_MEMO", {})
+def cold_memo():
+    """The cache of nu-only factors, emptied before and after the test."""
+    _nu_factors.cache_clear()
+    yield _nu_factors
+    _nu_factors.cache_clear()
 
 
 class TestClosedFormStream:
@@ -429,8 +441,8 @@ class TestClosedFormStream:
                 entries = np.broadcast_to(item[j], len(lams))
                 assert np.array_equal(entries, [items[n][j] for items in want])
 
-    # streams that share the memo of nu-only factors give the textbook items
-    # whichever of them formed the factors, and the memo stays bounded
+    # streams that share the cache of nu-only factors give the textbook items
+    # whichever of them formed the factors, and the cache stays bounded
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_two_streams_interleaved(self, cold_memo, symmetric):
         lams = (1.0, 3.99)
@@ -457,29 +469,28 @@ class TestClosedFormStream:
                     for j in range(3):
                         entries = np.broadcast_to(item[j], (len(lams), 1)).ravel()
                         assert np.array_equal(entries, [items[n][j] for items in want])
-        assert len(orthopoly._NU_MEMO[(1.0, False)]) == -(-499 // _CHUNK)
+        info = cold_memo.cache_info()
+        assert (info.misses, info.hits) == (chunks_read(500), 3 * chunks_read(500))
 
     @pytest.mark.parametrize("symmetric", [True, False])
-    def test_stream_past_the_item_cap(self, cold_memo, symmetric):
-        total = _MEMO_ITEMS + 3 * _CHUNK  # the first fills the memo, the second reads it
+    def test_stream_longer_than_the_cache(self, cold_memo, symmetric):
+        total = (_MEMO_CHUNKS + 3) * _CHUNK  # the first pass drops its first chunks
         want = textbook_items(1.5, 2.9, symmetric, total)
         for _ in range(2):
             assert list(islice(_closed_form_stream(1.5, 2.9, symmetric), total)) == want
-            assert len(orthopoly._NU_MEMO[(1.5, symmetric)]) * _CHUNK == _MEMO_ITEMS
+            assert cold_memo.cache_info().currsize == _MEMO_CHUNKS
 
     def test_stream_whose_key_was_dropped(self, cold_memo):
         stream = _closed_form_stream(2.0, 3.9, False)
         items = list(islice(stream, 300))
-        for nu in range(3, 3 + _MEMO_KEYS):  # drop (2.0, False), the least recently used
-            list(islice(_closed_form_stream(float(nu), 1.0, False), 2))
-        assert (2.0, False) not in orthopoly._NU_MEMO
-        items += islice(stream, 400)  # its own factors from its own carry
+        cold_memo.cache_clear()  # the stream's next chunks are formed afresh
+        items += islice(stream, 400)
         assert items == textbook_items(2.0, 3.9, False, 700)
-        assert orthopoly._NU_MEMO[(2.0, False)] == []  # formed out of line: none stored
+        assert cold_memo.cache_info().currsize == chunks_read(700) - chunks_read(300)
 
     def test_streams_in_threads(self, cold_memo):
-        # more threads than cores, switching often: a chunk stored twice or out
-        # of line would shift every later chunk of the key and change its items
+        # more threads than cores, switching often: every thread must read
+        # the same bits for a chunk, whichever thread formed it
         lams = [0.0, 1.0, 2.5, 3.9, 3.99, 3.999]
         got, interval = {}, sys.getswitchinterval()
 
@@ -497,7 +508,7 @@ class TestClosedFormStream:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert got == {lam: textbook_items(2.0, lam, False, 1500) for lam in lams}
-        assert len(orthopoly._NU_MEMO[(2.0, False)]) == -(-1499 // _CHUNK)
+        assert cold_memo.cache_info().currsize == chunks_read(1500)
 
     def test_table1_cold_and_warm(self, cold_memo):
         cold = table1_rows()
@@ -505,23 +516,25 @@ class TestClosedFormStream:
         assert table1_rows() == cold
 
     def test_memo_arrays_are_read_only(self, cold_memo):
-        mu_closed(UltrasphericalParams(2.0), 3.9, 1000, ASYM)
-        mu_closed(UltrasphericalParams(2.0), 3.9, 1000, SYM)
-        arrays = memo_arrays()
-        assert arrays and not any(a.flags.writeable for a in arrays)
-        with pytest.raises(ValueError, match="read-only"):
-            arrays[0][0] = 0.0
+        for symmetric, step in ((True, 1), (False, 2)):
+            carry = next(islice(_r_values(2.0), step, None))  # R(step), as the stream's
+            factors = cold_memo(2.0, symmetric, 1, carry)
+            assert cold_memo(2.0, symmetric, 1, carry) is factors  # a hit
+            arrays = [a for a in factors if a is not None]
+            assert len(arrays) == 1 + step  # the symmetric damping is None
+            assert not any(a.flags.writeable for a in arrays)
+            with pytest.raises(ValueError, match="read-only"):
+                arrays[0][0] = 0.0
 
     def test_memo_stays_within_its_bound(self, cold_memo):
         # acceptance criterion 4's calls: ten keys, each read to n = 10**5
         for nu in (0.75, 1.0, 1.5, 2.0, 3.0):
             for kind in (SYM, ASYM):
                 mu_closed(UltrasphericalParams(nu), 1.9 * nu, 10**5, kind)
-        memo = orthopoly._NU_MEMO
-        assert len(memo) == _MEMO_KEYS
-        assert all(len(chunks) * _CHUNK <= _MEMO_ITEMS for chunks in memo.values())
-        assert sum(a.nbytes for a in memo_arrays()) <= _MEMO_KEYS * _MEMO_ITEMS * 3 * 8
-        assert _MEMO_KEYS * _MEMO_ITEMS * 3 * 8 == 3 * 2**20  # the 3 MiB stated
+        info = cold_memo.cache_info()
+        assert info.maxsize == _MEMO_CHUNKS < info.misses
+        assert info.currsize <= info.maxsize
+        assert info.maxsize * 3 * _CHUNK * 8 == 3 * 2**20  # the 3 MiB stated
 
 
 def mu_at(params, lam, n, kind=SYM):

@@ -454,6 +454,31 @@ class TestConfigAndDriver:
             with pytest.raises(ValueError):
                 method(problem, 1.0, float("nan"), quiet_config())
 
+    @pytest.mark.parametrize("field,bad", [
+        ("epsilon", math.nan), ("tau", math.inf), ("omega", math.nan), ("max_iter", 2.5),
+    ])
+    def test_field_set_after_construction_rejected_before_any_apply(self, field, bad):
+        # a field set on a config skips the constructor's checks; every solve
+        # checks it again before the norm estimate or the first step
+        problem, applies = deriv2_problem(), []
+
+        def counted(apply):
+            return lambda x: applies.append(apply) or apply(x)
+
+        op = problem.operator
+        counting = LinearOperator(op.domain_dim, op.range_dim, *map(counted, (
+            op.matvec, op.rmatvec, op.matvec_rows, op.rmatvec_rows)))
+        problem = Problem(counting, problem.g)
+        for method in Method:
+            config = quiet_config(method=method, omega=96.5, epsilon=0.01, max_iter=300)
+            setattr(config, field, bad)
+            with pytest.raises(ValueError, match=field):
+                solve(problem, config)
+            if batchable(config, 1.0):
+                with pytest.raises(ValueError, match=field):
+                    solve_dilations(problem, config, [0.5, 1.0])
+        assert applies == []
+
     def test_max_iter_defaults(self):
         assert SolverConfig(method="landweber").resolved_max_iter() == 10**6
         assert SolverConfig(method="cg").resolved_max_iter() == 10**3
