@@ -95,14 +95,15 @@ def _finite_entries(entries) -> np.ndarray:
 
 
 def diagonal_operator(diag) -> LinearOperator:
-    """Componentwise multiplication; self-adjoint since the diagonal is real.
+    """Componentwise multiplication by a nonempty finite vector; self-adjoint
+    since the diagonal is real.
 
     The product broadcasts over the rows of a block, so it is also the
     block apply.
     """
     d = _finite_entries(diag)
-    if d.size == 0:
-        raise ValueError("diagonal must be nonempty")
+    if d.ndim != 1 or d.size == 0:
+        raise ValueError(f"diagonal must be 1-D and nonempty, not of shape {d.shape}")
 
     def scale(x):
         return d * x
@@ -111,10 +112,13 @@ def diagonal_operator(diag) -> LinearOperator:
 
 
 def matrix_operator(a) -> LinearOperator:
-    """Dense operator.  Single vectors go through ``dot``, blocks through
-    ``np.matvec``, whose rows equal ``dot`` bit for bit (a GEMM's do not);
-    the adjoint uses a contiguous copy of the transpose."""
+    """Dense operator of a finite 2-D matrix with no empty dimension.  Single
+    vectors go through ``dot``, blocks through ``np.matvec``, whose rows equal
+    ``dot`` bit for bit (a GEMM's do not); the adjoint uses a contiguous copy
+    of the transpose."""
     a = np.ascontiguousarray(_finite_entries(a))
+    if a.ndim != 2 or 0 in a.shape:
+        raise ValueError(f"matrix must be 2-D with no empty dimension, not of shape {a.shape}")
     at = np.ascontiguousarray(a.T)
     return LinearOperator(
         a.shape[1], a.shape[0], a.dot, at.dot, partial(np.matvec, a), partial(np.matvec, at)

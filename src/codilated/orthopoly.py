@@ -39,6 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 __all__ = [
+    "MAX_NU",
     "NormalizationVanishes",
     "DivergentNormalization",
     "RecurrenceScheme",
@@ -124,7 +125,7 @@ class _CoDilation(NamedTuple):
 
 
 class CoDilation(_CoDilation):
-    """Dilation of the coefficient beta_m by the factor lam.
+    """Dilation of the coefficient beta_m (m an integer >= 1) by the finite factor lam.
 
     lam = 1 reproduces the undilated scheme exactly.
     """
@@ -133,8 +134,7 @@ class CoDilation(_CoDilation):
     _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, m: int, lam: float):
-        if m < 1:
-            raise ValueError("dilation index m must be >= 1")
+        _require_integer(m, "dilation index m", 1)
         if not math.isfinite(lam):
             raise ValueError("dilation factor lam must be finite")
         return super().__new__(cls, m, lam)
@@ -144,8 +144,15 @@ class _UltrasphericalParams(NamedTuple):
     nu: float
 
 
+# The largest nu admitted.  beta_k and the asymmetric closed-form mu form
+# 4 (k + nu)(k + nu +- 1), which overflows from nu ~ 6.7e153 on: beta_k then
+# reads 0 and mu NaN.  Up to 1e150 it stays below 1.7e301 for every index
+# k <= 1e150, far beyond any that a stream reaches.
+MAX_NU = 1e150
+
+
 class UltrasphericalParams(_UltrasphericalParams):
-    """Parameter nu > -1/2 of the weight (1 - x^2)^(nu - 1/2) on [-1, 1]."""
+    """Parameter -1/2 < nu <= MAX_NU of the weight (1 - x^2)^(nu - 1/2) on [-1, 1]."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
@@ -153,6 +160,8 @@ class UltrasphericalParams(_UltrasphericalParams):
     def __new__(cls, nu: float):
         if not nu > -0.5:
             raise ValueError("ultraspherical parameter requires nu > -1/2")
+        if not nu <= MAX_NU:
+            raise ValueError(f"ultraspherical parameter requires nu <= MAX_NU = {MAX_NU:g}")
         return super().__new__(cls, nu)
 
     def require_closed_forms(self):

@@ -585,9 +585,10 @@ def solve_dilations(problem: Problem, config: SolverConfig, lams) -> list[SolveR
         raise ValueError(f"method {config.method.value} has no block iteration")
     column, kind = np.asarray(lams, float).reshape(-1, 1), DILATION_KINDS[config.method]
     coeffs = _closed_form_coefficients(UltrasphericalParams(config.nu), column, kind)
+    config = _gate(problem, config, config.method)  # an empty list is checked too
     if len(column) == 0:
         return []
-    return _drive_block(problem, _gate(problem, config, config.method), coeffs, len(column))
+    return _drive_block(problem, config, coeffs, len(column))
 
 
 def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:

@@ -22,6 +22,7 @@ from codilated.experiments import (
     write_report_csv,
     write_sweep_csv,
 )
+from codilated.operators import LinearOperator
 from codilated.orthopoly import CoDilation, ResidualKind, UltrasphericalParams, ultraspherical_scheme
 from codilated.solvers import Method, RelaxationWarning, SolverConfig, StopReason
 from codilated.zeros import find_zeros
@@ -636,6 +637,30 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("error:") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "diag-last", "--max-iter", "5"],
+        ["sweep", "--problem", "diag-last", "--sweep", "1.0,1.5", "--max-iter", "5"],
+        ["zeros", "--degree", "20"],
+    ], ids=["solve", "sweep", "zeros"])
+    def test_nu_over_bound_exits_1_before_any_apply(self, tmp_path, capsys, monkeypatch, argv):
+        # at nu = 1e200 the formulas overflow (a NaN residual reads as divergence,
+        # beta(2) as 0), so the bound must stop each command before any apply
+        applies, build = [], experiments.diagonal_operator
+
+        def counting(diag):
+            op = build(diag)
+            return LinearOperator(op.domain_dim, op.range_dim, *(
+                lambda x, apply=apply: applies.append(apply) or apply(x)
+                for apply in (op.matvec, op.rmatvec, op.matvec_rows, op.rmatvec_rows)))
+
+        monkeypatch.setattr(experiments, "diagonal_operator", counting)
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--nu", "1e200", "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ultraspherical parameter requires nu <= MAX_NU = 1e+150\n"
+        assert applies == [] and not out.exists()
 
     def test_dump_problem(self, tmp_path):
         prefix = str(tmp_path / "deriv2")

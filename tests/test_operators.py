@@ -45,6 +45,12 @@ class TestDiagonalOperator:
         with pytest.raises(ValueError):
             diagonal_operator(np.array([]))
 
+    @pytest.mark.parametrize("diag", [[[1.0, 2.0], [3.0, 4.0]], 2.0, np.ones((3, 1))])
+    def test_rejects_all_but_a_vector(self, diag):
+        # a 2 x 2 diagonal would build a dimension-4 operator whose apply fails
+        with pytest.raises(ValueError, match="diagonal must be 1-D and nonempty"):
+            diagonal_operator(diag)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -52,6 +58,13 @@ class TestDiagonalOperator:
 
 
 class TestMatrixOperator:
+    @pytest.mark.parametrize("a", [[1.0, 2.0], 3.0, np.zeros((0, 3)), np.zeros((3, 0)),
+                                   np.ones((2, 2, 2))])
+    def test_rejects_all_but_a_nonempty_matrix(self, a):
+        # a vector would raise IndexError, a 0 x 3 matrix give a range of dimension 0
+        with pytest.raises(ValueError, match="matrix must be 2-D with no empty dimension"):
+            matrix_operator(a)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entries(self, bad):
         a = np.eye(3)

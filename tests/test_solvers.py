@@ -475,8 +475,9 @@ class TestConfigAndDriver:
             with pytest.raises(ValueError, match=field):
                 solve(problem, config)
             if batchable(config, 1.0):
-                with pytest.raises(ValueError, match=field):
-                    solve_dilations(problem, config, [0.5, 1.0])
+                for lams in ([0.5, 1.0], []):  # an empty list is checked too
+                    with pytest.raises(ValueError, match=field):
+                        solve_dilations(problem, config, lams)
         assert applies == []
 
     def test_max_iter_defaults(self):

@@ -18,12 +18,7 @@ from codilated.orthopoly import (
     ultraspherical_scheme,
 )
 from codilated import zeros
-from codilated.checks import (
-    interior_zeros_excess,
-    limit_constant,
-    sup_bound_excess,
-    zero_monotonicity_excess,
-)
+from codilated.checks import limit_constant
 from codilated.zeros import find_polynomial_zeros, find_zeros, modulus_of_convergence
 
 CHEB = chebyshev_u_scheme()
@@ -62,12 +57,6 @@ class TestFindZeros:
         expected = np.sort([math.sin(k * math.pi / (2 * n + 1)) ** 2 for k in range(1, n + 1)])
         assert report.zeros.size == n
         assert np.max(np.abs(report.zeros - expected)) < 1e-10
-
-    def test_asymmetric_smallest_zero_ordering(self):
-        scheme = ultraspherical_scheme(UltrasphericalParams(1.0))
-        loose = find_zeros(scheme, CoDilation(1, 1.0), ASYM, 20)
-        tight = find_zeros(scheme, CoDilation(1, 1.5), ASYM, 20)
-        assert tight.smallest < loose.smallest
 
     def test_fewer_roots_beyond_critical(self):
         report = find_zeros(CHEB, CoDilation(1, 2.6), SYM, 40)
@@ -152,32 +141,6 @@ class TestPolynomialZeros:
         # the numerator family of U is U itself, so L_m = 1/(m+1)
         for m in (1, 2, 3):
             assert limit_constant(CHEB, m) == pytest.approx(1 / (m + 1), abs=1e-3)
-
-    def test_extremal_zero_monotonicity(self):
-        # largest zero grows and smallest shrinks as the dilation increases,
-        # for dilations up to the m-dependent critical value 1/(1 - L_m)
-        assert zero_monotonicity_excess((1.0, 1.5), (1, 2, 3), (5, 25, 60)) <= 1e-12
-
-    def test_zeros_coincide_up_to_dilation_index(self):
-        scheme = ultraspherical_scheme(UltrasphericalParams(1.0))
-        for n in (1, 2, 3):
-            dilated = find_polynomial_zeros(scheme, CoDilation(3, 1.8), n)
-            plain = find_polynomial_zeros(scheme, None, n)
-            assert np.max(np.abs(dilated.zeros - plain.zeros)) < 1e-12
-
-    def test_interlacing_for_first_index_dilation(self):
-        # lower half: x*_j < x_j < x*_{j+1}; upper half: x*_{j-1} < x_j < x*_j
-        for nu in (1.0, 2.0):
-            scheme = ultraspherical_scheme(UltrasphericalParams(nu))
-            for lam in (1.3, 1.9):
-                for n in (8, 9, 30):
-                    x = find_polynomial_zeros(scheme, None, n).zeros
-                    xs = find_polynomial_zeros(scheme, CoDilation(1, lam), n).zeros
-                    assert x.size == xs.size == n
-                    for j in range(1, n // 2 + 1):
-                        assert xs[j - 1] < x[j - 1] < xs[j]
-                    for j in range(math.ceil(n / 2) + 1, n + 1):
-                        assert xs[j - 2] < x[j - 1] < xs[j - 1]
 
 
 def located(scheme, dilation, kind, n):
@@ -347,19 +310,6 @@ class TestArrayAssembly:
         assert np.array_equal(located(constant, None, SYM, 6), located(CHEB, None, SYM, 6))
 
 
-class TestInteriorZeros:
-    # interior_zeros_excess checks both: P*_n(1) > 0 (n <= 200) and every
-    # zero of P*_n in (-1, 1) at the critical dilation, and some
-    # P*_n(1) < 0 at critical + 0.05
-    @pytest.mark.parametrize("nu", [1.0, 2.0])
-    def test_inside_at_critical(self, nu):
-        assert interior_zeros_excess((nu,), 200, (10, 50, 200), 0.05) < 0.0
-
-    @pytest.mark.parametrize("nu", [1.0, 2.0])
-    def test_escape_beyond_critical(self, nu):
-        assert interior_zeros_excess((nu,), 200, (), 0.05) < 0.0
-
-
 class TestModulus:
     def test_s_zero_at_least_one(self):
         for kind in (SYM, ASYM):
@@ -401,10 +351,3 @@ class TestModulus:
         scheme = ultraspherical_scheme(UltrasphericalParams(1.0))
         with pytest.raises(ValueError, match="s must be finite"):
             modulus_of_convergence(scheme, None, ASYM, 8, math.inf)
-
-
-class TestSupBoundCompliance:
-    def test_sampled_values_never_exceed_bound(self):
-        xs = np.linspace(-1.0, 1.0, 401)
-        grid = {nu: (-1.0, 0.5, 1.0, 1.0 + (2 * nu - 1) / 2, 1.9 * nu) for nu in (0.75, 1.0, 2.0)}
-        assert sup_bound_excess(grid, 25, xs) <= 1e-9

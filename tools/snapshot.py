@@ -166,6 +166,13 @@ def runs():
     yield "sweep_diag-last_n_over_bound", [
         "sweep", "--problem", "diag-last", "--n", "1048577", "--sweep", "1.0,1.5",
         "--max-iter", "5", "--out", "out.csv"]
+    # nu above orthopoly.MAX_NU, where the closed forms overflow, is refused before any
+    # solve; the iteration cap keeps a tree without the bound cheap
+    yield "solve_nu_over_bound", [
+        "solve", "--problem", "diag-last", "--nu", "1e200", "--max-iter", "5", "--out", "out.csv"]
+    yield "sweep_nu_over_bound", [
+        "sweep", "--problem", "diag-last", "--nu", "1e200", "--sweep", "1.0,1.5",
+        "--max-iter", "5", "--out", "out.csv"]
 
 
 def record(run_dir: Path, argv: list[str], config: str | None = None) -> int:
