@@ -66,8 +66,9 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 # the solve and sweep options: key -> (type, SolverConfig or ExperimentSpec
 # field, argparse extras).  Each key is a config-file key of both and, with
-# "-" for "_", a flag, of sweep alone for the _SWEEP_ONLY keys; a flag
-# overrides the file entry.
+# "-" for "_", a flag, of sweep alone for the _SWEEP_ONLY keys and of solve
+# alone for the _SOLVE_ONLY ones, which the other command would ignore; a
+# flag overrides the file entry.
 _OPTIONS = {
     "problem": (str, "problem", {"choices": sorted(PROBLEM_DEFAULTS)}),
     "method": (str, "method", {"choices": [m.value for m in Method]}),
@@ -84,13 +85,14 @@ _OPTIONS = {
     "zero_degree": (int, "zero_degree", {}),
 }
 _SWEEP_ONLY = ("sweep", "zero_degree")
+_SOLVE_ONLY = ("lambda",)
 _CONFIG_FIELDS = set(SolverConfig.__slots__)
 
 
 def _add_common(parser: argparse.ArgumentParser, sweep: bool = False):
     parser.add_argument("--config", help="key=value file; flags override its entries")
     for key, (kind, _, extras) in _OPTIONS.items():
-        if sweep or key not in _SWEEP_ONLY:
+        if key not in (_SOLVE_ONLY if sweep else _SWEEP_ONLY):
             parser.add_argument("--" + key.replace("_", "-"), type=kind, **extras)
 
 
@@ -220,13 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_zeros = sub.add_parser("zeros", help="zeros of residual or base polynomials")
     p_zeros.add_argument("--nu", type=float, default=1.0)
-    p_zeros.add_argument("--lambda", dest="lam", type=float, default=None)
+    one_or_many = p_zeros.add_mutually_exclusive_group()
+    one_or_many.add_argument("--lambda", dest="lam", type=float, default=None)
     p_zeros.add_argument("--m", type=int, default=1)
     p_zeros.add_argument(
         "--kind", choices=["symmetric", "asymmetric", "polynomial"], default="asymmetric"
     )
     p_zeros.add_argument("--degree", type=int, required=True)
-    p_zeros.add_argument("--sweep", type=_parse_sweep)
+    one_or_many.add_argument("--sweep", type=_parse_sweep)
     p_zeros.add_argument("--out")
     p_zeros.set_defaults(fn=_cmd_zeros)
 

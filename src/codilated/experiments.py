@@ -40,13 +40,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import NoisyProblem, add_noise, deriv2_assemble, diagonal_operator
-from .orthopoly import CoDilation, UltrasphericalParams, _require_integer, ultraspherical_scheme
+from .orthopoly import CoDilation, _require_integer
 from .solvers import (
     DILATION_KINDS,
     Method,
     SolveReport,
     SolverConfig,
     _SlotRecord,
+    _residual_polynomial,
     batchable,
     solve,
     solve_dilations,
@@ -231,13 +232,12 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     method's residual kind, computed even where the solve is inadmissible.
     """
     config = spec.config
-    kind = DILATION_KINDS.get(config.method)
-    if kind is None:
+    if config.method not in DILATION_KINDS:
         raise ValueError(f"method {config.method.value} takes no dilation to sweep")
     lams = sorted(spec.sweep_values())
     if not lams:
         raise ValueError("a sweep needs at least one dilation value")
-    scheme = ultraspherical_scheme(UltrasphericalParams(config.nu))  # checks nu before any solve
+    scheme, _, kind = _residual_polynomial(config)  # checks nu before any solve
     noisy = build_problem(spec)
     in_block = [batchable(config, lam) for lam in lams]
     if sum(in_block) < 2:  # a lone block row costs more per step than a single solve

@@ -208,8 +208,12 @@ def ultraspherical_beta(params: UltrasphericalParams, n):
     the same IEEE operations as its int, so bit for bit.
     """
     array = isinstance(n, np.ndarray)
-    if (n.min(initial=1) if array else n) < 1:
-        raise ValueError("beta is defined for n >= 1")
+    if not array:
+        _require_integer(n, "beta index n", 1)
+    elif not np.issubdtype(n.dtype, np.integer):
+        raise ValueError(f"beta index array must have an integer dtype, not {n.dtype}")
+    elif n.min(initial=1) < 1:
+        raise ValueError("beta index n must be >= 1")
     nu = params.nu
     first = 1.0 / (2.0 * (1.0 + nu))
     if not array and n == 1:
@@ -283,8 +287,7 @@ def eval_monic(scheme: RecurrenceScheme, dilation: CoDilation | None, n: int, x)
     keeps all values bounded by P_n(1)-sized quantities; far outside the
     interval the monic values grow like x^n and may overflow for large n.
     """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
+    _require_integer(n, "degree", 0)
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     p_prev = np.ones_like(xa)
@@ -299,8 +302,7 @@ def eval_monic(scheme: RecurrenceScheme, dilation: CoDilation | None, n: int, x)
 
 def numerator_scheme(scheme: RecurrenceScheme, m: int) -> RecurrenceScheme:
     """Scheme of the m-th numerator polynomials: the beta sequence shifted by m."""
-    if m < 1:
-        raise ValueError("numerator shift m must be >= 1")
+    _require_integer(m, "numerator shift m", 1)
     if not scheme.symmetric:
         raise ValueError("numerator polynomials are defined for symmetric schemes")
     base = scheme.beta
@@ -343,8 +345,8 @@ def chebyshev_closed(kind: str, n: int, x, lam: float | None = None):
     if not np.all(np.abs(xa) <= 1.0):  # NaN fails too
         raise ValueError("closed forms are restricted to |x| <= 1")
     if kind == "star":
-        if lam is None:
-            raise ValueError("kind 'star' needs the dilation factor lam")
+        if lam is None or not math.isfinite(lam):
+            raise ValueError(f"kind 'star' needs a finite dilation factor lam, not {lam!r}")
         return (2.0 - lam) * chebyshev_closed("U", n, x) + (lam - 1.0) * chebyshev_closed(
             "T", n, x
         )
@@ -382,6 +384,7 @@ def residual_eval(
     exactly.  Raises NormalizationVanishes when |P(1)| underflows, which
     happens only for dilations beyond the critical value.
     """
+    _require_integer(n, "degree", 0)
     ya = np.asarray(y, dtype=float)
     if not np.all((ya >= 0.0) & (ya <= 1.0)):  # NaN fails too
         raise ValueError("residual polynomials are defined on [0, 1]")
@@ -398,8 +401,7 @@ def residual_eval(
 
 def _mus(stream, n_max: int) -> np.ndarray:
     """The mu entries of the first n_max items of a coefficient stream, n_max >= 1."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _require_integer(n_max, "n_max", 1)
     return np.fromiter((mu for _, _, mu in islice(stream, n_max)), dtype=float, count=n_max)
 
 
@@ -448,19 +450,34 @@ def mu_recursive(
     return _mus(_recursive_coefficients(scheme, dilation, kind), n_max)
 
 
-def _r_values(nu: float, start: int = 0, carry: float | None = None):
+def _r_values(nu: float, start: int = 0, carry: float | None = None, shifted: bool = False):
     """R(start), R(start + 1), ... with R(n) = Gamma(2 nu + 1) Gamma(n + 1) / Gamma(n + 2 nu),
-    from the carry R(start) (R(0) by default).
+    or with ``shifted`` e(n) = R(n) - 1, from the carry at start (R(0) or e(0) by default).
 
     Never forms Gamma directly: R(0) = 2 nu exactly and
-    R(n) = R(n-1) * n / (n - 1 + 2 nu), so no overflow for any n; a run
-    resumed from a carry takes the same operations as one from R(0).
+    R(n) = R(n-1) * n / (n - 1 + 2 nu), so no overflow for any n;
+    e(0) = 2 nu - 1 and e(n) = (n e(n-1) - (2 nu - 1)) / (n - 1 + 2 nu), whose
+    terms never cancel for nu > 1/2 (e(n) <= 0 from n = 1 on), so e keeps its
+    relative accuracy where R(n) - 1 would not.  A run resumed from a carry
+    takes the same operations as one from 0.
     """
     two_nu = 2.0 * nu
-    r = two_nu if carry is None else carry
+    delta = two_nu - 1.0 if shifted else 0.0  # x - 0.0 is x: R's operations are unchanged
+    r = (delta if shifted else two_nu) if carry is None else carry
     for n in count(start + 1):
         yield r
-        r = r * n / (n - 1 + two_nu)
+        r = (r * n - delta) / (n - 1 + two_nu)
+
+
+# Below this 2 nu - 1 the closed-form denominators (2 nu - lam) + (lam - 1) R,
+# which are O(2 nu - 1) there, are formed as (2 nu - 1) + (lam - 1) e with
+# e = R - 1 (``_r_values``), whose terms do not cancel; above it that form
+# would cancel as lam -> 2 nu, where R falls towards 0, and the R form does not.
+_SHIFT_BELOW = 2.0**-6
+
+
+def _shifted(nu: float) -> bool:
+    return 2.0 * nu - 1.0 < _SHIFT_BELOW
 
 
 def _require_integer(value, what: str, minimum: int) -> None:
@@ -492,6 +509,8 @@ def _closed_form_coefficients(params: UltrasphericalParams, lam, kind: ResidualK
     Asymmetric kind: amu_{n+1} = mu_{2n+1} mu_{2n+2}, from
     amu_1 = 1/(1 - lam beta_1) = (2 nu + 2)/(2 nu + 2 - lam) and an explicit
     quotient for n >= 1.  a_n and b_n are as in ``_recursive_coefficients``.
+    Near nu = 1/2 (``_shifted``) each denominator (2 nu - lam) + (lam - 1) R
+    is formed as (2 nu - 1) + (lam - 1)(R - 1), from ``_r_values``' e = R - 1.
     (nu, lam) is checked when the stream is created, not on its first item.
     """
     _require_admissible(params, lam)
@@ -512,9 +531,10 @@ def _closed_form_stream(nu: float, lam, symmetric: bool):
     back as floats, an array stream yields row views of lam's shape; the
     n = 0 items a_0 = 0 (symmetric: b_0 = 2, mu_1 = 1) stay floats.
     """
-    c0, c1 = 2.0 * nu - lam, lam - 1.0
+    shifted = _shifted(nu)
+    c0, c1 = 2.0 * nu - (1.0 if shifted else lam), lam - 1.0  # den = c0 + c1 (R or e)
     step, scale = (1, 2.0) if symmetric else (2, 1.0)  # b_n = scale * mu_{n+1}
-    carry = next(islice(_r_values(nu), step, None))  # R(step start) of the next chunk
+    carry = next(islice(_r_values(nu, shifted=shifted), step, None))  # of the next chunk
     num = c0 + c1 * carry
     mu = 1.0 if symmetric else (2.0 * nu + 2.0) / (2.0 * nu + 2.0 - lam)
     yield 0.0, scale * mu, mu
@@ -542,7 +562,8 @@ def _nu_factors(nu: float, symmetric: bool, start: int, carry: float):
     """(fac, damp, R) of the closed-form items n in [start, start + _CHUNK), start
     = 1 mod _CHUNK: fac(n) and damp(n) of the quotient (damp is None for the
     symmetric kind, whose damping is 1) and R(s (n + 1)), s = 1 (symmetric) or
-    2, from the carry R(s start), which (nu, symmetric, start) already fix.
+    2, from the carry R(s start), which (nu, symmetric, start) already fix;
+    where ``_shifted(nu)``, e = R - 1 in place of R.
     """
     step = 1 if symmetric else 2
     n = np.arange(start, start + _CHUNK)
@@ -555,7 +576,7 @@ def _nu_factors(nu: float, symmetric: bool, start: int, carry: float):
             damp = 1.0 - (4.0 * n * n + 4.0 * nu * n + nu - 1.0) / (
                 2.0 * (k + nu + 1.0) * (k + nu - 1.0)
             )
-    ratios = islice(_r_values(nu, step * start, carry), step, None, step)
+    ratios = islice(_r_values(nu, step * start, carry, _shifted(nu)), step, None, step)
     factors = (fac, damp, np.fromiter(ratios, float, _CHUNK))
     for a in factors:
         if a is not None:
@@ -590,8 +611,7 @@ def critical_constants(params: UltrasphericalParams) -> CriticalConstants:
 def numerator_quotient_at_one(params: UltrasphericalParams, n: int) -> float:
     """Quotient Q_{n-1}(1)/P_n(1) of numerator and base values at x = 1, n >= 1."""
     params.require_closed_forms()
-    if n < 1:
-        raise ValueError("quotient is defined for n >= 1")
+    _require_integer(n, "quotient index n", 1)
     nu = params.nu
     r_n = next(islice(_r_values(nu), n, None))
     return 2.0 * nu / (2.0 * nu - 1.0) * (1.0 - r_n / (2.0 * nu))
@@ -601,8 +621,8 @@ def limit_ratio(params: UltrasphericalParams, lam: float) -> float:
     """Limit of P_n*(1)/P_n(1): lam + (1 - lam)/L1; zero exactly at the critical lam."""
     params.require_closed_forms()
     consts = critical_constants(params)
-    if lam > consts.lambda_critical:
-        raise ValueError("limit exists only for lam <= critical dilation")
+    if not -math.inf < lam <= consts.lambda_critical:  # NaN fails too
+        raise ValueError("limit exists only for a finite lam <= critical dilation")
     return lam + (1.0 - lam) / consts.L1
 
 

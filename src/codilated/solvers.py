@@ -26,7 +26,9 @@ streams (recursive, from a scheme and a dilation, or closed-form
 co-dilated ultraspherical); the adaptive method runs the nu-method's
 stream at nu = lam = 1 and watches the affine-minimal residual.
 The error obeys f - f_n = r_n(omega A*A) f with r_n the matching residual
-polynomial, which is what ``oracle_check`` verifies on diagonal problems.
+polynomial, which ``_residual_polynomial`` names for a config (Landweber and
+the four methods that take a dilation; cg and the adaptive method have none)
+and ``oracle_check`` verifies on diagonal problems through ``solve``.
 
 ``DILATION_KINDS`` maps the four methods that take a dilation to the kind
 of their residual polynomials.  ``solve_dilations`` runs its two closed-form
@@ -78,6 +80,7 @@ from .orthopoly import (
     _recursive_coefficients,
     _require_admissible,
     _require_integer,
+    power_basis_scheme,
     residual_eval,
     ultraspherical_scheme,
 )
@@ -501,27 +504,34 @@ def cg_normal_equations(problem: Problem, config: SolverConfig, callback=None) -
     return _drive(problem, _gate(problem, config, Method.CG), _cg_steps(problem), callback)
 
 
-def oracle_check(
-    diag,
-    f_true,
-    scheme: RecurrenceScheme,
-    dilation: CoDilation | None,
-    kind: ResidualKind,
-    omega: float,
-    n_max: int,
-) -> float:
+def _residual_polynomial(config: SolverConfig):
+    """(scheme, dilation, kind) of the residual polynomials r_n of config's
+    method, f - f_n = r_n(omega A*A) f: Landweber's (1 - 2y)^n from the power
+    basis, else the co-dilated (m = 1) ultraspherical family at config's nu and
+    lam.  ValueError for cg and the adaptive method, which have none."""
+    method = config.method
+    if method is Method.LANDWEBER:
+        return power_basis_scheme(), None, ResidualKind.SYMMETRIC
+    if method not in DILATION_KINDS:
+        raise ValueError(f"method {method.value} has no fixed residual polynomial")
+    dilation = None if config.lam == 1.0 else CoDilation(1, config.lam)
+    return ultraspherical_scheme(UltrasphericalParams(config.nu)), dilation, DILATION_KINDS[method]
+
+
+def oracle_check(diag, f_true, config: SolverConfig, n_max: int) -> float:
     """Worst deviation between solver error and residual-polynomial prediction.
 
-    Builds the noiseless diagonal problem g = A f_true, runs the solver
-    matching ``kind`` for n_max steps, and compares f_true - f_n against
-    r_n(omega sigma_i^2) f_true componentwise at every step.  Deviations
-    are measured relative to the sup norm of f_true.
+    Builds the noiseless diagonal problem g = A f_true, runs ``solve`` under
+    config with epsilon = 0 for n_max steps, and compares f_true - f_n against
+    r_n(omega sigma_i^2) f_true componentwise at every step, r_n the method's
+    residual polynomial.  Deviations are measured relative to the sup norm of
+    f_true.  cg and the adaptive method raise ValueError before any apply.
     """
+    scheme, dilation, kind = _residual_polynomial(config)
     d = np.asarray(diag, dtype=float)
     f_true = np.asarray(f_true, dtype=float)
-    op = diagonal_operator(d)
-    problem = Problem(op, d * f_true)
-    y = omega * d * d
+    problem = Problem(diagonal_operator(d), d * f_true)
+    y = config.omega * d * d
     scale = float(np.max(np.abs(f_true)))
     worst = 0.0
 
@@ -531,11 +541,7 @@ def oracle_check(
         dev = float(np.max(np.abs((f_true - state.f_curr) - predicted)))
         worst = max(worst, dev / scale)
 
-    config = SolverConfig(method=Method.GENERAL_SI, omega=omega, epsilon=0.0, max_iter=n_max)
-    if kind is ResidualKind.SYMMETRIC:
-        general_semi_iterative(problem, scheme, dilation, config, callback=cb)
-    else:
-        asymmetric_semi_iterative(problem, scheme, dilation, config, callback=cb)
+    solve(problem, config.replace(epsilon=0.0, max_iter=n_max), callback=cb)
     return worst
 
 
@@ -546,8 +552,7 @@ def solve(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
     if method in _CLOSED_FORM:
         return _closed_form_solve(problem, config.nu, config.lam, config, method, callback)
     if method in DILATION_KINDS:
-        scheme = ultraspherical_scheme(UltrasphericalParams(config.nu))
-        dilation = None if config.lam == 1.0 else CoDilation(1, config.lam)
+        scheme, dilation, _ = _residual_polynomial(config)
         return _recursive_solve(problem, scheme, dilation, config, method, callback)
     if method is Method.LANDWEBER:
         return landweber(problem, config, callback)

@@ -33,7 +33,7 @@ from codilated.experiments import (
     run_experiment,
     table1_rows,
 )
-from codilated.operators import Problem, deriv2_assemble, diagonal_operator
+from codilated.operators import deriv2_assemble
 from codilated.orthopoly import (
     CoDilation,
     ResidualKind,
@@ -41,19 +41,10 @@ from codilated.orthopoly import (
     chebyshev_u_scheme,
     eval_monic,
     mu_closed,
-    power_basis_scheme,
     residual_eval,
     ultraspherical_scheme,
 )
-from codilated.solvers import (
-    Method,
-    SolverConfig,
-    asymmetric_semi_iterative,
-    codilated_nu,
-    codilated_ultraspherical,
-    general_semi_iterative,
-    landweber,
-)
+from codilated.solvers import Method, SolverConfig, landweber, oracle_check
 from codilated.zeros import find_polynomial_zeros, find_zeros, modulus_of_convergence
 
 CHEB = chebyshev_u_scheme()
@@ -143,8 +134,10 @@ def test_criterion_4_mu_consistency():
     with criterion(4, "closed-form vs recursive mu to 1e-12 (n <= 2000) and no overflow to 1e5"):
         # the closed forms reject dilations at or beyond critical, so the
         # grid is intersected with the admissible range (nu = 0.75 drops
-        # lam = 1.5 = 2 nu; near-critical stays covered by 1.9 nu)
-        grid = {nu: (-0.5, 0.0, 0.5, 1.0, 1.5, 1.9 * nu) for nu in NUS}
+        # lam = 1.5 = 2 nu; near-critical stays covered by 1.9 nu); down to nu
+        # one ulp above 1/2, where the closed-form denominators are O(2 nu - 1)
+        near_half = (0.5000000000000001, 0.5 + 2.0**-40, 0.500000001, 0.5001)
+        grid = {nu: (-0.5, 0.0, 0.5, 1.0, 1.5, 1.9 * nu) for nu in NUS + near_half}
         assert mu_deviation(grid, n_sym=2000, n_asym=2000) <= 1e-12
         for nu in NUS:
             for kind in (SYM, ASYM):
@@ -243,55 +236,16 @@ def test_criterion_7_solver_oracle_equivalence():
         rng = np.random.default_rng(11)
         diag = np.sqrt(np.linspace(0.04, 1.0, 12))
         f_true = rng.standard_normal(12)
-        op = diagonal_operator(diag)
-        problem = Problem(op, diag * f_true)
-        y = 0.9 * diag * diag
-        scale = np.max(np.abs(f_true))
-        u15 = ultraspherical_scheme(UltrasphericalParams(1.5))
-        u2 = ultraspherical_scheme(UltrasphericalParams(2.0))
-        runners = [
-            (lambda cb: landweber(problem, _cfg(), cb), power_basis_scheme(), None, SYM),
-            (lambda cb: general_semi_iterative(problem, CHEB, None, _cfg(), cb), CHEB, None, SYM),
-            (
-                lambda cb: general_semi_iterative(problem, u2, CoDilation(1, 3.0), _cfg(), cb),
-                u2,
-                CoDilation(1, 3.0),
-                SYM,
-            ),
-            (
-                lambda cb: codilated_ultraspherical(problem, 1.5, 2.0, _cfg(), cb),
-                u15,
-                CoDilation(1, 2.0),
-                SYM,
-            ),
-            (
-                lambda cb: asymmetric_semi_iterative(problem, CHEB, CoDilation(1, 1.5), _cfg(), cb),
-                CHEB,
-                CoDilation(1, 1.5),
-                ASYM,
-            ),
-            (
-                lambda cb: codilated_nu(problem, 2.0, 3.0, _cfg(), cb),
-                u2,
-                CoDilation(1, 3.0),
-                ASYM,
-            ),
-        ]
-        for run, scheme, dil, kind in runners:
-            worst = 0.0
-
-            def cb(state, scheme=scheme, dil=dil, kind=kind):
-                nonlocal worst
-                predicted = residual_eval(scheme, dil, kind, state.n, y) * f_true
-                dev = np.max(np.abs((f_true - state.f_curr) - predicted)) / scale
-                worst = max(worst, dev)
-
-            run(cb)
-            assert worst <= 1e-10
-
-
-def _cfg():
-    return SolverConfig(omega=0.9, epsilon=0.0, tau=4.0, max_iter=50)
+        for method, nu, lam in [
+            (Method.LANDWEBER, 1.0, 1.0),
+            (Method.GENERAL_SI, 1.0, 1.0),
+            (Method.GENERAL_SI, 2.0, 3.0),
+            (Method.CODILATED_ULTRASPHERICAL, 1.5, 2.0),
+            (Method.ASYMMETRIC_SI, 1.0, 1.5),
+            (Method.CODILATED_NU, 2.0, 3.0),
+        ]:
+            config = SolverConfig(method, nu=nu, lam=lam, omega=0.9)
+            assert oracle_check(diag, f_true, config, 50) <= 1e-10
 
 
 def test_criterion_8_convergence_order():

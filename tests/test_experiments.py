@@ -517,6 +517,27 @@ class TestCli:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][2]  # the run wrote its CSV
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--problem", "diag-last", "--n", "20", "--sweep", "1,1.5", "--lambda", "1.9"],
+        ["zeros", "--degree", "5", "--sweep", "1:2:0.5", "--lambda", "1.5"],
+    ])
+    def test_dilation_flag_a_sweep_would_ignore_rejected(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--lambda" in err[0]
+        assert not out.exists()
+
+    def test_sweep_accepts_a_file_lambda(self, tmp_path, capsys):
+        # as solve accepts a file's sweep: one file may serve both commands
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda=1.9\n")
+        base = ["sweep", "--problem", "diag-last", "--n", "20", "--sweep", "1,1.5"]
+        assert main(base) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert main(base + ["--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+
     def test_config_file_unknown_problem(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("problem=nosuch\n")

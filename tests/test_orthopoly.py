@@ -171,6 +171,9 @@ class TestChebyshevClosed:
     def test_star_needs_lam(self):
         with pytest.raises(ValueError):
             chebyshev_closed("star", 3, 0.5)
+        for lam in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite dilation factor"):
+                chebyshev_closed("star", 3, 0.5, lam=lam)
 
 
 class TestNumeratorScheme:
@@ -191,6 +194,9 @@ class TestNumeratorScheme:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             numerator_scheme(CHEB, 0)
+        for m in (1.5, 1.0, True):  # 1.5 would shift beta to non-integer indices
+            with pytest.raises(ValueError, match="numerator shift m must be an integer"):
+                numerator_scheme(CHEB, m)
         skew = RecurrenceScheme(alpha=lambda n: 0.1, beta=lambda n: 0.25)
         with pytest.raises(ValueError):
             numerator_scheme(skew, 1)
@@ -226,6 +232,13 @@ class TestUltrasphericalBeta:
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
             ultraspherical_beta(UltrasphericalParams(1.0), 0)
+        params = UltrasphericalParams(2.0)
+        for n in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="beta index n must be an integer"):
+                ultraspherical_beta(params, n)
+        for n in (np.array([1.0, 2.5]), np.array([True, True])):
+            with pytest.raises(ValueError, match="integer dtype"):
+                ultraspherical_beta(params, n)
 
     def test_positive_even_near_singular_nu(self):
         params = UltrasphericalParams(-0.25)
@@ -555,6 +568,11 @@ class TestMuClosed:
             with pytest.raises(ValueError, match="n_max must be >= 1"):
                 mu_recursive(ultraspherical_scheme(UltrasphericalParams(1.0)),
                              CoDilation(1, 1.0), n_max, kind)
+        for n_max in (True, 2.0, 2.5):
+            with pytest.raises(ValueError, match="n_max must be an integer"):
+                mu_closed(UltrasphericalParams(2.0), 1.0, n_max, kind)
+            with pytest.raises(ValueError, match="n_max must be an integer"):
+                mu_recursive(CHEB, None, n_max, kind)
 
 
 class TestAmuClosed:
@@ -609,6 +627,14 @@ class TestConstants:
         assert numerator_quotient_at_one(params, 1) == pytest.approx(1.0, abs=1e-15)
         assert numerator_quotient_at_one(params, 3) == pytest.approx(1.5, abs=1e-15)
 
+    def test_numerator_quotient_rejects_bad_index(self):
+        params = UltrasphericalParams(2.0)
+        with pytest.raises(ValueError, match="quotient index n must be >= 1"):
+            numerator_quotient_at_one(params, 0)
+        for n in (True, 2.0, 2.5):
+            with pytest.raises(ValueError, match="quotient index n must be an integer"):
+                numerator_quotient_at_one(params, n)
+
     def test_numerator_quotient_against_recurrence(self):
         for nu in (0.75, 1.0, 2.0):
             params = UltrasphericalParams(nu)
@@ -630,8 +656,9 @@ class TestConstants:
     def test_limit_ratio_rejects(self):
         with pytest.raises(ValueError):
             limit_ratio(UltrasphericalParams(0.5), 1.0)
-        with pytest.raises(ValueError):
-            limit_ratio(UltrasphericalParams(1.0), 2.5)
+        for lam in (2.5, math.nan, -math.inf, math.inf):
+            with pytest.raises(ValueError, match="finite lam <= critical"):
+                limit_ratio(UltrasphericalParams(1.0), lam)
 
     def test_sup_bound_values(self):
         assert sup_bound_codilated(UltrasphericalParams(1.0), 0.5) == 1.0

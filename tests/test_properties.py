@@ -26,6 +26,7 @@ from codilated.orthopoly import (  # noqa: E402
     ultraspherical_scheme,
 )
 from codilated.solvers import (  # noqa: E402
+    DILATION_KINDS,
     Method,
     RelaxationWarning,
     SolverConfig,
@@ -101,8 +102,7 @@ def block_cases(draw):
 @settings(FIXED, max_examples=60)
 @given(case=block_cases(), method=st.sampled_from(["codilated-nu", "codilated-ultraspherical"]),
        epsilon=st.floats(min_value=0.0, max_value=0.1))
-# nu one ulp above 1/2 on zero data: the closed-form quotient is 0/0 (NaN), so one
-# row stagnates and the other diverges at n = 2, in the block as in the single solves
+# nu one ulp above 1/2 on zero data, where every closed-form denominator is O(ulp)
 @example(case=(np.zeros(1), np.zeros(1), 0.5000000000000001, [0.0, -1.0]),
          method="codilated-nu", epsilon=0.0)
 def test_block_solve_equals_single_solves(case, method, epsilon):
@@ -136,15 +136,15 @@ def oracle_cases(draw):
 
 
 @settings(FIXED, max_examples=200)
-@given(case=oracle_cases(), kind=st.sampled_from([ResidualKind.SYMMETRIC, ResidualKind.ASYMMETRIC]),
+@given(case=oracle_cases(), method=st.sampled_from([Method.LANDWEBER, *DILATION_KINDS]),
        n_max=st.integers(min_value=1, max_value=60))
-def test_solver_error_follows_residual_polynomial(case, kind, n_max):
+def test_solver_error_follows_residual_polynomial(case, method, n_max):
     # the bound of the fixed cases in test_solvers.py's TestOracleEquivalence
     diag, f_true, omega, nu, lam = case
-    scheme = ultraspherical_scheme(UltrasphericalParams(nu))
+    config = SolverConfig(method, nu=nu, lam=lam, omega=omega)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RelaxationWarning)  # a norm estimate may round above 1
-        dev = oracle_check(diag, f_true, scheme, CoDilation(1, lam), kind, omega, n_max)
+        dev = oracle_check(diag, f_true, config, n_max)
     assert dev <= 1e-10
 
 

@@ -26,6 +26,7 @@ from codilated.orthopoly import (
     ultraspherical_scheme,
 )
 from codilated.solvers import (
+    DILATION_KINDS,
     STAGNATION_RTOL,
     STAGNATION_STEPS,
     IterationState,
@@ -242,7 +243,7 @@ class TestOracleEquivalence:
     def test_landweber_closed_form_residuals(self):
         diag = np.array([1.0, 0.5, 0.1])
         f_true = np.array([1.0, -2.0, 0.5])
-        dev = oracle_check(diag, f_true, power_basis_scheme(), None, ResidualKind.SYMMETRIC, 0.5, 30)
+        dev = oracle_check(diag, f_true, SolverConfig("landweber", omega=0.5), 30)
         assert dev <= 1e-12
 
     @pytest.mark.parametrize(
@@ -257,19 +258,28 @@ class TestOracleEquivalence:
         ],
     )
     def test_scheme_methods_match_residual_polynomials(self, nu, lam, kind):
+        # the recursive and the closed-form method of each kind
         rng = np.random.default_rng(5)
         diag = np.sqrt(np.linspace(0.05, 1.0, 10))
         f_true = rng.standard_normal(10)
-        scheme = ultraspherical_scheme(UltrasphericalParams(nu))
-        dil = None if lam == 1.0 else CoDilation(1, lam)
-        dev = oracle_check(diag, f_true, scheme, dil, kind, 0.9, 50)
-        assert dev <= 1e-10
+        for method in (m for m, k in DILATION_KINDS.items() if k is kind):
+            config = SolverConfig(method, nu=nu, lam=lam, omega=0.9)
+            assert oracle_check(diag, f_true, config, 50) <= 1e-10
 
     def test_zero_iterations_exact(self):
         # at n = 0 the error is f itself and r_0 = 1
         diag = np.array([0.7, 0.2])
-        dev = oracle_check(diag, np.array([1.0, 1.0]), CHEB, None, ResidualKind.SYMMETRIC, 1.0, 1)
+        dev = oracle_check(diag, np.array([1.0, 1.0]), SolverConfig("general-si"), 1)
         assert dev <= 1e-12
+
+    def test_method_without_residual_polynomial_rejected_before_any_apply(self, monkeypatch):
+        applies = []  # a stand-in apply that a solve could not run on
+        for name in ("matvec", "rmatvec"):
+            monkeypatch.setattr(LinearOperator, name, lambda op, x: applies.append(x))
+        for method in (Method.CG, Method.ADAPTIVE_CODILATED_ONE):
+            with pytest.raises(ValueError, match="no fixed residual polynomial"):
+                oracle_check(np.array([0.7, 0.2]), np.ones(2), SolverConfig(method), 5)
+        assert applies == []
 
 
 class TestAdaptive:
@@ -983,14 +993,21 @@ class TestSolveDilations:
         assert first.iterations < second.iterations < first.iterations + STAGNATION_STEPS
 
     @pytest.mark.parametrize("method", BLOCK_METHODS)
-    def test_denominator_rounded_to_zero(self, method):
-        # at nu one ulp above 1/2 and lam = -1 the first closed-form denominator
-        # is 0.0: the float stream takes the IEEE quotient, as the array stream does
+    def test_nu_one_ulp_above_one_half(self, method):
+        # the closed-form denominators are O(2 nu - 1) = O(ulp) here; formed from
+        # R(n) the lam = -1 one rounded to 0.0 and the solve diverged at n = 2
         problem = Problem(diagonal_operator(np.array([0.5, 0.25])), np.array([1.0, 1.0]))
         config = quiet_config(method=method, nu=0.5000000000000001, max_iter=50)
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             reports = assert_block_equals_singles(problem, config, [-1.0, 0.5])
-        assert [r.stop_reason for r in reports] == [StopReason.DIVERGENCE, StopReason.MAX_ITER]
+        recursive = {Method.CODILATED_NU: Method.ASYMMETRIC_SI,
+                     Method.CODILATED_ULTRASPHERICAL: Method.GENERAL_SI}[method]
+        for lam, report in zip([-1.0, 0.5], reports):
+            want = solve(problem, config.replace(method=recursive, lam=lam))
+            assert (report.iterations, report.stop_reason) == (want.iterations, want.stop_reason)
+            assert np.allclose(report.residual_history, want.residual_history, rtol=1e-13, atol=0)
+
 
     def test_operator_without_block_apply(self):
         d = np.array([1.0, 0.5, 0.25])

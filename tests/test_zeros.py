@@ -111,6 +111,11 @@ class TestDegreeBound:
         # a sweep spec is rejected before its first solve
         with pytest.raises(ValueError, match="zero degree must be an integer"):
             ExperimentSpec(problem="diag-last", sweep=[1.0, 1.5], zero_degree=degree)
+        # the evaluators take integer degrees too
+        for evaluate in (lambda: eval_monic(CHEB, None, degree, 0.3),
+                         lambda: residual_eval(CHEB, None, SYM, degree, 0.3)):
+            with pytest.raises(ValueError, match="degree must be an integer"):
+                evaluate()
 
     def test_bound_admits_its_own_degree(self, no_allocation):
         assert zeros.MAX_DEGREE == 4096

@@ -154,6 +154,12 @@ def runs():
     yield "malformed_sweep_method", ["sweep", "--method", "nosuch"]
     yield "malformed_zeros_degree", ["zeros", "--degree", "x"]
     yield "malformed_command", ["nosuch"]
+    # a dilation flag that a sweep would ignore is refused: exit 1, no CSV
+    yield "sweep_lambda_flag", [
+        "sweep", "--problem", "diag-last", "--n", "20", "--sweep", "1,1.5", "--lambda", "1.9",
+        "--out", "out.csv"]
+    yield "zeros_sweep_and_lambda", [
+        "zeros", "--degree", "5", "--sweep", "1:2:0.5", "--lambda", "1.5", "--out", "out.csv"]
     # a degree above zeros.MAX_DEGREE is refused before any solve or allocation
     yield "zeros_degree_over_bound", ["zeros", "--degree", "1000000", "--out", "out.csv"]
     yield "sweep_diag-last_zero_degree_over_bound", [
