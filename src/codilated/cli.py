@@ -86,7 +86,7 @@ _OPTIONS = {
 }
 _SWEEP_ONLY = ("sweep", "zero_degree")
 _SOLVE_ONLY = ("lambda",)
-_CONFIG_FIELDS = set(SolverConfig.__slots__)
+_CONFIG_FIELDS = set(SolverConfig._fields)
 
 
 def _add_common(parser: argparse.ArgumentParser, sweep: bool = False):

@@ -46,7 +46,6 @@ from .solvers import (
     Method,
     SolveReport,
     SolverConfig,
-    _SlotRecord,
     _residual_polynomial,
     batchable,
     solve,
@@ -87,7 +86,17 @@ PROBLEM_DEFAULTS = {
 MAX_N = {"diag-last": 2**20, "diag-second": 2**20, "deriv2": 2**11}
 
 
-class ExperimentSpec(_SlotRecord):
+class _ExperimentSpec(NamedTuple):
+    problem: str = "deriv2"
+    n: int | None = None
+    config: SolverConfig = SolverConfig()
+    sweep: tuple[float, float, float] | list[float] | None = None
+    seed: int = DEFAULT_SEED
+    zero_degree: int | None = None
+    out: str | None = None
+
+
+class ExperimentSpec(_ExperimentSpec):
     """One experiment: a problem, a solver configuration (by default
     ``SolverConfig()``), optionally a dilation sweep, and an output path.
 
@@ -96,25 +105,16 @@ class ExperimentSpec(_SlotRecord):
     ValueError here, before any solve or allocation.
     """
 
-    __slots__ = ("problem", "n", "config", "sweep", "seed", "zero_degree", "out")
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
-    def __init__(
-        self,
-        problem: str = "deriv2",
-        n: int | None = None,
-        config: SolverConfig | None = None,
-        sweep: tuple[float, float, float] | list[float] | None = None,
-        seed: int = DEFAULT_SEED,
-        zero_degree: int | None = None,
-        out: str | None = None,
-    ):
-        _problem_size(problem, n)
-        if zero_degree is not None:
-            _check_degree(zero_degree, "zero degree")
-        self.problem, self.n, self.sweep, self.seed = problem, n, sweep, seed
-        self.config = SolverConfig() if config is None else config
-        self.zero_degree, self.out = zero_degree, out
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        _problem_size(self.problem, self.n)
+        if self.zero_degree is not None:
+            _check_degree(self.zero_degree, "zero degree")
         self.sweep_values()  # rejects a malformed range here, not at the first sweep
+        return self
 
     def sweep_values(self) -> list[float]:
         return [] if self.sweep is None else _sweep_values(self.sweep)
@@ -249,7 +249,7 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
         if flag:
             iters, reason, final, _ = _outcome(next(reports))
         else:
-            iters, reason, final, _ = _run_point(noisy, config.replace(lam=lam))
+            iters, reason, final, _ = _run_point(noisy, config._replace(lam=lam))
         zero = float("nan")
         if spec.zero_degree is not None:
             zr = find_zeros(scheme, CoDilation(1, lam), kind, spec.zero_degree)
@@ -283,8 +283,8 @@ def table1_rows(seed: int = DEFAULT_SEED, include_landweber: bool = False) -> li
     noisy = build_problem(ExperimentSpec(problem="deriv2", config=base, seed=seed))
     out = []
     for method, nu, lam in rows:
-        config = base.replace(method=method, nu=1.0 if nu is None else nu,
-                              lam=1.0 if lam is None else lam)
+        config = base._replace(method=method, nu=1.0 if nu is None else nu,
+                               lam=1.0 if lam is None else lam)
         iters, reason, _, chosen = _run_point(noisy, config)
         out.append({"method": method.value, "nu": nu,
                     "lambda": chosen if chosen is not None else lam,

@@ -609,12 +609,15 @@ def critical_constants(params: UltrasphericalParams) -> CriticalConstants:
 
 
 def numerator_quotient_at_one(params: UltrasphericalParams, n: int) -> float:
-    """Quotient Q_{n-1}(1)/P_n(1) of numerator and base values at x = 1, n >= 1."""
+    """Quotient Q_{n-1}(1)/P_n(1) of numerator and base values at x = 1, n >= 1.
+
+    Formed as 1 - e(n)/(2 nu - 1) with e = R - 1 (``_r_values``), which keeps
+    its relative accuracy as nu -> 1/2, where (2 nu - R(n))/(2 nu - 1) cancels.
+    """
     params.require_closed_forms()
     _require_integer(n, "quotient index n", 1)
-    nu = params.nu
-    r_n = next(islice(_r_values(nu), n, None))
-    return 2.0 * nu / (2.0 * nu - 1.0) * (1.0 - r_n / (2.0 * nu))
+    e_n = next(islice(_r_values(params.nu, shifted=True), n, None))
+    return 1.0 - e_n / (2.0 * params.nu - 1.0)
 
 
 def limit_ratio(params: UltrasphericalParams, lam: float) -> float:

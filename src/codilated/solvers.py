@@ -42,21 +42,20 @@ path pays nothing for the block.
 
 Every solve, single or block, passes one gate, ``_gate``, after it has
 built its coefficient stream (so an inadmissible (nu, lam) raises before any
-warning) and before its loop.  The gate rebuilds the config, so a field set
-after construction is checked before any operator apply, then checks omega
-||A*A||, from the operator's memoised ``norm_estimate``, once per solve
-against the method's relaxation bound, skips cg, which has none, warns also
-where the level is not finite or the estimate did not converge (one warning
-per solve, naming the power iterations), and picks the method's default cap.
+warning) and before its loop.  The gate checks omega ||A*A||, from the
+operator's memoised ``norm_estimate``, once per solve against the method's
+relaxation bound, skips cg, which has none, warns also where the level is not
+finite or the estimate did not converge (one warning per solve, naming the
+power iterations), and picks the method's default cap.
 
 Residual norms are recomputed from v = g - A f every step; nothing is
 updated incrementally, so histories do not drift over long runs.  A solve
 is single-threaded and deterministic.  Distinct solves share one thing: the
 closed-form streams' memo of nu-only factors in ``orthopoly``.  Its entries
 are read-only, and each is the same bit for bit whichever solve formed it,
-so no solve depends on another.  A ``SolveReport`` is a ``NamedTuple``;
-``SolverConfig`` is a mutable ``__slots__`` record whose ``replace`` re-runs
-its checks.
+so no solve depends on another.  ``SolveReport`` and ``SolverConfig`` are
+``NamedTuple``s; a config checks its fields in the ``__new__`` of a thin
+subclass, which ``_replace`` also runs.
 """
 
 from __future__ import annotations
@@ -150,32 +149,17 @@ _DEFAULT_MAX_ITER = {
 }
 
 
-class _SlotRecord:
-    """Field-wise ``replace``, ``==`` and ``repr`` of a mutable record whose
-    ``__slots__`` name its fields in the order of its ``__init__``.
-    ``replace`` rebuilds through ``__init__``, so a change is coerced and
-    checked like a new record."""
-
-    __slots__ = ()
-    __hash__ = None  # mutable
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def replace(self, **changes):
-        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
-        return f"{type(self).__name__}({fields})"
+class _SolverConfig(NamedTuple):
+    method: Method = Method.CODILATED_NU
+    nu: float = 1.0
+    lam: float = 1.0
+    omega: float = 1.0
+    tau: float = 4.0
+    epsilon: float = 0.0
+    max_iter: int | None = None
 
 
-class SolverConfig(_SlotRecord):
+class SolverConfig(_SolverConfig):
     """Method selection plus iteration parameters.
 
     epsilon is the noise level entering the discrepancy threshold
@@ -184,19 +168,12 @@ class SolverConfig(_SlotRecord):
     by its value, e.g. "landweber".
     """
 
-    __slots__ = ("method", "nu", "lam", "omega", "tau", "epsilon", "max_iter")
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
-    def __init__(
-        self,
-        method: Method | str = Method.CODILATED_NU,
-        nu: float = 1.0,
-        lam: float = 1.0,
-        omega: float = 1.0,
-        tau: float = 4.0,
-        epsilon: float = 0.0,
-        max_iter: int | None = None,
-    ):
-        self.method = Method(method)
+    def __new__(cls, *args, **kwargs):
+        method, nu, lam, omega, tau, epsilon, max_iter = super().__new__(cls, *args, **kwargs)
+        method = Method(method)
         if not (np.isfinite(nu) and np.isfinite(lam)):
             raise ValueError("polynomial parameters nu and lam must be finite")
         if not (np.isfinite(omega) and omega > 0):
@@ -207,8 +184,7 @@ class SolverConfig(_SlotRecord):
             raise ValueError("noise level epsilon must be finite and >= 0")
         if max_iter is not None:
             _require_integer(max_iter, "iteration cap max_iter", 0)
-        self.nu, self.lam, self.omega, self.tau = nu, lam, omega, tau
-        self.epsilon, self.max_iter = epsilon, max_iter
+        return super().__new__(cls, method, nu, lam, omega, tau, epsilon, max_iter)
 
     def resolved_max_iter(self) -> int:
         if self.max_iter is not None:
@@ -261,9 +237,9 @@ def _caller_stacklevel() -> int:
 
 
 def _gate(problem: Problem, config: SolverConfig, method: Method) -> SolverConfig:
-    """config rebuilt for method, so its checks run again and an unset max_iter
-    takes method's default cap; then the relaxation check (module docstring)."""
-    config = config.replace(method=method)
+    """config for method, so an unset max_iter takes method's default cap, after
+    the relaxation check (module docstring)."""
+    config = config._replace(method=method)
     if method is not Method.CG:
         estimate = problem.operator.norm_estimate
         level = config.omega * estimate.value
@@ -541,7 +517,7 @@ def oracle_check(diag, f_true, config: SolverConfig, n_max: int) -> float:
         dev = float(np.max(np.abs((f_true - state.f_curr) - predicted)))
         worst = max(worst, dev / scale)
 
-    solve(problem, config.replace(epsilon=0.0, max_iter=n_max), callback=cb)
+    solve(problem, config._replace(epsilon=0.0, max_iter=n_max), callback=cb)
     return worst
 
 
@@ -573,7 +549,7 @@ def batchable(config: SolverConfig, lam: float) -> bool:
 
 
 def solve_dilations(problem: Problem, config: SolverConfig, lams) -> list[SolveReport]:
-    """``solve(problem, config.replace(lam=lam))`` for each lam in lams, as
+    """``solve(problem, config._replace(lam=lam))`` for each lam in lams, as
     one block iteration with one row per dilation.
 
     Every report equals the single solve's bit for bit: each row takes the

@@ -59,11 +59,10 @@ class TestProblemConstruction:
     def test_unknown_problem_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(problem="no-such-problem")
-        for n in (None, 50):  # a slot set after the checks
+        for n in (None, 50):
             spec = ExperimentSpec(problem="deriv2", n=n)
-            spec.problem = "nosuch"
             with pytest.raises(ValueError, match="unknown problem 'nosuch'"):
-                build_problem(spec)
+                spec._replace(problem="nosuch")
 
     def test_sweep_validation(self):
         with pytest.raises(ValueError):
@@ -123,9 +122,8 @@ class TestProblemSizeBound:
         spec = ExperimentSpec(problem=problem, n=bound)  # the bound itself is admitted
         with pytest.raises(self.Reached):
             build_problem(spec)
-        spec.n = bound + 1  # a slot set after the checks
         with pytest.raises(ValueError, match=f"must be <= {bound}"):
-            build_problem(spec)
+            spec._replace(n=bound + 1)
         assert len(assembly) == 1
 
     @pytest.mark.parametrize("n", [50.5, 60.0, True, "50"])
@@ -175,27 +173,24 @@ class TestGoldenRuns:
 
 class TestSweep:
     def test_monotone_benefit_towards_critical(self):
-        spec = spec_for("diag-last")
-        spec.sweep = [1.0, 1.5, 1.9, 1.99]
+        spec = spec_for("diag-last")._replace(sweep=[1.0, 1.5, 1.9, 1.99])
         rows = run_sweep(spec).rows
         counts = [r.iterations for r in rows]
         assert all(b <= a + 2 for a, b in zip(counts, counts[1:]))
 
     def test_critical_value_does_not_converge(self):
-        spec = spec_for("diag-last", max_iter=2000)
-        spec.config.method = Method.ASYMMETRIC_SI  # reaches lam = 2 exactly
-        spec.sweep = [2.0]
+        # asymmetric-si reaches lam = 2 exactly
+        spec = spec_for("diag-last", Method.ASYMMETRIC_SI, max_iter=2000)._replace(sweep=[2.0])
         (row,) = run_sweep(spec).rows
         assert row.stop_reason in ("max-iter", "stagnation")
 
     def test_shuffled_list_equals_range(self, tmp_path):
-        spec = spec_for("diag-last")
-        spec.sweep = (1.0, 1.9, 0.3)
+        spec = spec_for("diag-last")._replace(sweep=(1.0, 1.9, 0.3))
         ranged, shuffled = tmp_path / "r.csv", tmp_path / "s.csv"
         write_sweep_csv(ranged, run_sweep(spec))
         values = spec.sweep_values()
-        spec.sweep = [values[k] for k in (2, 0, 3, 1)]
-        write_sweep_csv(shuffled, run_sweep(spec))
+        shuffled_spec = spec._replace(sweep=[values[k] for k in (2, 0, 3, 1)])
+        write_sweep_csv(shuffled, run_sweep(shuffled_spec))
         assert ranged.read_bytes() == shuffled.read_bytes()
 
     @pytest.mark.parametrize("method", [Method.CODILATED_NU, Method.CODILATED_ULTRASPHERICAL])
@@ -203,12 +198,12 @@ class TestSweep:
     def test_block_points_equal_point_runner(self, method, problem):
         # admissible points run as one block, 4.0 and 4.2 through the point runner
         spec = spec_for(problem, method, nu=2.0)
-        spec.sweep = [3.9, 1.0, 4.0, 1.0, 4.2, 3.99, -0.5]
+        spec = spec._replace(sweep=[3.9, 1.0, 4.0, 1.0, 4.2, 3.99, -0.5])
         noisy = build_problem(spec)
         rows = run_sweep(spec).rows
         assert [row.lam for row in rows] == sorted(spec.sweep)
         for row in rows:
-            iterations, reason, final, _ = _run_point(noisy, spec.config.replace(lam=row.lam))
+            iterations, reason, final, _ = _run_point(noisy, spec.config._replace(lam=row.lam))
             assert (row.iterations, row.stop_reason) == (iterations, reason)
             assert repr(row.final_residual) == repr(final)
         assert [row.stop_reason for row in rows].count("error:inadmissible") == 2
@@ -221,9 +216,7 @@ class TestSweep:
         calls = []
         solve = experiments.solve
         monkeypatch.setattr(experiments, "solve", lambda *a: calls.append(a) or solve(*a))
-        spec = spec_for("diag-last", nu=1.0)
-        spec.sweep = sweep
-        run_sweep(spec)
+        run_sweep(spec_for("diag-last", nu=1.0)._replace(sweep=sweep))
         assert len(calls) == single_solves
 
     @pytest.mark.parametrize("zero_degree", [None, 20])
@@ -232,8 +225,8 @@ class TestSweep:
         # nu <= -1/2 has no ultraspherical family, whether or not zeros are located
         built = []
         monkeypatch.setattr(experiments, "build_problem", built.append)
-        spec = spec_for("diag-last", method, nu=-0.75)
-        spec.sweep, spec.zero_degree = [1.0, 1.5], zero_degree
+        spec = spec_for("diag-last", method, nu=-0.75)._replace(sweep=[1.0, 1.5],
+                                                                zero_degree=zero_degree)
         with pytest.raises(ValueError, match="nu > -1/2"):
             run_sweep(spec)
         assert built == []
@@ -241,9 +234,8 @@ class TestSweep:
     def test_zero_curve_attachment(self):
         # smallest zero decreases towards the critical dilation, then the
         # reported in-interval root jumps to the second-smallest branch
-        spec = spec_for("diag-last", max_iter=400)
-        spec.sweep = [1.0, 1.5, 1.9, 2.0, 2.1, 2.2]
-        spec.zero_degree = 150
+        spec = spec_for("diag-last", max_iter=400)._replace(sweep=[1.0, 1.5, 1.9, 2.0, 2.1, 2.2],
+                                                             zero_degree=150)
         rows = run_sweep(spec).rows
         zeros = {r.lam: r.smallest_zero for r in rows}
         assert zeros[1.5] < zeros[1.0]
@@ -259,9 +251,8 @@ class TestSweep:
          (Method.ASYMMETRIC_SI, ResidualKind.ASYMMETRIC)],
     )
     def test_zero_curve_of_the_method_residual(self, method, kind):
-        spec = spec_for("diag-last", method, max_iter=300)
-        spec.sweep = [1.0, 1.5]
-        spec.zero_degree = 20
+        spec = spec_for("diag-last", method, max_iter=300)._replace(sweep=[1.0, 1.5],
+                                                                     zero_degree=20)
         scheme = ultraspherical_scheme(UltrasphericalParams(1.0))
         for row in run_sweep(spec).rows:
             want = find_zeros(scheme, CoDilation(1, row.lam), kind, 20).smallest
@@ -272,15 +263,13 @@ class TestSweep:
     )
     def test_method_without_dilation_rejected(self, method):
         # each row would repeat one solve under a lambda that was never used
-        spec = spec_for("diag-last", method, max_iter=300)
-        spec.sweep = [1.0, 1.5]
+        spec = spec_for("diag-last", method, max_iter=300)._replace(sweep=[1.0, 1.5])
         with pytest.raises(ValueError, match="dilation"):
             run_sweep(spec)
 
     def test_failed_point_recorded_not_raised(self):
-        spec = spec_for("diag-last", max_iter=50)
-        spec.config.method = Method.GENERAL_SI  # scheme route raises beyond critical
-        spec.sweep = [2.5]
+        # general-si's scheme route raises beyond critical
+        spec = spec_for("diag-last", Method.GENERAL_SI, max_iter=50)._replace(sweep=[2.5])
         (row,) = run_sweep(spec).rows
         assert row.stop_reason == "error:DivergentNormalization"
 

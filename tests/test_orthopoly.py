@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from fractions import Fraction
 from itertools import count, islice
 
 import numpy as np
@@ -52,6 +53,22 @@ def per_index_beta(scheme, dilation, k):
         return 0.0
     b = scheme.beta(k)
     return dilation.lam * b if dilation is not None and k == dilation.m else b
+
+
+def exact_quotient_at_one(nu, n):
+    """Q_{n-1}(1)/P_n(1) in exact rationals, rounded once: the monic
+    ultraspherical recurrence at x = 1, beta_k = k (k + 2 nu - 1) / (4 (k + nu)
+    (k + nu - 1)), for P and for its numerator polynomials Q (betas shifted by
+    one), from P_0(1) = P_1(1) = 1."""
+    nu = Fraction(nu)
+
+    def at_one(degree, shift):
+        p_prev = p = Fraction(1)
+        for k in range(shift + 1, shift + degree):
+            p_prev, p = p, p - k * (k + 2 * nu - 1) / (4 * (k + nu) * (k + nu - 1)) * p_prev
+        return p
+
+    return float(at_one(n - 1, 1) / at_one(n, 0))
 
 
 def textbook_recursive(scheme, dilation, kind):
@@ -643,6 +660,12 @@ class TestConstants:
             for n in (1, 5, 20):
                 direct = eval_monic(numer, None, n - 1, 1.0) / eval_monic(scheme, None, n, 1.0)
                 assert numerator_quotient_at_one(params, n) == pytest.approx(direct, rel=1e-12)
+        # near nu = 1/2, where (2 nu - R(n))/(2 nu - 1) cancels, against exact rationals
+        for nu in (math.nextafter(0.5, 1.0), 0.500000001, 0.5 + 2.0**-40):
+            for n in (1, 5, 20):
+                exact = exact_quotient_at_one(nu, n)
+                got = numerator_quotient_at_one(UltrasphericalParams(nu), n)
+                assert got == pytest.approx(exact, rel=1e-14)
 
     def test_numerator_quotient_limit(self):
         # consistency with 1/L1 = 2 for nu = 1

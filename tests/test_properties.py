@@ -112,7 +112,7 @@ def test_block_solve_equals_single_solves(case, method, epsilon):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RelaxationWarning)  # a norm estimate may round above 1
         reports = solve_dilations(problem, config, lams)
-        singles = [solve(problem, config.replace(lam=lam)) for lam in lams]
+        singles = [solve(problem, config._replace(lam=lam)) for lam in lams]
     for block, single in zip(reports, singles, strict=True):
         assert (block.iterations, block.stop_reason) == (single.iterations, single.stop_reason)
         assert np.array_equal(block.residual_history, single.residual_history, equal_nan=True)

@@ -362,7 +362,7 @@ class TestAdaptive:
             return lambda state: states.update({state.n: (state.f_curr.copy(), state.f_prev.copy())})
 
         report = adaptive_codilated_one(problem, config, callback=log_into(adaptive))
-        plain_config = config.replace(method=Method.CODILATED_NU, epsilon=0.0,
+        plain_config = config._replace(method=Method.CODILATED_NU, epsilon=0.0,
                                       max_iter=report.iterations)
         codilated_nu(problem, 1.0, 1.0, plain_config, callback=log_into(plain))
         assert report.stop_reason is StopReason.DISCREPANCY
@@ -463,32 +463,6 @@ class TestConfigAndDriver:
         for method in (codilated_nu, codilated_ultraspherical):
             with pytest.raises(ValueError):
                 method(problem, 1.0, float("nan"), quiet_config())
-
-    @pytest.mark.parametrize("field,bad", [
-        ("epsilon", math.nan), ("tau", math.inf), ("omega", math.nan), ("max_iter", 2.5),
-    ])
-    def test_field_set_after_construction_rejected_before_any_apply(self, field, bad):
-        # a field set on a config skips the constructor's checks; every solve
-        # checks it again before the norm estimate or the first step
-        problem, applies = deriv2_problem(), []
-
-        def counted(apply):
-            return lambda x: applies.append(apply) or apply(x)
-
-        op = problem.operator
-        counting = LinearOperator(op.domain_dim, op.range_dim, *map(counted, (
-            op.matvec, op.rmatvec, op.matvec_rows, op.rmatvec_rows)))
-        problem = Problem(counting, problem.g)
-        for method in Method:
-            config = quiet_config(method=method, omega=96.5, epsilon=0.01, max_iter=300)
-            setattr(config, field, bad)
-            with pytest.raises(ValueError, match=field):
-                solve(problem, config)
-            if batchable(config, 1.0):
-                for lams in ([0.5, 1.0], []):  # an empty list is checked too
-                    with pytest.raises(ValueError, match=field):
-                        solve_dilations(problem, config, lams)
-        assert applies == []
 
     def test_max_iter_defaults(self):
         assert SolverConfig(method="landweber").resolved_max_iter() == 10**6
@@ -616,7 +590,7 @@ class TestConfigAndDriver:
         noisy = build_problem(ExperimentSpec(problem=problem_name, config=base))
         problem = noisy.as_problem()
         for method in Method:
-            config = base.replace(method=method)
+            config = base._replace(method=method)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RelaxationWarning)
                 plain = solve(problem, config)
@@ -847,7 +821,7 @@ class TestRelaxationWarnings:
         ):
             assert [w.filename for w in self.relaxation_warnings(run)] == [__file__]
         for method in Method:
-            record = self.relaxation_warnings(lambda: solve(problem, config.replace(method=method)))
+            record = self.relaxation_warnings(lambda: solve(problem, config._replace(method=method)))
             assert [w.filename for w in record] == ([] if method is Method.CG else [__file__])
 
     def test_cg_estimates_no_norm(self):
@@ -872,7 +846,7 @@ class TestRelaxationWarnings:
             assert [w.filename for w in record] == [__file__]
             assert "did not converge in 100000" in str(record[0].message)
         # beyond the bound too: still one warning, which says both
-        beyond = config.replace(omega=3.0)
+        beyond = config._replace(omega=3.0)
         record = self.relaxation_warnings(lambda: codilated_nu(problem, 1.0, 1.0, beyond))
         assert [w.filename for w in record] == [__file__]
         assert "> 1" in str(record[0].message) and "100000" in str(record[0].message)
@@ -889,7 +863,7 @@ class TestRelaxationWarnings:
         other = Problem(diagonal_operator(np.ones(4)), np.ones(4))
         config = quiet_config(omega=0.9, max_iter=3)
         solve(problem, config)
-        solve(problem, config.replace(method="landweber", omega=0.5))
+        solve(problem, config._replace(method="landweber", omega=0.5))
         solve_dilations(problem, config, [0.5, 1.0])
         solve_dilations(other, config, [0.5, 1.0])
         assert calls == [problem.operator, other.operator]
@@ -909,7 +883,7 @@ def assert_block_equals_singles(problem, config, lams):
     reports = solve_dilations(problem, config, lams)
     assert len(reports) == len(lams)
     for lam, report in zip(lams, reports):
-        assert_same_solve(report, solve(problem, config.replace(lam=lam)))
+        assert_same_solve(report, solve(problem, config._replace(lam=lam)))
     return reports
 
 
@@ -954,7 +928,7 @@ class TestSolveDilations:
     def test_stopped_rows(self, method, overrides, reasons):
         _, omega, eps, tau = PROBLEM_DEFAULTS["diag-last"]
         config = SolverConfig(method=method, nu=1.0, omega=omega, epsilon=eps, tau=tau)
-        config = config.replace(**overrides)
+        config = config._replace(**overrides)
         problem = build_problem(ExperimentSpec(problem="diag-last", config=config)).as_problem()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RelaxationWarning)
@@ -1004,7 +978,7 @@ class TestSolveDilations:
         recursive = {Method.CODILATED_NU: Method.ASYMMETRIC_SI,
                      Method.CODILATED_ULTRASPHERICAL: Method.GENERAL_SI}[method]
         for lam, report in zip([-1.0, 0.5], reports):
-            want = solve(problem, config.replace(method=recursive, lam=lam))
+            want = solve(problem, config._replace(method=recursive, lam=lam))
             assert (report.iterations, report.stop_reason) == (want.iterations, want.stop_reason)
             assert np.allclose(report.residual_history, want.residual_history, rtol=1e-13, atol=0)
 
@@ -1038,9 +1012,9 @@ class TestSolveDilations:
             with pytest.raises(ValueError):
                 solve_dilations(problem, config, [1.0, lam])
         assert batchable(config, 1.99) and batchable(config, -5.0)
-        assert not batchable(config.replace(nu=0.5), 0.1)  # no closed forms
+        assert not batchable(config._replace(nu=0.5), 0.1)  # no closed forms
         for method in set(Method) - set(BLOCK_METHODS):
-            assert not batchable(config.replace(method=method), 1.0)
+            assert not batchable(config._replace(method=method), 1.0)
             with pytest.raises(ValueError):
-                solve_dilations(problem, config.replace(method=method), [1.0])
+                solve_dilations(problem, config._replace(method=method), [1.0])
         assert solve_dilations(problem, config, []) == []

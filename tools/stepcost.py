@@ -224,7 +224,7 @@ def main(argv=None) -> int:
           f"{'overhead':>10}{'ratio':>7}")
     for method, lam, replay in cases:
         max_iter = args.landweber_steps if method is Method.LANDWEBER else None
-        config = base.replace(method=method, lam=lam, max_iter=max_iter)
+        config = base._replace(method=method, lam=lam, max_iter=max_iter)
         name = method.value if lam == 1.0 else f"{method.value} lam={lam}"
         k = solve(problem, config).iterations  # warm-up; also memoises the norm estimate
         (t_solve, t_plain), (report, history) = best_of(
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
             raise AssertionError(f"{name}: the plain loop's history differs from the solve's")
         print_row(name, k, t_solve, t_plain)
 
-    table1 = base.replace(method=Method.CODILATED_NU, nu=2.0)
+    table1 = base._replace(method=Method.CODILATED_NU, nu=2.0)
     table1_lams = [lam for method, nu, lam in TABLE1_ROWS
                    if method is Method.CODILATED_NU and nu == 2.0]
     n_d, omega_d, eps_d, tau_d = PROBLEM_DEFAULTS["diag-last"]
