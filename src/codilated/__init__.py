@@ -45,15 +45,8 @@ from .solvers import (
     SolveReport,
     SolverConfig,
     StopReason,
-    adaptive_codilated_one,
-    asymmetric_semi_iterative,
-    cg_normal_equations,
-    codilated_nu,
-    codilated_ultraspherical,
-    discrepancy_stop,
-    general_semi_iterative,
-    landweber,
     oracle_check,
+    semi_iterative,
     solve,
 )
 from .zeros import ZeroReport, find_polynomial_zeros, find_zeros, modulus_of_convergence

@@ -101,8 +101,9 @@ class ExperimentSpec(_ExperimentSpec):
     ``SolverConfig()``), optionally a dilation sweep, and an output path.
 
     A malformed sweep range, a problem size that is not an integer in 2 ..
-    ``MAX_N`` of the problem, or a zero degree outside 1 .. ``zeros.MAX_DEGREE``, raises
-    ValueError here, before any solve or allocation.
+    ``MAX_N`` of the problem, a zero degree outside 1 .. ``zeros.MAX_DEGREE``, a
+    config that is not a ``SolverConfig`` or a seed that is not an integer >= 0
+    raises ValueError here, before any solve or allocation.
     """
 
     __slots__ = ()
@@ -111,6 +112,9 @@ class ExperimentSpec(_ExperimentSpec):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         _problem_size(self.problem, self.n)
+        if not isinstance(self.config, SolverConfig):
+            raise ValueError(f"config must be a SolverConfig, not {self.config!r}")
+        _require_integer(self.seed, "seed", 0)
         if self.zero_degree is not None:
             _check_degree(self.zero_degree, "zero degree")
         self.sweep_values()  # rejects a malformed range here, not at the first sweep

@@ -1,5 +1,10 @@
 """Iteration schemes for the normal equation A*A f = A*g.
 
+The method that runs is always config.method, with config's nu, lam and
+cap: ``solve(problem, config)`` runs every method, and ``semi_iterative``
+runs general-si or asymmetric-si from a recurrence scheme, the one input a
+config cannot carry.
+
 Each method is a lazy generator of steps (f_n, f_{n-1}, mu_n, watched
 residual) run by one driver, ``_drive``, which owns the n = 0 entry, the
 residual history, the callback and the stall count.  The one stop test,
@@ -44,9 +49,9 @@ Every solve, single or block, passes one gate, ``_gate``, after it has
 built its coefficient stream (so an inadmissible (nu, lam) raises before any
 warning) and before its loop.  The gate checks omega ||A*A||, from the
 operator's memoised ``norm_estimate``, once per solve against the method's
-relaxation bound, skips cg, which has none, warns also where the level is not
-finite or the estimate did not converge (one warning per solve, naming the
-power iterations), and picks the method's default cap.
+relaxation bound, skips cg, which has none, and warns also where the level
+is not finite or the estimate did not converge (one warning per solve,
+naming the power iterations).
 
 Residual norms are recomputed from v = g - A f every step; nothing is
 updated incrementally, so histories do not drift over long runs.  A solve
@@ -91,14 +96,7 @@ __all__ = [
     "SolverConfig",
     "IterationState",
     "SolveReport",
-    "discrepancy_stop",
-    "landweber",
-    "general_semi_iterative",
-    "codilated_ultraspherical",
-    "asymmetric_semi_iterative",
-    "codilated_nu",
-    "adaptive_codilated_one",
-    "cg_normal_equations",
+    "semi_iterative",
     "oracle_check",
     "solve",
     "DILATION_KINDS",
@@ -221,25 +219,19 @@ class SolveReport(NamedTuple):
     gamma_final: float | None = None
 
 
-def discrepancy_stop(state: IterationState, tau: float, epsilon: float) -> bool:
-    """Morozov discrepancy principle: stop once ||A f_n - g|| < tau * epsilon."""
-    return state.residual_norm < tau * epsilon
-
-
 def _caller_stacklevel() -> int:
     """``warnings`` stacklevel of the first frame outside this module, counted
     from the function that calls this one, so a warning points at the user's
-    call whether it came through ``solve`` or a method function."""
+    call whichever public function of this module it came through."""
     level, frame = 1, sys._getframe(1)
     while frame is not None and frame.f_globals.get("__name__") == __name__:
         level, frame = level + 1, frame.f_back
     return level
 
 
-def _gate(problem: Problem, config: SolverConfig, method: Method) -> SolverConfig:
-    """config for method, so an unset max_iter takes method's default cap, after
-    the relaxation check (module docstring)."""
-    config = config._replace(method=method)
+def _gate(problem: Problem, config: SolverConfig) -> None:
+    """The relaxation check of config.method (module docstring)."""
+    method = config.method
     if method is not Method.CG:
         estimate = problem.operator.norm_estimate
         level = config.omega * estimate.value
@@ -256,7 +248,6 @@ def _gate(problem: Problem, config: SolverConfig, method: Method) -> SolverConfi
         if lapses:
             message = f"omega ||A*A|| = {level:.6g} " + ", and ".join(lapses)
             warnings.warn(message, RelaxationWarning, stacklevel=_caller_stacklevel())
-    return config
 
 
 def _stop_reason(rn, threshold, stalled, n, max_iter) -> StopReason | None:
@@ -336,73 +327,29 @@ def _two_step(problem, omega, coeffs, applies=None, state=None):
         yield f, f_prev, mu, v
 
 
-def landweber(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
-    """f_{n+1} = f_n + 2 omega A*(g - A f_n) from f_0 = 0."""
-    steps = _two_step(problem, config.omega, repeat((None, 2.0, 1.0)))
-    return _drive(problem, _gate(problem, config, Method.LANDWEBER), steps, callback)
+def semi_iterative(problem: Problem, scheme: RecurrenceScheme, dilation: CoDilation | None,
+                   config: SolverConfig, callback=None) -> SolveReport:
+    """config.method, general-si or asymmetric-si, driven by an arbitrary
+    monic recurrence scheme and dilation in place of config's nu and lam.
 
-
-def general_semi_iterative(
-    problem: Problem,
-    scheme: RecurrenceScheme,
-    dilation: CoDilation | None,
-    config: SolverConfig,
-    callback=None,
-) -> SolveReport:
-    """Semi-iterative method driven by an arbitrary monic recurrence scheme.
-
-    Reduces to ``landweber`` when alpha = beta = 0.
+    general-si has residual polynomials P_n(1 - 2y)/P_n(1) and reduces to
+    Landweber for the power-basis scheme; asymmetric-si has P_{2n}(sqrt(1-y))
+    /P_{2n}(1), which vanish at y = 1, so omega ||A*A|| = 1 is tolerated, and
+    needs a symmetric scheme.  Any other method raises ValueError before any
+    apply.
     """
-    return _recursive_solve(problem, scheme, dilation, config, Method.GENERAL_SI, callback)
-
-
-def codilated_ultraspherical(
-    problem: Problem, nu: float, lam: float, config: SolverConfig, callback=None
-) -> SolveReport:
-    """Symmetric-residual method with explicit co-dilated ultraspherical
-    coefficients (dilation index m = 1); lam = 1 is the Chebyshev method
-    of Stiefel for nu = 1."""
-    return _closed_form_solve(problem, nu, lam, config, Method.CODILATED_ULTRASPHERICAL, callback)
-
-
-def asymmetric_semi_iterative(
-    problem: Problem,
-    scheme: RecurrenceScheme,
-    dilation: CoDilation | None,
-    config: SolverConfig,
-    callback=None,
-) -> SolveReport:
-    """Method whose residual polynomials are P_{2n}(sqrt(1-y))/P_{2n}(1);
-    these vanish at y = 1, so omega ||A*A|| = 1 is tolerated."""
-    return _recursive_solve(problem, scheme, dilation, config, Method.ASYMMETRIC_SI, callback)
-
-
-def codilated_nu(
-    problem: Problem, nu: float, lam: float, config: SolverConfig, callback=None
-) -> SolveReport:
-    """Co-dilated nu-method: asymmetric residuals with explicit coefficients.
-
-    lam = 1 reproduces the classical nu-method; the start iterate is
-    f_1 = (2 nu + 2)/(2 nu + 2 - lam) omega A* g.
-    """
-    return _closed_form_solve(problem, nu, lam, config, Method.CODILATED_NU, callback)
-
-
-def _recursive_solve(problem, scheme, dilation, config, method, callback) -> SolveReport:
+    method = config.method
+    if method not in (Method.GENERAL_SI, Method.ASYMMETRIC_SI):
+        raise ValueError(f"method {method.value} takes no recurrence scheme")
     kind = DILATION_KINDS[method]
     if kind is ResidualKind.ASYMMETRIC and not scheme.symmetric:
         raise ValueError("asymmetric residual polynomials need a symmetric scheme")
     steps = _two_step(problem, config.omega, _recursive_coefficients(scheme, dilation, kind))
-    return _drive(problem, _gate(problem, config, method), steps, callback)
+    _gate(problem, config)
+    return _drive(problem, config, steps, callback)
 
 
-def _closed_form_solve(problem, nu, lam, config, method, callback) -> SolveReport:
-    coeffs = _closed_form_coefficients(UltrasphericalParams(nu), lam, DILATION_KINDS[method])
-    steps = _two_step(problem, config.omega, coeffs)
-    return _drive(problem, _gate(problem, config, method), steps, callback)
-
-
-def adaptive_codilated_one(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
+def _adaptive(problem: Problem, config: SolverConfig, callback) -> SolveReport:
     """Adaptive variant of the co-dilated 1-method.
 
     Runs the lam = 1 co-dilated nu-method at nu = 1 while tracking the
@@ -414,7 +361,7 @@ def adaptive_codilated_one(problem: Problem, config: SolverConfig, callback=None
     """
     kind = DILATION_KINDS[Method.CODILATED_NU]
     coeffs = _closed_form_coefficients(UltrasphericalParams(1.0), 1.0, kind)
-    config = _gate(problem, config, Method.ADAPTIVE_CODILATED_ONE)
+    _gate(problem, config)
     f = f_prev = np.zeros(problem.operator.domain_dim)
     gamma = 0.0
 
@@ -444,6 +391,14 @@ def adaptive_codilated_one(problem: Problem, config: SolverConfig, callback=None
 
 
 def _cg_steps(problem):
+    """Conjugate gradients on A*A f = A*g in factored least-squares form.
+
+    The direction algebra uses the classical recursive residual; the
+    reported and stopping norms are recomputed from g - A f each step.
+    Exhaustion of the Krylov space (normal residual at roundoff) stops
+    with STAGNATION; nonpositive direction curvature is a BREAKDOWN and
+    the current iterate is returned as-is.
+    """
     op, g = problem.operator, problem.g
     f = np.zeros(op.domain_dim)
     r = g.copy()
@@ -468,18 +423,6 @@ def _cg_steps(problem):
         gamma = gamma_new
 
 
-def cg_normal_equations(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
-    """Conjugate gradients on A*A f = A*g in factored least-squares form.
-
-    The direction algebra uses the classical recursive residual; the
-    reported and stopping norms are recomputed from g - A f each step.
-    Exhaustion of the Krylov space (normal residual at roundoff) stops
-    with STAGNATION; nonpositive direction curvature is a BREAKDOWN and
-    the current iterate is returned as-is.
-    """
-    return _drive(problem, _gate(problem, config, Method.CG), _cg_steps(problem), callback)
-
-
 def _residual_polynomial(config: SolverConfig):
     """(scheme, dilation, kind) of the residual polynomials r_n of config's
     method, f - f_n = r_n(omega A*A) f: Landweber's (1 - 2y)^n from the power
@@ -501,14 +444,17 @@ def oracle_check(diag, f_true, config: SolverConfig, n_max: int) -> float:
     config with epsilon = 0 for n_max steps, and compares f_true - f_n against
     r_n(omega sigma_i^2) f_true componentwise at every step, r_n the method's
     residual polynomial.  Deviations are measured relative to the sup norm of
-    f_true.  cg and the adaptive method raise ValueError before any apply.
+    f_true.  An all-zero f_true, cg and the adaptive method raise ValueError
+    before any apply.
     """
     scheme, dilation, kind = _residual_polynomial(config)
     d = np.asarray(diag, dtype=float)
     f_true = np.asarray(f_true, dtype=float)
+    scale = float(np.max(np.abs(f_true)))
+    if scale == 0.0:
+        raise ValueError("f_true must have a nonzero entry: deviations are relative to it")
     problem = Problem(diagonal_operator(d), d * f_true)
     y = config.omega * d * d
-    scale = float(np.max(np.abs(f_true)))
     worst = 0.0
 
     def cb(state):
@@ -522,19 +468,28 @@ def oracle_check(diag, f_true, config: SolverConfig, n_max: int) -> float:
 
 
 def solve(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
-    """Dispatch on config.method; the methods of ``DILATION_KINDS`` use the
-    co-dilated (m = 1) ultraspherical family with the config's nu and lam."""
+    """Run config.method; the methods of ``DILATION_KINDS`` use the co-dilated
+    (m = 1) ultraspherical family at config's nu and lam, which cg and the
+    adaptive method ignore.  Landweber is f_{n+1} = f_n + 2 omega A*(g - A f_n);
+    codilated-ultraspherical at nu = lam = 1 is Stiefel's Chebyshev method, and
+    codilated-nu at lam = 1 the classical nu-method, with the start iterate
+    f_1 = (2 nu + 2)/(2 nu + 2 - lam) omega A* g."""
     method = config.method
     if method in _CLOSED_FORM:
-        return _closed_form_solve(problem, config.nu, config.lam, config, method, callback)
-    if method in DILATION_KINDS:
+        coeffs = _closed_form_coefficients(UltrasphericalParams(config.nu), config.lam,
+                                           DILATION_KINDS[method])
+        steps = _two_step(problem, config.omega, coeffs)
+    elif method in DILATION_KINDS:
         scheme, dilation, _ = _residual_polynomial(config)
-        return _recursive_solve(problem, scheme, dilation, config, method, callback)
-    if method is Method.LANDWEBER:
-        return landweber(problem, config, callback)
-    if method is Method.CG:
-        return cg_normal_equations(problem, config, callback)
-    return adaptive_codilated_one(problem, config, callback)
+        return semi_iterative(problem, scheme, dilation, config, callback)
+    elif method is Method.LANDWEBER:
+        steps = _two_step(problem, config.omega, repeat((None, 2.0, 1.0)))
+    elif method is Method.CG:
+        steps = _cg_steps(problem)
+    else:
+        return _adaptive(problem, config, callback)
+    _gate(problem, config)
+    return _drive(problem, config, steps, callback)
 
 
 def batchable(config: SolverConfig, lam: float) -> bool:
@@ -566,7 +521,7 @@ def solve_dilations(problem: Problem, config: SolverConfig, lams) -> list[SolveR
         raise ValueError(f"method {config.method.value} has no block iteration")
     column, kind = np.asarray(lams, float).reshape(-1, 1), DILATION_KINDS[config.method]
     coeffs = _closed_form_coefficients(UltrasphericalParams(config.nu), column, kind)
-    config = _gate(problem, config, config.method)  # an empty list is checked too
+    _gate(problem, config)  # an empty list is checked too
     if len(column) == 0:
         return []
     return _drive_block(problem, config, coeffs, len(column))

@@ -44,7 +44,7 @@ from codilated.orthopoly import (
     residual_eval,
     ultraspherical_scheme,
 )
-from codilated.solvers import Method, SolverConfig, landweber, oracle_check
+from codilated.solvers import Method, SolverConfig, oracle_check, solve
 from codilated.zeros import find_polynomial_zeros, find_zeros, modulus_of_convergence
 
 CHEB = chebyshev_u_scheme()
@@ -105,9 +105,7 @@ def test_criterion_1_iteration_table():
 
         t0 = time.perf_counter()
         problem = build_problem(deriv2_spec()).as_problem()
-        lw = landweber(
-            problem, SolverConfig(method="landweber", omega=96.5, epsilon=0.01, tau=4.0)
-        )
+        lw = solve(problem, SolverConfig(method="landweber", omega=96.5, epsilon=0.01, tau=4.0))
         lw_elapsed = time.perf_counter() - t0
         assert abs(lw.iterations - 359379) <= 0.20 * 359379
         assert lw_elapsed < 600.0

@@ -546,6 +546,15 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--seed", "-1"],
+        ["solve", "--problem", "diag-last", "--seed", "-3"],
+    ], ids=["table1", "solve"])
+    def test_negative_seed_names_the_flag(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: seed must be >= 0\n"
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(["solve", "--help"])

@@ -199,6 +199,12 @@ def test_solver_config_fields_are_the_cli_config_options():
     ({"zero_degree": MAX_DEGREE + 1}, f"zero degree must be <= {MAX_DEGREE}"),
     ({"sweep": (1.0, 0.5, 0.1)}, "sweep range must be finite"),
     ({"sweep": [1.0, math.nan]}, "sweep values must be finite"),
+    ({"config": None}, "config must be a SolverConfig"),
+    ({"config": {}}, "config must be a SolverConfig"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": "7"}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be >= 0"),  # also where epsilon = 0, as here, draws no noise
 ])
 def test_experiment_spec_checks_at_construction_and_replace(kwargs, message):
     with pytest.raises(ValueError, match=message):

@@ -29,21 +29,13 @@ from codilated.solvers import (
     DILATION_KINDS,
     STAGNATION_RTOL,
     STAGNATION_STEPS,
-    IterationState,
     Method,
     RelaxationWarning,
     SolverConfig,
     StopReason,
-    adaptive_codilated_one,
-    asymmetric_semi_iterative,
     batchable,
-    cg_normal_equations,
-    codilated_nu,
-    codilated_ultraspherical,
-    discrepancy_stop,
-    general_semi_iterative,
-    landweber,
     oracle_check,
+    semi_iterative,
     solve,
     solve_dilations,
 )
@@ -51,6 +43,7 @@ from codilated.solvers import _drive, _stop_reason
 from test_orthopoly import textbook_closed_form
 
 CHEB = chebyshev_u_scheme()
+SCHEME_METHODS = [Method.GENERAL_SI, Method.ASYMMETRIC_SI]  # the methods semi_iterative runs
 
 
 def quiet_config(**kw):
@@ -77,14 +70,14 @@ def deriv2_problem(seed=15, n=50):
 class TestLandweber:
     def test_scalar_first_step(self):
         problem = Problem(diagonal_operator(np.array([1.0])), np.array([1.0]))
-        report = landweber(problem, quiet_config(method="landweber", omega=0.25, max_iter=1))
+        report = solve(problem, quiet_config(method="landweber", omega=0.25, max_iter=1))
         assert report.f_final[0] == 0.5
 
     def test_scalar_closed_form(self):
         # 1 - f_n = (1 - 2 omega)^n for A = [1], g = 1
         problem = Problem(diagonal_operator(np.array([1.0])), np.array([1.0]))
         log = iterate_log(
-            lambda cb: landweber(
+            lambda cb: solve(
                 problem, quiet_config(method="landweber", omega=0.25, max_iter=30), callback=cb
             )
         )
@@ -94,10 +87,10 @@ class TestLandweber:
     def test_equals_general_with_degenerate_scheme(self):
         problem = deriv2_problem()
         config = quiet_config(method="landweber", omega=96.5, max_iter=120)
-        log_lw = iterate_log(lambda cb: landweber(problem, config, callback=cb))
+        log_lw = iterate_log(lambda cb: solve(problem, config, callback=cb))
         log_gen = iterate_log(
-            lambda cb: general_semi_iterative(
-                problem, power_basis_scheme(), None, config, callback=cb
+            lambda cb: semi_iterative(
+                problem, power_basis_scheme(), None, config._replace(method="general-si"), cb
             )
         )
         for n in log_lw:
@@ -107,7 +100,7 @@ class TestLandweber:
 
     def test_history_shape_and_maxiter(self):
         problem = deriv2_problem()
-        report = landweber(problem, quiet_config(method="landweber", omega=96.5, max_iter=75))
+        report = solve(problem, quiet_config(method="landweber", omega=96.5, max_iter=75))
         assert report.stop_reason is StopReason.MAX_ITER
         assert report.iterations == 75
         assert report.residual_history.shape == (76,)
@@ -121,12 +114,8 @@ class TestGeneralSemiIterative:
         problem = deriv2_problem()
         op, g = problem.operator, problem.g
         omega, lam = 96.5, 1.5
-        config = quiet_config(omega=omega, max_iter=50)
-        log = iterate_log(
-            lambda cb: general_semi_iterative(
-                problem, CHEB, CoDilation(1, lam), config, callback=cb
-            )
-        )
+        config = quiet_config(method="general-si", omega=omega, max_iter=50)
+        log = iterate_log(lambda cb: semi_iterative(problem, CHEB, CoDilation(1, lam), config, cb))
         f_prev = np.zeros(op.domain_dim)
         f = 2.0 * omega * op.rmatvec(g)
         for n in range(1, 50):
@@ -137,10 +126,9 @@ class TestGeneralSemiIterative:
 
     def test_divergent_dilation_raises(self):
         problem = deriv2_problem()
+        config = quiet_config(method="general-si", omega=96.5, max_iter=500)
         with pytest.raises(DivergentNormalization):
-            general_semi_iterative(
-                problem, CHEB, CoDilation(1, 2.5), quiet_config(omega=96.5, max_iter=500)
-            )
+            semi_iterative(problem, CHEB, CoDilation(1, 2.5), config)
 
     def test_late_non_positive_beta_rejected(self):
         # beta_1 .. beta_8 pass the scheme's own check; beta_9 = -1 or NaN is
@@ -150,19 +138,31 @@ class TestGeneralSemiIterative:
             scheme = RecurrenceScheme(
                 alpha=lambda n: 0.0, beta=lambda n, b=late: 0.25 if n < 9 else b, symmetric=True
             )
-            for method in (general_semi_iterative, asymmetric_semi_iterative):
+            for method in SCHEME_METHODS:
                 for max_iter in (200, 1):  # capped long before beta_9 is needed too
+                    config = quiet_config(method=method, omega=0.9, max_iter=max_iter)
                     with pytest.raises(ValueError, match=r"beta\(9\)"):
-                        method(problem, scheme, None, quiet_config(omega=0.9, max_iter=max_iter))
+                        semi_iterative(problem, scheme, None, config)
 
     def test_negative_dilation_still_runs(self):
         # the check is on the base beta_m, not on the dilated lam beta_m
         problem = Problem(diagonal_operator(1.0 / np.arange(1.0, 11.0)), np.ones(10))
         config = quiet_config(omega=0.9, max_iter=200)
         scheme = ultraspherical_scheme(UltrasphericalParams(2.0))
-        for method in (general_semi_iterative, asymmetric_semi_iterative):
-            report = method(problem, scheme, CoDilation(1, -0.5), config)
+        for method in SCHEME_METHODS:
+            config = config._replace(method=method)
+            report = semi_iterative(problem, scheme, CoDilation(1, -0.5), config)
             assert report.iterations == 200
+
+    def test_method_without_scheme_rejected_before_any_apply(self, monkeypatch):
+        applies = []  # a stand-in apply that a solve could not run on
+        for name in ("matvec", "rmatvec"):
+            monkeypatch.setattr(LinearOperator, name, lambda op, x: applies.append(x))
+        problem = Problem(diagonal_operator(np.ones(2)), np.ones(2))
+        for method in set(Method) - set(SCHEME_METHODS):
+            with pytest.raises(ValueError, match="takes no recurrence scheme"):
+                semi_iterative(problem, CHEB, None, quiet_config(method=method, max_iter=5))
+        assert applies == []
 
 
 class TestCodilatedUltraspherical:
@@ -172,12 +172,10 @@ class TestCodilatedUltraspherical:
         config = quiet_config(omega=96.5, max_iter=200)
         scheme = ultraspherical_scheme(UltrasphericalParams(nu))
         dil = None if lam == 1.0 else CoDilation(1, lam)
-        log_closed = iterate_log(
-            lambda cb: codilated_ultraspherical(problem, nu, lam, config, callback=cb)
-        )
-        log_scheme = iterate_log(
-            lambda cb: general_semi_iterative(problem, scheme, dil, config, callback=cb)
-        )
+        closed = config._replace(method="codilated-ultraspherical", nu=nu, lam=lam)
+        log_closed = iterate_log(lambda cb: solve(problem, closed, cb))
+        general = config._replace(method="general-si")
+        log_scheme = iterate_log(lambda cb: semi_iterative(problem, scheme, dil, general, cb))
         for n in log_closed:
             scale = max(1.0, np.max(np.abs(log_scheme[n])))
             assert np.max(np.abs(log_closed[n] - log_scheme[n])) <= 1e-11 * scale
@@ -185,12 +183,10 @@ class TestCodilatedUltraspherical:
     def test_stiefel_reduction(self):
         # nu = 1, lam = 1 is the Chebyshev-of-the-second-kind method
         problem = deriv2_problem()
-        config = quiet_config(omega=96.5, max_iter=100)
-        log_closed = iterate_log(
-            lambda cb: codilated_ultraspherical(problem, 1.0, 1.0, config, callback=cb)
-        )
+        config = quiet_config(method="codilated-ultraspherical", omega=96.5, max_iter=100)
+        log_closed = iterate_log(lambda cb: solve(problem, config, cb))
         log_cheb = iterate_log(
-            lambda cb: general_semi_iterative(problem, CHEB, None, config, callback=cb)
+            lambda cb: semi_iterative(problem, CHEB, None, config._replace(method="general-si"), cb)
         )
         for n in log_closed:
             scale = max(1.0, np.max(np.abs(log_cheb[n])))
@@ -198,10 +194,9 @@ class TestCodilatedUltraspherical:
 
     def test_rejects_inadmissible(self):
         problem = deriv2_problem()
-        with pytest.raises(ValueError):
-            codilated_ultraspherical(problem, 0.5, 0.5, quiet_config())
-        with pytest.raises(ValueError):
-            codilated_ultraspherical(problem, 1.0, 2.0, quiet_config())
+        for nu, lam in ((0.5, 0.5), (1.0, 2.0)):
+            with pytest.raises(ValueError):
+                solve(problem, quiet_config(method="codilated-ultraspherical", nu=nu, lam=lam))
 
 
 class TestAsymmetricAndNuMethods:
@@ -211,10 +206,9 @@ class TestAsymmetricAndNuMethods:
         config = quiet_config(omega=96.5, max_iter=500)
         scheme = ultraspherical_scheme(UltrasphericalParams(nu))
         dil = None if lam == 1.0 else CoDilation(1, lam)
-        log_nu = iterate_log(lambda cb: codilated_nu(problem, nu, lam, config, callback=cb))
-        log_asym = iterate_log(
-            lambda cb: asymmetric_semi_iterative(problem, scheme, dil, config, callback=cb)
-        )
+        log_nu = iterate_log(lambda cb: solve(problem, config._replace(nu=nu, lam=lam), cb))
+        asymmetric = config._replace(method="asymmetric-si")
+        log_asym = iterate_log(lambda cb: semi_iterative(problem, scheme, dil, asymmetric, cb))
         for n in log_nu:
             scale = max(1.0, np.max(np.abs(log_asym[n])))
             assert np.max(np.abs(log_nu[n] - log_asym[n])) <= 1e-11 * scale
@@ -224,11 +218,8 @@ class TestAsymmetricAndNuMethods:
         problem = deriv2_problem()
         op, g = problem.operator, problem.g
         for lam in (0.0, 1.0, 1.5):
-            log = iterate_log(
-                lambda cb: codilated_nu(
-                    problem, 1.0, lam, quiet_config(omega=96.5, max_iter=1), callback=cb
-                )
-            )
+            config = quiet_config(method="codilated-nu", lam=lam, omega=96.5, max_iter=1)
+            log = iterate_log(lambda cb: solve(problem, config, cb))
             expected = 4.0 / (4.0 - lam) * 96.5 * op.rmatvec(g)
             assert np.max(np.abs(log[1] - expected)) <= 1e-14 * np.max(np.abs(expected))
 
@@ -236,7 +227,7 @@ class TestAsymmetricAndNuMethods:
         problem = deriv2_problem()
         skewed = power_basis_scheme()._replace(symmetric=False)
         with pytest.raises(ValueError):
-            asymmetric_semi_iterative(problem, skewed, None, quiet_config())
+            semi_iterative(problem, skewed, None, quiet_config(method="asymmetric-si"))
 
 
 class TestOracleEquivalence:
@@ -281,19 +272,28 @@ class TestOracleEquivalence:
                 oracle_check(np.array([0.7, 0.2]), np.ones(2), SolverConfig(method), 5)
         assert applies == []
 
+    def test_zero_f_true_rejected_before_any_apply(self, monkeypatch):
+        # deviations are relative to the sup norm of f_true, which is 0 here
+        applies = []
+        for name in ("matvec", "rmatvec"):
+            monkeypatch.setattr(LinearOperator, name, lambda op, x: applies.append(x))
+        with pytest.raises(ValueError, match="f_true must have a nonzero entry"):
+            oracle_check([1.0, 0.5], [0.0, 0.0], SolverConfig("landweber", omega=0.5), 5)
+        assert applies == []
+
 
 class TestAdaptive:
     def test_matches_lam_one_iteration_with_independent_minimiser(self):
         # reconstruct v_min from the plain lam = 1 residual track and compare
         problem = deriv2_problem()
-        config = quiet_config(omega=96.5, epsilon=0.01, max_iter=900)
+        config = quiet_config(method="codilated-nu", omega=96.5, max_iter=900)
         residuals = {}
 
         def cb(state):
             residuals[state.n] = state.residual.copy()
 
-        codilated_nu(problem, 1.0, 1.0, quiet_config(omega=96.5, max_iter=900), callback=cb)
-        report = adaptive_codilated_one(problem, config)
+        solve(problem, config, callback=cb)
+        report = solve(problem, config._replace(method="adaptive-codilated-one", epsilon=0.01))
         assert report.stop_reason is StopReason.DISCREPANCY
         n_stop = report.iterations
         for n in range(1, min(n_stop + 1, 200)):
@@ -311,10 +311,9 @@ class TestAdaptive:
         def cb(state):
             residuals[state.n] = state.residual.copy()
 
-        codilated_nu(problem, 1.0, 1.0, quiet_config(omega=96.5, max_iter=300), callback=cb)
-        report = adaptive_codilated_one(
-            problem, quiet_config(omega=96.5, epsilon=0.01, max_iter=300)
-        )
+        config = quiet_config(method="codilated-nu", omega=96.5, max_iter=300)
+        solve(problem, config, callback=cb)
+        report = solve(problem, config._replace(method="adaptive-codilated-one", epsilon=0.01))
         for n in range(1, min(report.iterations, 300)):
             v, v_prev = residuals[n], residuals[n - 1]
             dv = v - v_prev
@@ -329,13 +328,14 @@ class TestAdaptive:
 
     def test_final_correction_and_lambda(self):
         problem = deriv2_problem()
-        config = quiet_config(omega=96.5, epsilon=0.01, max_iter=2000)
+        config = quiet_config(method="adaptive-codilated-one", omega=96.5, epsilon=0.01,
+                              max_iter=2000)
         states = {}
 
         def cb(state):
             states[state.n] = (state.f_curr.copy(), state.f_prev.copy())
 
-        report = adaptive_codilated_one(problem, config, callback=cb)
+        report = solve(problem, config, callback=cb)
         n = report.iterations
         f_n, f_prev = states[n]
         gamma = report.gamma_final
@@ -347,7 +347,8 @@ class TestAdaptive:
     def test_stagnates_on_zero_operator(self):
         op = diagonal_operator(np.zeros(4))
         problem = Problem(op, np.ones(4))
-        report = adaptive_codilated_one(problem, quiet_config(epsilon=0.01, max_iter=500))
+        config = quiet_config(method="adaptive-codilated-one", epsilon=0.01, max_iter=500)
+        report = solve(problem, config)
         assert report.stop_reason is StopReason.STAGNATION
         assert report.chosen_lambda == 1.0  # gamma degenerate, iterate untouched
 
@@ -361,10 +362,10 @@ class TestAdaptive:
         def log_into(states):
             return lambda state: states.update({state.n: (state.f_curr.copy(), state.f_prev.copy())})
 
-        report = adaptive_codilated_one(problem, config, callback=log_into(adaptive))
+        report = solve(problem, config, callback=log_into(adaptive))
         plain_config = config._replace(method=Method.CODILATED_NU, epsilon=0.0,
                                       max_iter=report.iterations)
-        codilated_nu(problem, 1.0, 1.0, plain_config, callback=log_into(plain))
+        solve(problem, plain_config, callback=log_into(plain))
         assert report.stop_reason is StopReason.DISCREPANCY
         assert adaptive.keys() == plain.keys() == set(range(report.iterations + 1))
         for n, (f_curr, f_prev) in adaptive.items():
@@ -380,7 +381,7 @@ class TestAdaptive:
         def cb(state):
             states[state.n] = state.f_curr.copy()
 
-        report = adaptive_codilated_one(problem, config, callback=cb)
+        report = solve(problem, config, callback=cb)
         assert report.iterations == 2
         assert report.stop_reason is StopReason.MAX_ITER
         assert report.gamma_final == 1.0
@@ -392,7 +393,7 @@ class TestAdaptive:
 class TestCg:
     def test_identity_single_step(self):
         problem = Problem(diagonal_operator(np.ones(6)), np.arange(1.0, 7.0))
-        report = cg_normal_equations(problem, quiet_config(method="cg"))
+        report = solve(problem, quiet_config(method="cg"))
         assert report.iterations == 1
         assert np.max(np.abs(report.f_final - problem.g)) <= 1e-12
 
@@ -406,35 +407,20 @@ class TestCg:
 
         f_true = rng.standard_normal(100)
         problem = Problem(matrix_operator(a), a @ f_true)
-        capped = cg_normal_equations(problem, quiet_config(method="cg", max_iter=5))
+        capped = solve(problem, quiet_config(method="cg", max_iter=5))
         assert np.linalg.norm(capped.f_final - f_true) <= 1e-10 * np.linalg.norm(f_true)
         # the free-running solve detects Krylov exhaustion within a few
         # roundoff-delayed steps past the exact-arithmetic termination
-        free = cg_normal_equations(problem, quiet_config(method="cg"))
+        free = solve(problem, quiet_config(method="cg"))
         assert free.iterations <= 8
         assert free.stop_reason is StopReason.STAGNATION
 
     def test_discrepancy_stop_on_noisy_problem(self):
         problem = deriv2_problem()
-        report = cg_normal_equations(
-            problem, quiet_config(method="cg", epsilon=0.01, omega=96.5)
-        )
+        report = solve(problem, quiet_config(method="cg", epsilon=0.01, omega=96.5))
         assert report.stop_reason is StopReason.DISCREPANCY
         assert report.residual_history[-1] < 4 * 0.01
         assert 12 <= report.iterations <= 50
-
-
-class TestDiscrepancyStop:
-    def _state(self, rn):
-        z = np.zeros(1)
-        return IterationState(3, z, z, 1.0, z, rn)
-
-    def test_thresholds(self):
-        assert discrepancy_stop(self._state(0.039), 4.0, 0.01)
-        assert not discrepancy_stop(self._state(0.041), 4.0, 0.01)
-
-    def test_zero_epsilon_never_stops(self):
-        assert not discrepancy_stop(self._state(1e-200), 4.0, 0.0)
 
 
 class TestConfigAndDriver:
@@ -459,10 +445,6 @@ class TestConfigAndDriver:
                     SolverConfig(**{field: bad})
             with pytest.raises(ValueError):
                 CoDilation(1, bad)
-        problem = Problem(diagonal_operator(np.ones(3)), np.ones(3))
-        for method in (codilated_nu, codilated_ultraspherical):
-            with pytest.raises(ValueError):
-                method(problem, 1.0, float("nan"), quiet_config())
 
     def test_max_iter_defaults(self):
         assert SolverConfig(method="landweber").resolved_max_iter() == 10**6
@@ -470,43 +452,39 @@ class TestConfigAndDriver:
         assert SolverConfig(method="codilated-nu").resolved_max_iter() == 10**4
         assert SolverConfig(method="cg", max_iter=7).resolved_max_iter() == 7
 
-    def test_method_functions_take_their_own_default_cap(self, monkeypatch):
+    def test_unset_cap_is_the_cap_of_config_method_on_every_entry(self, monkeypatch):
         class Reached(Exception):
             pass
 
         caps = []
 
-        def driver(problem, config, steps, callback):
+        def driver(problem, config, *rest):
             caps.append(config.resolved_max_iter())
             raise Reached
 
         monkeypatch.setattr("codilated.solvers._drive", driver)
+        monkeypatch.setattr("codilated.solvers._drive_block", driver)
         problem = Problem(diagonal_operator(np.array([0.5, 0.25])), np.ones(2))
-        runs = [
-            (lambda c: landweber(problem, c), 10**6),
-            (lambda c: cg_normal_equations(problem, c), 10**3),
-            (lambda c: general_semi_iterative(problem, CHEB, None, c), 10**4),
-            (lambda c: asymmetric_semi_iterative(problem, CHEB, None, c), 10**4),
-            (lambda c: codilated_ultraspherical(problem, 1.0, 1.0, c), 10**4),
-            (lambda c: codilated_nu(problem, 1.0, 1.0, c), 10**4),
-            (lambda c: adaptive_codilated_one(problem, c), 10**4),
-        ]
-        for run, cap in runs:
-            for method in ("landweber", "cg", "codilated-nu"):  # config.method picks no cap
-                with pytest.raises(Reached):
-                    run(quiet_config(method=method))
-                assert caps.pop() == cap
+        runs = [(method, lambda c: solve(problem, c)) for method in Method]
+        runs += [(method, lambda c: semi_iterative(problem, CHEB, None, c))
+                 for method in SCHEME_METHODS]
+        runs += [(method, lambda c: solve_dilations(problem, c, [1.0])) for method in BLOCK_METHODS]
+        caps_by_method = {Method.LANDWEBER: 10**6, Method.CG: 10**3}
+        for method, run in runs:
+            with pytest.raises(Reached):
+                run(quiet_config(method=method))
+            assert caps.pop() == caps_by_method.get(method, 10**4)
 
     def test_landweber_runs_past_the_default_cap_of_other_methods(self):
         # the residual norm is (1 - 1e-4)^n, below 4 * 0.075 first at n = 12 040
         problem = Problem(diagonal_operator(np.array([1.0, 0.01])), np.ones(2))
-        report = landweber(problem, quiet_config(omega=0.5, epsilon=0.075))
+        report = solve(problem, quiet_config(method="landweber", omega=0.5, epsilon=0.075))
         assert report.stop_reason is StopReason.DISCREPANCY
         assert report.iterations == 12040
 
     def test_history_contract(self):
         problem = deriv2_problem()
-        report = codilated_nu(problem, 1.0, 1.0, quiet_config(omega=96.5, epsilon=0.01))
+        report = solve(problem, quiet_config(method="codilated-nu", omega=96.5, epsilon=0.01))
         assert report.residual_history.shape == (report.iterations + 1,)
         assert report.stop_reason is StopReason.DISCREPANCY
         assert report.residual_history[-1] < 4 * 0.01
@@ -514,15 +492,15 @@ class TestConfigAndDriver:
 
     def test_deterministic_reports(self):
         problem = deriv2_problem()
-        config = quiet_config(omega=96.5, epsilon=0.01)
-        a = codilated_nu(problem, 1.0, 1.5, config)
-        b = codilated_nu(problem, 1.0, 1.5, config)
+        config = quiet_config(method="codilated-nu", lam=1.5, omega=96.5, epsilon=0.01)
+        a = solve(problem, config)
+        b = solve(problem, config)
         assert np.array_equal(a.residual_history, b.residual_history)
         assert np.array_equal(a.f_final, b.f_final)
 
     def test_stagnation_on_zero_operator(self):
         problem = Problem(diagonal_operator(np.zeros(3)), np.ones(3))
-        report = landweber(problem, quiet_config(method="landweber", epsilon=0.0))
+        report = solve(problem, quiet_config(method="landweber", epsilon=0.0))
         assert report.stop_reason is StopReason.STAGNATION
 
     def test_zero_cap_applies_no_operator(self):
@@ -603,7 +581,7 @@ class TestConfigAndDriver:
     def test_stagnation_counts_from_step_one(self):
         problem = Problem(diagonal_operator(np.zeros(3)), np.ones(3))
         for callback in (None, lambda state: None):
-            report = landweber(problem, quiet_config(method="landweber"), callback)
+            report = solve(problem, quiet_config(method="landweber"), callback)
             assert report.stop_reason is StopReason.STAGNATION
             assert report.iterations == STAGNATION_STEPS + 1
 
@@ -740,43 +718,36 @@ class TestRelaxationWarnings:
     def test_landweber_warns_at_one(self):
         problem = Problem(diagonal_operator(np.ones(4)), np.ones(4))
         with pytest.warns(RelaxationWarning):
-            landweber(problem, quiet_config(method="landweber", omega=1.0, max_iter=3))
+            solve(problem, quiet_config(method="landweber", omega=1.0, max_iter=3))
 
     def test_symmetric_method_warns_above_one(self):
         problem = Problem(diagonal_operator(np.ones(4)), np.ones(4))
         with pytest.warns(RelaxationWarning):
-            codilated_ultraspherical(problem, 1.0, 1.0, quiet_config(omega=1.5, max_iter=3))
+            solve(problem, quiet_config(method="codilated-ultraspherical", omega=1.5, max_iter=3))
 
     def test_asymmetric_tolerates_equality(self):
         problem = Problem(diagonal_operator(np.ones(4)), np.ones(4))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RelaxationWarning)
-            codilated_nu(problem, 1.0, 1.0, quiet_config(omega=1.0, max_iter=3))
+            solve(problem, quiet_config(method="codilated-nu", omega=1.0, max_iter=3))
 
     def test_symmetric_method_quiet_below_one(self):
         problem = deriv2_problem()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RelaxationWarning)
-            codilated_ultraspherical(problem, 1.0, 1.0, quiet_config(omega=96.5, max_iter=3))
+            solve(problem, quiet_config(method="codilated-ultraspherical", omega=96.5, max_iter=3))
 
     def test_warning_points_at_caller(self):
         problem = Problem(diagonal_operator(np.ones(4)), np.ones(4))
         for run in (
-            lambda: landweber(problem, quiet_config(method="landweber", omega=1.0, max_iter=3)),
-            lambda: codilated_ultraspherical(problem, 1.0, 1.0, quiet_config(omega=1.5, max_iter=3)),
+            lambda: solve(problem, quiet_config(method="landweber", omega=1.0, max_iter=3)),
+            lambda: solve(
+                problem, quiet_config(method="codilated-ultraspherical", omega=1.5, max_iter=3)),
+            lambda: semi_iterative(
+                problem, CHEB, None, quiet_config(method="general-si", omega=1.5, max_iter=3)),
         ):
             with pytest.warns(RelaxationWarning) as record:
                 run()
-            assert [w.filename for w in record] == [__file__]
-
-    def test_warning_through_solve_points_at_caller(self):
-        problem = Problem(diagonal_operator(np.ones(4)), np.ones(4))
-        for config in (
-            quiet_config(method="landweber", omega=1.0, max_iter=3),
-            quiet_config(method="codilated-ultraspherical", omega=1.5, max_iter=3),
-        ):
-            with pytest.warns(RelaxationWarning) as record:
-                solve(problem, config)
             assert [w.filename for w in record] == [__file__]
 
     def test_block_warns_once_at_caller(self):
@@ -797,10 +768,11 @@ class TestRelaxationWarnings:
         # the power iteration meets the NaN entry at once: NormEstimate(nan, False, 1)
         d = np.array([1.0, math.nan, 0.5])
         problem = Problem(LinearOperator(3, 3, lambda x: d * x, lambda x: d * x), np.ones(3))
+        config = quiet_config(method="codilated-nu", omega=0.5, max_iter=3)
         for run in (
-            lambda: landweber(problem, quiet_config(omega=0.5, max_iter=3)),
-            lambda: codilated_nu(problem, 1.0, 1.0, quiet_config(omega=0.5, max_iter=3)),
-            lambda: solve_dilations(problem, quiet_config(omega=0.5, max_iter=3), [0.5, 1.0]),
+            lambda: solve(problem, config._replace(method="landweber")),
+            lambda: solve(problem, config),
+            lambda: solve_dilations(problem, config, [0.5, 1.0]),
         ):
             record = self.relaxation_warnings(run)
             assert [w.filename for w in record] == [__file__]
@@ -810,24 +782,20 @@ class TestRelaxationWarnings:
         # omega ||A*A|| = 1.5: beyond the bound of every method
         problem = Problem(diagonal_operator(np.ones(4)), np.ones(4))
         config = quiet_config(omega=1.5, max_iter=3)
-        for run in (
-            lambda: landweber(problem, config),
-            lambda: general_semi_iterative(problem, CHEB, None, config),
-            lambda: codilated_ultraspherical(problem, 1.0, 1.0, config),
-            lambda: asymmetric_semi_iterative(problem, CHEB, None, config),
-            lambda: codilated_nu(problem, 1.0, 1.0, config),
-            lambda: adaptive_codilated_one(problem, config),
-            lambda: solve_dilations(problem, config, [0.5, 1.0, 1.5]),
-        ):
-            assert [w.filename for w in self.relaxation_warnings(run)] == [__file__]
         for method in Method:
             record = self.relaxation_warnings(lambda: solve(problem, config._replace(method=method)))
             assert [w.filename for w in record] == ([] if method is Method.CG else [__file__])
+        for method in SCHEME_METHODS:
+            record = self.relaxation_warnings(
+                lambda: semi_iterative(problem, CHEB, None, config._replace(method=method)))
+            assert [w.filename for w in record] == [__file__]
+        record = self.relaxation_warnings(lambda: solve_dilations(problem, config, [0.5, 1.0, 1.5]))
+        assert [w.filename for w in record] == [__file__]
 
     def test_cg_estimates_no_norm(self):
         problem = Problem(diagonal_operator(np.ones(4)), np.ones(4))
         assert self.relaxation_warnings(
-            lambda: cg_normal_equations(problem, quiet_config(omega=1.5, max_iter=3))
+            lambda: solve(problem, quiet_config(method="cg", omega=1.5, max_iter=3))
         ) == []
         assert "norm_estimate" not in vars(problem.operator)
 
@@ -836,10 +804,10 @@ class TestRelaxationWarnings:
             operators, "operator_norm_sq", lambda op: NormEstimate(0.5, False, 100000)
         )
         problem = Problem(diagonal_operator(np.ones(4)), np.ones(4))
-        config = quiet_config(omega=1.0, max_iter=3)
+        config = quiet_config(method="codilated-nu", omega=1.0, max_iter=3)
         for run in (
-            lambda: landweber(problem, config),
-            lambda: codilated_nu(problem, 1.0, 1.0, config),
+            lambda: solve(problem, config._replace(method="landweber")),
+            lambda: solve(problem, config),
             lambda: solve_dilations(problem, config, [0.5, 1.0]),
         ):
             record = self.relaxation_warnings(run)
@@ -847,7 +815,7 @@ class TestRelaxationWarnings:
             assert "did not converge in 100000" in str(record[0].message)
         # beyond the bound too: still one warning, which says both
         beyond = config._replace(omega=3.0)
-        record = self.relaxation_warnings(lambda: codilated_nu(problem, 1.0, 1.0, beyond))
+        record = self.relaxation_warnings(lambda: solve(problem, beyond))
         assert [w.filename for w in record] == [__file__]
         assert "> 1" in str(record[0].message) and "100000" in str(record[0].message)
 
