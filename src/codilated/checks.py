@@ -23,6 +23,7 @@ from .orthopoly import (
 from .zeros import find_polynomial_zeros
 
 PI4 = np.pi**-4
+LIMIT_STEPS = 3000  # the degree at which limit_constant reads its limit
 SYM, ASYM = ResidualKind.SYMMETRIC, ResidualKind.ASYMMETRIC
 
 
@@ -101,12 +102,12 @@ def mu_deviation(dilations, n_sym, n_asym):
                 yield float(np.max(np.abs(rec - clo) / clo))
 
 
-def limit_constant(scheme, m, n_max=3000):
-    """L_m = lim P_n(1) / (P^{(m)}_{n-m}(1) P_m(1)) via stable mu-ratio products."""
-    mus = mu_recursive(scheme, None, n_max)
-    mus_num = mu_recursive(numerator_scheme(scheme, m), None, n_max)
+def limit_constant(scheme, m):
+    """L_m = lim P_n(1) / (P^{(m)}_{n-m}(1) P_m(1)) at n = LIMIT_STEPS, by mu-ratio products."""
+    mus = mu_recursive(scheme, None, LIMIT_STEPS)
+    mus_num = mu_recursive(numerator_scheme(scheme, m), None, LIMIT_STEPS)
     ratio = eval_monic(scheme, None, m, 1.0)  # P_n(1)/P^{(m)}_{n-m}(1) at n = m
-    for n in range(m, n_max):
+    for n in range(m, LIMIT_STEPS):
         ratio *= mus_num[n - m] / mus[n]
     return ratio / eval_monic(scheme, None, m, 1.0)
 
@@ -191,10 +192,11 @@ ALL_CHECKS = [
 ]
 
 
-def run_checks(writer=print) -> bool:
+def run_checks() -> bool:
+    """Run ``ALL_CHECKS``, printing one PASS or FAIL line each; True if all pass."""
     all_ok = True
     for name, fn, grid, bound, detail in ALL_CHECKS:
         worst = fn(**grid)
         all_ok = all_ok and worst < bound
-        writer(f"{'PASS' if worst < bound else 'FAIL'}  {name}: {detail.format(worst)}")
+        print(f"{'PASS' if worst < bound else 'FAIL'}  {name}: {detail.format(worst)}")
     return all_ok

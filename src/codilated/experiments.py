@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import NoisyProblem, add_noise, deriv2_assemble, diagonal_operator
-from .orthopoly import CoDilation, _require_integer
+from .orthopoly import CoDilation, _require_integer, _require_real
 from .solvers import (
     DILATION_KINDS,
     Method,
@@ -139,16 +139,21 @@ def _problem_size(problem: str, n: int | None) -> int:
 def _sweep_values(sweep) -> list[float]:
     """Dilation values of a (min, max, step) range or of an explicit list.
 
-    A range must be finite with step > 0 and min <= max, so it is never empty,
-    and span at most MAX_SWEEP_POINTS points, checked before any is formed;
-    the entries of a list must be finite.
+    A range must be of finite reals with step > 0 and min <= max, so it is
+    never empty, and span at most MAX_SWEEP_POINTS points, checked before any
+    is formed; the entries of a list must be finite reals.  A sweep of any
+    other type, a string among them, raises ValueError.
     """
+    if not isinstance(sweep, (tuple, list)):
+        raise ValueError(f"sweep must be a (min, max, step) tuple or a list, not {sweep!r}")
     if not isinstance(sweep, tuple):
-        if not all(np.isfinite(lam) for lam in sweep):
-            raise ValueError("sweep values must be finite")
+        for lam in sweep:
+            _require_real(lam, "sweep values")
         return list(sweep)
     lo, hi, step = sweep
-    if not (np.isfinite(lo) and np.isfinite(hi) and step > 0 and lo <= hi):
+    for value in sweep:
+        _require_real(value, "sweep range")
+    if not (step > 0 and lo <= hi):
         raise ValueError("sweep range must be finite with step > 0 and min <= max")
     steps = np.floor((hi - lo) / step + 1e-9)  # a float: inf where the quotient overflows
     if steps >= MAX_SWEEP_POINTS:
@@ -167,13 +172,13 @@ def build_problem(spec: ExperimentSpec, dump: str | None = None) -> NoisyProblem
     eps = spec.config.epsilon
     if spec.problem == "deriv2":
         d2 = deriv2_assemble(n)
-        noisy = add_noise(d2.to_operator(), d2.g_vector, eps, spec.seed, normalize=False)
+        noisy = add_noise(d2.to_operator(), d2.g_vector, eps, spec.seed)
         assembled = {"matrix": d2.matrix, "f_exact": d2.f_exact}
     else:
         op = diagonal_operator(1.0 / np.arange(1.0, n + 1.0))
         g = np.zeros(n)
         g[-1 if spec.problem == "diag-last" else 1] = 1.0
-        noisy = add_noise(op, g, eps, spec.seed, normalize=False)
+        noisy = add_noise(op, g, eps, spec.seed)
         assembled = {}
     if dump:
         for name, a in {"g_clean": noisy.g_clean, "g_noisy": noisy.g_noisy, **assembled}.items():

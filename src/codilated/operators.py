@@ -13,6 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .orthopoly import _require_real
+
 __all__ = [
     "LinearOperator",
     "Problem",
@@ -25,6 +27,10 @@ __all__ = [
     "add_noise",
     "operator_norm_sq",
 ]
+
+# operator_norm_sq's stop: two Rayleigh quotients this close, or this many steps
+NORM_TOL = 1e-10
+NORM_MAX_ITERS = 10**5
 
 
 class LinearOperator:
@@ -135,29 +141,23 @@ class NoisyProblem(NamedTuple):
     operator: LinearOperator
     g_clean: np.ndarray
     epsilon: float
-    seed: int
     g_noisy: np.ndarray
 
     def as_problem(self) -> Problem:
         return Problem(self.operator, self.g_noisy)
 
 
-def add_noise(
-    operator: LinearOperator, g_clean, epsilon: float, seed: int, normalize: bool = True
-) -> NoisyProblem:
-    """Perturb g_clean with a seeded Gaussian direction.
+def add_noise(operator: LinearOperator, g_clean, epsilon: float, seed: int) -> NoisyProblem:
+    """Perturb g_clean by epsilon times a seeded N(0, 1) draw w, not normalised.
 
-    With ``normalize`` (the default) the draw is scaled to unit Euclidean
-    norm so the perturbation is exactly epsilon long.  With
-    ``normalize=False`` the raw N(0,1) vector is used and the perturbation
-    (and the recorded noise level) is epsilon * ||w||, about epsilon *
-    sqrt(dim); the stock experiments use this raw convention because the
-    reference iteration counts presume it.
-
-    The generator is NumPy's default PCG64 (``np.random.default_rng``);
-    the same seed reproduces the noise bit for bit.
+    The perturbation, recorded as the noise level, is epsilon * ||w||, about
+    epsilon * sqrt(dim): the convention the reference iteration counts
+    presume.  ValueError unless epsilon is a finite real >= 0.  The generator
+    is NumPy's default PCG64 (``np.random.default_rng``); the same seed
+    reproduces the noise bit for bit.
     """
-    if not (np.isfinite(epsilon) and epsilon >= 0):
+    _require_real(epsilon, "noise level epsilon")
+    if not epsilon >= 0:
         raise ValueError(f"noise level {epsilon} must be finite and >= 0")
     g_clean = np.asarray(g_clean, dtype=float)
     if epsilon == 0.0:
@@ -165,11 +165,9 @@ def add_noise(
         level = 0.0
     else:
         w = np.random.default_rng(seed).standard_normal(g_clean.size)
-        if normalize:
-            w = w / np.linalg.norm(w)
         g_noisy = g_clean + epsilon * w
         level = epsilon * float(np.linalg.norm(w))
-    return NoisyProblem(operator, g_clean, level, int(seed), g_noisy)
+    return NoisyProblem(operator, g_clean, level, g_noisy)
 
 
 class Deriv2Problem(NamedTuple):
@@ -179,10 +177,9 @@ class Deriv2Problem(NamedTuple):
     f(t) = t.
 
     The basis is the orthonormal box functions h^(-1/2) 1_[(i-1)h, ih],
-    h = 1/N; all entries are exact integrals in closed form.
+    h = 1/N, N the length of each vector; all entries are exact integrals.
     """
 
-    n_points: int
     matrix: np.ndarray
     g_vector: np.ndarray
     f_exact: np.ndarray
@@ -203,7 +200,7 @@ def deriv2_assemble(n: int) -> Deriv2Problem:
     np.fill_diagonal(a, h * h * ((i * i - i + 0.25) * h - (i - 2.0 / 3.0)))
     g = h ** 1.5 * (i - 0.5) * (h * h * (i * i + (i - 1.0) ** 2) / 2.0 - 1.0) / 6.0
     f = h ** 1.5 * (i - 0.5)
-    return Deriv2Problem(n_points=n, matrix=a, g_vector=g, f_exact=f)
+    return Deriv2Problem(matrix=a, g_vector=g, f_exact=f)
 
 
 class NormEstimate(NamedTuple):
@@ -215,20 +212,19 @@ class NormEstimate(NamedTuple):
     iterations: int
 
 
-def operator_norm_sq(
-    operator: LinearOperator, tol: float = 1e-10, max_iters: int = 10**5
-) -> NormEstimate:
+def operator_norm_sq(operator: LinearOperator) -> NormEstimate:
     """Power iteration estimate of ||A* A|| from a deterministic start.
 
     Starts from the normalised all-ones vector; converged means two
-    successive Rayleigh quotients differed by less than tol.  Failure to
+    successive Rayleigh quotients differed by less than NORM_TOL, and the
+    iteration gives up unconverged after NORM_MAX_ITERS steps.  Failure to
     converge is reported through the flag, not raised; a Rayleigh quotient
     that is not finite (the operator yields NaN or inf) ends the iteration
     there, unconverged.
     """
     x = np.ones(operator.domain_dim) / np.sqrt(operator.domain_dim)
     rho = 0.0
-    for k in range(1, max_iters + 1):
+    for k in range(1, NORM_MAX_ITERS + 1):
         y = operator.rmatvec(operator.matvec(x))
         norm_y = np.linalg.norm(y)
         if norm_y == 0.0:
@@ -236,9 +232,8 @@ def operator_norm_sq(
         rho_new = float(x @ y)
         if not np.isfinite(rho_new):
             return NormEstimate(rho_new, False, k)
-        if abs(rho_new - rho) < tol:
+        if abs(rho_new - rho) < NORM_TOL:
             return NormEstimate(rho_new, True, k)
         rho = rho_new
         x = y / norm_y
-    return NormEstimate(rho, False, max_iters)
-
+    return NormEstimate(rho, False, NORM_MAX_ITERS)

@@ -135,8 +135,7 @@ class CoDilation(_CoDilation):
 
     def __new__(cls, m: int, lam: float):
         _require_integer(m, "dilation index m", 1)
-        if not math.isfinite(lam):
-            raise ValueError("dilation factor lam must be finite")
+        _require_real(lam, "dilation factor lam")
         return super().__new__(cls, m, lam)
 
 
@@ -158,6 +157,7 @@ class UltrasphericalParams(_UltrasphericalParams):
     _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, nu: float):
+        _require_real(nu, "ultraspherical parameter nu")
         if not nu > -0.5:
             raise ValueError("ultraspherical parameter requires nu > -1/2")
         if not nu <= MAX_NU:
@@ -486,6 +486,14 @@ def _require_integer(value, what: str, minimum: int) -> None:
         raise ValueError(f"{what} must be an integer, not {value!r}")
     if value < minimum:
         raise ValueError(f"{what} must be >= {minimum}")
+
+
+def _require_real(value, what: str) -> None:
+    """ValueError unless value is a finite int, float or NumPy real scalar (a bool is none)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be real, not {value!r}")
+    if not -math.inf < value < math.inf:  # NaN fails too; an int of any size passes
+        raise ValueError(f"{what} must be finite, not {value!r}")
 
 
 def _require_admissible(params: UltrasphericalParams, lam):

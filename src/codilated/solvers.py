@@ -84,6 +84,7 @@ from .orthopoly import (
     _recursive_coefficients,
     _require_admissible,
     _require_integer,
+    _require_real,
     power_basis_scheme,
     residual_eval,
     ultraspherical_scheme,
@@ -172,13 +173,16 @@ class SolverConfig(_SolverConfig):
     def __new__(cls, *args, **kwargs):
         method, nu, lam, omega, tau, epsilon, max_iter = super().__new__(cls, *args, **kwargs)
         method = Method(method)
-        if not (np.isfinite(nu) and np.isfinite(lam)):
-            raise ValueError("polynomial parameters nu and lam must be finite")
-        if not (np.isfinite(omega) and omega > 0):
+        for value, what in ((nu, "polynomial parameters nu and lam"),
+                            (lam, "polynomial parameters nu and lam"),
+                            (omega, "relaxation parameter omega"), (tau, "discrepancy factor tau"),
+                            (epsilon, "noise level epsilon")):
+            _require_real(value, what)
+        if not omega > 0:
             raise ValueError("relaxation parameter omega must be finite and > 0")
-        if not (np.isfinite(tau) and tau > 1):
+        if not tau > 1:
             raise ValueError("discrepancy factor tau must be finite and > 1")
-        if not (np.isfinite(epsilon) and epsilon >= 0):
+        if not epsilon >= 0:
             raise ValueError("noise level epsilon must be finite and >= 0")
         if max_iter is not None:
             _require_integer(max_iter, "iteration cap max_iter", 0)
@@ -444,12 +448,14 @@ def oracle_check(diag, f_true, config: SolverConfig, n_max: int) -> float:
     config with epsilon = 0 for n_max steps, and compares f_true - f_n against
     r_n(omega sigma_i^2) f_true componentwise at every step, r_n the method's
     residual polynomial.  Deviations are measured relative to the sup norm of
-    f_true.  An all-zero f_true, cg and the adaptive method raise ValueError
-    before any apply.
+    f_true.  An all-zero f_true, a diag that is not 1-D, an f_true not of its
+    shape, cg and the adaptive method raise ValueError before any apply.
     """
     scheme, dilation, kind = _residual_polynomial(config)
     d = np.asarray(diag, dtype=float)
     f_true = np.asarray(f_true, dtype=float)
+    if f_true.shape != d.shape:  # diagonal_operator rejects a d that is not 1-D
+        raise ValueError(f"diag and f_true must be of one shape, not {d.shape} and {f_true.shape}")
     scale = float(np.max(np.abs(f_true)))
     if scale == 0.0:
         raise ValueError("f_true must have a nonzero entry: deviations are relative to it")
@@ -515,10 +521,15 @@ def solve_dilations(problem: Problem, config: SolverConfig, lams) -> list[SolveR
     stops it at the step and for the reason it stops the single solve.  A
     row leaves the block when it stops, so a capped or diverged row costs
     the others nothing.  The relaxation check runs once per call.  Raises
-    ValueError where ``batchable`` is false for some lam; no callback.
+    ValueError unless lams is a 1-D sequence of reals, and where ``batchable``
+    is false for some lam; no callback.
     """
     if config.method not in _CLOSED_FORM:
         raise ValueError(f"method {config.method.value} has no block iteration")
+    if np.ndim(lams) != 1:
+        raise ValueError(f"dilations must be a 1-D sequence, not of shape {np.shape(lams)}")
+    for lam in lams:
+        _require_real(lam, "dilation lam")
     column, kind = np.asarray(lams, float).reshape(-1, 1), DILATION_KINDS[config.method]
     coeffs = _closed_form_coefficients(UltrasphericalParams(config.nu), column, kind)
     _gate(problem, config)  # an empty list is checked too

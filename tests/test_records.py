@@ -22,6 +22,7 @@ from codilated.operators import (
     NoisyProblem,
     NormEstimate,
     Problem,
+    add_noise,
     diagonal_operator,
 )
 from codilated.orthopoly import (
@@ -112,9 +113,26 @@ def test_solve_report_defaults_and_replace():
     (lambda: CoDilation(0, 1.5), "dilation index m must be >= 1"),
     (lambda: CoDilation(1, math.inf), "dilation factor lam must be finite"),
     (lambda: UltrasphericalParams(-0.5), "requires nu > -1/2"),
-    (lambda: UltrasphericalParams(math.nan), "requires nu > -1/2"),
+    (lambda: UltrasphericalParams(math.nan), "ultraspherical parameter nu must be finite"),
+    # a real field takes an int, a float or a NumPy real scalar, and is not converted
+    (lambda: CoDilation(1, "1.5"), "dilation factor lam must be real, not '1.5'"),
+    (lambda: UltrasphericalParams("1.0"), "ultraspherical parameter nu must be real"),
+    (lambda: UltrasphericalParams(True), "ultraspherical parameter nu must be real"),
+    (lambda: SolverConfig(nu="1.0"), "nu and lam must be real"),
+    (lambda: SolverConfig(lam=np.array(1.5)), "nu and lam must be real"),
+    (lambda: SolverConfig(omega=True), "omega must be real, not True"),
+    (lambda: SolverConfig(tau=4 + 0j), "tau must be real"),
+    (lambda: SolverConfig(epsilon="0.01"), "epsilon must be real"),
+    (lambda: add_noise(diagonal_operator([1.0]), [1.0], "0.01", 1), "epsilon must be real"),
+    (lambda: ExperimentSpec("diag-last", sweep="1:2:0.5"), "sweep must be a"),
+    (lambda: ExperimentSpec("diag-last", sweep={1.0: 2}), "sweep must be a"),
+    (lambda: ExperimentSpec("diag-last", sweep=(1.0, "2", 0.5)), "sweep range must be real"),
+    (lambda: ExperimentSpec("diag-last", sweep=[1.0, True]), "sweep values must be real"),
 ], ids=["problem-shape", "problem-nan", "scheme-symmetric", "scheme-beta", "dilation-m",
-        "dilation-lam", "nu-bound", "nu-nan"])
+        "dilation-lam", "nu-bound", "nu-nan", "dilation-lam-str", "nu-str", "nu-bool",
+        "config-nu-str", "config-lam-array", "config-omega-bool", "config-tau-complex",
+        "config-epsilon-str", "noise-epsilon-str", "sweep-str", "sweep-dict", "sweep-range-str",
+        "sweep-list-bool"])
 def test_checked_records_raise(build_bad, message):
     with pytest.raises(ValueError, match=message):
         build_bad()
@@ -142,6 +160,7 @@ def test_checked_records_keep_their_constructors():
     assert (scheme.symmetric, scheme.allow_zero_beta) == (True, False)
     assert scheme._replace(symmetric=False).symmetric is False
     assert UltrasphericalParams(nu=2.0).nu == 2.0
+    assert type(SolverConfig(omega=2).omega) is int  # a real is checked, not converted
 
 
 @pytest.mark.parametrize("kwargs, message", [

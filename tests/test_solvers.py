@@ -64,7 +64,7 @@ def iterate_log(reports_from):
 
 def deriv2_problem(seed=15, n=50):
     d2 = deriv2_assemble(n)
-    return add_noise(d2.to_operator(), d2.g_vector, 0.01, seed, normalize=False).as_problem()
+    return add_noise(d2.to_operator(), d2.g_vector, 0.01, seed).as_problem()
 
 
 class TestLandweber:
@@ -279,6 +279,18 @@ class TestOracleEquivalence:
             monkeypatch.setattr(LinearOperator, name, lambda op, x: applies.append(x))
         with pytest.raises(ValueError, match="f_true must have a nonzero entry"):
             oracle_check([1.0, 0.5], [0.0, 0.0], SolverConfig("landweber", omega=0.5), 5)
+        assert applies == []
+
+    def test_mismatched_shapes_rejected_before_any_apply(self, monkeypatch):
+        # broadcasting f_true against diag would check a different problem
+        applies = []
+        for name in ("matvec", "rmatvec"):
+            monkeypatch.setattr(LinearOperator, name, lambda op, x: applies.append(x))
+        config = SolverConfig("landweber", omega=0.5)
+        for diag, f_true in (([1.0, 0.5, 0.1], [1.0]), ([1.0, 0.5], [[1.0, 1.0]]),
+                             ([[1.0, 0.5]], [1.0, 1.0])):
+            with pytest.raises(ValueError, match="must be of one shape|must be 1-D"):
+                oracle_check(diag, f_true, config, 5)
         assert applies == []
 
 
@@ -986,3 +998,11 @@ class TestSolveDilations:
             with pytest.raises(ValueError):
                 solve_dilations(problem, config._replace(method=method), [1.0])
         assert solve_dilations(problem, config, []) == []
+        # only a 1-D sequence of reals: no flattening, no parsing, and no apply
+        op, applies = diagonal_operator([1.0, 0.5]), []
+        for name in ("matvec", "rmatvec", "matvec_rows", "rmatvec_rows"):
+            setattr(op, name, applies.append)
+        for lams in ([[1.0, 1.5], [1.2, 1.4]], ["1.0", "1.5"], [1.0, True], 1.5):
+            with pytest.raises(ValueError, match="1-D sequence|dilation lam must be real"):
+                solve_dilations(Problem(op, np.ones(2)), config, lams)
+        assert applies == []

@@ -1,6 +1,7 @@
 """Record the command-line output of a fixed list of codilated runs.
 
     python tools/snapshot.py OUT_DIR
+    python tools/snapshot.py --manifest FILE
 
 Each run goes through ``codilated.cli.main`` in this process, using the
 ``src/`` tree next to this script, with its own directory under OUT_DIR as
@@ -14,8 +15,17 @@ A run named in ``CONFIG_FILES`` first writes its config file there as
 ``run.cfg``.  Standard error (relaxation warnings, error messages) is not
 recorded.
 
-A refactor shows that it changed no output by snapshotting both trees and
-comparing them byte for byte:
+With ``--manifest`` the runs go to a temporary directory, and FILE gets one
+``run/file size sha256`` line per file, sorted, each ``stdout.txt`` line
+followed by the file's lines, each prefixed with ``| ``.  The tier-1 test
+``tests/test_snapshot.py`` runs the same runs and compares them with the
+committed ``tests/snapshot_manifest.txt``.  A change that moves an output
+regenerates that file; its diff shows each moved run and file:
+
+    python tools/snapshot.py --manifest tests/snapshot_manifest.txt
+    git diff tests/snapshot_manifest.txt
+
+Two trees can also be compared byte for byte:
 
     git archive PARENT | tar -x -C /tmp/parent && cp -r tools /tmp/parent/
     python /tmp/parent/tools/snapshot.py /tmp/snap-parent
@@ -26,10 +36,12 @@ comparing them byte for byte:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import shlex
 import sys
+import tempfile
 import traceback
 from pathlib import Path
 
@@ -114,6 +126,13 @@ def runs():
     yield "sweep_diag-last_stagnation", [
         "sweep", "--problem", "diag-last", "--nu", "1", "--sweep", "0.5:1.5:0.5",
         "--omega", "1e-300", "--out", "out.csv"]
+    # two stop tests fire at the cap: the precedence of the one stop test names the reason
+    yield "sweep_diag-last_stagnation_at_cap", [
+        "sweep", "--problem", "diag-last", "--nu", "1", "--sweep", "0.5:1.5:0.5",
+        "--omega", "1e-300", "--max-iter", "51", "--out", "out.csv"]
+    yield "solve_deriv2_codilated-nu_discrepancy_at_cap", [
+        "solve", "--problem", "deriv2", "--method", "codilated-nu", "--lambda", "1.0",
+        "--max-iter", "1010", "--out", "out.csv"]
     # tau * eps between the rows' first residuals: the lam = 0.5 row leaves the block
     # at n = 1, the others at n = 2, 3 and 6, so the block restarts three times
     yield "sweep_deriv2_codilated-nu_restarts", [
@@ -212,7 +231,25 @@ def snapshot(out_dir: Path) -> None:
         print(f"{name}: exit {code}", file=sys.stderr)
 
 
+def manifest(out_dir: Path) -> str:
+    """The manifest of a snapshot directory (see the module docstring)."""
+    lines = []
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        lines.append(f"{path.relative_to(out_dir).as_posix()} {len(data)} "
+                     f"{hashlib.sha256(data).hexdigest()}")
+        if path.name == "stdout.txt":
+            lines.extend(f"| {line}" for line in data.decode("utf-8").splitlines())
+    return "".join(f"{line}\n" for line in lines)
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        raise SystemExit("usage: python tools/snapshot.py OUT_DIR")
-    snapshot(Path(sys.argv[1]).resolve())
+    if len(sys.argv) == 3 and sys.argv[1] == "--manifest":
+        with tempfile.TemporaryDirectory() as tmp:
+            snapshot(Path(tmp) / "snap")
+            text = manifest(Path(tmp) / "snap")
+        Path(sys.argv[2]).write_text(text, encoding="utf-8")
+    elif len(sys.argv) == 2:
+        snapshot(Path(sys.argv[1]).resolve())
+    else:
+        raise SystemExit("usage: python tools/snapshot.py OUT_DIR | --manifest FILE")
