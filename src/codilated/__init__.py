@@ -5,7 +5,6 @@ and reproducible experiments."""
 from .operators import (
     Deriv2Problem,
     LinearOperator,
-    NoisyProblem,
     NormEstimate,
     Problem,
     add_noise,

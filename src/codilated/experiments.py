@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import NoisyProblem, add_noise, deriv2_assemble, diagonal_operator
+from .operators import Problem, add_noise, deriv2_assemble, diagonal_operator
 from .orthopoly import CoDilation, _require_integer, _require_real
 from .solvers import (
     DILATION_KINDS,
@@ -161,36 +161,34 @@ def _sweep_values(sweep) -> list[float]:
     return [lo + k * step for k in range(int(steps) + 1)]
 
 
-def build_problem(spec: ExperimentSpec, dump: str | None = None) -> NoisyProblem:
-    """Assemble the experiment's problem with its seeded noise realisation.
+def build_problem(spec: ExperimentSpec, dump: str | None = None) -> Problem:
+    """The experiment's operator and its data under the seeded noise realisation.
 
     With a ``dump`` prefix, the problem as built is also written, each array
     to ``{dump}_{name}.csv``: g_clean, g_noisy and, for deriv2, the matrix
     and f_exact.
     """
     n = _problem_size(spec.problem, spec.n)
-    eps = spec.config.epsilon
     if spec.problem == "deriv2":
         d2 = deriv2_assemble(n)
-        noisy = add_noise(d2.to_operator(), d2.g_vector, eps, spec.seed)
+        op, g_clean = d2.to_operator(), d2.g_vector
         assembled = {"matrix": d2.matrix, "f_exact": d2.f_exact}
     else:
         op = diagonal_operator(1.0 / np.arange(1.0, n + 1.0))
-        g = np.zeros(n)
-        g[-1 if spec.problem == "diag-last" else 1] = 1.0
-        noisy = add_noise(op, g, eps, spec.seed)
+        g_clean = np.zeros(n)
+        g_clean[-1 if spec.problem == "diag-last" else 1] = 1.0
         assembled = {}
+    g_noisy = add_noise(g_clean, spec.config.epsilon, spec.seed)
     if dump:
-        for name, a in {"g_clean": noisy.g_clean, "g_noisy": noisy.g_noisy, **assembled}.items():
+        for name, a in {"g_clean": g_clean, "g_noisy": g_noisy, **assembled}.items():
             write_array_csv(f"{dump}_{name}.csv", a)
-    return noisy
+    return Problem(op, g_noisy)
 
 
 def run_experiment(spec: ExperimentSpec, dump: str | None = None) -> SolveReport:
     """Solve the spec's problem; a ``dump`` prefix writes that very problem
     first (see ``build_problem``)."""
-    noisy = build_problem(spec, dump)
-    return solve(noisy.as_problem(), spec.config)
+    return solve(build_problem(spec, dump), spec.config)
 
 
 class SweepRow(NamedTuple):
@@ -208,14 +206,14 @@ class SweepResult(NamedTuple):
     zero_degree: int | None
 
 
-def _run_point(noisy: NoisyProblem, config: SolverConfig) -> tuple[int, str, float, float | None]:
+def _run_point(problem: Problem, config: SolverConfig) -> tuple[int, str, float, float | None]:
     """(iterations, stop reason, final residual, chosen lambda) of one solve.
 
     A failed solve is recorded in the stop reason, not raised, so a sweep or
     table goes on past it.
     """
     try:
-        report = solve(noisy.as_problem(), config)
+        report = solve(problem, config)
     except ArithmeticError as exc:
         return 0, f"error:{type(exc).__name__}", float("nan"), None
     except ValueError:
@@ -247,18 +245,18 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     if not lams:
         raise ValueError("a sweep needs at least one dilation value")
     scheme, _, kind = _residual_polynomial(config)  # checks nu before any solve
-    noisy = build_problem(spec)
+    problem = build_problem(spec)
     in_block = [batchable(config, lam) for lam in lams]
     if sum(in_block) < 2:  # a lone block row costs more per step than a single solve
         in_block = [False] * len(lams)
     block = [lam for lam, flag in zip(lams, in_block) if flag]
-    reports = iter(solve_dilations(noisy.as_problem(), config, block) if block else [])
+    reports = iter(solve_dilations(problem, config, block) if block else [])
     rows = []
     for lam, flag in zip(lams, in_block):
         if flag:
             iters, reason, final, _ = _outcome(next(reports))
         else:
-            iters, reason, final, _ = _run_point(noisy, config._replace(lam=lam))
+            iters, reason, final, _ = _run_point(problem, config._replace(lam=lam))
         zero = float("nan")
         if spec.zero_degree is not None:
             zr = find_zeros(scheme, CoDilation(1, lam), kind, spec.zero_degree)
@@ -289,12 +287,12 @@ def table1_rows(seed: int = DEFAULT_SEED, include_landweber: bool = False) -> li
         rows.append((Method.LANDWEBER, None, None))
     _, omega, eps, tau = PROBLEM_DEFAULTS["deriv2"]
     base = SolverConfig(omega=omega, epsilon=eps, tau=tau)
-    noisy = build_problem(ExperimentSpec(problem="deriv2", config=base, seed=seed))
+    problem = build_problem(ExperimentSpec(problem="deriv2", config=base, seed=seed))
     out = []
     for method, nu, lam in rows:
         config = base._replace(method=method, nu=1.0 if nu is None else nu,
                                lam=1.0 if lam is None else lam)
-        iters, reason, _, chosen = _run_point(noisy, config)
+        iters, reason, _, chosen = _run_point(problem, config)
         out.append({"method": method.value, "nu": nu,
                     "lambda": chosen if chosen is not None else lam,
                     "iterations": iters, "stop_reason": reason})

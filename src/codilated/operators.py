@@ -1,8 +1,9 @@
 """Linear operators, test problems, seeded noise, and norm estimation.
 
-The records are ``NamedTuple``s: ``Problem`` checks its data in the
-``__new__`` of a thin subclass, which ``_replace`` also runs;
-``NoisyProblem``, ``Deriv2Problem`` and ``NormEstimate`` only carry values.
+The records are ``NamedTuple``s: ``Problem``, the one record the solvers
+read, checks its data in the ``__new__`` of a thin subclass, which
+``_replace`` also runs; ``Deriv2Problem`` and ``NormEstimate`` only carry
+values.  ``add_noise`` returns an array, the data of a ``Problem``.
 Nothing here writes a file; the experiments module holds the CSV output.
 """
 
@@ -13,12 +14,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .orthopoly import _require_real
+from .orthopoly import _require_integer, _require_real
 
 __all__ = [
     "LinearOperator",
     "Problem",
-    "NoisyProblem",
     "Deriv2Problem",
     "NormEstimate",
     "diagonal_operator",
@@ -131,43 +131,26 @@ def matrix_operator(a) -> LinearOperator:
     )
 
 
-class NoisyProblem(NamedTuple):
-    """Right-hand side perturbed by a seeded Gaussian draw.
+def add_noise(g_clean, epsilon: float, seed: int) -> np.ndarray:
+    """g_clean plus epsilon times a seeded N(0, 1) draw w, not normalised.
 
-    ``epsilon`` records the realised noise level: it always equals
-    ||g_noisy - g_clean|| exactly as constructed.
-    """
-
-    operator: LinearOperator
-    g_clean: np.ndarray
-    epsilon: float
-    g_noisy: np.ndarray
-
-    def as_problem(self) -> Problem:
-        return Problem(self.operator, self.g_noisy)
-
-
-def add_noise(operator: LinearOperator, g_clean, epsilon: float, seed: int) -> NoisyProblem:
-    """Perturb g_clean by epsilon times a seeded N(0, 1) draw w, not normalised.
-
-    The perturbation, recorded as the noise level, is epsilon * ||w||, about
-    epsilon * sqrt(dim): the convention the reference iteration counts
-    presume.  ValueError unless epsilon is a finite real >= 0.  The generator
-    is NumPy's default PCG64 (``np.random.default_rng``); the same seed
-    reproduces the noise bit for bit.
+    The perturbation's norm is epsilon * ||w||, about epsilon * sqrt(dim):
+    the convention the reference iteration counts presume.  At epsilon = 0
+    it returns a copy and draws nothing.  ValueError unless g_clean is 1-D,
+    epsilon is a finite real >= 0 and seed an integer >= 0, before any draw.
+    The generator is NumPy's default PCG64 (``np.random.default_rng``); the
+    same seed reproduces the noise bit for bit.
     """
     _require_real(epsilon, "noise level epsilon")
     if not epsilon >= 0:
         raise ValueError(f"noise level {epsilon} must be finite and >= 0")
+    _require_integer(seed, "seed", 0)
     g_clean = np.asarray(g_clean, dtype=float)
+    if g_clean.ndim != 1:
+        raise ValueError(f"data g_clean must be 1-D, not of shape {g_clean.shape}")
     if epsilon == 0.0:
-        g_noisy = g_clean.copy()
-        level = 0.0
-    else:
-        w = np.random.default_rng(seed).standard_normal(g_clean.size)
-        g_noisy = g_clean + epsilon * w
-        level = epsilon * float(np.linalg.norm(w))
-    return NoisyProblem(operator, g_clean, level, g_noisy)
+        return g_clean.copy()
+    return g_clean + epsilon * np.random.default_rng(seed).standard_normal(g_clean.size)
 
 
 class Deriv2Problem(NamedTuple):
@@ -189,8 +172,7 @@ class Deriv2Problem(NamedTuple):
 
 
 def deriv2_assemble(n: int) -> Deriv2Problem:
-    if n < 2:
-        raise ValueError("need at least 2 discretisation points")
+    _require_integer(n, "discretisation size n", 2)
     h = 1.0 / n
     i = np.arange(1, n + 1, dtype=float)
     mid = (i - 0.5) * h

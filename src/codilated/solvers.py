@@ -5,8 +5,8 @@ cap: ``solve(problem, config)`` runs every method, and ``semi_iterative``
 runs general-si or asymmetric-si from a recurrence scheme, the one input a
 config cannot carry.
 
-Each method is a lazy generator of steps (f_n, f_{n-1}, mu_n, watched
-residual) run by one driver, ``_drive``, which owns the n = 0 entry, the
+Each method is a lazy generator of steps (f_n, f_{n-1}, watched residual)
+run by one driver, ``_drive``, which owns the n = 0 entry, the
 residual history, the callback and the stall count.  The one stop test,
 ``_stop_reason`` (discrepancy, divergence, stagnation, iteration cap, in that
 order), decides every stop; after a step it is called only where a screen of
@@ -201,7 +201,6 @@ class IterationState(NamedTuple):
     n: int
     f_curr: np.ndarray
     f_prev: np.ndarray
-    mu_curr: float
     residual: np.ndarray
     residual_norm: float
 
@@ -272,7 +271,7 @@ def _stop_reason(rn, threshold, stalled, n, max_iter) -> StopReason | None:
 def _drive(problem, config, steps, callback) -> SolveReport:
     """The one iteration loop: history, callback and ``_stop_reason``.
 
-    ``steps`` yields (f_n, f_{n-1}, mu_n, watched residual) for n = 1, 2, ...
+    ``steps`` yields (f_n, f_{n-1}, watched residual) for n = 1, 2, ...
     and may end the solve by returning a StopReason.  It is advanced only
     while no test has fired, so a stopped solve applies no further operator.
     The tests run at n = 0 too, so finite data whose norm overflows apply no
@@ -292,12 +291,12 @@ def _drive(problem, config, steps, callback) -> SolveReport:
     history = [rn]
     append = history.append
     if callback is not None:
-        callback(IterationState(0, f, f, 1.0, g.copy(), rn))
+        callback(IterationState(0, f, f, g.copy(), rn))
     reason = _stop_reason(rn, threshold, 0, 0, max_iter)
     prev, stalled, n = inf, 0, 0
     while reason is None:
         try:
-            f, f_prev, mu, v = next(steps)
+            f, f_prev, v = next(steps)
         except StopIteration as stop:
             reason = stop.value
             break
@@ -305,7 +304,7 @@ def _drive(problem, config, steps, callback) -> SolveReport:
         rn = sqrt(v.dot(v))
         append(rn)
         if callback is not None:
-            callback(IterationState(n, f, f_prev, mu, v, rn))
+            callback(IterationState(n, f, f_prev, v, rn))
         same = abs(rn - prev) < STAGNATION_RTOL * (rn if rn > 1e-300 else 1e-300)
         stalled = stalled + 1 if same else 0
         prev = rn
@@ -315,7 +314,8 @@ def _drive(problem, config, steps, callback) -> SolveReport:
 
 
 def _two_step(problem, omega, coeffs, applies=None, state=None):
-    """Iterates of the second-order update; coeffs yields (a_n, b_n, mu_{n+1}).
+    """Steps (f_n, f_{n-1}, g - A f_n) of the second-order update; coeffs
+    yields (a_n, b_n, mu_{n+1}), of which only a_n and b_n are read.
 
     It runs from state = (f_n, f_{n-1}, g - A f_n), by default f_0 = f_{-1} = 0,
     with applies = (matvec, rmatvec), by default the single applies.  A None
@@ -324,11 +324,11 @@ def _two_step(problem, omega, coeffs, applies=None, state=None):
     op, g = problem.operator, problem.g
     matvec, rmatvec = applies or (op.matvec, op.rmatvec)
     f, f_prev, v = state or (np.zeros(op.domain_dim),) * 2 + (g,)
-    for a, b, mu in coeffs:
+    for a, b, _ in coeffs:
         step = b * omega * rmatvec(v)
         f_prev, f = f, f + step if a is None else f + a * (f - f_prev) + step
         v = g - matvec(f)
-        yield f, f_prev, mu, v
+        yield f, f_prev, v
 
 
 def semi_iterative(problem: Problem, scheme: RecurrenceScheme, dilation: CoDilation | None,
@@ -372,16 +372,16 @@ def _adaptive(problem: Problem, config: SolverConfig, callback) -> SolveReport:
     def steps():
         nonlocal f, f_prev, gamma
         v_prev = problem.g
-        for f, f_prev, _, v in _two_step(problem, config.omega, coeffs):
+        for f, f_prev, v in _two_step(problem, config.omega, coeffs):
             dv = v - v_prev
             dv2 = float(dv.dot(dv))
             if dv2 < 1e-300:
                 # consecutive residuals coincide: gamma is indeterminate
                 gamma = 0.0
-                yield f, f_prev, gamma, v
+                yield f, f_prev, v
                 return StopReason.STAGNATION
             gamma = float(v.dot(dv)) / dv2
-            yield f, f_prev, gamma, v - gamma * dv
+            yield f, f_prev, v - gamma * dv
             v_prev = v
 
     report = _drive(problem, config, steps(), callback)
@@ -417,7 +417,7 @@ def _cg_steps(problem):
         alpha = gamma / qq
         f_prev, f = f, f + alpha * p
         r = r - alpha * q
-        yield f, f_prev, alpha, g - op.matvec(f)
+        yield f, f_prev, g - op.matvec(f)
         s = op.rmatvec(r)
         gamma_new = float(s.dot(s))
         if gamma_new <= (1e-14) ** 2 * gamma0:
@@ -568,7 +568,7 @@ def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
     steps = _two_step(problem, omega, coeffs, applies, (f, f, np.broadcast_to(g, (size, g.size))))
     view = ((a[live], b[live], mu) for a, b, mu in coeffs)  # live is set at each restart
     for n in count(1):
-        f, f_prev, _, v = next(steps)
+        f, f_prev, v = next(steps)
         left = False
         for j, (i, rn) in enumerate(zip(rows, np.sqrt(np.vecdot(v, v)).tolist())):
             histories[i].append(rn)

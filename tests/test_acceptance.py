@@ -104,7 +104,7 @@ def test_criterion_1_iteration_table():
         assert semi_elapsed < 10.0
 
         t0 = time.perf_counter()
-        problem = build_problem(deriv2_spec()).as_problem()
+        problem = build_problem(deriv2_spec())
         lw = solve(problem, SolverConfig(method="landweber", omega=96.5, epsilon=0.01, tau=4.0))
         lw_elapsed = time.perf_counter() - t0
         assert abs(lw.iterations - 359379) <= 0.20 * 359379

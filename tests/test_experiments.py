@@ -22,7 +22,7 @@ from codilated.experiments import (
     write_report_csv,
     write_sweep_csv,
 )
-from codilated.operators import LinearOperator
+from codilated.operators import LinearOperator, deriv2_assemble
 from codilated.orthopoly import CoDilation, ResidualKind, UltrasphericalParams, ultraspherical_scheme
 from codilated.solvers import Method, RelaxationWarning, SolverConfig, StopReason
 from codilated.zeros import find_zeros
@@ -43,16 +43,15 @@ class TestProblemConstruction:
         assert PROBLEM_DEFAULTS["deriv2"] == (50, 96.5, 0.01, 4.0)
 
     def test_diag_problems(self):
-        noisy = build_problem(spec_for("diag-last"))
-        assert noisy.operator.domain_dim == 100
-        assert noisy.g_clean[-1] == 1.0 and np.count_nonzero(noisy.g_clean) == 1
-        noisy2 = build_problem(spec_for("diag-second"))
-        assert noisy2.g_clean[1] == 1.0 and np.count_nonzero(noisy2.g_clean) == 1
+        problem = build_problem(spec_for("diag-last", epsilon=0.0))  # the clean data
+        assert problem.operator.domain_dim == 100
+        assert problem.g[-1] == 1.0 and np.count_nonzero(problem.g) == 1
+        problem2 = build_problem(spec_for("diag-second", epsilon=0.0))
+        assert problem2.g[1] == 1.0 and np.count_nonzero(problem2.g) == 1
 
     def test_raw_noise_level_recorded(self):
-        noisy = build_problem(spec_for("deriv2"))
-        realised = np.linalg.norm(noisy.g_noisy - noisy.g_clean)
-        assert noisy.epsilon == pytest.approx(realised, rel=1e-14)
+        g = build_problem(spec_for("deriv2")).g
+        realised = np.linalg.norm(g - deriv2_assemble(50).g_vector)
         # raw draw: about eps * sqrt(N), nowhere near the nominal eps
         assert 0.04 <= realised <= 0.11
 
@@ -199,11 +198,11 @@ class TestSweep:
         # admissible points run as one block, 4.0 and 4.2 through the point runner
         spec = spec_for(problem, method, nu=2.0)
         spec = spec._replace(sweep=[3.9, 1.0, 4.0, 1.0, 4.2, 3.99, -0.5])
-        noisy = build_problem(spec)
+        problem = build_problem(spec)
         rows = run_sweep(spec).rows
         assert [row.lam for row in rows] == sorted(spec.sweep)
         for row in rows:
-            iterations, reason, final, _ = _run_point(noisy, spec.config._replace(lam=row.lam))
+            iterations, reason, final, _ = _run_point(problem, spec.config._replace(lam=row.lam))
             assert (row.iterations, row.stop_reason) == (iterations, reason)
             assert repr(row.final_residual) == repr(final)
         assert [row.stop_reason for row in rows].count("error:inadmissible") == 2
@@ -720,8 +719,8 @@ class TestCli:
         assert code == EXIT_MAX_ITER
         written = sorted(p.name for p in tmp_path.iterdir())
         assert written == ["diag_g_clean.csv", "diag_g_noisy.csv"]
-        noisy = build_problem(spec_for("diag-last"))
-        np.testing.assert_array_equal(np.loadtxt(prefix + "_g_noisy.csv"), noisy.g_noisy)
+        problem = build_problem(spec_for("diag-last"))
+        np.testing.assert_array_equal(np.loadtxt(prefix + "_g_noisy.csv"), problem.g)
 
     @pytest.mark.parametrize(
         "command", [["zeros", "--degree", "6"], ["sweep", "--problem", "diag-last"]]

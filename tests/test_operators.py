@@ -211,50 +211,51 @@ class TestDeriv2:
         with pytest.raises(ValueError):
             deriv2_assemble(1)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    def test_rejects_a_size_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match="discretisation size n must be an integer"):
+            deriv2_assemble(n)
+
 
 class TestAddNoise:
-    def test_zero_epsilon(self):
-        op = diagonal_operator(np.ones(5))
-        noisy = add_noise(op, np.arange(5.0), 0.0, 7)
-        assert np.array_equal(noisy.g_noisy, noisy.g_clean)
-        assert noisy.epsilon == 0.0
+    def test_zero_epsilon(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)  # nothing is drawn
+        g = np.arange(5.0)
+        noisy = add_noise(g, 0.0, 7)
+        assert np.array_equal(noisy, g) and noisy is not g
 
-    def test_raw_perturbation_records_realised_level(self):
-        op = diagonal_operator(np.ones(100))
-        noisy = add_noise(op, np.zeros(100), 0.01, 3)
-        realised = np.linalg.norm(noisy.g_noisy - noisy.g_clean)
-        assert noisy.epsilon == pytest.approx(realised, rel=1e-14)
-        assert realised == pytest.approx(0.1, rel=0.3)  # about eps * sqrt(dim)
+    def test_raw_draw_scaled_by_epsilon(self):
+        expected = 0.01 * np.random.default_rng(3).standard_normal(100)
+        assert np.array_equal(add_noise(np.zeros(100), 0.01, 3), expected)
 
     def test_determinism(self):
-        op = diagonal_operator(np.ones(64))
-        a = add_noise(op, np.zeros(64), 0.5, 123)
-        b = add_noise(op, np.zeros(64), 0.5, 123)
-        assert np.array_equal(a.g_noisy, b.g_noisy)
+        a = add_noise(np.zeros(64), 0.5, 123)
+        b = add_noise(np.zeros(64), 0.5, 123)
+        assert np.array_equal(a, b)
 
     def test_distinct_seeds_decorrelated(self):
-        op = diagonal_operator(np.ones(100))
-        a = add_noise(op, np.zeros(100), 1.0, 10).g_noisy
-        b = add_noise(op, np.zeros(100), 1.0, 11).g_noisy
+        a = add_noise(np.zeros(100), 1.0, 10)
+        b = add_noise(np.zeros(100), 1.0, 11)
         rho = (a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
         assert abs(rho) < 0.2
 
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
-            add_noise(diagonal_operator(np.ones(3)), np.zeros(3), -0.1, 0)
+            add_noise(np.zeros(3), -0.1, 0)
 
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_epsilon(self, epsilon):
         with pytest.raises(ValueError):
-            add_noise(diagonal_operator(np.ones(3)), np.ones(3), epsilon, 1)
+            add_noise(np.ones(3), epsilon, 1)
 
-    def test_as_problem(self):
-        op = diagonal_operator(np.ones(4))
-        noisy = add_noise(op, np.ones(4), 0.1, 0)
-        problem = noisy.as_problem()
-        assert isinstance(problem, Problem)
-        assert problem.operator is op
-        assert np.array_equal(problem.g, noisy.g_noisy)
+    @pytest.mark.parametrize("g_clean, epsilon, seed", [
+        (np.ones(3), 0.1, True), (np.ones(3), 0.1, 1.5), (np.ones(3), 0.0, -5),
+        (np.ones((3, 1)), 0.1, 1),
+    ])
+    def test_rejects_before_any_draw(self, monkeypatch, g_clean, epsilon, seed):
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError):
+            add_noise(g_clean, epsilon, seed)
 
 
 class TestOperatorNormSq:

@@ -19,7 +19,6 @@ from codilated import checks, cli, experiments, operators, orthopoly, solvers, z
 from codilated.experiments import ExperimentSpec, SweepResult, SweepRow, write_sweep_csv
 from codilated.operators import (
     Deriv2Problem,
-    NoisyProblem,
     NormEstimate,
     Problem,
     add_noise,
@@ -35,8 +34,8 @@ from codilated.orthopoly import (
 from codilated.solvers import IterationState, Method, SolveReport, SolverConfig
 from codilated.zeros import MAX_DEGREE, ZeroReport
 
-VALUE_RECORDS = (NormEstimate, NoisyProblem, Deriv2Problem, CriticalConstants, IterationState,
-                 ZeroReport, SweepRow, SweepResult, SolveReport)
+VALUE_RECORDS = (NormEstimate, Deriv2Problem, CriticalConstants, IterationState, ZeroReport,
+                 SweepRow, SweepResult, SolveReport)
 # the validating records, each built from valid values
 CHECKED_RECORDS = {
     Problem: lambda: Problem(diagonal_operator([1.0, 0.5]), np.ones(2)),
@@ -123,7 +122,11 @@ def test_solve_report_defaults_and_replace():
     (lambda: SolverConfig(omega=True), "omega must be real, not True"),
     (lambda: SolverConfig(tau=4 + 0j), "tau must be real"),
     (lambda: SolverConfig(epsilon="0.01"), "epsilon must be real"),
-    (lambda: add_noise(diagonal_operator([1.0]), [1.0], "0.01", 1), "epsilon must be real"),
+    (lambda: add_noise([1.0], "0.01", 1), "epsilon must be real"),
+    (lambda: add_noise([1.0], 0.01, True), "seed must be an integer, not True"),
+    (lambda: add_noise([1.0], 0.01, 1.5), "seed must be an integer, not 1.5"),
+    (lambda: add_noise([1.0], 0.0, -5), "seed must be >= 0"),  # checked where nothing is drawn
+    (lambda: add_noise(np.ones((3, 1)), 0.01, 1), r"g_clean must be 1-D, not of shape \(3, 1\)"),
     (lambda: ExperimentSpec("diag-last", sweep="1:2:0.5"), "sweep must be a"),
     (lambda: ExperimentSpec("diag-last", sweep={1.0: 2}), "sweep must be a"),
     (lambda: ExperimentSpec("diag-last", sweep=(1.0, "2", 0.5)), "sweep range must be real"),
@@ -131,7 +134,8 @@ def test_solve_report_defaults_and_replace():
 ], ids=["problem-shape", "problem-nan", "scheme-symmetric", "scheme-beta", "dilation-m",
         "dilation-lam", "nu-bound", "nu-nan", "dilation-lam-str", "nu-str", "nu-bool",
         "config-nu-str", "config-lam-array", "config-omega-bool", "config-tau-complex",
-        "config-epsilon-str", "noise-epsilon-str", "sweep-str", "sweep-dict", "sweep-range-str",
+        "config-epsilon-str", "noise-epsilon-str", "noise-seed-bool", "noise-seed-float",
+        "noise-seed-negative-at-zero-epsilon", "noise-data-column", "sweep-str", "sweep-dict", "sweep-range-str",
         "sweep-list-bool"])
 def test_checked_records_raise(build_bad, message):
     with pytest.raises(ValueError, match=message):

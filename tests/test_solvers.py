@@ -64,7 +64,7 @@ def iterate_log(reports_from):
 
 def deriv2_problem(seed=15, n=50):
     d2 = deriv2_assemble(n)
-    return add_noise(d2.to_operator(), d2.g_vector, 0.01, seed).as_problem()
+    return Problem(d2.to_operator(), add_noise(d2.g_vector, 0.01, seed))
 
 
 class TestLandweber:
@@ -368,7 +368,7 @@ class TestAdaptive:
     def test_iterates_are_the_nu_method_iterates(self, problem_name):
         _, omega, eps, tau = PROBLEM_DEFAULTS[problem_name]
         config = SolverConfig(method=Method.ADAPTIVE_CODILATED_ONE, omega=omega, epsilon=eps, tau=tau)
-        problem = build_problem(ExperimentSpec(problem=problem_name, config=config)).as_problem()
+        problem = build_problem(ExperimentSpec(problem=problem_name, config=config))
         adaptive, plain = {}, {}
 
         def log_into(states):
@@ -577,8 +577,7 @@ class TestConfigAndDriver:
     def test_callback_does_not_change_solve(self, problem_name):
         _, omega, eps, tau = PROBLEM_DEFAULTS[problem_name]
         base = SolverConfig(nu=1.0, lam=1.5, omega=omega, epsilon=eps, tau=tau, max_iter=5000)
-        noisy = build_problem(ExperimentSpec(problem=problem_name, config=base))
-        problem = noisy.as_problem()
+        problem = build_problem(ExperimentSpec(problem=problem_name, config=base))
         for method in Method:
             config = base._replace(method=method)
             with warnings.catch_warnings():
@@ -637,7 +636,7 @@ class TestStopPrecedence:
     def steps(norms, drawn):
         for n, rn in enumerate(norms, start=1):
             drawn.append(n)
-            yield np.array([float(n)]), np.array([n - 1.0]), 1.0, np.array([rn])
+            yield np.array([float(n)]), np.array([n - 1.0]), np.array([rn])
 
     @pytest.mark.parametrize(
         "last, max_iter, reason, held",
@@ -674,7 +673,7 @@ class TestStopPrecedence:
         problem = Problem(diagonal_operator(np.ones(1)), np.array([10.0]))
 
         def steps():
-            yield np.ones(1), np.zeros(1), 1.0, np.array([5.0])
+            yield np.ones(1), np.zeros(1), np.array([5.0])
             return StopReason.BREAKDOWN
 
         report = _drive(problem, SolverConfig(max_iter=10), steps(), None)
@@ -873,7 +872,7 @@ class TestSolveDilations:
     def test_bit_identical_to_single_solves(self, method, problem_name):
         _, omega, eps, tau = PROBLEM_DEFAULTS[problem_name]
         config = SolverConfig(method=method, nu=2.0, omega=omega, epsilon=eps, tau=tau)
-        problem = build_problem(ExperimentSpec(problem=problem_name, config=config)).as_problem()
+        problem = build_problem(ExperimentSpec(problem=problem_name, config=config))
         # unsorted, with a duplicate and a negative dilation
         reports = assert_block_equals_singles(problem, config, [3.99, 1.0, -1.0, 3.9, 1.0, 0.0])
         assert len({r.iterations for r in reports}) > 1  # rows leave the block at different steps
@@ -885,7 +884,7 @@ class TestSolveDilations:
         _, omega, eps, _ = PROBLEM_DEFAULTS["deriv2"]
         config = SolverConfig(method=Method.CODILATED_NU, nu=1.0, omega=omega, epsilon=eps,
                               tau=7.27)
-        problem = build_problem(ExperimentSpec(problem="deriv2", config=config)).as_problem()
+        problem = build_problem(ExperimentSpec(problem="deriv2", config=config))
         reports = assert_block_equals_singles(problem, config, [-1.0, 0.5, 1.0, 1.5, 1.95])
         assert [r.iterations for r in reports] == [2, 1, 2, 3, 6]
         assert {r.stop_reason for r in reports} == {StopReason.DISCREPANCY}
@@ -909,7 +908,7 @@ class TestSolveDilations:
         _, omega, eps, tau = PROBLEM_DEFAULTS["diag-last"]
         config = SolverConfig(method=method, nu=1.0, omega=omega, epsilon=eps, tau=tau)
         config = config._replace(**overrides)
-        problem = build_problem(ExperimentSpec(problem="diag-last", config=config)).as_problem()
+        problem = build_problem(ExperimentSpec(problem="diag-last", config=config))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RelaxationWarning)
             reports = assert_block_equals_singles(problem, config, [0.5, 1.0, 1.5, 1.95, 1.99])

@@ -193,7 +193,7 @@ def main(argv=None) -> int:
 
     n, omega, eps, tau = PROBLEM_DEFAULTS["deriv2"]
     base = SolverConfig(omega=omega, epsilon=eps, tau=tau)
-    problem = build_problem(ExperimentSpec(problem="deriv2", config=base)).as_problem()
+    problem = build_problem(ExperimentSpec(problem="deriv2", config=base))
     a = np.ascontiguousarray(deriv2_assemble(n).matrix)
     at = np.ascontiguousarray(a.T)
     g = problem.g
@@ -244,7 +244,7 @@ def main(argv=None) -> int:
     blocks = [
         ("table1 nu=2", problem, table1, table1_lams,
          lambda x: np.matvec(a, x), lambda x: np.matvec(at, x)),
-        ("sweep-zeros", build_problem(spec).as_problem(), sweep,
+        ("sweep-zeros", build_problem(spec), sweep,
          [lam for lam in spec.sweep_values() if batchable(sweep, lam)],
          lambda x: d * x, lambda x: d * x),
     ]
