@@ -48,6 +48,6 @@ from .solvers import (
     semi_iterative,
     solve,
 )
-from .zeros import ZeroReport, find_polynomial_zeros, find_zeros, modulus_of_convergence
+from .zeros import ZeroReport, find_zeros, modulus_of_convergence
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from .orthopoly import (
     critical_constants, eval_codilated_via_representation, eval_monic, mu_closed, mu_recursive,
     numerator_scheme, sup_bound_codilated, ultraspherical_scheme,
 )
-from .zeros import find_polynomial_zeros
+from .zeros import find_zeros
 
 PI4 = np.pi**-4
 LIMIT_STEPS = 3000  # the degree at which limit_constant reads its limit
@@ -121,7 +121,7 @@ def zero_monotonicity_excess(nus, ms, ns):
         for m in ms:
             crit = 1.0 / (1.0 - limit_constant(scheme, m)) - 1e-6
             for n in ns:
-                zeros = [find_polynomial_zeros(scheme, CoDilation(m, lam), n).zeros
+                zeros = [find_zeros(scheme, CoDilation(m, lam), None, n).zeros
                          for lam in (0.5, 1.0, 0.5 * (1 + crit), crit)]
                 if any(z.size != n for z in zeros):
                     yield math.inf
@@ -141,7 +141,7 @@ def interior_zeros_excess(nus, n_at_one, ns, beyond):
                     for lam in (crit, crit + beyond))
         yield from (-np.min(at), np.min(past))
         for n in ns:
-            zeros = find_polynomial_zeros(scheme, CoDilation(1, crit), n).zeros
+            zeros = find_zeros(scheme, CoDilation(1, crit), None, n).zeros
             yield from (-1.0 - zeros[0], zeros[-1] - 1.0) if zeros.size == n else (math.inf,)
 
 

@@ -14,8 +14,9 @@ solve stopped on a non-finite residual (divergence).
 from __future__ import annotations
 
 import argparse
-import math
+import re
 import sys
+import warnings
 
 from .experiments import (
     DEFAULT_SEED,
@@ -33,7 +34,7 @@ from .experiments import (
 )
 from .orthopoly import CoDilation, ResidualKind, UltrasphericalParams, ultraspherical_scheme
 from .solvers import Method, SolverConfig, StopReason
-from .zeros import find_polynomial_zeros, find_zeros
+from .zeros import find_zeros
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -65,10 +66,10 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 # the solve and sweep options: key -> (type, SolverConfig or ExperimentSpec
-# field, argparse extras).  Each key is a config-file key of both and, with
-# "-" for "_", a flag, of sweep alone for the _SWEEP_ONLY keys and of solve
-# alone for the _SOLVE_ONLY ones, which the other command would ignore; a
-# flag overrides the file entry.
+# field, None for the output path, argparse extras).  Each key is a
+# config-file key of both and, with "-" for "_", a flag, of sweep alone for
+# the _SWEEP_ONLY keys and of solve alone for the _SOLVE_ONLY ones, which the
+# other command would ignore; a flag overrides the file entry.
 _OPTIONS = {
     "problem": (str, "problem", {"choices": sorted(PROBLEM_DEFAULTS)}),
     "method": (str, "method", {"choices": [m.value for m in Method]}),
@@ -80,7 +81,7 @@ _OPTIONS = {
     "tau": (float, "tau", {}),
     "seed": (int, "seed", {}),
     "max_iter": (int, "max_iter", {}),
-    "out": (str, "out", {"help": "output CSV path"}),
+    "out": (str, None, {"help": "output CSV path"}),
     "sweep": (_parse_sweep, "sweep", {"help": "min:max:step or explicit list"}),
     "zero_degree": (int, "zero_degree", {}),
 }
@@ -107,10 +108,11 @@ def _merged(args) -> dict:
     return merged
 
 
-def _build_spec(args) -> ExperimentSpec:
-    """The spec of the merged options; omega, eps and tau default to the
-    problem's, every other field to the default of its record's constructor."""
+def _build_spec(args) -> tuple[ExperimentSpec, str | None]:
+    """The spec of the merged options, and the output path; omega, eps and tau
+    default to the problem's, every other field to its record's default."""
     merged = _merged(args)
+    out = merged.pop("out", None)
     problem = merged.get("problem", "deriv2")
     if problem not in PROBLEM_DEFAULTS:
         raise ValueError(f"unknown problem {problem!r}")
@@ -119,11 +121,11 @@ def _build_spec(args) -> ExperimentSpec:
     for key, value in merged.items():
         field = _OPTIONS[key][1]
         (config if field in _CONFIG_FIELDS else spec)[field] = value
-    return ExperimentSpec(config=SolverConfig(**config), **spec)
+    return ExperimentSpec(config=SolverConfig(**config), **spec), out
 
 
 def _cmd_solve(args) -> int:
-    spec = _build_spec(args)
+    spec, out = _build_spec(args)
     report = run_experiment(spec, args.dump_problem)
     line = (
         f"method={spec.config.method.value} iterations={report.iterations} "
@@ -132,18 +134,18 @@ def _cmd_solve(args) -> int:
     if report.chosen_lambda is not None:
         line += f" chosen_lambda={float(report.chosen_lambda)!r}"
     print(line)
-    if spec.out:
-        write_report_csv(spec.out, report, spec.config, spec.seed)
+    if out:
+        write_report_csv(out, report, spec.config, spec.seed)
     return _STOP_EXIT.get(report.stop_reason, EXIT_OK)
 
 
 def _cmd_sweep(args) -> int:
-    spec = _build_spec(args)
+    spec, out = _build_spec(args)
     result = run_sweep(spec)
     for row in result.rows:
         print(f"lambda={row.lam!r} iterations={row.iterations} stop={row.stop_reason}")
-    if spec.out:
-        write_sweep_csv(spec.out, result)
+    if out:
+        write_sweep_csv(out, result)
     return EXIT_OK
 
 
@@ -162,19 +164,14 @@ def _cmd_table1(args) -> int:
 def _cmd_zeros(args) -> int:
     scheme = ultraspherical_scheme(UltrasphericalParams(args.nu))
     kind = None if args.kind == "polynomial" else ResidualKind(args.kind)
-
-    def locate(dil):
-        if kind is None:
-            return find_polynomial_zeros(scheme, dil, args.degree)
-        return find_zeros(scheme, dil, kind, args.degree)
-
     if args.sweep is not None:
         header, rows = "lambda,smallest_zero,located", []
         for lam in _sweep_values(args.sweep):
-            zr = locate(CoDilation(args.m, lam))
-            rows.append((lam, zr.smallest if zr.zeros.size else math.nan, zr.zeros.size))
+            zr = find_zeros(scheme, CoDilation(args.m, lam), kind, args.degree)
+            rows.append((lam, zr.smallest, zr.zeros.size))
     else:
-        zr = locate(CoDilation(args.m, 1.0 if args.lam is None else args.lam))
+        lam = 1.0 if args.lam is None else args.lam
+        zr = find_zeros(scheme, CoDilation(args.m, lam), kind, args.degree)
         header, rows = "index,zero", enumerate(zr.zeros.tolist(), start=1)
     lines = [header, *map(_csv_row, rows)]
     print(*lines, sep="\n")
@@ -191,7 +188,13 @@ def _cmd_checks(_args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Raises a malformed command line as ValueError, which ``main`` reports
-    as a configuration error, where argparse would exit with code 2."""
+    as a configuration error, where argparse would exit with code 2.  A token
+    that starts with "-" and then a digit or ".digit" (-1:1:0.5, -1e-3) is a
+    value, where argparse would take all but a plain negative decimal for a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise ValueError(message)
@@ -239,12 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a warning it raises is shown as one ``warning:`` line."""
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        warnings.formatwarning = format_warning
 
 
 def console_main() -> None:

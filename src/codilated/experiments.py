@@ -93,12 +93,12 @@ class _ExperimentSpec(NamedTuple):
     sweep: tuple[float, float, float] | list[float] | None = None
     seed: int = DEFAULT_SEED
     zero_degree: int | None = None
-    out: str | None = None
 
 
 class ExperimentSpec(_ExperimentSpec):
     """One experiment: a problem, a solver configuration (by default
-    ``SolverConfig()``), optionally a dilation sweep, and an output path.
+    ``SolverConfig()``) and optionally a dilation sweep.  It names no output
+    file: the caller writes one (``write_report_csv``, ``write_sweep_csv``).
 
     A malformed sweep range, a problem size that is not an integer in 2 ..
     ``MAX_N`` of the problem, a zero degree outside 1 .. ``zeros.MAX_DEGREE``, a
@@ -259,9 +259,7 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
             iters, reason, final, _ = _run_point(problem, config._replace(lam=lam))
         zero = float("nan")
         if spec.zero_degree is not None:
-            zr = find_zeros(scheme, CoDilation(1, lam), kind, spec.zero_degree)
-            if zr.zeros.size:
-                zero = zr.smallest
+            zero = find_zeros(scheme, CoDilation(1, lam), kind, spec.zero_degree).smallest
         rows.append(SweepRow(lam, iters, reason, final, zero))
     return SweepResult(rows=rows, zero_degree=spec.zero_degree)
 

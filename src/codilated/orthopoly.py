@@ -380,9 +380,8 @@ def residual_eval(
 ):
     """Residual polynomial value r_n(y) or its asymmetric variant on [0, 1].
 
-    Computed as a ratio against P(1), so the constraint r_n(0) = 1 holds
-    exactly.  Raises NormalizationVanishes when |P(1)| underflows, which
-    happens only for dilations beyond the critical value.
+    Computed as P(x)/P(1) by ``_normalised_at_one``, so the constraint
+    r_n(0) = 1 holds exactly, and with its rule for a vanishing P(1).
     """
     _require_integer(n, "degree", 0)
     ya = np.asarray(y, dtype=float)
@@ -392,11 +391,17 @@ def residual_eval(
         degree, arg = n, 1.0 - 2.0 * ya
     else:
         degree, arg = 2 * n, np.sqrt(1.0 - ya)
-    values = eval_monic(scheme, dilation, degree, np.append(arg, 1.0))  # P(1) last, one pass
-    if abs(values[-1]) < 1e-300:
-        raise NormalizationVanishes(f"P_{degree}(1) = {values[-1]}")
-    r = values[:-1] / values[-1]
+    r = _normalised_at_one(scheme, dilation, degree, arg)
     return float(r[0]) if ya.ndim == 0 else r.reshape(ya.shape)
+
+
+def _normalised_at_one(scheme: RecurrenceScheme, dilation: CoDilation | None, n: int, x):
+    """P_n(x)/P_n(1) as a flat array, P_n(1) from the same pass; NormalizationVanishes
+    when |P_n(1)| < 1e-300: beyond the critical dilation, or past about degree 1 000."""
+    values = eval_monic(scheme, dilation, n, np.append(x, 1.0))  # P(1) last, one pass
+    if abs(values[-1]) < 1e-300:
+        raise NormalizationVanishes(f"P_{n}(1) = {values[-1]}")
+    return values[:-1] / values[-1]
 
 
 def _mus(stream, n_max: int) -> np.ndarray:

@@ -18,10 +18,12 @@ come from sign-change bracketing on a scan grid followed by bisection.  The
 scan grid is uniform in the angular variable x = cos(theta) with 50 points
 per degree; oscillations of a degree-n family are ~pi/n apart in theta, so
 adjacent roots and extrema are separated by ~50 grid points even where
-they cluster near the endpoints.  The scan is also the tests' independent
-oracle for the matrix path.  Results come back as a ``ZeroReport``, a
-``NamedTuple``.  A degree runs from 1 to MAX_DEGREE, checked before anything
-of its size is built.
+they cluster near the endpoints.  Every scan, of P_n as of a residual kind,
+reads P(x)/P(1) (``orthopoly._normalised_at_one``), so an underflowed P(1)
+raises NormalizationVanishes rather than yielding a grid of zeros as roots.
+The scan is also the tests' independent oracle for the matrix path.  Results
+come back as a ``ZeroReport``, a ``NamedTuple``.  A degree runs from 1 to
+MAX_DEGREE, checked before anything of its size is built.
 """
 
 from __future__ import annotations
@@ -35,14 +37,12 @@ from .orthopoly import (
     RecurrenceScheme,
     ResidualKind,
     _jacobi,
+    _normalised_at_one,
     _require_integer,
-    eval_monic,
     residual_eval,
 )
 
-__all__ = [
-    "MAX_DEGREE", "ZeroReport", "find_zeros", "find_polynomial_zeros", "modulus_of_convergence"
-]
+__all__ = ["MAX_DEGREE", "ZeroReport", "find_zeros", "modulus_of_convergence"]
 
 MAX_DEGREE = 4096  # the n x n Jacobi matrix of the largest degree takes 128 MiB
 GRID_POINTS_PER_DEGREE = 50
@@ -53,7 +53,7 @@ REFINE_TOL = 1e-10
 class ZeroReport(NamedTuple):
     """Located roots in ascending order; fewer than ``degree`` roots means
     some left the interval (dilation beyond critical), which is
-    informative rather than an error."""
+    informative rather than an error; ``smallest`` is NaN where none is."""
 
     degree: int
     lam: float
@@ -61,7 +61,7 @@ class ZeroReport(NamedTuple):
 
     @property
     def smallest(self) -> float:
-        return float(self.zeros[0])
+        return float(self.zeros[0]) if self.zeros.size else float("nan")
 
 
 def _check_degree(n: int, name: str = "degree") -> None:
@@ -145,35 +145,23 @@ def _inside(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def find_zeros(
-    scheme: RecurrenceScheme,
-    dilation: CoDilation | None,
-    kind: ResidualKind,
-    n: int,
+    scheme: RecurrenceScheme, dilation: CoDilation | None, kind: ResidualKind | None, n: int
 ) -> ZeroReport:
-    """Roots of the degree-n residual polynomial in [0, 1]."""
+    """Roots of the degree-n residual polynomial of ``kind`` in [0, 1], or of
+    P_n itself (co-dilated if requested) in [-1, 1] where ``kind`` is None."""
     _check_degree(n)
-    symmetric = kind is ResidualKind.SYMMETRIC
-    eig = _jacobi_eigenvalues(scheme, dilation, n, folded=not symmetric)
-    if eig is not None:
-        y = 0.5 * (1.0 - eig) if symmetric else 1.0 - eig
-        zeros = _inside(y[::-1], 0.0, 1.0)  # eig ascends, so y descends
-    else:
-        zeros = _scan_roots(
-            lambda y: residual_eval(scheme, dilation, kind, n, y), _residual_grid(n)
-        )
-    return ZeroReport(degree=n, lam=dilation.lam if dilation else 1.0, zeros=zeros)
-
-
-def find_polynomial_zeros(
-    scheme: RecurrenceScheme, dilation: CoDilation | None, n: int
-) -> ZeroReport:
-    """Roots of P_n itself (co-dilated if requested) in [-1, 1]."""
-    _check_degree(n)
-    eig = _jacobi_eigenvalues(scheme, dilation, n, folded=False)
-    if eig is not None:
+    eig = _jacobi_eigenvalues(scheme, dilation, n, folded=kind is ResidualKind.ASYMMETRIC)
+    if eig is None and kind is None:
+        zeros = _scan_roots(lambda x: _normalised_at_one(scheme, dilation, n, x),
+                            _polynomial_grid(n))
+    elif eig is None:
+        zeros = _scan_roots(lambda y: residual_eval(scheme, dilation, kind, n, y),
+                            _residual_grid(n))
+    elif kind is None:
         zeros = _inside(eig, -1.0, 1.0)
     else:
-        zeros = _scan_roots(lambda x: eval_monic(scheme, dilation, n, x), _polynomial_grid(n))
+        y = 0.5 * (1.0 - eig) if kind is ResidualKind.SYMMETRIC else 1.0 - eig
+        zeros = _inside(y[::-1], 0.0, 1.0)  # eig ascends, so y descends
     return ZeroReport(degree=n, lam=dilation.lam if dilation else 1.0, zeros=zeros)
 
 

@@ -45,7 +45,7 @@ from codilated.orthopoly import (
     ultraspherical_scheme,
 )
 from codilated.solvers import Method, SolverConfig, oracle_check, solve
-from codilated.zeros import find_polynomial_zeros, find_zeros, modulus_of_convergence
+from codilated.zeros import find_zeros, modulus_of_convergence
 
 CHEB = chebyshev_u_scheme()
 SYM = ResidualKind.SYMMETRIC
@@ -198,8 +198,8 @@ def test_criterion_6_zero_structure():
             for m in (1, 2, 3):
                 crit = 1.0 / (1.0 - limit_constant(scheme, m)) - 1e-6
                 for lam, n in product((1.8, crit), range(1, m + 1)):
-                    a = find_polynomial_zeros(scheme, CoDilation(m, lam), n)
-                    b = find_polynomial_zeros(scheme, None, n)
+                    a = find_zeros(scheme, CoDilation(m, lam), None, n)
+                    b = find_zeros(scheme, None, None, n)
                     assert np.max(np.abs(a.zeros - b.zeros)) < 1e-12
 
         # smallest zero of the asymmetric residual decreases with the dilation
@@ -220,8 +220,8 @@ def test_criterion_6_zero_structure():
             scheme = ultraspherical_scheme(UltrasphericalParams(nu))
             for lam in (1.3, 1.9):
                 for n in (8, 9, 29, 30):
-                    x = find_polynomial_zeros(scheme, None, n).zeros
-                    xs_d = find_polynomial_zeros(scheme, CoDilation(1, lam), n).zeros
+                    x = find_zeros(scheme, None, None, n).zeros
+                    xs_d = find_zeros(scheme, CoDilation(1, lam), None, n).zeros
                     assert x.size == xs_d.size == n
                     for j in range(1, n // 2 + 1):
                         assert xs_d[j - 1] < x[j - 1] < xs_d[j]

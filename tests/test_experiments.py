@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -539,6 +543,7 @@ class TestCli:
         ["zeros", "--degree", "x"],
         ["zeros"],  # --degree is required
         ["nosuch"],
+        ["solve", "--problem", "-x"],  # "-" and a letter is a flag, not a value
     ])
     def test_malformed_flag_is_config_error(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG
@@ -553,6 +558,32 @@ class TestCli:
         assert main(argv) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: seed must be >= 0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--problem", "diag-last", "--max-iter", "20", "--sweep", "-1:1:0.5"],
+        ["sweep", "--problem", "diag-last", "--max-iter", "20", "--sweep", "-1,0.5"],
+        ["solve", "--problem", "diag-last", "--max-iter", "20", "--lambda", "-1e-3"],
+    ], ids=["range", "list", "exponent"])
+    def test_negative_value_after_its_flag(self, argv, capsys):
+        # "-" then a digit is a value, as after "=": argparse alone reads only a
+        # plain negative decimal so, and took these for flags
+        code = main(argv)
+        spaced = capsys.readouterr()
+        assert main([*argv[:-2], f"{argv[-2]}={argv[-1]}"]) == code != EXIT_CONFIG
+        assert capsys.readouterr() == spaced and spaced.err == ""
+
+    def test_warnings_are_one_line_each(self):
+        # run as a user runs it, so Python's own filters and stderr show the warnings
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "codilated.cli", "solve", "--problem", "diag-last",
+             "--omega", "1e308", "--max-iter", "50"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == EXIT_DIVERGENCE
+        err = done.stderr.splitlines()
+        assert len(err) == 2 and all(line.startswith("warning: ") for line in err)
+        assert not any(".py" in line for line in err)
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exit_:
@@ -774,12 +805,12 @@ class TestCli:
             worst = checks.determinant_deviation((1.0,), (1, 2), 3, np.array([0.0, 0.5]))
         assert math.isnan(worst) and not worst < 1e-10
         # a NaN margin after the first value compared: P*_2(1), then every largest zero
-        evaluate, locate = checks.eval_monic, checks.find_polynomial_zeros
+        evaluate, locate = checks.eval_monic, checks.find_zeros
         monkeypatch.setattr(checks, "eval_monic",
                             lambda s, d, n, x: math.nan if n == 2 else evaluate(s, d, n, x))
         assert math.isnan(checks.interior_zeros_excess((1.0,), 5, (), 0.05))
         monkeypatch.setattr(checks, "eval_monic", evaluate)
-        monkeypatch.setattr(checks, "find_polynomial_zeros", lambda s, d, n: locate(s, d, n)._replace(
-            zeros=np.append(locate(s, d, n).zeros[:-1], math.nan)))
+        monkeypatch.setattr(checks, "find_zeros", lambda s, d, k, n: locate(s, d, k, n)._replace(
+            zeros=np.append(locate(s, d, k, n).zeros[:-1], math.nan)))
         assert math.isnan(checks.interior_zeros_excess((1.0,), 5, (10,), 0.05))
         assert math.isnan(checks.zero_monotonicity_excess((1.0,), (1,), (5,)))

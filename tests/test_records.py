@@ -212,7 +212,8 @@ def test_solver_config_value_semantics():
 
 def test_solver_config_fields_are_the_cli_config_options():
     option_fields = {field for _, field, _ in cli._OPTIONS.values()}
-    assert option_fields - set(ExperimentSpec._fields) == set(SolverConfig._fields)
+    # None: the output path, which the command line carries outside the spec
+    assert option_fields - set(ExperimentSpec._fields) - {None} == set(SolverConfig._fields)
     assert cli._CONFIG_FIELDS == set(SolverConfig._fields)
 
 

@@ -7,6 +7,7 @@ from codilated.cli import main
 from codilated.experiments import ExperimentSpec
 from codilated.orthopoly import (
     CoDilation,
+    NormalizationVanishes,
     RecurrenceScheme,
     ResidualKind,
     UltrasphericalParams,
@@ -19,7 +20,7 @@ from codilated.orthopoly import (
 )
 from codilated import zeros
 from codilated.checks import limit_constant
-from codilated.zeros import find_polynomial_zeros, find_zeros, modulus_of_convergence
+from codilated.zeros import find_zeros, modulus_of_convergence
 
 CHEB = chebyshev_u_scheme()
 SYM = ResidualKind.SYMMETRIC
@@ -62,6 +63,10 @@ class TestFindZeros:
         report = find_zeros(CHEB, CoDilation(1, 2.6), SYM, 40)
         assert report.zeros.size < 40
 
+    def test_smallest_is_nan_when_none_located(self):
+        report = find_zeros(CHEB, CoDilation(1, 10.0), SYM, 2)
+        assert report.zeros.size == 0 and math.isnan(report.smallest)
+
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
             find_zeros(CHEB, None, SYM, 0)
@@ -90,8 +95,8 @@ def locators(degree):
         lambda: find_zeros(CHEB, None, SYM, degree),
         lambda: find_zeros(CHEB, CoDilation(1, 1.5), ASYM, degree),
         lambda: find_zeros(CHEB, CoDilation(1, -1.0), SYM, degree),  # the scan path
-        lambda: find_polynomial_zeros(CHEB, None, degree),
-        lambda: find_polynomial_zeros(CHEB, CoDilation(1, 0.0), degree),  # the scan path
+        lambda: find_zeros(CHEB, None, None, degree),
+        lambda: find_zeros(CHEB, CoDilation(1, 0.0), None, degree),  # the scan path
         lambda: modulus_of_convergence(CHEB, None, SYM, degree, 1.0),
     )
 
@@ -122,7 +127,7 @@ class TestDegreeBound:
         with pytest.raises(Unbounded):
             find_zeros(CHEB, None, SYM, 4096)
         with pytest.raises(Unbounded):
-            find_polynomial_zeros(CHEB, None, 4096)
+            find_zeros(CHEB, None, None, 4096)
         with pytest.raises(Unbounded):  # a NumPy integer is a degree too
             find_zeros(CHEB, None, SYM, np.int64(4096))
 
@@ -138,9 +143,23 @@ class TestDegreeBound:
 
 class TestPolynomialZeros:
     def test_chebyshev_zeros(self):
-        report = find_polynomial_zeros(CHEB, None, 8)
+        report = find_zeros(CHEB, None, None, 8)
         expected = np.sort([math.cos(k * math.pi / 9) for k in range(1, 9)])
         assert np.max(np.abs(report.zeros - expected)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["polynomial", "symmetric"])
+    def test_underflowed_normalisation_is_an_error(self, kind, capsys, tmp_path):
+        # P_1100(1) underflows to 0 at nu = 1, lam = -0.5: the scan refuses the
+        # degree for P_n as for its residual kind, not reading zeros off underflow
+        scheme = ultraspherical_scheme(UltrasphericalParams(1.0))
+        with pytest.raises(NormalizationVanishes, match=r"P_1100\(1\) = 0.0"):
+            find_zeros(scheme, CoDilation(1, -0.5), None if kind == "polynomial" else SYM, 1100)
+        out = tmp_path / "zeros.csv"
+        assert main(["zeros", "--kind", kind, "--nu", "1", "--lambda=-0.5", "--degree", "1100",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: P_1100(1) = 0.0\n"
+        assert not out.exists()
 
     def test_chebyshev_limit_constants(self):
         # the numerator family of U is U itself, so L_m = 1/(m+1)
@@ -149,9 +168,7 @@ class TestPolynomialZeros:
 
 
 def located(scheme, dilation, kind, n):
-    """Zeros from ``find_polynomial_zeros`` (kind None) or ``find_zeros``."""
-    if kind is None:
-        return find_polynomial_zeros(scheme, dilation, n).zeros
+    """Zeros from ``find_zeros``; kind None locates P_n itself."""
     return find_zeros(scheme, dilation, kind, n).zeros
 
 
@@ -217,8 +234,8 @@ class TestEigenvaluePath:
         scheme = RecurrenceScheme(**coefficients)
         for run in (lambda: find_zeros(scheme, None, SYM, 20),
                     lambda: find_zeros(scheme, None, ASYM, 20),
-                    lambda: find_polynomial_zeros(scheme, None, 20),
-                    lambda: find_polynomial_zeros(scheme, CoDilation(1, -1.0), 20),
+                    lambda: find_zeros(scheme, None, None, 20),
+                    lambda: find_zeros(scheme, CoDilation(1, -1.0), None, 20),
                     lambda: eval_monic(scheme, None, 20, 0.5)):
             with pytest.raises(ValueError, match=f"{which}\\(9\\) = {bad} must be finite"):
                 run()

@@ -166,6 +166,18 @@ def runs():
             yield f"zeros_{kind}_scan_{lam}", [
                 "zeros", "--nu", "1", "--kind", kind, "--degree", "40", f"--lambda={lam}",
                 "--out", "out.csv"]
+    # P_1100(1) underflows to 0: the scan of P_n refuses the degree as the residual
+    # kinds do, exit 1 and no CSV
+    yield "zeros_polynomial_scan_underflow", [
+        "zeros", "--nu", "1", "--kind", "polynomial", "--lambda=-0.5", "--degree", "1100",
+        "--out", "out.csv"]
+    # "-" and a digit after a flag is its value, not a flag
+    yield "sweep_diag-last_negative_range", [
+        "sweep", "--problem", "diag-last", "--sweep", "-1:1:0.5", "--max-iter", "20",
+        "--out", "out.csv"]
+    yield "solve_diag-last_negative_lambda", [
+        "solve", "--problem", "diag-last", "--lambda", "-1e-3", "--max-iter", "20",
+        "--out", "out.csv"]
     # the invariant suite: its stdout carries each check's worst deviation
     yield "checks", ["checks"]
     # malformed flags are configuration errors
