@@ -141,11 +141,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec, out = _build_spec(args)
-    result = run_sweep(spec)
-    for row in result.rows:
+    rows = run_sweep(spec)
+    for row in rows:
         print(f"lambda={row.lam!r} iterations={row.iterations} stop={row.stop_reason}")
     if out:
-        write_sweep_csv(out, result)
+        write_sweep_csv(out, rows, spec.zero_degree)
     return EXIT_OK
 
 

@@ -24,8 +24,8 @@ single solves' bit for bit; every other point and every table row runs
 through one point runner that records a failed solve in the row instead of
 raising.  Sweep rows are sorted by the dilation parameter, so the order of
 an explicit list does not change the output; a sweep range spans at most
-MAX_SWEEP_POINTS points.  ``SweepRow`` and ``SweepResult`` are
-``NamedTuple``s: a row is written as the tuple it is.
+MAX_SWEEP_POINTS points.  ``run_sweep`` returns its rows; ``SweepRow`` is a
+``NamedTuple``, so a row is written as the tuple it is.
 
 Every file the package writes goes through ``write_lines`` here, in
 bounded memory, with ``_fmt`` as the one rule for a CSV field; a problem
@@ -34,6 +34,7 @@ dump writes the very arrays ``build_problem`` assembled for the solve.
 
 from __future__ import annotations
 
+import warnings
 from itertools import chain, islice
 from typing import NamedTuple
 
@@ -60,7 +61,6 @@ __all__ = [
     "PROBLEM_DEFAULTS",
     "ExperimentSpec",
     "SweepRow",
-    "SweepResult",
     "build_problem",
     "run_experiment",
     "run_sweep",
@@ -201,11 +201,6 @@ class SweepRow(NamedTuple):
     smallest_zero: float
 
 
-class SweepResult(NamedTuple):
-    rows: list[SweepRow]
-    zero_degree: int | None
-
-
 def _run_point(problem: Problem, config: SolverConfig) -> tuple[int, str, float, float | None]:
     """(iterations, stop reason, final residual, chosen lambda) of one solve.
 
@@ -227,16 +222,16 @@ def _outcome(report: SolveReport) -> tuple[int, str, float, float | None]:
     return report.iterations, report.stop_reason.value, final, report.chosen_lambda
 
 
-def run_sweep(spec: ExperimentSpec) -> SweepResult:
+def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     """One solve per dilation value; rows sorted by the dilation parameter.
 
     A method without a dilation, and a nu outside the ultraspherical range
     nu > -1/2, raise ValueError before any solve.  Two or more admissible
     points of a closed-form method (``batchable``) are solved together by
     ``solve_dilations``, bit-identical to one solve each; every other point
-    goes through ``_run_point``.  Per-point failures are recorded in the row
-    and the sweep continues.  The attached zero is the smallest of the
-    method's residual kind, computed even where the solve is inadmissible.
+    goes through ``_run_point``, which records a failed solve in its row.  The
+    zero is the smallest of the method's residual kind, even where the solve is
+    inadmissible, and NaN, with a warning, where it cannot be located.
     """
     config = spec.config
     if config.method not in DILATION_KINDS:
@@ -259,9 +254,12 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
             iters, reason, final, _ = _run_point(problem, config._replace(lam=lam))
         zero = float("nan")
         if spec.zero_degree is not None:
-            zero = find_zeros(scheme, CoDilation(1, lam), kind, spec.zero_degree).smallest
+            try:
+                zero = find_zeros(scheme, CoDilation(1, lam), kind, spec.zero_degree).smallest
+            except ArithmeticError as exc:
+                warnings.warn(f"lambda={lam!r}: zero not located: {exc}", stacklevel=2)
         rows.append(SweepRow(lam, iters, reason, final, zero))
-    return SweepResult(rows=rows, zero_degree=spec.zero_degree)
+    return rows
 
 
 # (method, nu, lam) rows of the iteration-count table; the adaptive row
@@ -336,10 +334,10 @@ def write_report_csv(path, report: SolveReport, config: SolverConfig, seed: int)
     write_lines(path, chain(lines, rows))
 
 
-def write_sweep_csv(path, result: SweepResult) -> None:
-    lines = [] if result.zero_degree is None else [f"# zero_degree={result.zero_degree}"]
+def write_sweep_csv(path, rows: list[SweepRow], zero_degree: int | None) -> None:
+    lines = [] if zero_degree is None else [f"# zero_degree={zero_degree}"]
     lines.append("lambda,iterations,stop_reason,final_residual,smallest_zero")
-    write_lines(path, chain(lines, map(_csv_row, result.rows)))
+    write_lines(path, chain(lines, map(_csv_row, rows)))
 
 
 def write_table_csv(path, rows: list[dict]) -> None:

@@ -3,7 +3,7 @@
 Everything here is built on the monic three-term recurrence
 
     P_{n+1}(x) = (x - alpha_n) P_n(x) - beta_n P_{n-1}(x),
-    P_0(x) = 1,  P_1(x) = x - alpha_0,
+    P_{-1}(x) = 0,  P_0(x) = 1,  beta_0 = 0,
 
 with coefficient sequences supplied as plain index->value functions.  A
 co-dilation multiplies the single coefficient beta_m by a factor lam; the
@@ -204,8 +204,7 @@ def ultraspherical_beta(params: UltrasphericalParams, n):
 
     The n = 1 value is taken in the reduced form 1 / (2 (1 + nu)), which is
     the same rational function with the removable nu = 0 singularity cleared.
-    n is an int or an integer index ndarray; the array gives every entry by
-    the same IEEE operations as its int, so bit for bit.
+    n is an int, giving a float, or an integer index ndarray; one expression serves both.
     """
     array = isinstance(n, np.ndarray)
     if not array:
@@ -215,14 +214,10 @@ def ultraspherical_beta(params: UltrasphericalParams, n):
     elif n.min(initial=1) < 1:
         raise ValueError("beta index n must be >= 1")
     nu = params.nu
-    first = 1.0 / (2.0 * (1.0 + nu))
-    if not array and n == 1:
-        return first
-    k = np.maximum(n, 2) if array else n  # keeps the general form finite at nu = 0
-    beta = k * (k + 2.0 * nu - 1.0) / (4.0 * (k + nu) * (k + nu - 1.0))
-    if array:
-        beta[n == 1] = first
-    return beta
+    k = np.maximum(np.asarray(n, dtype=float), 2.0)  # keeps the general form finite at nu = 0
+    beta = np.where(n == 1, 1.0 / (2.0 * (1.0 + nu)),
+                    k * (k + 2.0 * nu - 1.0) / (4.0 * (k + nu) * (k + nu - 1.0)))
+    return beta if array else float(beta)
 
 
 def ultraspherical_scheme(params: UltrasphericalParams) -> RecurrenceScheme:
@@ -283,21 +278,18 @@ def _require(name: str, idx: np.ndarray, values: np.ndarray, ok: np.ndarray, wha
 def eval_monic(scheme: RecurrenceScheme, dilation: CoDilation | None, n: int, x):
     """Evaluate P_n(x) (co-dilated if a dilation is given) by forward recurrence.
 
+    It starts from P_{-1} = 0 and P_0 = 1, with beta_0 = 0 read by ``_jacobi``.
     x may be a scalar or an ndarray.  For the families used here |x| <= 1
     keeps all values bounded by P_n(1)-sized quantities; far outside the
     interval the monic values grow like x^n and may overflow for large n.
     """
     _require_integer(n, "degree", 0)
     xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    p_prev = np.ones_like(xa)
-    if n == 0:
-        return float(p_prev) if scalar else p_prev
+    p_prev, p = np.zeros_like(xa), np.ones_like(xa)
     alpha, beta = (c.tolist() for c in _jacobi(scheme, dilation, 0, n, folded=False))
-    p = xa - alpha[0]
-    for k in range(1, n):
+    for k in range(n):
         p_prev, p = p, (xa - alpha[k]) * p - beta[k] * p_prev
-    return float(p) if scalar else p
+    return float(p) if xa.ndim == 0 else p
 
 
 def numerator_scheme(scheme: RecurrenceScheme, m: int) -> RecurrenceScheme:
@@ -357,12 +349,8 @@ def chebyshev_closed(kind: str, n: int, x, lam: float | None = None):
         vals = np.cos(n * theta) / 2.0 ** (n - 1) if n >= 1 else np.ones_like(xv)
         at_one = 2.0 ** (1 - n) if n >= 1 else 1.0
     elif kind == "U":
-        if n == 0:
-            vals = np.ones_like(xv)
-        else:
-            sin_t = np.sin(theta)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = np.sin((n + 1) * theta) / (2.0**n * sin_t)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the endpoints are pinned below
+            vals = np.sin((n + 1) * theta) / (2.0**n * np.sin(theta))
         at_one = (n + 1) / 2.0**n
     else:
         raise ValueError(f"unknown kind {kind!r}")

@@ -437,8 +437,8 @@ def _residual_polynomial(config: SolverConfig):
         return power_basis_scheme(), None, ResidualKind.SYMMETRIC
     if method not in DILATION_KINDS:
         raise ValueError(f"method {method.value} has no fixed residual polynomial")
-    dilation = None if config.lam == 1.0 else CoDilation(1, config.lam)
-    return ultraspherical_scheme(UltrasphericalParams(config.nu)), dilation, DILATION_KINDS[method]
+    return (ultraspherical_scheme(UltrasphericalParams(config.nu)), CoDilation(1, config.lam),
+            DILATION_KINDS[method])
 
 
 def oracle_check(diag, f_true, config: SolverConfig, n_max: int) -> float:

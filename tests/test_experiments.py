@@ -40,6 +40,14 @@ def spec_for(problem, method=Method.CODILATED_NU, **config_kw):
     return ExperimentSpec(problem=problem, config=SolverConfig(method=method, **config_kw))
 
 
+def run_cli_process(argv):
+    """The CLI run as a user runs it, so Python's own filters and stderr show the warnings."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-m", "codilated.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestProblemConstruction:
     def test_defaults_match_reference_setup(self):
         assert PROBLEM_DEFAULTS["diag-last"] == (100, 1.0, 0.01, 4.0)
@@ -177,23 +185,23 @@ class TestGoldenRuns:
 class TestSweep:
     def test_monotone_benefit_towards_critical(self):
         spec = spec_for("diag-last")._replace(sweep=[1.0, 1.5, 1.9, 1.99])
-        rows = run_sweep(spec).rows
+        rows = run_sweep(spec)
         counts = [r.iterations for r in rows]
         assert all(b <= a + 2 for a, b in zip(counts, counts[1:]))
 
     def test_critical_value_does_not_converge(self):
         # asymmetric-si reaches lam = 2 exactly
         spec = spec_for("diag-last", Method.ASYMMETRIC_SI, max_iter=2000)._replace(sweep=[2.0])
-        (row,) = run_sweep(spec).rows
+        (row,) = run_sweep(spec)
         assert row.stop_reason in ("max-iter", "stagnation")
 
     def test_shuffled_list_equals_range(self, tmp_path):
         spec = spec_for("diag-last")._replace(sweep=(1.0, 1.9, 0.3))
         ranged, shuffled = tmp_path / "r.csv", tmp_path / "s.csv"
-        write_sweep_csv(ranged, run_sweep(spec))
+        write_sweep_csv(ranged, run_sweep(spec), None)
         values = spec.sweep_values()
         shuffled_spec = spec._replace(sweep=[values[k] for k in (2, 0, 3, 1)])
-        write_sweep_csv(shuffled, run_sweep(shuffled_spec))
+        write_sweep_csv(shuffled, run_sweep(shuffled_spec), None)
         assert ranged.read_bytes() == shuffled.read_bytes()
 
     @pytest.mark.parametrize("method", [Method.CODILATED_NU, Method.CODILATED_ULTRASPHERICAL])
@@ -203,7 +211,7 @@ class TestSweep:
         spec = spec_for(problem, method, nu=2.0)
         spec = spec._replace(sweep=[3.9, 1.0, 4.0, 1.0, 4.2, 3.99, -0.5])
         problem = build_problem(spec)
-        rows = run_sweep(spec).rows
+        rows = run_sweep(spec)
         assert [row.lam for row in rows] == sorted(spec.sweep)
         for row in rows:
             iterations, reason, final, _ = _run_point(problem, spec.config._replace(lam=row.lam))
@@ -239,7 +247,7 @@ class TestSweep:
         # reported in-interval root jumps to the second-smallest branch
         spec = spec_for("diag-last", max_iter=400)._replace(sweep=[1.0, 1.5, 1.9, 2.0, 2.1, 2.2],
                                                              zero_degree=150)
-        rows = run_sweep(spec).rows
+        rows = run_sweep(spec)
         zeros = {r.lam: r.smallest_zero for r in rows}
         assert zeros[1.5] < zeros[1.0]
         assert zeros[1.9] < zeros[1.5]
@@ -257,7 +265,7 @@ class TestSweep:
         spec = spec_for("diag-last", method, max_iter=300)._replace(sweep=[1.0, 1.5],
                                                                      zero_degree=20)
         scheme = ultraspherical_scheme(UltrasphericalParams(1.0))
-        for row in run_sweep(spec).rows:
+        for row in run_sweep(spec):
             want = find_zeros(scheme, CoDilation(1, row.lam), kind, 20).smallest
             assert row.smallest_zero == want
 
@@ -273,8 +281,20 @@ class TestSweep:
     def test_failed_point_recorded_not_raised(self):
         # general-si's scheme route raises beyond critical
         spec = spec_for("diag-last", Method.GENERAL_SI, max_iter=50)._replace(sweep=[2.5])
-        (row,) = run_sweep(spec).rows
+        (row,) = run_sweep(spec)
         assert row.stop_reason == "error:DivergentNormalization"
+
+    def test_failed_zero_location_recorded_not_raised(self):
+        # lam = -0.5 has no Jacobi matrix, and the scan's P_1200(1) underflows to 0
+        spec = spec_for("diag-last", max_iter=20)._replace(sweep=[1.0, -0.5], zero_degree=600)
+        with pytest.warns(UserWarning, match=r"lambda=-0\.5: .*P_1200\(1\) = 0\.0") as caught:
+            rows = run_sweep(spec)
+        assert len(caught) == 1
+        assert [(row.lam, row.iterations) for row in rows] == [(-0.5, 20), (1.0, 20)]
+        assert math.isnan(rows[0].smallest_zero)
+        scheme = ultraspherical_scheme(UltrasphericalParams(1.0))
+        want = find_zeros(scheme, CoDilation(1, 1.0), ResidualKind.ASYMMETRIC, 600).smallest
+        assert rows[1].smallest_zero == want
 
 
 class TestTable:
@@ -468,6 +488,14 @@ class TestCli:
         cfg.write_text("no_such_key=1\n")
         assert main(["solve", "--config", str(cfg)]) == EXIT_CONFIG
 
+    def test_config_file_line_without_equals(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("problem diag-last\n")
+        assert main(["solve", "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: malformed config line: problem diag-last\n"
+
     # a non-default value for every solve and sweep option, with the base
     # arguments it runs on
     OPTION_CASES = {
@@ -573,17 +601,23 @@ class TestCli:
         assert capsys.readouterr() == spaced and spaced.err == ""
 
     def test_warnings_are_one_line_each(self):
-        # run as a user runs it, so Python's own filters and stderr show the warnings
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-        env.pop("PYTHONWARNINGS", None)
-        done = subprocess.run(
-            [sys.executable, "-m", "codilated.cli", "solve", "--problem", "diag-last",
-             "--omega", "1e308", "--max-iter", "50"],
-            capture_output=True, text=True, env=env, timeout=120)
+        done = run_cli_process(["solve", "--problem", "diag-last", "--omega", "1e308",
+                                "--max-iter", "50"])
         assert done.returncode == EXIT_DIVERGENCE
         err = done.stderr.splitlines()
         assert len(err) == 2 and all(line.startswith("warning: ") for line in err)
         assert not any(".py" in line for line in err)
+
+    def test_sweep_zero_not_located_is_one_warning(self, tmp_path):
+        # the lam = -0.5 row's zero cannot be located; the sweep still writes both rows
+        out = tmp_path / "sweep.csv"
+        done = run_cli_process(["sweep", "--problem", "diag-last", "--sweep=-0.5,1.0",
+                                "--zero-degree", "600", "--max-iter", "20", "--out", str(out)])
+        assert done.returncode == EXIT_OK
+        assert done.stderr == "warning: lambda=-0.5: zero not located: P_1200(1) = 0.0\n"
+        rows = out.read_text().splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == ["-0.5", "1.0"]
+        assert rows[0].endswith(",nan") and not rows[1].endswith(",nan")
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exit_:
@@ -814,3 +848,10 @@ class TestCli:
             zeros=np.append(locate(s, d, k, n).zeros[:-1], math.nan)))
         assert math.isnan(checks.interior_zeros_excess((1.0,), 5, (10,), 0.05))
         assert math.isnan(checks.zero_monotonicity_excess((1.0,), (1,), (5,)))
+
+    def test_checks_lost_zero_reads_inf(self, monkeypatch):
+        from codilated import checks
+
+        # L_1 = 0.6 puts the last dilation near 2.5 > 2 nu, where P*_25 loses a zero in [-1, 1]
+        monkeypatch.setattr(checks, "limit_constant", lambda scheme, m: 0.6)
+        assert checks.zero_monotonicity_excess((1.0,), (1,), (25,)) == math.inf

@@ -185,6 +185,10 @@ class TestChebyshevClosed:
             with pytest.raises(ValueError, match="degree n"):
                 chebyshev_closed(kind, n, 0.5, lam=1.5)
 
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown kind 'V'"):
+            chebyshev_closed("V", 3, 0.5)
+
     def test_star_needs_lam(self):
         with pytest.raises(ValueError):
             chebyshev_closed("star", 3, 0.5)

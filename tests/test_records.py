@@ -16,7 +16,7 @@ import pytest
 
 import codilated
 from codilated import checks, cli, experiments, operators, orthopoly, solvers, zeros
-from codilated.experiments import ExperimentSpec, SweepResult, SweepRow, write_sweep_csv
+from codilated.experiments import ExperimentSpec, SweepRow, write_sweep_csv
 from codilated.operators import (
     Deriv2Problem,
     NormEstimate,
@@ -35,7 +35,7 @@ from codilated.solvers import IterationState, Method, SolveReport, SolverConfig
 from codilated.zeros import MAX_DEGREE, ZeroReport
 
 VALUE_RECORDS = (NormEstimate, Deriv2Problem, CriticalConstants, IterationState, ZeroReport,
-                 SweepRow, SweepResult, SolveReport)
+                 SweepRow, SolveReport)
 # the validating records, each built from valid values
 CHECKED_RECORDS = {
     Problem: lambda: Problem(diagonal_operator([1.0, 0.5]), np.ones(2)),
@@ -68,7 +68,7 @@ def test_import_loads_neither_dataclasses_nor_checks():
 
 def test_sweep_row_fields_in_csv_column_order(tmp_path):
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(path, SweepResult([SweepRow(1.5, 7, "discrepancy", 0.25, 0.125)], None))
+    write_sweep_csv(path, [SweepRow(1.5, 7, "discrepancy", 0.25, 0.125)], None)
     header, row = path.read_text().splitlines()
     assert header.replace("lambda", "lam").split(",") == list(SweepRow._fields)
     assert row == "1.5,7,discrepancy,0.25,0.125"

@@ -161,7 +161,7 @@ def runs():
         "zeros", "--nu", "2.5", "--kind", "polynomial", "--degree", "5", "--m", "200",
         "--lambda", "1.5", "--out", "out.csv"]
     # lam <= 0 has no Jacobi matrix: these pin the scan-and-bisect path
-    for kind in ("symmetric", "polynomial"):
+    for kind in ZERO_KINDS:
         for lam in ("-1", "0"):
             yield f"zeros_{kind}_scan_{lam}", [
                 "zeros", "--nu", "1", "--kind", kind, "--degree", "40", f"--lambda={lam}",
@@ -171,6 +171,10 @@ def runs():
     yield "zeros_polynomial_scan_underflow", [
         "zeros", "--nu", "1", "--kind", "polynomial", "--lambda=-0.5", "--degree", "1100",
         "--out", "out.csv"]
+    # the lam = -0.5 row's zero is not located (P_2200(1) underflows): nan in its row, exit 0
+    yield "sweep_diag-last_zero_not_located", [
+        "sweep", "--problem", "diag-last", "--sweep=-0.5,1.0", "--zero-degree", "1100",
+        "--max-iter", "20", "--out", "out.csv"]
     # "-" and a digit after a flag is its value, not a flag
     yield "sweep_diag-last_negative_range", [
         "sweep", "--problem", "diag-last", "--sweep", "-1:1:0.5", "--max-iter", "20",
