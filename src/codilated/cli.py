@@ -23,6 +23,7 @@ from .experiments import (
     PROBLEM_DEFAULTS,
     ExperimentSpec,
     _csv_row,
+    _locate_zeros,
     _sweep_values,
     run_experiment,
     run_sweep,
@@ -167,7 +168,7 @@ def _cmd_zeros(args) -> int:
     if args.sweep is not None:
         header, rows = "lambda,smallest_zero,located", []
         for lam in _sweep_values(args.sweep):
-            zr = find_zeros(scheme, CoDilation(args.m, lam), kind, args.degree)
+            zr = _locate_zeros(scheme, CoDilation(args.m, lam), kind, args.degree)
             rows.append((lam, zr.smallest, zr.zeros.size))
     else:
         lam = 1.0 if args.lam is None else args.lam

@@ -52,7 +52,7 @@ from .solvers import (
     solve,
     solve_dilations,
 )
-from .zeros import _check_degree, find_zeros
+from .zeros import ZeroReport, _check_degree, find_zeros
 
 __all__ = [
     "DEFAULT_SEED",
@@ -222,6 +222,16 @@ def _outcome(report: SolveReport) -> tuple[int, str, float, float | None]:
     return report.iterations, report.stop_reason.value, final, report.chosen_lambda
 
 
+def _locate_zeros(scheme, dilation: CoDilation, kind, degree: int) -> ZeroReport:
+    """``find_zeros``' report, or, where the zeros cannot be located, an empty
+    report and one warning, so that a sweep goes on past the point."""
+    try:
+        return find_zeros(scheme, dilation, kind, degree)
+    except ArithmeticError as exc:
+        warnings.warn(f"lambda={dilation.lam!r}: zero not located: {exc}", stacklevel=3)
+        return ZeroReport(degree, dilation.lam, np.empty(0))
+
+
 def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     """One solve per dilation value; rows sorted by the dilation parameter.
 
@@ -254,10 +264,7 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
             iters, reason, final, _ = _run_point(problem, config._replace(lam=lam))
         zero = float("nan")
         if spec.zero_degree is not None:
-            try:
-                zero = find_zeros(scheme, CoDilation(1, lam), kind, spec.zero_degree).smallest
-            except ArithmeticError as exc:
-                warnings.warn(f"lambda={lam!r}: zero not located: {exc}", stacklevel=2)
+            zero = _locate_zeros(scheme, CoDilation(1, lam), kind, spec.zero_degree).smallest
         rows.append(SweepRow(lam, iters, reason, final, zero))
     return rows
 

@@ -45,13 +45,13 @@ and restarts ``_two_step`` from the rows still running once rows stop.
 Each row's report is bit-identical to the single solve's; the single-solve
 path pays nothing for the block.
 
-Every solve, single or block, passes one gate, ``_gate``, after it has
-built its coefficient stream (so an inadmissible (nu, lam) raises before any
-warning) and before its loop.  The gate checks omega ||A*A||, from the
-operator's memoised ``norm_estimate``, once per solve against the method's
-relaxation bound, skips cg, which has none, and warns also where the level
-is not finite or the estimate did not converge (one warning per solve,
-naming the power iterations).
+Each loop owns its solve: it calls the one gate, ``_gate``, then runs under
+one ``np.errstate`` that silences overflow and invalid operations, so a
+non-finite residual is reported once, as the divergence stop.  The stream is
+built before the loop, so an inadmissible (nu, lam) raises before any warning.
+The gate checks omega ||A*A|| (the memoised ``norm_estimate``) against the
+method's relaxation bound, skips cg, which has none, and warns once per solve
+or block, also where the level is not finite or its estimate did not converge.
 
 Residual norms are recomputed from v = g - A f every step; nothing is
 updated incrementally, so histories do not drift over long runs.  A solve
@@ -269,7 +269,8 @@ def _stop_reason(rn, threshold, stalled, n, max_iter) -> StopReason | None:
 
 
 def _drive(problem, config, steps, callback) -> SolveReport:
-    """The one iteration loop: history, callback and ``_stop_reason``.
+    """The one iteration loop: ``_gate``, then, under one ``np.errstate``,
+    history, callback and ``_stop_reason``, so an overflow is only a divergence.
 
     ``steps`` yields (f_n, f_{n-1}, watched residual) for n = 1, 2, ...
     and may end the solve by returning a StopReason.  It is advanced only
@@ -279,37 +280,38 @@ def _drive(problem, config, steps, callback) -> SolveReport:
     count covers consecutive steps from n = 1 on whose norms agree to
     STAGNATION_RTOL; it is updated before the tests, which read it only
     where rn is finite and not below the threshold.  ``_stop_reason`` decides
-    every stop, in its order; a screen of its four conditions only decides
-    when to call it.
+    every stop, in its order; a screen of its four conditions calls it.
     """
+    _gate(problem, config)
     threshold = config.tau * config.epsilon
     max_iter = config.resolved_max_iter()
     g = problem.g
     f = np.zeros(problem.operator.domain_dim)
     sqrt, inf = math.sqrt, math.inf
-    rn = sqrt(g.dot(g))
-    history = [rn]
-    append = history.append
-    if callback is not None:
-        callback(IterationState(0, f, f, g.copy(), rn))
-    reason = _stop_reason(rn, threshold, 0, 0, max_iter)
-    prev, stalled, n = inf, 0, 0
-    while reason is None:
-        try:
-            f, f_prev, v = next(steps)
-        except StopIteration as stop:
-            reason = stop.value
-            break
-        n += 1
-        rn = sqrt(v.dot(v))
-        append(rn)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rn = sqrt(g.dot(g))
+        history = [rn]
+        append = history.append
         if callback is not None:
-            callback(IterationState(n, f, f_prev, v, rn))
-        same = abs(rn - prev) < STAGNATION_RTOL * (rn if rn > 1e-300 else 1e-300)
-        stalled = stalled + 1 if same else 0
-        prev = rn
-        if rn < threshold or not rn < inf or stalled >= STAGNATION_STEPS or n >= max_iter:
-            reason = _stop_reason(rn, threshold, stalled, n, max_iter)
+            callback(IterationState(0, f, f, g.copy(), rn))
+        reason = _stop_reason(rn, threshold, 0, 0, max_iter)
+        prev, stalled, n = inf, 0, 0
+        while reason is None:
+            try:
+                f, f_prev, v = next(steps)
+            except StopIteration as stop:
+                reason = stop.value
+                break
+            n += 1
+            rn = sqrt(v.dot(v))
+            append(rn)
+            if callback is not None:
+                callback(IterationState(n, f, f_prev, v, rn))
+            same = abs(rn - prev) < STAGNATION_RTOL * (rn if rn > 1e-300 else 1e-300)
+            stalled = stalled + 1 if same else 0
+            prev = rn
+            if rn < threshold or not rn < inf or stalled >= STAGNATION_STEPS or n >= max_iter:
+                reason = _stop_reason(rn, threshold, stalled, n, max_iter)
     return SolveReport(n, reason, np.asarray(history), f)
 
 
@@ -349,7 +351,6 @@ def semi_iterative(problem: Problem, scheme: RecurrenceScheme, dilation: CoDilat
     if kind is ResidualKind.ASYMMETRIC and not scheme.symmetric:
         raise ValueError("asymmetric residual polynomials need a symmetric scheme")
     steps = _two_step(problem, config.omega, _recursive_coefficients(scheme, dilation, kind))
-    _gate(problem, config)
     return _drive(problem, config, steps, callback)
 
 
@@ -365,7 +366,6 @@ def _adaptive(problem: Problem, config: SolverConfig, callback) -> SolveReport:
     """
     kind = DILATION_KINDS[Method.CODILATED_NU]
     coeffs = _closed_form_coefficients(UltrasphericalParams(1.0), 1.0, kind)
-    _gate(problem, config)
     f = f_prev = np.zeros(problem.operator.domain_dim)
     gamma = 0.0
 
@@ -405,9 +405,8 @@ def _cg_steps(problem):
     """
     op, g = problem.operator, problem.g
     f = np.zeros(op.domain_dim)
-    r = g.copy()
-    s = op.rmatvec(r)
-    p = s.copy()
+    r = g
+    p = s = op.rmatvec(r)
     gamma = gamma0 = float(s.dot(s))
     while True:
         q = op.matvec(p)
@@ -494,7 +493,6 @@ def solve(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
         steps = _cg_steps(problem)
     else:
         return _adaptive(problem, config, callback)
-    _gate(problem, config)
     return _drive(problem, config, steps, callback)
 
 
@@ -532,9 +530,6 @@ def solve_dilations(problem: Problem, config: SolverConfig, lams) -> list[SolveR
         _require_real(lam, "dilation lam")
     column, kind = np.asarray(lams, float).reshape(-1, 1), DILATION_KINDS[config.method]
     coeffs = _closed_form_coefficients(UltrasphericalParams(config.nu), column, kind)
-    _gate(problem, config)  # an empty list is checked too
-    if len(column) == 0:
-        return []
     return _drive_block(problem, config, coeffs, len(column))
 
 
@@ -551,41 +546,45 @@ def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
     kept rows, reading the rest of ``coeffs`` through one view sliced by
     their dilation indices.
     """
+    _gate(problem, config)
     threshold = config.tau * config.epsilon
     max_iter = config.resolved_max_iter()
     op, g, omega = problem.operator, problem.g, config.omega
     inf = math.inf
-    rn0 = math.sqrt(g.dot(g))
-    reason = _stop_reason(rn0, threshold, 0, 0, max_iter)
-    histories = [[rn0] for _ in range(size)]
-    if reason is not None:
-        return [SolveReport(0, reason, np.asarray(h), np.zeros(op.domain_dim)) for h in histories]
-    outcomes = [None] * size
-    prevs, stalls = [inf] * size, [0] * size  # by dilation index, as _drive starts them
-    rows = list(range(size))  # block row -> dilation index
-    applies = op.matvec_rows, op.rmatvec_rows
-    f = np.zeros((size, op.domain_dim))
-    steps = _two_step(problem, omega, coeffs, applies, (f, f, np.broadcast_to(g, (size, g.size))))
-    view = ((a[live], b[live], mu) for a, b, mu in coeffs)  # live is set at each restart
-    for n in count(1):
-        f, f_prev, v = next(steps)
-        left = False
-        for j, (i, rn) in enumerate(zip(rows, np.sqrt(np.vecdot(v, v)).tolist())):
-            histories[i].append(rn)
-            prev, stalled = prevs[i], stalls[i]
-            same = abs(rn - prev) < STAGNATION_RTOL * (rn if rn > 1e-300 else 1e-300)
-            stalled = stalled + 1 if same else 0
-            prevs[i], stalls[i] = rn, stalled
-            if rn < threshold or not rn < inf or stalled >= STAGNATION_STEPS or n >= max_iter:
-                outcomes[i] = (n, _stop_reason(rn, threshold, stalled, n, max_iter), f[j].copy())
-                left = True
-        if left:
-            keep = [j for j, i in enumerate(rows) if outcomes[i] is None]
-            if not keep:
-                break
-            rows = [rows[j] for j in keep]
-            live = np.array(rows)
-            steps = _two_step(problem, omega, view, applies, (f[keep], f_prev[keep], v[keep]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rn0 = math.sqrt(g.dot(g))
+        reason = _stop_reason(rn0, threshold, 0, 0, max_iter)
+        histories = [[rn0] for _ in range(size)]
+        if reason is not None or size == 0:  # no row runs; an empty block returns []
+            return [SolveReport(0, reason, np.asarray(h), np.zeros(op.domain_dim))
+                    for h in histories]
+        outcomes = [None] * size
+        prevs, stalls = [inf] * size, [0] * size  # by dilation index, as _drive starts them
+        rows = list(range(size))  # block row -> dilation index
+        applies = op.matvec_rows, op.rmatvec_rows
+        f = np.zeros((size, op.domain_dim))
+        start = f, f, np.broadcast_to(g, (size, g.size))
+        steps = _two_step(problem, omega, coeffs, applies, start)
+        view = ((a[live], b[live], mu) for a, b, mu in coeffs)  # live is set at each restart
+        for n in count(1):
+            f, f_prev, v = next(steps)
+            left = False
+            for j, (i, rn) in enumerate(zip(rows, np.sqrt(np.vecdot(v, v)).tolist())):
+                histories[i].append(rn)
+                prev, stalled = prevs[i], stalls[i]
+                same = abs(rn - prev) < STAGNATION_RTOL * (rn if rn > 1e-300 else 1e-300)
+                stalled = stalled + 1 if same else 0
+                prevs[i], stalls[i] = rn, stalled
+                if rn < threshold or not rn < inf or stalled >= STAGNATION_STEPS or n >= max_iter:
+                    outcomes[i] = n, _stop_reason(rn, threshold, stalled, n, max_iter), f[j].copy()
+                    left = True
+            if left:
+                keep = [j for j, i in enumerate(rows) if outcomes[i] is None]
+                if not keep:
+                    break
+                rows = [rows[j] for j in keep]
+                live = np.array(rows)
+                steps = _two_step(problem, omega, view, applies, (f[keep], f_prev[keep], v[keep]))
     return [
         SolveReport(iters, reason, np.asarray(history), f_final)
         for history, (iters, reason, f_final) in zip(histories, outcomes)

@@ -93,9 +93,6 @@ def _polynomial_grid(n: int) -> np.ndarray:
 
 def _bisect_all(fn, lo, hi, flo):
     """Vectorised bisection on brackets [lo_i, hi_i] with f(lo_i) = flo_i."""
-    lo = lo.copy()
-    hi = hi.copy()
-    flo = flo.copy()
     while np.max(hi - lo) > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         fm = fn(mid)
@@ -204,8 +201,8 @@ def modulus_of_convergence(
     grid = _residual_grid(n)
 
     def fn(y):
-        w = y ** (s / 2.0) if s else 1.0
-        if symmetric_weight and s:
+        w = y ** (s / 2.0)
+        if symmetric_weight:
             w = w * (1.0 - y) ** (s / 2.0)
         return np.abs(w * residual_eval(scheme, dilation, kind, n, y))
 

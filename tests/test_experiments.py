@@ -165,7 +165,6 @@ class TestGoldenRuns:
         assert report.iterations == 71
         assert report.chosen_lambda == pytest.approx(1.6067595, abs=2e-7)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("method", [Method.CODILATED_NU, Method.LANDWEBER])
     def test_divergence_stops_early(self, method):
         # omega ||A*A|| = 50: the iterates blow up within a hundred steps
@@ -449,12 +448,12 @@ class TestCli:
         assert main(["solve", "--problem", "deriv2", "--tau", "0.5"]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_solve_divergence_exit_code(self, capsys):
-        with pytest.warns(RelaxationWarning):
+        with pytest.warns(RelaxationWarning) as record:
             code = main(["solve", "--problem", "diag-last", "--omega", "50", "--max-iter", "3000"])
         assert code == EXIT_DIVERGENCE
         assert "stop=divergence" in capsys.readouterr().out
+        assert [w.category for w in record] == [RelaxationWarning]  # no NumPy overflow besides
 
     def test_non_finite_parameters_rejected(self, capsys):
         for argv in (["solve", "--problem", "diag-last", "--lambda", "nan"],
@@ -601,9 +600,10 @@ class TestCli:
         assert capsys.readouterr() == spaced and spaced.err == ""
 
     def test_warnings_are_one_line_each(self):
-        done = run_cli_process(["solve", "--problem", "diag-last", "--omega", "1e308",
-                                "--max-iter", "50"])
-        assert done.returncode == EXIT_DIVERGENCE
+        # the relaxation warning of the block and the lam = -0.5 row's zero warning
+        done = run_cli_process(["sweep", "--problem", "diag-last", "--sweep=-0.5,1.0",
+                                "--zero-degree", "600", "--omega", "50", "--max-iter", "20"])
+        assert done.returncode == EXIT_OK
         err = done.stderr.splitlines()
         assert len(err) == 2 and all(line.startswith("warning: ") for line in err)
         assert not any(".py" in line for line in err)
@@ -618,6 +618,18 @@ class TestCli:
         rows = out.read_text().splitlines()[2:]
         assert [row.split(",")[0] for row in rows] == ["-0.5", "1.0"]
         assert rows[0].endswith(",nan") and not rows[1].endswith(",nan")
+
+    def test_zeros_sweep_records_a_zero_not_located(self, capsys):
+        argv = ["zeros", "--nu", "1", "--kind", "asymmetric", "--degree", "600"]
+        with pytest.warns(UserWarning) as record:
+            code = main([*argv, "--sweep=-0.5,1.0"])
+        assert code == EXIT_OK
+        assert [str(w.message) for w in record] == [
+            "lambda=-0.5: zero not located: P_1200(1) = 0.0"]
+        assert capsys.readouterr().out.splitlines() == [
+            "lambda,smallest_zero,located", "-0.5,nan,0", "1.0,6.842467448642253e-06,600"]
+        assert main([*argv, "--lambda=-0.5"]) == EXIT_CONFIG  # one zero set: an error
+        assert "error: P_1200(1) = 0.0" in capsys.readouterr().err
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exit_:

@@ -567,7 +567,8 @@ class TestConfigAndDriver:
         problem = Problem(op, np.full(3, 1e200))
         for method in Method:
             applied.clear()
-            with pytest.warns(RuntimeWarning, match="overflow"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)  # the stop reports the overflow
                 report = solve(problem, SolverConfig(method=method, omega=0.9, max_iter=50))
             assert report.stop_reason is StopReason.DIVERGENCE
             assert report.iterations == 0
@@ -903,7 +904,6 @@ class TestSolveDilations:
             (dict(omega=50.0, max_iter=69), {StopReason.DIVERGENCE}),
         ],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stopped_rows(self, method, overrides, reasons):
         _, omega, eps, tau = PROBLEM_DEFAULTS["diag-last"]
         config = SolverConfig(method=method, nu=1.0, omega=omega, epsilon=eps, tau=tau)
@@ -977,7 +977,8 @@ class TestSolveDilations:
         assert set(applied) == {(3,)}  # rows one at a time
 
         applied.clear()  # finite data whose norm overflows stop every row at n = 0
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the stop reports the overflow
             reports = solve_dilations(Problem(op, np.full(3, 1e200)), config, [0.5, 1.9])
         assert [r.stop_reason for r in reports] == [StopReason.DIVERGENCE] * 2
         assert [r.iterations for r in reports] == [0, 0]
@@ -1005,3 +1006,31 @@ class TestSolveDilations:
             with pytest.raises(ValueError, match="1-D sequence|dilation lam must be real"):
                 solve_dilations(Problem(op, np.ones(2)), config, lams)
         assert applies == []
+
+
+class TestDivergenceReportedOnce:
+    """omega ||A*A|| = 50 on diag-last: every solve but cg diverges, and its
+    overflow is the divergence stop, with no NumPy RuntimeWarning besides."""
+
+    @staticmethod
+    def diverging(method):
+        _, _, eps, tau = PROBLEM_DEFAULTS["diag-last"]
+        config = SolverConfig(method=method, omega=50.0, epsilon=eps, tau=tau, max_iter=3000)
+        return build_problem(ExperimentSpec(problem="diag-last", config=config)), config
+
+    @pytest.mark.parametrize("method", sorted(set(Method) - {Method.CG}))
+    def test_solve(self, method):
+        problem, config = self.diverging(method)
+        with pytest.warns(RelaxationWarning), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = solve(problem, config)
+        assert report.stop_reason is StopReason.DIVERGENCE
+        assert report.iterations == (79 if method is Method.LANDWEBER else 69)
+
+    @pytest.mark.parametrize("method", BLOCK_METHODS)
+    def test_block(self, method):
+        problem, config = self.diverging(method)
+        with pytest.warns(RelaxationWarning), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            reports = solve_dilations(problem, config, [0.5, 1.5])
+        assert [(r.stop_reason, r.iterations) for r in reports] == [(StopReason.DIVERGENCE, 69)] * 2

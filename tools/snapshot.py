@@ -171,6 +171,11 @@ def runs():
     yield "zeros_polynomial_scan_underflow", [
         "zeros", "--nu", "1", "--kind", "polynomial", "--lambda=-0.5", "--degree", "1100",
         "--out", "out.csv"]
+    # a zeros sweep records the lam = -0.5 point, whose P_1200(1) underflows, as nan
+    # with no zeros located, and goes on: exit 0
+    yield "zeros_asymmetric_sweep_zero_not_located", [
+        "zeros", "--nu", "1", "--kind", "asymmetric", "--degree", "600", "--sweep=-0.5,1.0",
+        "--out", "out.csv"]
     # the lam = -0.5 row's zero is not located (P_2200(1) underflows): nan in its row, exit 0
     yield "sweep_diag-last_zero_not_located", [
         "sweep", "--problem", "diag-last", "--sweep=-0.5,1.0", "--zero-degree", "1100",
