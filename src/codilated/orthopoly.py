@@ -337,7 +337,7 @@ def chebyshev_closed(kind: str, n: int, x, lam: float | None = None):
     if not np.all(np.abs(xa) <= 1.0):  # NaN fails too
         raise ValueError("closed forms are restricted to |x| <= 1")
     if kind == "star":
-        if lam is None or not math.isfinite(lam):
+        if not (_is_real(lam) and -math.inf < lam < math.inf):  # None, a bool, NaN fail
             raise ValueError(f"kind 'star' needs a finite dilation factor lam, not {lam!r}")
         return (2.0 - lam) * chebyshev_closed("U", n, x) + (lam - 1.0) * chebyshev_closed(
             "T", n, x
@@ -375,10 +375,7 @@ def residual_eval(
     ya = np.asarray(y, dtype=float)
     if not np.all((ya >= 0.0) & (ya <= 1.0)):  # NaN fails too
         raise ValueError("residual polynomials are defined on [0, 1]")
-    if kind is ResidualKind.SYMMETRIC:
-        degree, arg = n, 1.0 - 2.0 * ya
-    else:
-        degree, arg = 2 * n, np.sqrt(1.0 - ya)
+    degree, arg = (2 * n, np.sqrt(1.0 - ya)) if _folded(kind) else (n, 1.0 - 2.0 * ya)
     r = _normalised_at_one(scheme, dilation, degree, arg)
     return float(r[0]) if ya.ndim == 0 else r.reshape(ya.shape)
 
@@ -414,7 +411,7 @@ def _recursive_coefficients(
     NaN beta_k raises ValueError up to one chunk before it is needed; a
     dilation lam <= 0 of a positive beta_m is not rejected by this check.
     """
-    folded = kind is ResidualKind.ASYMMETRIC
+    folded = _folded(kind)
     scale = 1.0 if folded else 2.0
     mu = 0.0
     for start in count(0, _CHUNK):
@@ -481,22 +478,35 @@ def _require_integer(value, what: str, minimum: int) -> None:
         raise ValueError(f"{what} must be >= {minimum}")
 
 
+def _is_real(value) -> bool:
+    """Whether value is an int, float or NumPy real scalar; a bool is none."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
 def _require_real(value, what: str) -> None:
-    """ValueError unless value is a finite int, float or NumPy real scalar (a bool is none)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    """ValueError unless value is a finite real (``_is_real``)."""
+    if not _is_real(value):
         raise ValueError(f"{what} must be real, not {value!r}")
     if not -math.inf < value < math.inf:  # NaN fails too; an int of any size passes
         raise ValueError(f"{what} must be finite, not {value!r}")
 
 
+def _folded(kind) -> bool:
+    """Whether kind is the asymmetric (even-fold) kind; ValueError unless a ``ResidualKind``."""
+    if not isinstance(kind, ResidualKind):
+        raise ValueError(f"residual kind must be a ResidualKind, not {kind!r}")
+    return kind is ResidualKind.ASYMMETRIC
+
+
 def _require_admissible(params: UltrasphericalParams, lam):
-    """ValueError unless nu > 1/2 and each dilation in lam (a float or an
-    array) is finite and below the critical value 2 nu."""
+    """ValueError unless nu > 1/2 and each dilation in lam (a real, or an
+    array of one or more axes) is finite and below the critical value 2 nu."""
     params.require_closed_forms()
     critical = critical_constants(params).lambda_critical
-    bad = [x for x in np.ravel(lam).tolist() if not -math.inf < x < critical]  # NaN fails too
+    values = lam.ravel().tolist() if isinstance(lam, np.ndarray) and lam.ndim else [lam]
+    bad = [x for x in values if not (_is_real(x) and -math.inf < x < critical)]  # NaN fails too
     if bad:
-        raise ValueError(f"dilation {bad[0]} must be finite and below critical value {critical}")
+        raise ValueError(f"dilation {bad[0]!r} must be real and below critical value {critical}")
 
 
 def _closed_form_coefficients(params: UltrasphericalParams, lam, kind: ResidualKind):
@@ -512,10 +522,10 @@ def _closed_form_coefficients(params: UltrasphericalParams, lam, kind: ResidualK
     quotient for n >= 1.  a_n and b_n are as in ``_recursive_coefficients``.
     Near nu = 1/2 (``_shifted``) each denominator (2 nu - lam) + (lam - 1) R
     is formed as (2 nu - 1) + (lam - 1)(R - 1), from ``_r_values``' e = R - 1.
-    (nu, lam) is checked when the stream is created, not on its first item.
+    (nu, lam) and kind are checked when the stream is created, not on its first item.
     """
     _require_admissible(params, lam)
-    return _closed_form_stream(params.nu, lam, kind is ResidualKind.SYMMETRIC)
+    return _closed_form_stream(params.nu, lam, not _folded(kind))
 
 
 def _closed_form_stream(nu: float, lam, symmetric: bool):
@@ -625,8 +635,8 @@ def limit_ratio(params: UltrasphericalParams, lam: float) -> float:
     """Limit of P_n*(1)/P_n(1): lam + (1 - lam)/L1; zero exactly at the critical lam."""
     params.require_closed_forms()
     consts = critical_constants(params)
-    if not -math.inf < lam <= consts.lambda_critical:  # NaN fails too
-        raise ValueError("limit exists only for a finite lam <= critical dilation")
+    if not (_is_real(lam) and -math.inf < lam <= consts.lambda_critical):  # NaN fails too
+        raise ValueError(f"limit exists only for a finite lam <= critical dilation, not {lam!r}")
     return lam + (1.0 - lam) / consts.L1
 
 

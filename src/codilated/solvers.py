@@ -38,12 +38,11 @@ and ``oracle_check`` verifies on diagonal problems through ``solve``.
 ``DILATION_KINDS`` maps the four methods that take a dilation to the kind
 of their residual polynomials.  ``solve_dilations`` runs its two closed-form
 methods as ``_two_step`` on a block with one row per dilation, the stream
-on a column of dilations and the operator's row applies.  A second loop,
-``_drive_block``, keeps ``_drive``'s history, stall count and screen per
-dilation on Python floats, asks ``_stop_reason`` where a row's screen fires
-and restarts ``_two_step`` from the rows still running once rows stop.
-Each row's report is bit-identical to the single solve's; the single-solve
-path pays nothing for the block.
+on a column of dilations and the operator's row applies, in a second loop,
+``_drive_block``, that keeps ``_drive``'s history, stall count and screen
+per row on Python floats.  A row that stops keeps its place with its report
+final, and the block steps until the last row stops.  Each row's report is
+bit-identical to the single solve's; the single-solve path pays nothing.
 
 Each loop owns its solve: it calls the one gate, ``_gate``, then runs under
 one ``np.errstate`` that silences overflow and invalid operations, so a
@@ -69,7 +68,7 @@ import math
 import sys
 import warnings
 from enum import Enum
-from itertools import count, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -319,7 +318,7 @@ def _two_step(problem, omega, coeffs, applies=None, state=None):
     """Steps (f_n, f_{n-1}, g - A f_n) of the second-order update; coeffs
     yields (a_n, b_n, mu_{n+1}), of which only a_n and b_n are read.
 
-    It runs from state = (f_n, f_{n-1}, g - A f_n), by default f_0 = f_{-1} = 0,
+    It runs from state = (f_0, f_{-1}, g - A f_0), by default f_0 = f_{-1} = 0,
     with applies = (matvec, rmatvec), by default the single applies.  A None
     a_n, which only Landweber's stream yields, leaves the momentum term out.
     """
@@ -517,8 +516,8 @@ def solve_dilations(problem: Problem, config: SolverConfig, lams) -> list[SolveR
     equal the single applies, row norms sqrt(v . v)), and each row keeps
     ``_drive``'s stall count and screen for its dilation, so ``_stop_reason``
     stops it at the step and for the reason it stops the single solve.  A
-    row leaves the block when it stops, so a capped or diverged row costs
-    the others nothing.  The relaxation check runs once per call.  Raises
+    stopped row's report is final at that step, but the row steps on until
+    the last row stops.  The relaxation check runs once per call.  Raises
     ValueError unless lams is a 1-D sequence of reals, and where ``batchable``
     is false for some lam; no callback.
     """
@@ -542,50 +541,35 @@ def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
     Python floats, what ``_drive`` keeps for a solve: the history, the
     previous norm and the stall count, updated by ``_drive``'s expression
     and screened by its four comparisons, with ``_stop_reason`` called only
-    where the screen fires.  Once rows stop, ``_two_step`` restarts from the
-    kept rows, reading the rest of ``coeffs`` through one view sliced by
-    their dilation indices.
+    where the screen fires.  A stopped row keeps its place, its report final
+    and skipped by the loop from then on, while the one ``_two_step`` steps
+    every row until the last stops, which the shared cap bounds.
     """
     _gate(problem, config)
     threshold = config.tau * config.epsilon
     max_iter = config.resolved_max_iter()
-    op, g, omega = problem.operator, problem.g, config.omega
-    inf = math.inf
+    op, g, inf = problem.operator, problem.g, math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         rn0 = math.sqrt(g.dot(g))
         reason = _stop_reason(rn0, threshold, 0, 0, max_iter)
         histories = [[rn0] for _ in range(size)]
-        if reason is not None or size == 0:  # no row runs; an empty block returns []
-            return [SolveReport(0, reason, np.asarray(h), np.zeros(op.domain_dim))
-                    for h in histories]
-        outcomes = [None] * size
-        prevs, stalls = [inf] * size, [0] * size  # by dilation index, as _drive starts them
-        rows = list(range(size))  # block row -> dilation index
-        applies = op.matvec_rows, op.rmatvec_rows
         f = np.zeros((size, op.domain_dim))
+        reports = [None if reason is None else SolveReport(0, reason, np.asarray(h), row.copy())
+                   for h, row in zip(histories, f)]
+        prevs, stalls, n = [inf] * size, [0] * size, 0  # per row, as _drive starts them
         start = f, f, np.broadcast_to(g, (size, g.size))
-        steps = _two_step(problem, omega, coeffs, applies, start)
-        view = ((a[live], b[live], mu) for a, b, mu in coeffs)  # live is set at each restart
-        for n in count(1):
-            f, f_prev, v = next(steps)
-            left = False
-            for j, (i, rn) in enumerate(zip(rows, np.sqrt(np.vecdot(v, v)).tolist())):
+        steps = _two_step(problem, config.omega, coeffs, (op.matvec_rows, op.rmatvec_rows), start)
+        while None in reports:  # a stop at n = 0, or an empty block, takes no step
+            f, _, v = next(steps)
+            n += 1
+            for i, rn in enumerate(np.sqrt(np.vecdot(v, v)).tolist()):
+                if reports[i] is not None:
+                    continue  # stopped: its report is final
                 histories[i].append(rn)
-                prev, stalled = prevs[i], stalls[i]
-                same = abs(rn - prev) < STAGNATION_RTOL * (rn if rn > 1e-300 else 1e-300)
-                stalled = stalled + 1 if same else 0
+                same = abs(rn - prevs[i]) < STAGNATION_RTOL * (rn if rn > 1e-300 else 1e-300)
+                stalled = stalls[i] + 1 if same else 0
                 prevs[i], stalls[i] = rn, stalled
                 if rn < threshold or not rn < inf or stalled >= STAGNATION_STEPS or n >= max_iter:
-                    outcomes[i] = n, _stop_reason(rn, threshold, stalled, n, max_iter), f[j].copy()
-                    left = True
-            if left:
-                keep = [j for j, i in enumerate(rows) if outcomes[i] is None]
-                if not keep:
-                    break
-                rows = [rows[j] for j in keep]
-                live = np.array(rows)
-                steps = _two_step(problem, omega, view, applies, (f[keep], f_prev[keep], v[keep]))
-    return [
-        SolveReport(iters, reason, np.asarray(history), f_final)
-        for history, (iters, reason, f_final) in zip(histories, outcomes)
-    ]
+                    reason = _stop_reason(rn, threshold, stalled, n, max_iter)
+                    reports[i] = SolveReport(n, reason, np.asarray(histories[i]), f[i].copy())
+    return reports

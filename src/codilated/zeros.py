@@ -36,9 +36,11 @@ from .orthopoly import (
     CoDilation,
     RecurrenceScheme,
     ResidualKind,
+    _folded,
     _jacobi,
     _normalised_at_one,
     _require_integer,
+    _require_real,
     residual_eval,
 )
 
@@ -147,7 +149,7 @@ def find_zeros(
     """Roots of the degree-n residual polynomial of ``kind`` in [0, 1], or of
     P_n itself (co-dilated if requested) in [-1, 1] where ``kind`` is None."""
     _check_degree(n)
-    eig = _jacobi_eigenvalues(scheme, dilation, n, folded=kind is ResidualKind.ASYMMETRIC)
+    eig = _jacobi_eigenvalues(scheme, dilation, n, folded=kind is not None and _folded(kind))
     if eig is None and kind is None:
         zeros = _scan_roots(lambda x: _normalised_at_one(scheme, dilation, n, x),
                             _polynomial_grid(n))
@@ -196,8 +198,9 @@ def modulus_of_convergence(
     around the grid maximum.
     """
     _check_degree(n)
-    if not 0 <= s < np.inf:  # NaN fails too
-        raise ValueError("smoothness s must be finite and >= 0")
+    _require_real(s, "smoothness s")
+    if s < 0:
+        raise ValueError("smoothness s must be >= 0")
     grid = _residual_grid(n)
 
     def fn(y):

@@ -734,3 +734,35 @@ class TestSchemeValidation:
         for m in (1.5, math.nan, True):
             with pytest.raises(ValueError, match="dilation index m must be an integer"):
                 CoDilation(m, 2.0)
+
+
+class TestInputRules:
+    # a kind that is not a ResidualKind must not be read as one kind or the other
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", None, 0])
+    def test_kind_must_be_a_residual_kind(self, kind):
+        params = UltrasphericalParams(1.0)
+        for call in (lambda: residual_eval(CHEB, None, kind, 3, 0.3),
+                     lambda: mu_recursive(CHEB, None, 3, kind),
+                     lambda: mu_closed(params, 1.5, 3, kind),
+                     lambda: next(_recursive_coefficients(CHEB, None, kind))):
+            with pytest.raises(ValueError, match="residual kind must be a ResidualKind, not"):
+                call()
+
+    @pytest.mark.parametrize("lam", [True, False, "1.0", None, [1.0]])
+    def test_dilation_must_be_real(self, lam):
+        # a bool is not a real, though it would run as the dilation 1 or 0
+        params = UltrasphericalParams(1.0)
+        with pytest.raises(ValueError, match="must be real and below critical value 2.0"):
+            mu_closed(params, lam, 3)
+        with pytest.raises(ValueError, match="must be real and below critical value 2.0"):
+            sup_bound_codilated(params, lam)
+        with pytest.raises(ValueError, match="finite lam <= critical"):
+            limit_ratio(params, lam)
+        with pytest.raises(ValueError, match="finite dilation factor"):
+            chebyshev_closed("star", 3, 0.5, lam=lam)
+
+    def test_numpy_reals_pass(self):
+        params = UltrasphericalParams(1.0)
+        for lam in (np.float64(1.5), np.int64(1), 1):
+            assert np.array_equal(mu_closed(params, lam, 5), mu_closed(params, float(lam), 5))
+            assert limit_ratio(params, lam) == limit_ratio(params, float(lam))

@@ -3,20 +3,12 @@ manifest ``snapshot_manifest.txt``.  A change that moves an output regenerates
 the manifest (``python tools/snapshot.py --manifest tests/snapshot_manifest.txt``)
 and says which runs moved and why."""
 
-import importlib.util
 from pathlib import Path
 
 import pytest
+from conftest import load_tool
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "snapshot.py"
 MANIFEST = Path(__file__).with_name("snapshot_manifest.txt")
-
-
-def load_tool():
-    spec = importlib.util.spec_from_file_location("snapshot", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def parse(text: str) -> dict[str, tuple[str, list[str]]]:
@@ -51,7 +43,7 @@ def moved(want: dict, got: dict) -> list[str]:
 # relaxation warnings go to standard error, which a snapshot does not record
 @pytest.mark.filterwarnings("ignore")
 def test_outputs_match_manifest(tmp_path):
-    tool = load_tool()
+    tool = load_tool("snapshot")
     tool.snapshot(tmp_path / "snap")
     report = moved(parse(MANIFEST.read_text(encoding="utf-8")),
                    parse(tool.manifest(tmp_path / "snap")))

@@ -876,12 +876,12 @@ class TestSolveDilations:
         problem = build_problem(ExperimentSpec(problem=problem_name, config=config))
         # unsorted, with a duplicate and a negative dilation
         reports = assert_block_equals_singles(problem, config, [3.99, 1.0, -1.0, 3.9, 1.0, 0.0])
-        assert len({r.iterations for r in reports}) > 1  # rows leave the block at different steps
+        assert len({r.iterations for r in reports}) > 1  # rows stop at different steps
 
-    def test_restarts_after_rows_leave(self):
-        # tau * eps lies between the rows' first residuals: the lam = 0.5 row leaves
-        # at n = 1 and the others at n = 2, 3 and 6, so the block restarts from the
-        # kept rows three times, with kept rows no longer at their dilation's index
+    def test_rows_stopping_at_different_steps(self):
+        # tau * eps lies between the rows' first residuals: the lam = 0.5 row stops
+        # at n = 1 and the others at n = 2, 3 and 6, so stopped rows go on stepping
+        # in their places while each report stays final at its own step
         _, omega, eps, _ = PROBLEM_DEFAULTS["deriv2"]
         config = SolverConfig(method=Method.CODILATED_NU, nu=1.0, omega=omega, epsilon=eps,
                               tau=7.27)
@@ -937,8 +937,9 @@ class TestSolveDilations:
 
     @pytest.mark.parametrize("method", BLOCK_METHODS)
     def test_stall_state_follows_the_dilation(self, method):
-        # the first row leaves by stagnation while the second row's stall count
-        # runs; that count must stay with its dilation when the row moves up
+        # the first row stops by stagnation while the second row's stall count
+        # runs; the stopped row goes on stepping, and neither its norms nor its
+        # place may reach the second row's count
         problem = Problem(diagonal_operator(np.array([0.0, 0.5])), np.array([1.0, 1e-6]))
         config = quiet_config(method=method, max_iter=400)
         first, second, _ = assert_block_equals_singles(problem, config, [0.5, -2.0, 1.99])
@@ -1006,6 +1007,14 @@ class TestSolveDilations:
             with pytest.raises(ValueError, match="1-D sequence|dilation lam must be real"):
                 solve_dilations(Problem(op, np.ones(2)), config, lams)
         assert applies == []
+
+    def test_batchable_agrees_on_what_is_not_a_real(self):
+        # batchable refuses every dilation that solve_dilations refuses
+        config = SolverConfig(method="codilated-nu", nu=1.0, omega=96.5)
+        for lam in (True, False, "1.0", None, np.array(1.0)):
+            assert not batchable(config, lam)
+            with pytest.raises(ValueError):
+                solve_dilations(deriv2_problem(), config, [lam])
 
 
 class TestDivergenceReportedOnce:

@@ -71,6 +71,13 @@ class TestFindZeros:
         with pytest.raises(ValueError):
             find_zeros(CHEB, None, SYM, 0)
 
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "polynomial", 0])
+    def test_kind_must_be_a_residual_kind_or_none(self, kind):
+        # read by `is`, "symmetric" would map the 3 zeros of P_3 by the asymmetric
+        # rule and return 2 values, [0.293, 1.0]
+        with pytest.raises(ValueError, match="residual kind must be a ResidualKind, not"):
+            find_zeros(CHEB, None, kind, 3)
+
 
 class Unbounded(Exception):
     """Raised by the stand-ins of ``no_allocation``: a degree got past the bound."""
@@ -373,3 +380,12 @@ class TestModulus:
         scheme = ultraspherical_scheme(UltrasphericalParams(1.0))
         with pytest.raises(ValueError, match="s must be finite"):
             modulus_of_convergence(scheme, None, ASYM, 8, math.inf)
+
+    def test_s_and_kind_must_be_of_their_types(self):
+        # a bool would run as s = 1, and a string kind would give the modulus of
+        # the other kind
+        for s in (True, "1", None):
+            with pytest.raises(ValueError, match="smoothness s must be real"):
+                modulus_of_convergence(CHEB, None, SYM, 3, s)
+        with pytest.raises(ValueError, match="residual kind must be a ResidualKind, not"):
+            modulus_of_convergence(CHEB, None, "symmetric", 3, 1.0)

@@ -133,8 +133,9 @@ def runs():
     yield "solve_deriv2_codilated-nu_discrepancy_at_cap", [
         "solve", "--problem", "deriv2", "--method", "codilated-nu", "--lambda", "1.0",
         "--max-iter", "1010", "--out", "out.csv"]
-    # tau * eps between the rows' first residuals: the lam = 0.5 row leaves the block
-    # at n = 1, the others at n = 2, 3 and 6, so the block restarts three times
+    # tau * eps between the rows' first residuals: the lam = 0.5 row stops at n = 1,
+    # the others at n = 2, 3 and 6, each keeping its place in the block until the
+    # last stops; the run keeps the name by which the manifest lists it
     yield "sweep_deriv2_codilated-nu_restarts", [
         "sweep", "--problem", "deriv2", "--nu", "1", "--sweep=-1,0.5,1,1.5,1.95",
         "--tau", "7.27", "--out", "out.csv"]

@@ -14,12 +14,13 @@ the step generators and the coefficient streams.  ``general-si`` and
 lam = 1.5 through the recursive coefficient stream.
 
 The block cases run dilations of ``codilated-nu`` through ``solve_dilations``
-and replay them by a plain loop over the same block of rows, each row leaving
-the block after its solve's iteration count: the ``table1`` nu = 2 dilations
+and replay them by a plain loop over the same block of rows, which, as the
+solve does, steps every row until the last one stops and records each row's
+history up to its solve's iteration count: the ``table1`` nu = 2 dilations
 on ``deriv2`` (L = 8), and the ``sweep-zeros`` block, the 20 admissible
 dilations of 1.0:2.2:0.05 at nu = 1 on ``diag-last`` (N = 100, seed 15).
 Every row's history must equal its report's bit for bit; the times are per
-row-step, the sum of the rows' iteration counts.  The ``src/`` tree next to
+row-step of the rows' iteration counts, their sum.  The ``src/`` tree next to
 this script is the one measured.
 """
 
@@ -89,28 +90,22 @@ def plain_two_step(a, at, g, omega, coeffs):
 def plain_block(mv, rmv, g, omega, coeffs, counts):
     """Row histories of the same update on a block with one row per dilation
     (coeffs: items of one entry per row, b_0 included; mv and rmv apply A and
-    A* to a vector or to every row of a block); row i leaves the block after
-    counts[i] steps."""
-    counts = np.asarray(counts)
+    A* to a vector or to every row of a block); every row steps until the
+    last stops, and row i records its first counts[i] steps."""
     histories = [[math.sqrt(g.dot(g))] for _ in counts]
-    rows, live = np.arange(counts.size), slice(None)
-    leaving = set(counts.tolist())
     _, b, _ = coeffs[0]
     f = (b * omega)[:, None] * rmv(g)
     f_prev = np.zeros_like(f)
     v = g - mv(f)
     for n in count(1):
-        for i, rn in zip(rows.tolist(), np.sqrt(np.vecdot(v, v)).tolist()):
-            histories[i].append(rn)
-        if n in leaving:
-            keep = counts[rows] > n
-            rows, f, f_prev, v = rows[keep], f[keep], f_prev[keep], v[keep]
-            if not rows.size:
-                return histories
-            live = rows
+        for history, k, rn in zip(histories, counts, np.sqrt(np.vecdot(v, v)).tolist()):
+            if n <= k:
+                history.append(rn)
+        if n == len(coeffs):
+            return histories
         a_n, b_n, _ = coeffs[n]
-        step = (b_n[live] * omega)[:, None] * rmv(v)
-        f_prev, f = f, f + a_n[live][:, None] * (f - f_prev) + step
+        step = (b_n * omega)[:, None] * rmv(v)
+        f_prev, f = f, f + a_n[:, None] * (f - f_prev) + step
         v = g - mv(f)
 
 
