@@ -18,13 +18,13 @@ noise level, the convention under which the reference iteration counts
 were produced; the discrepancy threshold still uses the nominal level.
 Sweep points and table rows are independent solves of one problem
 instance.  A sweep needs a method of ``solvers.DILATION_KINDS`` and locates the zeros of its
-residual kind.  Two or more admissible points of a closed-form sweep are
-solved together by ``solvers.solve_dilations``, whose reports equal the
-single solves' bit for bit; every other point and every table row runs
-through one point runner that records a failed solve in the row instead of
-raising.  Sweep rows are sorted by the dilation parameter, so the order of
-an explicit list does not change the output; a sweep range spans at most
-MAX_SWEEP_POINTS points.  ``run_sweep`` returns its rows; ``SweepRow`` is a
+residual kind.  The admissible points of a closed-form sweep are solved
+together by ``solvers.solve_dilations``, whose reports equal the single
+solves' bit for bit; every other point and every table row runs through
+one point runner that records a failed solve in the row instead of
+raising.  Sweep values are read as the floats they denote.  Sweep rows are
+sorted by the dilation parameter, so the order of an explicit list does not
+change the output; a sweep range spans at most MAX_SWEEP_POINTS points.  ``run_sweep`` returns its rows; ``SweepRow`` is a
 ``NamedTuple``, so a row is written as the tuple it is.
 
 Every file the package writes goes through ``write_lines`` here, in
@@ -141,18 +141,15 @@ def _sweep_values(sweep) -> list[float]:
 
     A range must be of finite reals with step > 0 and min <= max, so it is
     never empty, and span at most MAX_SWEEP_POINTS points, checked before any
-    is formed; the entries of a list must be finite reals.  A sweep of any
-    other type, a string among them, raises ValueError.
+    is formed; the entries of a list must be finite reals.  Each value is the
+    float its entry denotes.  A sweep of any other type, a string among them,
+    raises ValueError.
     """
     if not isinstance(sweep, (tuple, list)):
         raise ValueError(f"sweep must be a (min, max, step) tuple or a list, not {sweep!r}")
     if not isinstance(sweep, tuple):
-        for lam in sweep:
-            _require_real(lam, "sweep values")
-        return list(sweep)
-    lo, hi, step = sweep
-    for value in sweep:
-        _require_real(value, "sweep range")
+        return [_require_real(lam, "sweep values") for lam in sweep]
+    lo, hi, step = (_require_real(value, "sweep range") for value in sweep)
     if not (step > 0 and lo <= hi):
         raise ValueError("sweep range must be finite with step > 0 and min <= max")
     steps = np.floor((hi - lo) / step + 1e-9)  # a float: inf where the quotient overflows
@@ -236,8 +233,8 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     """One solve per dilation value; rows sorted by the dilation parameter.
 
     A method without a dilation, and a nu outside the ultraspherical range
-    nu > -1/2, raise ValueError before any solve.  Two or more admissible
-    points of a closed-form method (``batchable``) are solved together by
+    nu > -1/2, raise ValueError before any solve.  The admissible points of
+    a closed-form method (``batchable``) are solved together by
     ``solve_dilations``, bit-identical to one solve each; every other point
     goes through ``_run_point``, which records a failed solve in its row.  The
     zero is the smallest of the method's residual kind, even where the solve is
@@ -252,8 +249,6 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     scheme, _, kind = _residual_polynomial(config)  # checks nu before any solve
     problem = build_problem(spec)
     in_block = [batchable(config, lam) for lam in lams]
-    if sum(in_block) < 2:  # a lone block row costs more per step than a single solve
-        in_block = [False] * len(lams)
     block = [lam for lam, flag in zip(lams, in_block) if flag]
     reports = iter(solve_dilations(problem, config, block) if block else [])
     rows = []

@@ -1,9 +1,11 @@
 """Linear operators, test problems, seeded noise, and norm estimation.
 
-The records are ``NamedTuple``s: ``Problem``, the one record the solvers
-read, checks its data in the ``__new__`` of a thin subclass, which
-``_replace`` also runs; ``Deriv2Problem`` and ``NormEstimate`` only carry
-values.  ``add_noise`` returns an array, the data of a ``Problem``.
+Every array enters through ``orthopoly._real_array``: a finite real
+(integer or float, not bool) array of the axes asked for, none empty, read
+as float64.  The records are ``NamedTuple``s: ``Problem``, the one record
+the solvers read, checks its data in the ``__new__`` of a thin subclass,
+which ``_replace`` also runs; ``Deriv2Problem`` and ``NormEstimate`` only
+carry values.  ``add_noise`` returns an array, the data of a ``Problem``.
 Nothing here writes a file; the experiments module holds the CSV output.
 """
 
@@ -14,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .orthopoly import _require_integer, _require_real
+from .orthopoly import _real_array, _require_integer, _require_real
 
 __all__ = [
     "LinearOperator",
@@ -78,7 +80,7 @@ class _Problem(NamedTuple):
 
 class Problem(_Problem):
     """Data pair (A, g) consumed by the solvers; ValueError unless g is one
-    finite vector of A's range."""
+    finite real vector of A's range, which is stored as a float64 array."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
@@ -87,29 +89,17 @@ class Problem(_Problem):
         if np.shape(g) != (operator.range_dim,):
             raise ValueError(f"data g of shape {np.shape(g)} is not a vector of the "
                              f"operator's range, of dimension {operator.range_dim}")
-        if not np.isfinite(g).all():
-            raise ValueError("data g must be finite")
-        return super().__new__(cls, operator, g)
-
-
-def _finite_entries(entries) -> np.ndarray:
-    """The entries as a float array; ValueError if one is not finite."""
-    a = np.asarray(entries, dtype=float)
-    if not np.isfinite(a).all():
-        raise ValueError("operator entries must be finite")
-    return a
+        return super().__new__(cls, operator, _real_array(g, "data g", 1))
 
 
 def diagonal_operator(diag) -> LinearOperator:
-    """Componentwise multiplication by a nonempty finite vector; self-adjoint
-    since the diagonal is real.
+    """Componentwise multiplication by a nonempty finite real vector;
+    self-adjoint since the diagonal is real.
 
     The product broadcasts over the rows of a block, so it is also the
     block apply.
     """
-    d = _finite_entries(diag)
-    if d.ndim != 1 or d.size == 0:
-        raise ValueError(f"diagonal must be 1-D and nonempty, not of shape {d.shape}")
+    d = _real_array(diag, "diagonal", 1)
 
     def scale(x):
         return d * x
@@ -118,13 +108,11 @@ def diagonal_operator(diag) -> LinearOperator:
 
 
 def matrix_operator(a) -> LinearOperator:
-    """Dense operator of a finite 2-D matrix with no empty dimension.  Single
+    """Dense operator of a finite real 2-D matrix with no empty dimension.  Single
     vectors go through ``dot``, blocks through ``np.matvec``, whose rows equal
     ``dot`` bit for bit (a GEMM's do not); the adjoint uses a contiguous copy
     of the transpose."""
-    a = np.ascontiguousarray(_finite_entries(a))
-    if a.ndim != 2 or 0 in a.shape:
-        raise ValueError(f"matrix must be 2-D with no empty dimension, not of shape {a.shape}")
+    a = np.ascontiguousarray(_real_array(a, "matrix", 2))
     at = np.ascontiguousarray(a.T)
     return LinearOperator(
         a.shape[1], a.shape[0], a.dot, at.dot, partial(np.matvec, a), partial(np.matvec, at)
@@ -136,18 +124,16 @@ def add_noise(g_clean, epsilon: float, seed: int) -> np.ndarray:
 
     The perturbation's norm is epsilon * ||w||, about epsilon * sqrt(dim):
     the convention the reference iteration counts presume.  At epsilon = 0
-    it returns a copy and draws nothing.  ValueError unless g_clean is 1-D,
-    epsilon is a finite real >= 0 and seed an integer >= 0, before any draw.
+    it returns a copy and draws nothing.  ValueError unless g_clean is a real
+    vector, epsilon a finite real >= 0 and seed an integer >= 0, before any draw.
     The generator is NumPy's default PCG64 (``np.random.default_rng``); the
     same seed reproduces the noise bit for bit.
     """
-    _require_real(epsilon, "noise level epsilon")
+    epsilon = _require_real(epsilon, "noise level epsilon")
     if not epsilon >= 0:
         raise ValueError(f"noise level {epsilon} must be finite and >= 0")
     _require_integer(seed, "seed", 0)
-    g_clean = np.asarray(g_clean, dtype=float)
-    if g_clean.ndim != 1:
-        raise ValueError(f"data g_clean must be 1-D, not of shape {g_clean.shape}")
+    g_clean = _real_array(g_clean, "data g_clean", 1)
     if epsilon == 0.0:
         return g_clean.copy()
     return g_clean + epsilon * np.random.default_rng(seed).standard_normal(g_clean.size)

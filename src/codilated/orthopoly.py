@@ -85,9 +85,9 @@ class RecurrenceScheme(_RecurrenceScheme):
 
     alpha and beta are pure functions of the index (alpha_n for n >= 0,
     beta_n for n >= 1), so arbitrarily long iterations need no storage.
-    beta must be positive; the degenerate power basis beta == 0 used as
-    an oracle for the plain Landweber residuals is admitted only behind
-    ``allow_zero_beta``.
+    beta must be finite and positive; the degenerate power basis beta == 0
+    used as an oracle for the plain Landweber residuals is admitted only
+    behind ``allow_zero_beta``.  ``_jacobi`` checks each beta it reads.
 
     The stock schemes' alpha and beta also take an integer index ndarray
     and return the float64 array of the values, each entry bit for bit the
@@ -101,7 +101,7 @@ class RecurrenceScheme(_RecurrenceScheme):
 
     def __new__(cls, alpha, beta, symmetric=False, allow_zero_beta=False):
         self = super().__new__(cls, alpha, beta, symmetric, allow_zero_beta)
-        alphas, _ = _jacobi(self, None, 0, 9, folded=False, check=True)  # beta_1 .. beta_8
+        alphas, _ = _jacobi(self, None, 0, 9, folded=False)  # beta_1 .. beta_8
         if symmetric and np.any(alphas != 0.0):
             raise ValueError("symmetric scheme requires alpha == 0")
         return self
@@ -135,8 +135,7 @@ class CoDilation(_CoDilation):
 
     def __new__(cls, m: int, lam: float):
         _require_integer(m, "dilation index m", 1)
-        _require_real(lam, "dilation factor lam")
-        return super().__new__(cls, m, lam)
+        return super().__new__(cls, m, _require_real(lam, "dilation factor lam"))
 
 
 class _UltrasphericalParams(NamedTuple):
@@ -157,7 +156,7 @@ class UltrasphericalParams(_UltrasphericalParams):
     _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
     def __new__(cls, nu: float):
-        _require_real(nu, "ultraspherical parameter nu")
+        nu = _require_real(nu, "ultraspherical parameter nu")
         if not nu > -0.5:
             raise ValueError("ultraspherical parameter requires nu > -1/2")
         if not nu <= MAX_NU:
@@ -239,24 +238,21 @@ _CHUNK = 128  # stream items whose coefficients are formed at once, as arrays
 
 
 def _jacobi(scheme: RecurrenceScheme, dilation: CoDilation | None, start: int, stop: int,
-            folded: bool, check: bool = False):
+            folded: bool):
     """Recurrence coefficients (d_k, e_k), k in [start, stop), as float64 arrays.
 
     Unfolded, d_k = alpha_k and e_k = beta_k; folded (the even fold S_n of a
     symmetric scheme), d_k = beta_{2k} + beta_{2k+1} and e_k = beta_{2k-1} beta_{2k}.
     beta_0 = 0, so e_0 = 0.  The dilation scales beta_m before the fold.
-    ValueError unless each alpha and beta read is finite; with ``check``,
-    also unless each undilated beta read is positive, or zero where the
-    scheme allows it.
+    ValueError unless each alpha read is finite and each undilated beta read
+    is finite and positive, or zero where ``allow_zero_beta`` holds.
     """
     first, end = (2 * start - 1, 2 * stop) if folded else (start, stop)  # beta indices used
     lo = max(first, 1)  # beta_k = 0 for k <= 0
     idx = np.arange(lo, end)
     beta = _values(scheme.beta, idx)
-    ok = np.isfinite(beta)
-    if check:
-        ok &= beta >= 0.0 if scheme.allow_zero_beta else beta > 0.0
-    _require("beta", idx, beta, ok, "finite and positive" if check else "finite")
+    ok = np.isfinite(beta) & (beta >= 0.0 if scheme.allow_zero_beta else beta > 0.0)
+    _require("beta", idx, beta, ok, "finite and positive")
     b = np.concatenate((np.zeros(lo - first), beta))  # b[i] = beta_{first + i}, a copy
     if dilation is not None and first <= dilation.m < end:
         b[dilation.m - first] = dilation.lam * b[dilation.m - first]
@@ -337,8 +333,7 @@ def chebyshev_closed(kind: str, n: int, x, lam: float | None = None):
     if not np.all(np.abs(xa) <= 1.0):  # NaN fails too
         raise ValueError("closed forms are restricted to |x| <= 1")
     if kind == "star":
-        if not (_is_real(lam) and -math.inf < lam < math.inf):  # None, a bool, NaN fail
-            raise ValueError(f"kind 'star' needs a finite dilation factor lam, not {lam!r}")
+        lam = _require_real(lam, "finite dilation factor lam of kind 'star'")
         return (2.0 - lam) * chebyshev_closed("U", n, x) + (lam - 1.0) * chebyshev_closed(
             "T", n, x
         )
@@ -406,16 +401,16 @@ def _recursive_coefficients(
     b_n = 2 mu_{n+1} (symmetric) or mu_{n+1}.  As e_0 = 0, b_0 is the start
     factor of the two-step iteration.  Raises DivergentNormalization when a
     denominator crosses zero, which occurs exactly when the dilation exceeds
-    the critical value.  The base beta_k of each chunk are checked as
-    ``RecurrenceScheme`` checks beta_1 .. beta_8, so a later non-positive or
-    NaN beta_k raises ValueError up to one chunk before it is needed; a
-    dilation lam <= 0 of a positive beta_m is not rejected by this check.
+    the critical value.  ``_jacobi`` checks the base beta_k of each chunk, so a
+    later non-positive or NaN beta_k raises ValueError up to one chunk before
+    it is needed; a dilation lam <= 0 of a positive beta_m is not rejected by
+    this check.
     """
     folded = _folded(kind)
     scale = 1.0 if folded else 2.0
     mu = 0.0
     for start in count(0, _CHUNK):
-        d, e = _jacobi(scheme, dilation, start, start + _CHUNK, folded, check=True)
+        d, e = _jacobi(scheme, dilation, start, start + _CHUNK, folded)
         for n, damp, coupling in zip(count(start), (1.0 - d).tolist(), e.tolist()):
             den = damp - coupling * mu
             if den <= 0.0:
@@ -483,12 +478,34 @@ def _is_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
 
 
-def _require_real(value, what: str) -> None:
-    """ValueError unless value is a finite real (``_is_real``)."""
+def _require_real(value, what: str) -> float:
+    """value as the float it denotes; ValueError unless it is a finite real
+    (``_is_real``).  An int too large for a float is not finite."""
     if not _is_real(value):
         raise ValueError(f"{what} must be real, not {value!r}")
-    if not -math.inf < value < math.inf:  # NaN fails too; an int of any size passes
+    try:  # exact for a NumPy float32 or float16, and for an int below 2^53
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
         raise ValueError(f"{what} must be finite, not {value!r}")
+    return number
+
+
+def _real_array(values, what: str, ndim: int) -> np.ndarray:
+    """values as a float64 array, a float64 array itself and not a copy;
+    ValueError unless its dtype is integer or float (a bool, complex, string
+    or object array is not real, as for ``_is_real``), it has ndim axes, none
+    of them empty, and every entry is finite."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":  # a signed or unsigned integer, or a float
+        raise ValueError(f"{what} must be real, not of dtype {a.dtype}")
+    if a.ndim != ndim or a.size == 0:
+        raise ValueError(f"{what} must be {ndim}-D and nonempty, not of shape {a.shape}")
+    a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    return a
 
 
 def _folded(kind) -> bool:
@@ -499,14 +516,16 @@ def _folded(kind) -> bool:
 
 
 def _require_admissible(params: UltrasphericalParams, lam):
-    """ValueError unless nu > 1/2 and each dilation in lam (a real, or an
-    array of one or more axes) is finite and below the critical value 2 nu."""
+    """lam read as a float, or as a float64 array where it is an array of one
+    or more axes; ValueError unless nu > 1/2 and each dilation in lam is a
+    finite real below the critical value 2 nu."""
     params.require_closed_forms()
     critical = critical_constants(params).lambda_critical
     values = lam.ravel().tolist() if isinstance(lam, np.ndarray) and lam.ndim else [lam]
     bad = [x for x in values if not (_is_real(x) and -math.inf < x < critical)]  # NaN fails too
     if bad:
         raise ValueError(f"dilation {bad[0]!r} must be real and below critical value {critical}")
+    return lam.astype(float, copy=False) if np.ndim(lam) else float(lam)
 
 
 def _closed_form_coefficients(params: UltrasphericalParams, lam, kind: ResidualKind):
@@ -524,8 +543,7 @@ def _closed_form_coefficients(params: UltrasphericalParams, lam, kind: ResidualK
     is formed as (2 nu - 1) + (lam - 1)(R - 1), from ``_r_values``' e = R - 1.
     (nu, lam) and kind are checked when the stream is created, not on its first item.
     """
-    _require_admissible(params, lam)
-    return _closed_form_stream(params.nu, lam, not _folded(kind))
+    return _closed_form_stream(params.nu, _require_admissible(params, lam), not _folded(kind))
 
 
 def _closed_form_stream(nu: float, lam, symmetric: bool):
@@ -637,12 +655,13 @@ def limit_ratio(params: UltrasphericalParams, lam: float) -> float:
     consts = critical_constants(params)
     if not (_is_real(lam) and -math.inf < lam <= consts.lambda_critical):  # NaN fails too
         raise ValueError(f"limit exists only for a finite lam <= critical dilation, not {lam!r}")
+    lam = float(lam)
     return lam + (1.0 - lam) / consts.L1
 
 
 def sup_bound_codilated(params: UltrasphericalParams, lam: float) -> float:
     """Uniform bound of |P_n*(x)/P_n*(1)| on [-1, 1] for nu > 1/2, lam < 2 nu."""
-    _require_admissible(params, lam)
+    lam = _require_admissible(params, lam)
     if 0.0 <= lam <= 1.0:
         return 1.0
     nu = params.nu

@@ -80,6 +80,7 @@ from .orthopoly import (
     ResidualKind,
     UltrasphericalParams,
     _closed_form_coefficients,
+    _real_array,
     _recursive_coefficients,
     _require_admissible,
     _require_integer,
@@ -163,7 +164,7 @@ class SolverConfig(_SolverConfig):
     epsilon is the noise level entering the discrepancy threshold
     tau * epsilon; max_iter of None picks the default of the method run
     (10^6 for Landweber, 10^3 for cg, 10^4 otherwise).  method may be given
-    by its value, e.g. "landweber".
+    by its value, e.g. "landweber"; a real field is stored as the float it denotes.
     """
 
     __slots__ = ()
@@ -172,11 +173,10 @@ class SolverConfig(_SolverConfig):
     def __new__(cls, *args, **kwargs):
         method, nu, lam, omega, tau, epsilon, max_iter = super().__new__(cls, *args, **kwargs)
         method = Method(method)
-        for value, what in ((nu, "polynomial parameters nu and lam"),
-                            (lam, "polynomial parameters nu and lam"),
-                            (omega, "relaxation parameter omega"), (tau, "discrepancy factor tau"),
-                            (epsilon, "noise level epsilon")):
-            _require_real(value, what)
+        nu, lam, omega, tau, epsilon = (_require_real(value, what) for value, what in (
+            (nu, "polynomial parameters nu and lam"), (lam, "polynomial parameters nu and lam"),
+            (omega, "relaxation parameter omega"), (tau, "discrepancy factor tau"),
+            (epsilon, "noise level epsilon")))
         if not omega > 0:
             raise ValueError("relaxation parameter omega must be finite and > 0")
         if not tau > 1:
@@ -194,8 +194,9 @@ class SolverConfig(_SolverConfig):
 
 
 class IterationState(NamedTuple):
-    """Snapshot of one iteration; residual_norm is always recomputed
-    from residual = g - A f_curr, never updated incrementally."""
+    """Snapshot of one iteration: residual is g - A f_curr, or from n = 1 on the
+    affine-minimal v_min for the adaptive method; residual_norm is recomputed
+    from it every step, never updated incrementally."""
 
     n: int
     f_curr: np.ndarray
@@ -446,13 +447,13 @@ def oracle_check(diag, f_true, config: SolverConfig, n_max: int) -> float:
     config with epsilon = 0 for n_max steps, and compares f_true - f_n against
     r_n(omega sigma_i^2) f_true componentwise at every step, r_n the method's
     residual polynomial.  Deviations are measured relative to the sup norm of
-    f_true.  An all-zero f_true, a diag that is not 1-D, an f_true not of its
-    shape, cg and the adaptive method raise ValueError before any apply.
+    f_true.  A diag or f_true that is not a nonempty finite real vector, the
+    two of different lengths, an all-zero f_true, cg and the adaptive method
+    raise ValueError before any apply.
     """
     scheme, dilation, kind = _residual_polynomial(config)
-    d = np.asarray(diag, dtype=float)
-    f_true = np.asarray(f_true, dtype=float)
-    if f_true.shape != d.shape:  # diagonal_operator rejects a d that is not 1-D
+    d, f_true = _real_array(diag, "diag", 1), _real_array(f_true, "f_true", 1)
+    if f_true.shape != d.shape:
         raise ValueError(f"diag and f_true must be of one shape, not {d.shape} and {f_true.shape}")
     scale = float(np.max(np.abs(f_true)))
     if scale == 0.0:
@@ -525,9 +526,8 @@ def solve_dilations(problem: Problem, config: SolverConfig, lams) -> list[SolveR
         raise ValueError(f"method {config.method.value} has no block iteration")
     if np.ndim(lams) != 1:
         raise ValueError(f"dilations must be a 1-D sequence, not of shape {np.shape(lams)}")
-    for lam in lams:
-        _require_real(lam, "dilation lam")
-    column, kind = np.asarray(lams, float).reshape(-1, 1), DILATION_KINDS[config.method]
+    column = np.array([_require_real(lam, "dilation lam") for lam in lams]).reshape(-1, 1)
+    kind = DILATION_KINDS[config.method]
     coeffs = _closed_form_coefficients(UltrasphericalParams(config.nu), column, kind)
     return _drive_block(problem, config, coeffs, len(column))
 

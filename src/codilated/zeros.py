@@ -8,17 +8,17 @@ sqrt(e_{n-1}).  Unfolded, these are the co-dilated alpha_k and beta_k of
 P_n.  For the asymmetric kind they are those of the even fold S_n,
 P_{2n}(x) = S_n(x^2) (Chihara, 1978), so the n residual zeros y = 1 - t
 come from one n x n matrix; ``_jacobi`` applies the dilation and the
-fold.  An unreduced Jacobi matrix has real, simple eigenvalues; those
-inside the interval are the roots.
+fold.  ``_jacobi`` admits only betas > 0 there, so with lam > 0 each
+off-diagonal square is positive, or underflows to 0 and splits the matrix
+into blocks; the eigenvalues inside the interval are the roots.
 
 Where the matrix does not apply (a dilation lam <= 0, a family that is not
-orthogonal such as the power basis, an off-diagonal square that is not
-positive, or the asymmetric kind of a scheme that is not symmetric), roots
-come from sign-change bracketing on a scan grid followed by bisection.  The
-scan grid is uniform in the angular variable x = cos(theta) with 50 points
-per degree; oscillations of a degree-n family are ~pi/n apart in theta, so
-adjacent roots and extrema are separated by ~50 grid points even where
-they cluster near the endpoints.  Every scan, of P_n as of a residual kind,
+orthogonal such as the power basis, or the asymmetric kind of a scheme that
+is not symmetric), roots come from sign-change bracketing on a scan grid
+followed by bisection.  The scan grid is uniform in the angular variable
+x = cos(theta) with 50 points per degree; oscillations of a degree-n family
+are ~pi/n apart in theta, so adjacent roots and extrema are separated by ~50
+grid points even where they cluster near the endpoints.  Every scan, of P_n as of a residual kind,
 reads P(x)/P(1) (``orthopoly._normalised_at_one``), so an underflowed P(1)
 raises NormalizationVanishes rather than yielding a grid of zeros as roots.
 The scan is also the tests' independent oracle for the matrix path.  Results
@@ -130,8 +130,6 @@ def _jacobi_eigenvalues(
     if folded and not scheme.symmetric:
         return None
     diag, off_sq = _jacobi(scheme, dilation, 0, n, folded)
-    if not np.all(off_sq[1:] > 0.0):
-        return None
     jacobi = np.zeros((n, n))
     jacobi.flat[:: n + 1] = diag
     jacobi.flat[n :: n + 1] = np.sqrt(off_sq[1:])  # sub-diagonal: eigvalsh reads the lower triangle
@@ -198,7 +196,7 @@ def modulus_of_convergence(
     around the grid maximum.
     """
     _check_degree(n)
-    _require_real(s, "smoothness s")
+    s = _require_real(s, "smoothness s")
     if s < 0:
         raise ValueError("smoothness s must be >= 0")
     grid = _residual_grid(n)

@@ -220,9 +220,10 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "sweep, single_solves",
-        [([1.0, 1.5, 1.9], 0), ([1.0, 1.5, 2.5], 1), ([1.5, 2.5], 2), ([1.5], 1)],
+        [([1.0, 1.5, 1.9], 0), ([1.0, 1.5, 2.5], 1), ([1.5, 2.5], 1), ([1.5], 0)],
     )
-    def test_block_needs_two_admissible_points(self, monkeypatch, sweep, single_solves):
+    def test_every_admissible_point_joins_the_block(self, monkeypatch, sweep, single_solves):
+        # a lone admissible point runs as a one-row block too; only 2.5 >= 2 nu is single
         calls = []
         solve = experiments.solve
         monkeypatch.setattr(experiments, "solve", lambda *a: calls.append(a) or solve(*a))

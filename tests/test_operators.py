@@ -12,6 +12,12 @@ from codilated.operators import (
     matrix_operator,
     operator_norm_sq,
 )
+from codilated.solvers import SolverConfig, solve
+
+
+# arrays that are not real: read as floats, each would lose its imaginary part or be parsed
+NOT_REAL = {"bool": np.array([True, False]), "complex": np.array([1.0 + 1.0j, 0.5]),
+            "string": np.array(["1", "0.5"])}
 
 
 def kernel(s, t):
@@ -58,12 +64,18 @@ class TestDiagonalOperator:
             diagonal_operator(np.array([1.0, bad, 0.5]))
 
 
+    @pytest.mark.parametrize("name", NOT_REAL)
+    def test_rejects_entries_that_are_not_real(self, name):
+        with pytest.raises(ValueError, match="diagonal must be real, not of dtype"):
+            diagonal_operator(NOT_REAL[name])
+
+
 class TestMatrixOperator:
     @pytest.mark.parametrize("a", [[1.0, 2.0], 3.0, np.zeros((0, 3)), np.zeros((3, 0)),
                                    np.ones((2, 2, 2))])
     def test_rejects_all_but_a_nonempty_matrix(self, a):
         # a vector would raise IndexError, a 0 x 3 matrix give a range of dimension 0
-        with pytest.raises(ValueError, match="matrix must be 2-D with no empty dimension"):
+        with pytest.raises(ValueError, match="matrix must be 2-D and nonempty"):
             matrix_operator(a)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -72,6 +84,11 @@ class TestMatrixOperator:
         a[2, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             matrix_operator(a)
+
+    @pytest.mark.parametrize("name", NOT_REAL)
+    def test_rejects_entries_that_are_not_real(self, name):
+        with pytest.raises(ValueError, match="matrix must be real, not of dtype"):
+            matrix_operator(np.stack([NOT_REAL[name]] * 2))
 
     def test_adjoint_probe(self):
         rng = np.random.default_rng(1)
@@ -106,6 +123,25 @@ class TestMatrixOperator:
             xs = rng.standard_normal((rows, n))
             assert np.array_equal(op.matvec_rows(xs), np.array([a.dot(x) for x in xs]))
             assert np.array_equal(op.rmatvec_rows(xs), np.array([at.dot(x) for x in xs]))
+
+
+class TestProblem:
+    def test_list_data_solve_as_array_data(self):
+        op = diagonal_operator([1.0, 0.5, 0.25])
+        config = SolverConfig(epsilon=0.0, max_iter=30)
+        g = np.array([1.0, 2.0, 3.0])
+        array_problem = Problem(op, g)
+        assert array_problem.g is g  # float64 data are kept, not copied
+        from_list = solve(Problem(op, [1.0, 2.0, 3.0]), config)
+        from_array = solve(array_problem, config)
+        assert from_list.residual_history.tobytes() == from_array.residual_history.tobytes()
+        assert from_list.f_final.tobytes() == from_array.f_final.tobytes()
+
+    @pytest.mark.parametrize("name", NOT_REAL)
+    def test_rejects_data_that_are_not_real(self, name):
+        # complex data would run on the real part of g . g
+        with pytest.raises(ValueError, match="data g must be real, not of dtype"):
+            Problem(diagonal_operator([1.0, 0.5]), NOT_REAL[name])
 
 
 class TestRowBlockApply:
@@ -247,6 +283,11 @@ class TestAddNoise:
     def test_rejects_non_finite_epsilon(self, epsilon):
         with pytest.raises(ValueError):
             add_noise(np.ones(3), epsilon, 1)
+
+    def test_rejects_complex_data(self):
+        # the imaginary part would be dropped with only a warning
+        with pytest.raises(ValueError, match="data g_clean must be real, not of dtype complex"):
+            add_noise(NOT_REAL["complex"], 0.01, 1)
 
     @pytest.mark.parametrize("g_clean, epsilon, seed", [
         (np.ones(3), 0.1, True), (np.ones(3), 0.1, 1.5), (np.ones(3), 0.0, -5),

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 from fractions import Fraction
 from itertools import count, islice
 
@@ -760,6 +761,19 @@ class TestInputRules:
             limit_ratio(params, lam)
         with pytest.raises(ValueError, match="finite dilation factor"):
             chebyshev_closed("star", 3, 0.5, lam=lam)
+
+    def test_reduced_precision_reals_compute_in_binary64(self):
+        asym = ResidualKind.ASYMMETRIC
+        lam = np.float32(1.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # MAX_NU would overflow in a float32 comparison
+            params = UltrasphericalParams(np.float32(1.0))
+            got = mu_closed(params, lam, 200, asym)
+        assert got.tobytes() == mu_closed(UltrasphericalParams(1.0), float(lam), 200, asym).tobytes()
+        assert sup_bound_codilated(params, lam) == sup_bound_codilated(params, float(lam))
+        assert limit_ratio(params, lam) == limit_ratio(params, float(lam))
+        star = chebyshev_closed("star", 5, 0.3, lam=np.float16(1.5))
+        assert star == chebyshev_closed("star", 5, 0.3, lam=1.5)
 
     def test_numpy_reals_pass(self):
         params = UltrasphericalParams(1.0)

@@ -113,7 +113,7 @@ def test_solve_report_defaults_and_replace():
     (lambda: CoDilation(1, math.inf), "dilation factor lam must be finite"),
     (lambda: UltrasphericalParams(-0.5), "requires nu > -1/2"),
     (lambda: UltrasphericalParams(math.nan), "ultraspherical parameter nu must be finite"),
-    # a real field takes an int, a float or a NumPy real scalar, and is not converted
+    # a real field takes an int, a float or a NumPy real scalar, stored as the float it denotes
     (lambda: CoDilation(1, "1.5"), "dilation factor lam must be real, not '1.5'"),
     (lambda: UltrasphericalParams("1.0"), "ultraspherical parameter nu must be real"),
     (lambda: UltrasphericalParams(True), "ultraspherical parameter nu must be real"),
@@ -126,7 +126,8 @@ def test_solve_report_defaults_and_replace():
     (lambda: add_noise([1.0], 0.01, True), "seed must be an integer, not True"),
     (lambda: add_noise([1.0], 0.01, 1.5), "seed must be an integer, not 1.5"),
     (lambda: add_noise([1.0], 0.0, -5), "seed must be >= 0"),  # checked where nothing is drawn
-    (lambda: add_noise(np.ones((3, 1)), 0.01, 1), r"g_clean must be 1-D, not of shape \(3, 1\)"),
+    (lambda: add_noise(np.ones((3, 1)), 0.01, 1),
+     r"g_clean must be 1-D and nonempty, not of shape \(3, 1\)"),
     (lambda: ExperimentSpec("diag-last", sweep="1:2:0.5"), "sweep must be a"),
     (lambda: ExperimentSpec("diag-last", sweep={1.0: 2}), "sweep must be a"),
     (lambda: ExperimentSpec("diag-last", sweep=(1.0, "2", 0.5)), "sweep range must be real"),
@@ -164,7 +165,18 @@ def test_checked_records_keep_their_constructors():
     assert (scheme.symmetric, scheme.allow_zero_beta) == (True, False)
     assert scheme._replace(symmetric=False).symmetric is False
     assert UltrasphericalParams(nu=2.0).nu == 2.0
-    assert type(SolverConfig(omega=2).omega) is int  # a real is checked, not converted
+    # a real is stored as the float it denotes, so a float32 computes in binary64
+    assert type(SolverConfig(omega=2).omega) is float
+
+
+def test_real_fields_are_stored_as_floats():
+    assert type(CoDilation(1, np.float32(1.5)).lam) is float
+    assert type(UltrasphericalParams(np.int64(2)).nu) is float
+    assert [type(lam) for lam in ExperimentSpec(sweep=[np.float16(1.5), 2]).sweep_values()] == [
+        float, float]
+    # an int beyond the floats is not finite, rather than an OverflowError at the solve
+    with pytest.raises(ValueError, match="omega must be finite"):
+        SolverConfig(omega=10**400)
 
 
 @pytest.mark.parametrize("kwargs, message", [

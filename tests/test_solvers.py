@@ -257,6 +257,12 @@ class TestOracleEquivalence:
             config = SolverConfig(method, nu=nu, lam=lam, omega=0.9)
             assert oracle_check(diag, f_true, config, 50) <= 1e-10
 
+    def test_string_diag_rejected(self):
+        # numeric strings would be parsed as the diagonal
+        config = SolverConfig("landweber", omega=0.5)
+        with pytest.raises(ValueError, match="diag must be real, not of dtype"):
+            oracle_check(np.array(["1", "0.5"]), [1.0, 1.0], config, 5)
+
     def test_zero_iterations_exact(self):
         # at n = 0 the error is f itself and r_0 = 1
         diag = np.array([0.7, 0.2])
@@ -433,6 +439,22 @@ class TestCg:
         assert report.stop_reason is StopReason.DISCREPANCY
         assert report.residual_history[-1] < 4 * 0.01
         assert 12 <= report.iterations <= 50
+
+
+class TestReducedPrecisionParameters:
+    # each value is exact in its type; stored as a float, it computes in binary64
+    @pytest.mark.parametrize("field, value", [
+        ("nu", np.float32(1.0)), ("lam", np.float32(1.5)), ("omega", np.float32(96.5)),
+        ("nu", np.float16(1.0)), ("lam", np.float16(1.5)), ("omega", np.float16(96.5)),
+    ], ids=lambda v: str(getattr(v, "dtype", v)))
+    def test_history_equals_the_float_run(self, field, value):
+        problem = deriv2_problem()
+        base = SolverConfig("codilated-nu", nu=1.0, lam=1.5, omega=96.5, epsilon=0.01,
+                            max_iter=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reduced = solve(problem, base._replace(**{field: value}))
+        assert reduced.residual_history.tobytes() == solve(problem, base).residual_history.tobytes()
 
 
 class TestConfigAndDriver:

@@ -213,22 +213,29 @@ class TestEigenvaluePath:
     @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
     def test_power_basis_is_scanned(self, kind):
         # no Jacobi matrix, so the result is the scan's, bit for bit: beta == 0;
-        # the even folding of a scheme with alpha != 0; beta_9 = -1, which
-        # enters the unfolded matrix from degree 10 on (the folded one squares it)
+        # the even folding of a scheme with alpha != 0
         cases = [(power_basis_scheme(), dil, n)
                  for n in (1, 2, 5, 20) for dil in (None, CoDilation(1, 1.5))]
         if kind is ASYM:
             skewed = RecurrenceScheme(alpha=lambda n: 0.1, beta=lambda n: 0.25)
             cases += [(skewed, dil, n) for n in (1, 5, 20) for dil in (None, CoDilation(1, 1.5))]
-        else:
-            tail = RecurrenceScheme(alpha=lambda n: 0.0, beta=lambda n: 0.25 if n < 9 else -1.0,
-                                    symmetric=True)
-            cases += [(tail, None, n) for n in (10, 11, 20)]
         for scheme, dil, n in cases:
             assert zeros._jacobi_eigenvalues(scheme, dil, n, folded=kind is ASYM) is None
             got = located(scheme, dil, kind, n)
             assert np.array_equal(got, scanned(scheme, dil, kind, n)), (n, dil)
             assert got.size or scheme.allow_zero_beta, (n, dil)
+
+    def test_negative_beta_rejected_by_every_reader(self):
+        # beta_9 = -1 lies past the 8 coefficients the scheme checks itself:
+        # no reader evaluates it, scans it or squares it into a Jacobi matrix
+        tail = RecurrenceScheme(alpha=lambda n: 0.0, beta=lambda n: 0.25 if n < 9 else -1.0,
+                                symmetric=True)
+        for run in (lambda: eval_monic(tail, None, 10, 0.5),
+                    lambda: residual_eval(tail, None, SYM, 10, 0.5),
+                    lambda: residual_eval(tail, None, ASYM, 5, 0.5),
+                    *(lambda kind=kind: find_zeros(tail, None, kind, 20) for kind in KINDS)):
+            with pytest.raises(ValueError, match=r"beta\(9\) = -1.0 must be finite and positive"):
+                run()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("which", ["alpha", "beta"])
