@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import Problem, add_noise, deriv2_assemble, diagonal_operator
-from .orthopoly import CoDilation, _require_integer, _require_real
+from .orthopoly import CoDilation, _checked_record, _require_flag, _require_integer, _require_real
 from .solvers import (
     DILATION_KINDS,
     Method,
@@ -86,16 +86,8 @@ PROBLEM_DEFAULTS = {
 MAX_N = {"diag-last": 2**20, "diag-second": 2**20, "deriv2": 2**11}
 
 
-class _ExperimentSpec(NamedTuple):
-    problem: str = "deriv2"
-    n: int | None = None
-    config: SolverConfig = SolverConfig()
-    sweep: tuple[float, float, float] | list[float] | None = None
-    seed: int = DEFAULT_SEED
-    zero_degree: int | None = None
-
-
-class ExperimentSpec(_ExperimentSpec):
+@_checked_record
+class ExperimentSpec(NamedTuple):
     """One experiment: a problem, a solver configuration (by default
     ``SolverConfig()``) and optionally a dilation sweep.  It names no output
     file: the caller writes one (``write_report_csv``, ``write_sweep_csv``).
@@ -106,11 +98,14 @@ class ExperimentSpec(_ExperimentSpec):
     raises ValueError here, before any solve or allocation.
     """
 
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
+    problem: str = "deriv2"
+    n: int | None = None
+    config: SolverConfig = SolverConfig()
+    sweep: tuple[float, float, float] | list[float] | None = None
+    seed: int = DEFAULT_SEED
+    zero_degree: int | None = None
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         _problem_size(self.problem, self.n)
         if not isinstance(self.config, SolverConfig):
             raise ValueError(f"config must be a SolverConfig, not {self.config!r}")
@@ -127,7 +122,7 @@ class ExperimentSpec(_ExperimentSpec):
 def _problem_size(problem: str, n: int | None) -> int:
     """n, or the problem's default size; ValueError unless the problem is known and n
     is an integer with 2 <= n <= MAX_N[problem], before anything of size n is built."""
-    if problem not in PROBLEM_DEFAULTS:
+    if not isinstance(problem, str) or problem not in PROBLEM_DEFAULTS:
         raise ValueError(f"unknown problem {problem!r}; choose from {sorted(PROBLEM_DEFAULTS)}")
     n = PROBLEM_DEFAULTS[problem][0] if n is None else n
     _require_integer(n, "problem size n", 2)
@@ -281,7 +276,7 @@ def table1_rows(seed: int = DEFAULT_SEED, include_landweber: bool = False) -> li
     it needs a few hundred thousand iterations.
     """
     rows = list(TABLE1_ROWS)
-    if include_landweber:
+    if _require_flag(include_landweber, "include_landweber"):
         rows.append((Method.LANDWEBER, None, None))
     _, omega, eps, tau = PROBLEM_DEFAULTS["deriv2"]
     base = SolverConfig(omega=omega, epsilon=eps, tau=tau)

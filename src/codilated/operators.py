@@ -3,9 +3,9 @@
 Every array enters through ``orthopoly._real_array``: a finite real
 (integer or float, not bool) array of the axes asked for, none empty, read
 as float64.  The records are ``NamedTuple``s: ``Problem``, the one record
-the solvers read, checks its data in the ``__new__`` of a thin subclass,
-which ``_replace`` also runs; ``Deriv2Problem`` and ``NormEstimate`` only
-carry values.  ``add_noise`` returns an array, the data of a ``Problem``.
+the solvers read, checks its data through ``orthopoly._checked_record``, also
+in ``_replace``; ``Deriv2Problem`` and ``NormEstimate`` only carry values.
+``add_noise`` returns an array, the data of a ``Problem``.
 Nothing here writes a file; the experiments module holds the CSV output.
 """
 
@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .orthopoly import _real_array, _require_integer, _require_real
+from .orthopoly import _checked_record, _real_array, _require_integer, _require_real
 
 __all__ = [
     "LinearOperator",
@@ -73,23 +73,19 @@ def _row_by_row(apply, block: np.ndarray) -> np.ndarray:
     return np.stack([apply(row) for row in block])
 
 
-class _Problem(NamedTuple):
-    operator: LinearOperator
-    g: np.ndarray
-
-
-class Problem(_Problem):
+@_checked_record
+class Problem(NamedTuple):
     """Data pair (A, g) consumed by the solvers; ValueError unless g is one
     finite real vector of A's range, which is stored as a float64 array."""
 
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
+    operator: LinearOperator
+    g: np.ndarray
 
-    def __new__(cls, operator: LinearOperator, g: np.ndarray):
-        if np.shape(g) != (operator.range_dim,):
-            raise ValueError(f"data g of shape {np.shape(g)} is not a vector of the "
-                             f"operator's range, of dimension {operator.range_dim}")
-        return super().__new__(cls, operator, _real_array(g, "data g", 1))
+    def _checked(self):
+        if np.shape(self.g) != (self.operator.range_dim,):
+            raise ValueError(f"data g of shape {np.shape(self.g)} is not a vector of the "
+                             f"operator's range, of dimension {self.operator.range_dim}")
+        return self.operator, _real_array(self.g, "data g", 1)
 
 
 def diagonal_operator(diag) -> LinearOperator:

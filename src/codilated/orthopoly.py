@@ -21,11 +21,10 @@ stream takes the factors that depend on nu alone from ``_nu_factors``, a
 nu and kind; it is the module's one piece of state shared between calls,
 and nothing in it depends on the dilation.
 
-All arithmetic is binary64.  Evaluations are vectorised over the argument.
-The records are ``NamedTuple``s.  Those that check their parameters
-(``RecurrenceScheme``, ``CoDilation``, ``UltrasphericalParams``) do so in
-the ``__new__`` of a thin subclass, which ``_replace`` also runs;
-``CriticalConstants`` only carries values.
+All arithmetic is binary64.  Evaluations are vectorised over their points,
+which ``_real_points`` reads (any shape, an integer or float dtype).  The
+records are ``NamedTuple``s; ``RecurrenceScheme``, ``CoDilation`` and
+``UltrasphericalParams`` check theirs through ``_checked_record``, also in ``_replace``.
 """
 
 from __future__ import annotations
@@ -73,21 +72,80 @@ class DivergentNormalization(ArithmeticError):
     """A denominator in the mu recursion crossed zero (dilation beyond critical)."""
 
 
-class _RecurrenceScheme(NamedTuple):
-    alpha: Callable[[int], float]
-    beta: Callable[[int], float]
-    symmetric: bool = False
-    allow_zero_beta: bool = False
+def _require_integer(value, what: str, minimum: int) -> None:
+    """ValueError unless value is an int or a NumPy integer (a bool is neither) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    if value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}")
 
 
-class RecurrenceScheme(_RecurrenceScheme):
+def _is_real(value) -> bool:
+    """Whether value is an int, float or NumPy real scalar; a bool is none."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
+def _require_real(value, what: str) -> float:
+    """value as the float it denotes; ValueError unless it is a finite real
+    (``_is_real``).  An int too large for a float is not finite."""
+    if not _is_real(value):
+        raise ValueError(f"{what} must be real, not {value!r}")
+    try:  # exact for a NumPy float32 or float16, and for an int below 2^53
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, not {value!r}")
+    return number
+
+
+def _require_flag(value, what: str) -> bool:
+    """value as a bool; ValueError unless it is a bool or a NumPy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a bool, not {value!r}")
+    return bool(value)
+
+
+def _real_points(values, what: str) -> np.ndarray:
+    """values as a float64 array of any shape (a float64 array itself, not a copy);
+    ValueError unless its dtype is integer or float, not bool, complex, string or object."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":  # a signed or unsigned integer, or a float
+        raise ValueError(f"{what} must be real, not of dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
+def _real_array(values, what: str, ndim: int) -> np.ndarray:
+    """values read by ``_real_points``; ValueError unless it has ndim axes,
+    none of them empty, and every entry is finite."""
+    a = _real_points(values, what)
+    if a.ndim != ndim or a.size == 0:
+        raise ValueError(f"{what} must be {ndim}-D and nonempty, not of shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    return a
+
+
+def _checked_record(cls):
+    """cls, a ``NamedTuple``, given a constructor that keeps the fields' signature
+    and stores the values that ``_checked()`` returns for the record built as
+    given (coerced, or ValueError); ``_make``, and so ``_replace``, runs it too."""
+    build = cls.__new__
+    cls.__new__ = functools.wraps(build)(
+        lambda cls, *args, **kwargs: build(cls, *build(cls, *args, **kwargs)._checked()))
+    cls._make = classmethod(lambda cls, values: cls(*values))
+    return cls
+
+
+@_checked_record
+class RecurrenceScheme(NamedTuple):
     """Coefficients of a monic three-term recurrence.
 
     alpha and beta are pure functions of the index (alpha_n for n >= 0,
     beta_n for n >= 1), so arbitrarily long iterations need no storage.
     beta must be finite and positive; the degenerate power basis beta == 0
     used as an oracle for the plain Landweber residuals is admitted only
-    behind ``allow_zero_beta``.  ``_jacobi`` checks each beta it reads.
+    behind ``allow_zero_beta``, a bool like ``symmetric``.  ``_jacobi`` checks each beta.
 
     The stock schemes' alpha and beta also take an integer index ndarray
     and return the float64 array of the values, each entry bit for bit the
@@ -96,15 +154,18 @@ class RecurrenceScheme(_RecurrenceScheme):
     works there, at one call per index.
     """
 
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
+    alpha: Callable[[int], float]
+    beta: Callable[[int], float]
+    symmetric: bool = False
+    allow_zero_beta: bool = False
 
-    def __new__(cls, alpha, beta, symmetric=False, allow_zero_beta=False):
-        self = super().__new__(cls, alpha, beta, symmetric, allow_zero_beta)
+    def _checked(self):
+        alpha, beta, *flags = self
+        symmetric, allow_zero_beta = map(_require_flag, flags, self._fields[2:])
         alphas, _ = _jacobi(self, None, 0, 9, folded=False)  # beta_1 .. beta_8
         if symmetric and np.any(alphas != 0.0):
             raise ValueError("symmetric scheme requires alpha == 0")
-        return self
+        return alpha, beta, symmetric, allow_zero_beta
 
 
 def _values(fn, idx: np.ndarray) -> np.ndarray:
@@ -119,27 +180,19 @@ def _values(fn, idx: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-class _CoDilation(NamedTuple):
-    m: int
-    lam: float
-
-
-class CoDilation(_CoDilation):
+@_checked_record
+class CoDilation(NamedTuple):
     """Dilation of the coefficient beta_m (m an integer >= 1) by the finite factor lam.
 
     lam = 1 reproduces the undilated scheme exactly.
     """
 
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
+    m: int
+    lam: float
 
-    def __new__(cls, m: int, lam: float):
-        _require_integer(m, "dilation index m", 1)
-        return super().__new__(cls, m, _require_real(lam, "dilation factor lam"))
-
-
-class _UltrasphericalParams(NamedTuple):
-    nu: float
+    def _checked(self):
+        _require_integer(self.m, "dilation index m", 1)
+        return self.m, _require_real(self.lam, "dilation factor lam")
 
 
 # The largest nu admitted.  beta_k and the asymmetric closed-form mu form
@@ -149,19 +202,19 @@ class _UltrasphericalParams(NamedTuple):
 MAX_NU = 1e150
 
 
-class UltrasphericalParams(_UltrasphericalParams):
+@_checked_record
+class UltrasphericalParams(NamedTuple):
     """Parameter -1/2 < nu <= MAX_NU of the weight (1 - x^2)^(nu - 1/2) on [-1, 1]."""
 
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
+    nu: float
 
-    def __new__(cls, nu: float):
-        nu = _require_real(nu, "ultraspherical parameter nu")
+    def _checked(self):
+        nu = _require_real(self.nu, "ultraspherical parameter nu")
         if not nu > -0.5:
             raise ValueError("ultraspherical parameter requires nu > -1/2")
         if not nu <= MAX_NU:
             raise ValueError(f"ultraspherical parameter requires nu <= MAX_NU = {MAX_NU:g}")
-        return super().__new__(cls, nu)
+        return (nu,)
 
     def require_closed_forms(self):
         """The explicit x=1 formulas only exist for nu > 1/2."""
@@ -251,8 +304,8 @@ def _jacobi(scheme: RecurrenceScheme, dilation: CoDilation | None, start: int, s
     lo = max(first, 1)  # beta_k = 0 for k <= 0
     idx = np.arange(lo, end)
     beta = _values(scheme.beta, idx)
-    ok = np.isfinite(beta) & (beta >= 0.0 if scheme.allow_zero_beta else beta > 0.0)
-    _require("beta", idx, beta, ok, "finite and positive")
+    ok, what = (beta >= 0.0, ">= 0") if scheme.allow_zero_beta else (beta > 0.0, "positive")
+    _require("beta", idx, beta, np.isfinite(beta) & ok, f"finite and {what}")
     b = np.concatenate((np.zeros(lo - first), beta))  # b[i] = beta_{first + i}, a copy
     if dilation is not None and first <= dilation.m < end:
         b[dilation.m - first] = dilation.lam * b[dilation.m - first]
@@ -280,7 +333,7 @@ def eval_monic(scheme: RecurrenceScheme, dilation: CoDilation | None, n: int, x)
     interval the monic values grow like x^n and may overflow for large n.
     """
     _require_integer(n, "degree", 0)
-    xa = np.asarray(x, dtype=float)
+    xa = _real_points(x, "x")
     p_prev, p = np.zeros_like(xa), np.ones_like(xa)
     alpha, beta = (c.tolist() for c in _jacobi(scheme, dilation, 0, n, folded=False))
     for k in range(n):
@@ -329,7 +382,7 @@ def chebyshev_closed(kind: str, n: int, x, lam: float | None = None):
     to integer degrees n >= 0.
     """
     _require_integer(n, "degree n", 0)
-    xa = np.asarray(x, dtype=float)
+    xa = _real_points(x, "x")
     if not np.all(np.abs(xa) <= 1.0):  # NaN fails too
         raise ValueError("closed forms are restricted to |x| <= 1")
     if kind == "star":
@@ -367,7 +420,7 @@ def residual_eval(
     r_n(0) = 1 holds exactly, and with its rule for a vanishing P(1).
     """
     _require_integer(n, "degree", 0)
-    ya = np.asarray(y, dtype=float)
+    ya = _real_points(y, "y")
     if not np.all((ya >= 0.0) & (ya <= 1.0)):  # NaN fails too
         raise ValueError("residual polynomials are defined on [0, 1]")
     degree, arg = (2 * n, np.sqrt(1.0 - ya)) if _folded(kind) else (n, 1.0 - 2.0 * ya)
@@ -463,49 +516,6 @@ _SHIFT_BELOW = 2.0**-6
 
 def _shifted(nu: float) -> bool:
     return 2.0 * nu - 1.0 < _SHIFT_BELOW
-
-
-def _require_integer(value, what: str, minimum: int) -> None:
-    """ValueError unless value is an int or a NumPy integer (a bool is neither) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, not {value!r}")
-    if value < minimum:
-        raise ValueError(f"{what} must be >= {minimum}")
-
-
-def _is_real(value) -> bool:
-    """Whether value is an int, float or NumPy real scalar; a bool is none."""
-    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
-
-
-def _require_real(value, what: str) -> float:
-    """value as the float it denotes; ValueError unless it is a finite real
-    (``_is_real``).  An int too large for a float is not finite."""
-    if not _is_real(value):
-        raise ValueError(f"{what} must be real, not {value!r}")
-    try:  # exact for a NumPy float32 or float16, and for an int below 2^53
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"{what} must be finite, not {value!r}")
-    return number
-
-
-def _real_array(values, what: str, ndim: int) -> np.ndarray:
-    """values as a float64 array, a float64 array itself and not a copy;
-    ValueError unless its dtype is integer or float (a bool, complex, string
-    or object array is not real, as for ``_is_real``), it has ndim axes, none
-    of them empty, and every entry is finite."""
-    a = np.asarray(values)
-    if a.dtype.kind not in "iuf":  # a signed or unsigned integer, or a float
-        raise ValueError(f"{what} must be real, not of dtype {a.dtype}")
-    if a.ndim != ndim or a.size == 0:
-        raise ValueError(f"{what} must be {ndim}-D and nonempty, not of shape {a.shape}")
-    a = a.astype(float, copy=False)
-    if not np.isfinite(a).all():
-        raise ValueError(f"{what} must be finite")
-    return a
 
 
 def _folded(kind) -> bool:

@@ -58,8 +58,7 @@ is single-threaded and deterministic.  Distinct solves share one thing: the
 closed-form streams' memo of nu-only factors in ``orthopoly``.  Its entries
 are read-only, and each is the same bit for bit whichever solve formed it,
 so no solve depends on another.  ``SolveReport`` and ``SolverConfig`` are
-``NamedTuple``s; a config checks its fields in the ``__new__`` of a thin
-subclass, which ``_replace`` also runs.
+``NamedTuple``s; a config checks its fields, in ``_replace`` too (``_checked_record``).
 """
 
 from __future__ import annotations
@@ -79,6 +78,7 @@ from .orthopoly import (
     RecurrenceScheme,
     ResidualKind,
     UltrasphericalParams,
+    _checked_record,
     _closed_form_coefficients,
     _real_array,
     _recursive_coefficients,
@@ -148,17 +148,8 @@ _DEFAULT_MAX_ITER = {
 }
 
 
-class _SolverConfig(NamedTuple):
-    method: Method = Method.CODILATED_NU
-    nu: float = 1.0
-    lam: float = 1.0
-    omega: float = 1.0
-    tau: float = 4.0
-    epsilon: float = 0.0
-    max_iter: int | None = None
-
-
-class SolverConfig(_SolverConfig):
+@_checked_record
+class SolverConfig(NamedTuple):
     """Method selection plus iteration parameters.
 
     epsilon is the noise level entering the discrepancy threshold
@@ -167,11 +158,16 @@ class SolverConfig(_SolverConfig):
     by its value, e.g. "landweber"; a real field is stored as the float it denotes.
     """
 
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
+    method: Method = Method.CODILATED_NU
+    nu: float = 1.0
+    lam: float = 1.0
+    omega: float = 1.0
+    tau: float = 4.0
+    epsilon: float = 0.0
+    max_iter: int | None = None
 
-    def __new__(cls, *args, **kwargs):
-        method, nu, lam, omega, tau, epsilon, max_iter = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
+        method, nu, lam, omega, tau, epsilon, max_iter = self
         method = Method(method)
         nu, lam, omega, tau, epsilon = (_require_real(value, what) for value, what in (
             (nu, "polynomial parameters nu and lam"), (lam, "polynomial parameters nu and lam"),
@@ -185,7 +181,7 @@ class SolverConfig(_SolverConfig):
             raise ValueError("noise level epsilon must be finite and >= 0")
         if max_iter is not None:
             _require_integer(max_iter, "iteration cap max_iter", 0)
-        return super().__new__(cls, method, nu, lam, omega, tau, epsilon, max_iter)
+        return method, nu, lam, omega, tau, epsilon, max_iter
 
     def resolved_max_iter(self) -> int:
         if self.max_iter is not None:
@@ -448,10 +444,11 @@ def oracle_check(diag, f_true, config: SolverConfig, n_max: int) -> float:
     r_n(omega sigma_i^2) f_true componentwise at every step, r_n the method's
     residual polynomial.  Deviations are measured relative to the sup norm of
     f_true.  A diag or f_true that is not a nonempty finite real vector, the
-    two of different lengths, an all-zero f_true, cg and the adaptive method
-    raise ValueError before any apply.
+    two of different lengths, an all-zero f_true, an n_max that is not an
+    integer >= 0, cg and the adaptive method raise ValueError before any apply.
     """
     scheme, dilation, kind = _residual_polynomial(config)
+    _require_integer(n_max, "n_max", 0)
     d, f_true = _real_array(diag, "diag", 1), _real_array(f_true, "f_true", 1)
     if f_true.shape != d.shape:
         raise ValueError(f"diag and f_true must be of one shape, not {d.shape} and {f_true.shape}")

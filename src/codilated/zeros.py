@@ -39,6 +39,7 @@ from .orthopoly import (
     _folded,
     _jacobi,
     _normalised_at_one,
+    _require_flag,
     _require_integer,
     _require_real,
     residual_eval,
@@ -196,6 +197,7 @@ def modulus_of_convergence(
     around the grid maximum.
     """
     _check_degree(n)
+    symmetric_weight = _require_flag(symmetric_weight, "symmetric_weight")
     s = _require_real(s, "smoothness s")
     if s < 0:
         raise ValueError("smoothness s must be >= 0")

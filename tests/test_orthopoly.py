@@ -775,6 +775,49 @@ class TestInputRules:
         star = chebyshev_closed("star", 5, 0.3, lam=np.float16(1.5))
         assert star == chebyshev_closed("star", 5, 0.3, lam=1.5)
 
+    # a point is read by the array dtype rule: a bool, complex, string or object
+    # value would otherwise be read as the float it converts to, or as NaN
+    @pytest.mark.parametrize("point", [None, "0.5", True, 0.5 + 0j, ["0.25"], np.array([True])],
+                             ids=["none", "str", "bool", "complex", "str-list", "bool-array"])
+    def test_points_that_are_not_real_rejected(self, point):
+        for call, name in ((lambda: eval_monic(CHEB, None, 3, point), "x"),
+                           (lambda: chebyshev_closed("U", 3, point), "x"),
+                           (lambda: chebyshev_closed("star", 3, point, lam=1.5), "x"),
+                           (lambda: residual_eval(CHEB, None, SYM, 3, point), "y")):
+            with pytest.raises(ValueError, match=f"^{name} must be real, not of dtype"):
+                call()
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3,), (2, 3)])
+    def test_integer_points_read_as_their_floats(self, shape):
+        ints = np.arange(math.prod(shape)).reshape(shape) % 2
+        floats = ints.astype(float)
+        for fn in (lambda x: eval_monic(CHEB, CoDilation(1, 1.5), 4, x),
+                   lambda x: chebyshev_closed("T", 4, x),
+                   lambda x: residual_eval(CHEB, None, ASYM, 4, x)):
+            got, want = fn(ints), fn(floats)
+            assert type(got) is type(want) and np.shape(got) == shape
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert eval_monic(CHEB, None, 3, 1) == eval_monic(CHEB, None, 3, 1.0)
+
+    def test_non_finite_points_as_before(self):
+        # the evaluator takes any value; the closed forms and residuals keep their domains
+        with np.errstate(invalid="ignore"):  # inf - inf from P_3 on
+            assert np.isnan(eval_monic(CHEB, None, 3, [math.nan, math.inf])).all()
+        assert eval_monic(CHEB, None, 2, -math.inf) == math.inf
+        for bad in (math.inf, -math.inf):  # NaN: test_rejects_outside_interval, _unit_interval
+            with pytest.raises(ValueError, match="restricted to"):
+                chebyshev_closed("U", 3, bad)
+            with pytest.raises(ValueError, match="defined on"):
+                residual_eval(CHEB, None, SYM, 3, bad)
+
+    def test_zero_beta_scheme_names_its_rule(self):
+        # where allow_zero_beta holds, a zero beta passes: the message says so
+        with pytest.raises(ValueError, match=r"^beta\(1\) = -1.0 must be finite and >= 0$"):
+            RecurrenceScheme(lambda n: 0 * n, lambda n: -1.0 + 0 * n, symmetric=True,
+                             allow_zero_beta=True)
+        with pytest.raises(ValueError, match=r"^beta\(1\) = -1.0 must be finite and positive$"):
+            RecurrenceScheme(lambda n: 0 * n, lambda n: -1.0 + 0 * n, symmetric=True)
+
     def test_numpy_reals_pass(self):
         params = UltrasphericalParams(1.0)
         for lam in (np.float64(1.5), np.int64(1), 1):

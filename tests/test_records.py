@@ -1,12 +1,15 @@
 """The package's records.  Every record is a NamedTuple; those that check
-their values, ``SolverConfig`` and ``ExperimentSpec`` among them, do so in the
-``__new__`` of a thin subclass, which ``_replace`` also runs.  No package class
-is a dataclass, and importing the package does not load ``dataclasses``."""
+their values, ``SolverConfig`` and ``ExperimentSpec`` among them, do so through
+``orthopoly._checked_record``, whose constructor ``_replace`` also runs.  No
+package class is a dataclass, and importing the package does not load
+``dataclasses``."""
 
+import copy
 import dataclasses
 import inspect
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +31,7 @@ from codilated.orthopoly import (
     CoDilation,
     CriticalConstants,
     RecurrenceScheme,
+    ResidualKind,
     UltrasphericalParams,
     chebyshev_u_scheme,
 )
@@ -46,6 +50,7 @@ CHECKED_RECORDS = {
     ExperimentSpec: lambda: ExperimentSpec("diag-last", 20, sweep=[1.0, 1.5]),
 }
 SRC = Path(codilated.__file__).resolve().parents[1]
+SYM = ResidualKind.SYMMETRIC
 
 
 def package_classes():
@@ -258,3 +263,58 @@ def test_experiment_spec_value_semantics():
     with pytest.raises(AttributeError):
         spec.sweep = [1.0, 1.5]
     assert spec._replace(sweep=[1.0, 1.5]).sweep_values() == [1.0, 1.5]
+
+
+@pytest.mark.parametrize("cls", tuple(CHECKED_RECORDS), ids=lambda cls: cls.__name__)
+def test_checked_records_are_plain_named_tuples(cls):
+    assert cls.__bases__ == (tuple,)  # no private base between the record and tuple
+
+
+@pytest.mark.parametrize("cls", tuple(CHECKED_RECORDS), ids=lambda cls: cls.__name__)
+def test_checked_record_signatures_list_their_fields(cls):
+    params = inspect.signature(cls).parameters
+    assert list(params) == list(cls._fields)
+    assert {name: p.default for name, p in params.items()
+            if p.default is not p.empty} == cls._field_defaults
+
+
+@pytest.mark.parametrize("cls", tuple(CHECKED_RECORDS), ids=lambda cls: cls.__name__)
+def test_checked_records_survive_pickling_and_copies(cls):
+    record = build(cls)
+    copies = [copy.deepcopy(record), cls._make(record)]
+    if cls not in (Problem, RecurrenceScheme):  # their functions are local, so not picklable
+        copies.append(pickle.loads(pickle.dumps(record)))
+        assert copies[-1] == record
+    for copied in copies:
+        assert type(copied) is cls
+        assert [type(value) for value in copied] == [type(value) for value in record]
+
+
+QUARTER = lambda n: 0.25 + 0 * n  # noqa: E731
+ZERO = lambda n: 0 * n  # noqa: E731
+
+
+@pytest.mark.parametrize("build_bad, message", [
+    (lambda: RecurrenceScheme(ZERO, QUARTER, symmetric="no"), "symmetric must be a bool, not 'no'"),
+    (lambda: RecurrenceScheme(ZERO, QUARTER, allow_zero_beta=1),
+     "allow_zero_beta must be a bool, not 1"),
+    (lambda: chebyshev_u_scheme()._replace(symmetric=None), "symmetric must be a bool, not None"),
+    (lambda: zeros.modulus_of_convergence(chebyshev_u_scheme(), None, SYM, 3, 1.0,
+                                          symmetric_weight="no"),
+     "symmetric_weight must be a bool, not 'no'"),
+    (lambda: experiments.table1_rows(include_landweber="no"),
+     "include_landweber must be a bool, not 'no'"),
+    (lambda: ExperimentSpec(problem=["x"]), r"unknown problem \['x'\]"),
+    (lambda: ExperimentSpec()._replace(problem={"deriv2": 1}), "unknown problem {'deriv2': 1}"),
+], ids=["scheme-symmetric-str", "scheme-allow-zero-beta-int", "scheme-replace-none",
+        "modulus-weight-str", "table1-landweber-str", "spec-problem-list", "spec-problem-dict"])
+def test_flags_and_problem_names_by_their_kind(build_bad, message):
+    with pytest.raises(ValueError, match=message):
+        build_bad()
+
+
+def test_flags_are_stored_as_bools():
+    scheme = RecurrenceScheme(ZERO, QUARTER, symmetric=np.bool_(True),
+                              allow_zero_beta=np.bool_(False))
+    assert (scheme.symmetric, scheme.allow_zero_beta) == (True, False)
+    assert [type(flag) for flag in scheme[2:]] == [bool, bool]

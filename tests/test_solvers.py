@@ -14,6 +14,7 @@ from codilated.operators import (
     add_noise,
     deriv2_assemble,
     diagonal_operator,
+    matrix_operator,
 )
 from codilated.orthopoly import (
     CoDilation,
@@ -23,6 +24,7 @@ from codilated.orthopoly import (
     UltrasphericalParams,
     chebyshev_u_scheme,
     power_basis_scheme,
+    residual_eval,
     ultraspherical_scheme,
 )
 from codilated.solvers import (
@@ -39,7 +41,7 @@ from codilated.solvers import (
     solve,
     solve_dilations,
 )
-from codilated.solvers import _drive, _stop_reason
+from codilated.solvers import _drive, _residual_polynomial, _stop_reason
 from test_orthopoly import textbook_closed_form
 
 CHEB = chebyshev_u_scheme()
@@ -285,6 +287,18 @@ class TestOracleEquivalence:
             monkeypatch.setattr(LinearOperator, name, lambda op, x: applies.append(x))
         with pytest.raises(ValueError, match="f_true must have a nonzero entry"):
             oracle_check([1.0, 0.5], [0.0, 0.0], SolverConfig("landweber", omega=0.5), 5)
+        assert applies == []
+
+    def test_step_count_read_before_any_apply(self, monkeypatch):
+        # an n_max of None would run solve to the method's cap, 10^4 steps here
+        applies = []
+        for name in ("matvec", "rmatvec"):
+            monkeypatch.setattr(LinearOperator, name, lambda op, x: applies.append(x))
+        for n_max, message in ((None, "n_max must be an integer, not None"),
+                               (2.0, "n_max must be an integer, not 2.0"),
+                               (-1, "n_max must be >= 0")):
+            with pytest.raises(ValueError, match=message):
+                oracle_check([1.0, 0.5], [1.0, 1.0], SolverConfig(omega=0.9), n_max)
         assert applies == []
 
     def test_mismatched_shapes_rejected_before_any_apply(self, monkeypatch):
@@ -1065,3 +1079,86 @@ class TestDivergenceReportedOnce:
             warnings.simplefilter("error", RuntimeWarning)
             reports = solve_dilations(problem, config, [0.5, 1.5])
         assert [(r.stop_reason, r.iterations) for r in reports] == [(StopReason.DIVERGENCE, 69)] * 2
+
+
+# A = U diag(SIGMA) V^T, 60 x 40, from a seeded QR: not its own adjoint, so a
+# solve that applies A where A* belongs (or back) fails on the shapes or the oracle.
+# ||A*A|| = SIGMA[0]^2 = 1, so omega = 0.9 keeps omega ||A*A|| < 1 for every method.
+SIGMA = np.linspace(1.0, 0.2, 40)
+RECT_OMEGA = 0.9
+RECT_TOL = 1e-12  # oracle deviation relative to max |f_true|; 3.1e-15 measured
+
+
+def rectangular_problem(seed=5):
+    """(problem with consistent data g = A f_true, V, f_true) for A = U diag(SIGMA) V^T."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((60, SIGMA.size)))
+    v, _ = np.linalg.qr(rng.standard_normal((SIGMA.size, SIGMA.size)))
+    a = (u * SIGMA) @ v.T
+    f_true = rng.standard_normal(SIGMA.size)
+    return Problem(matrix_operator(a), a @ f_true), v, f_true
+
+
+class TestRectangularOperator:
+    """Every method on a non-square operator with consistent data.  Where a
+    method has a residual polynomial r_n, the SVD oracle
+    f_true - f_n = V r_n(omega SIGMA^2) V^T f_true holds at every step."""
+
+    @staticmethod
+    def worst_oracle_deviation(run, residual, steps=40):
+        problem, v, f_true = rectangular_problem()
+        scheme, dilation, kind = residual
+        y, coords = RECT_OMEGA * SIGMA**2, v.T @ f_true
+        worst = []
+
+        def cb(state):
+            predicted = v @ (residual_eval(scheme, dilation, kind, state.n, y) * coords)
+            worst.append(np.max(np.abs(f_true - state.f_curr - predicted)))
+
+        config = quiet_config(omega=RECT_OMEGA, max_iter=steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RelaxationWarning)
+            report = run(problem, config, cb)
+        assert report.iterations == steps and len(worst) == steps + 1
+        return max(worst) / np.max(np.abs(f_true))
+
+    @pytest.mark.parametrize("method, nu, lam", [
+        (Method.LANDWEBER, 1.0, 1.0),
+        *[(method, nu, lam) for method in DILATION_KINDS for nu, lam in ((1.0, 1.5), (2.0, 3.5))],
+    ])
+    def test_solve_matches_the_svd_oracle(self, method, nu, lam):
+        residual = _residual_polynomial(SolverConfig(method, nu, lam))
+
+        def run(problem, config, cb):
+            return solve(problem, config._replace(method=method, nu=nu, lam=lam), cb)
+
+        assert self.worst_oracle_deviation(run, residual) <= RECT_TOL
+
+    @pytest.mark.parametrize("method", SCHEME_METHODS)
+    @pytest.mark.parametrize("dilation", [None, CoDilation(1, 1.5), CoDilation(3, 0.5)],
+                             ids=["undilated", "m1-1.5", "m3-0.5"])
+    def test_semi_iterative_matches_the_svd_oracle(self, method, dilation):
+        def run(problem, config, cb):
+            return semi_iterative(problem, CHEB, dilation, config._replace(method=method), cb)
+
+        residual = (CHEB, dilation, DILATION_KINDS[method])
+        assert self.worst_oracle_deviation(run, residual) <= RECT_TOL
+
+    # relative to max |f_true|: cg exhausts its Krylov space in 42 steps (4.3e-16
+    # measured); the adaptive method, a residual-polynomial method normalised at
+    # y = 0, converges slowly (6.8e-4 measured at step 1000)
+    @pytest.mark.parametrize("method, max_iter, tol", [
+        (Method.CG, 100, 1e-12),
+        (Method.ADAPTIVE_CODILATED_ONE, 1000, 2e-3),
+    ])
+    def test_solve_reaches_f_true(self, method, max_iter, tol):
+        problem, _, f_true = rectangular_problem()
+        config = quiet_config(method=method, omega=RECT_OMEGA, max_iter=max_iter)
+        report = solve(problem, config)
+        assert np.max(np.abs(report.f_final - f_true)) <= tol * np.max(np.abs(f_true))
+
+    @pytest.mark.parametrize("method", BLOCK_METHODS)
+    def test_block_rows_equal_single_solves(self, method):
+        problem, _, _ = rectangular_problem()
+        config = quiet_config(method=method, omega=RECT_OMEGA, max_iter=60)
+        assert_block_equals_singles(problem, config, [0.0, 1.0, 1.5, 1.9])
