@@ -24,6 +24,7 @@ from .experiments import (
     ExperimentSpec,
     _csv_row,
     _locate_zeros,
+    _problem_size,
     _sweep_values,
     run_experiment,
     run_sweep,
@@ -115,8 +116,7 @@ def _build_spec(args) -> tuple[ExperimentSpec, str | None]:
     merged = _merged(args)
     out = merged.pop("out", None)
     problem = merged.get("problem", "deriv2")
-    if problem not in PROBLEM_DEFAULTS:
-        raise ValueError(f"unknown problem {problem!r}")
+    _problem_size(problem, None)
     _, omega, eps, tau = PROBLEM_DEFAULTS[problem]
     config, spec = {"omega": omega, "epsilon": eps, "tau": tau}, {}
     for key, value in merged.items():

@@ -22,9 +22,10 @@ residual kind.  The admissible points of a closed-form sweep are solved
 together by ``solvers.solve_dilations``, whose reports equal the single
 solves' bit for bit; every other point and every table row runs through
 one point runner that records a failed solve in the row instead of
-raising.  Sweep values are read as the floats they denote.  Sweep rows are
-sorted by the dilation parameter, so the order of an explicit list does not
-change the output; a sweep range spans at most MAX_SWEEP_POINTS points.  ``run_sweep`` returns its rows; ``SweepRow`` is a
+raising.  Sweep values are read as the floats they denote, in ascending
+order (``_sweep_values``), so the rows of a sweep and of ``zeros --sweep``
+do not depend on the order of an explicit list; a sweep range spans at most
+MAX_SWEEP_POINTS points.  ``run_sweep`` returns its rows; ``SweepRow`` is a
 ``NamedTuple``, so a row is written as the tuple it is.
 
 Every file the package writes goes through ``write_lines`` here, in
@@ -137,13 +138,13 @@ def _sweep_values(sweep) -> list[float]:
     A range must be of finite reals with step > 0 and min <= max, so it is
     never empty, and span at most MAX_SWEEP_POINTS points, checked before any
     is formed; the entries of a list must be finite reals.  Each value is the
-    float its entry denotes.  A sweep of any other type, a string among them,
-    raises ValueError.
+    float its entry denotes, and the values ascend.  A sweep of any other
+    type, a string among them, raises ValueError.
     """
     if not isinstance(sweep, (tuple, list)):
         raise ValueError(f"sweep must be a (min, max, step) tuple or a list, not {sweep!r}")
     if not isinstance(sweep, tuple):
-        return [_require_real(lam, "sweep values") for lam in sweep]
+        return sorted(_require_real(lam, "sweep values") for lam in sweep)
     lo, hi, step = (_require_real(value, "sweep range") for value in sweep)
     if not (step > 0 and lo <= hi):
         raise ValueError("sweep range must be finite with step > 0 and min <= max")
@@ -225,7 +226,7 @@ def _locate_zeros(scheme, dilation: CoDilation, kind, degree: int) -> ZeroReport
 
 
 def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
-    """One solve per dilation value; rows sorted by the dilation parameter.
+    """One solve per dilation value, in the ascending order of ``sweep_values``.
 
     A method without a dilation, and a nu outside the ultraspherical range
     nu > -1/2, raise ValueError before any solve.  The admissible points of
@@ -238,7 +239,7 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     config = spec.config
     if config.method not in DILATION_KINDS:
         raise ValueError(f"method {config.method.value} takes no dilation to sweep")
-    lams = sorted(spec.sweep_values())
+    lams = spec.sweep_values()
     if not lams:
         raise ValueError("a sweep needs at least one dilation value")
     scheme, _, kind = _residual_polynomial(config)  # checks nu before any solve

@@ -106,6 +106,13 @@ def _require_flag(value, what: str) -> bool:
     return bool(value)
 
 
+def _require_dilation(value, optional: bool = True) -> None:
+    """ValueError unless value is a ``CoDilation``, or None where ``optional``."""
+    if not (isinstance(value, CoDilation) or optional and value is None):
+        kinds = "a CoDilation or None" if optional else "a CoDilation"
+        raise ValueError(f"dilation must be {kinds}, not {value!r}")
+
+
 def _real_points(values, what: str) -> np.ndarray:
     """values as a float64 array of any shape (a float64 array itself, not a copy);
     ValueError unless its dtype is integer or float, not bool, complex, string or object."""
@@ -297,9 +304,11 @@ def _jacobi(scheme: RecurrenceScheme, dilation: CoDilation | None, start: int, s
     Unfolded, d_k = alpha_k and e_k = beta_k; folded (the even fold S_n of a
     symmetric scheme), d_k = beta_{2k} + beta_{2k+1} and e_k = beta_{2k-1} beta_{2k}.
     beta_0 = 0, so e_0 = 0.  The dilation scales beta_m before the fold.
-    ValueError unless each alpha read is finite and each undilated beta read
-    is finite and positive, or zero where ``allow_zero_beta`` holds.
+    ValueError unless the dilation is a ``CoDilation`` or None, each alpha read
+    is finite and each undilated beta read is finite and positive, or zero
+    where ``allow_zero_beta`` holds.
     """
+    _require_dilation(dilation)
     first, end = (2 * start - 1, 2 * stop) if folded else (start, stop)  # beta indices used
     lo = max(first, 1)  # beta_k = 0 for k <= 0
     idx = np.arange(lo, end)
@@ -363,6 +372,8 @@ def eval_codilated_via_representation(
     Independent of the dilated recurrence; agrees with ``eval_monic`` under
     the same dilation to roundoff and serves as its cross-check.
     """
+    _require_integer(n, "degree", 0)
+    _require_dilation(dilation, optional=False)
     if n <= dilation.m:
         return eval_monic(scheme, None, n, x)
     m, lam = dilation.m, dilation.lam

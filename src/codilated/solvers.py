@@ -44,7 +44,8 @@ per row on Python floats.  A row that stops keeps its place with its report
 final, and the block steps until the last row stops.  Each row's report is
 bit-identical to the single solve's; the single-solve path pays nothing.
 
-Each loop owns its solve: it calls the one gate, ``_gate``, then runs under
+Each loop owns its solve: it calls the one gate, ``_gate``, which returns
+the stop constants (tau * epsilon and the resolved cap), then runs under
 one ``np.errstate`` that silences overflow and invalid operations, so a
 non-finite residual is reported once, as the divergence stop.  The stream is
 built before the loop, so an inadmissible (nu, lam) raises before any warning.
@@ -83,6 +84,7 @@ from .orthopoly import (
     _real_array,
     _recursive_coefficients,
     _require_admissible,
+    _require_dilation,
     _require_integer,
     _require_real,
     power_basis_scheme,
@@ -228,8 +230,8 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def _gate(problem: Problem, config: SolverConfig) -> None:
-    """The relaxation check of config.method (module docstring)."""
+def _gate(problem: Problem, config: SolverConfig) -> tuple[float, int]:
+    """The relaxation check of config.method (module docstring); returns the stop constants."""
     method = config.method
     if method is not Method.CG:
         estimate = problem.operator.norm_estimate
@@ -247,6 +249,7 @@ def _gate(problem: Problem, config: SolverConfig) -> None:
         if lapses:
             message = f"omega ||A*A|| = {level:.6g} " + ", and ".join(lapses)
             warnings.warn(message, RelaxationWarning, stacklevel=_caller_stacklevel())
+    return config.tau * config.epsilon, config.resolved_max_iter()
 
 
 def _stop_reason(rn, threshold, stalled, n, max_iter) -> StopReason | None:
@@ -278,9 +281,7 @@ def _drive(problem, config, steps, callback) -> SolveReport:
     where rn is finite and not below the threshold.  ``_stop_reason`` decides
     every stop, in its order; a screen of its four conditions calls it.
     """
-    _gate(problem, config)
-    threshold = config.tau * config.epsilon
-    max_iter = config.resolved_max_iter()
+    threshold, max_iter = _gate(problem, config)
     g = problem.g
     f = np.zeros(problem.operator.domain_dim)
     sqrt, inf = math.sqrt, math.inf
@@ -346,6 +347,7 @@ def semi_iterative(problem: Problem, scheme: RecurrenceScheme, dilation: CoDilat
     kind = DILATION_KINDS[method]
     if kind is ResidualKind.ASYMMETRIC and not scheme.symmetric:
         raise ValueError("asymmetric residual polynomials need a symmetric scheme")
+    _require_dilation(dilation)
     steps = _two_step(problem, config.omega, _recursive_coefficients(scheme, dilation, kind))
     return _drive(problem, config, steps, callback)
 
@@ -542,9 +544,7 @@ def _drive_block(problem, config, coeffs, size) -> list[SolveReport]:
     and skipped by the loop from then on, while the one ``_two_step`` steps
     every row until the last stops, which the shared cap bounds.
     """
-    _gate(problem, config)
-    threshold = config.tau * config.epsilon
-    max_iter = config.resolved_max_iter()
+    threshold, max_iter = _gate(problem, config)
     op, g, inf = problem.operator, problem.g, math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         rn0 = math.sqrt(g.dot(g))

@@ -39,6 +39,7 @@ from .orthopoly import (
     _folded,
     _jacobi,
     _normalised_at_one,
+    _require_dilation,
     _require_flag,
     _require_integer,
     _require_real,
@@ -148,6 +149,7 @@ def find_zeros(
     """Roots of the degree-n residual polynomial of ``kind`` in [0, 1], or of
     P_n itself (co-dilated if requested) in [-1, 1] where ``kind`` is None."""
     _check_degree(n)
+    _require_dilation(dilation)
     eig = _jacobi_eigenvalues(scheme, dilation, n, folded=kind is not None and _folded(kind))
     if eig is None and kind is None:
         zeros = _scan_roots(lambda x: _normalised_at_one(scheme, dilation, n, x),

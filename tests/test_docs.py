@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import codilated
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ["experiments", "operators", "orthopoly", "solvers", "zeros"]
 
@@ -29,3 +31,13 @@ def test_every_name_in_all_resolves(name):
     assert module.__all__, name
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_package_exports_every_module_all():
+    modules = [importlib.import_module(f"codilated.{name}")
+               for name in ("operators", "orthopoly", "solvers", "zeros")]
+    assert codilated.__all__ == [name for module in modules for name in module.__all__]
+    for module in modules:
+        assert all(getattr(codilated, name) is getattr(module, name) for name in module.__all__)
+    restored = ["solve_dilations", "batchable", "DILATION_KINDS", "MAX_NU", "MAX_DEGREE"]
+    assert all(hasattr(codilated, name) for name in restored)

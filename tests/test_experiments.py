@@ -81,7 +81,7 @@ class TestProblemConstruction:
         spec = ExperimentSpec(problem="deriv2", sweep=(1.0, 2.0, 0.5))
         assert spec.sweep_values() == [1.0, 1.5, 2.0]
         spec_list = ExperimentSpec(problem="deriv2", sweep=[1.9, 1.0])
-        assert spec_list.sweep_values() == [1.9, 1.0]
+        assert spec_list.sweep_values() == [1.0, 1.9]
 
     def test_sweep_range_bounded_before_expansion(self):
         top = float(MAX_SWEEP_POINTS)
@@ -565,6 +565,14 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    def test_config_file_unknown_problem_lists_the_choices(self, tmp_path, capsys):
+        # the library's one rule for a problem name, reached through a config file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem=nosuch\n")
+        assert main(["sweep", "--config", str(cfg), "--sweep", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: unknown problem 'nosuch'; choose from ['deriv2', 'diag-last', 'diag-second']\n")
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--n", "abc"],
         ["sweep", "--method", "nosuch"],
@@ -708,6 +716,14 @@ class TestCli:
         assert lines[0] == "lambda,smallest_zero,located"
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert values == sorted(values, reverse=True)
+
+    def test_zeros_sweep_rows_ascend(self, capsys):
+        # as a sweep's rows: the order of an explicit list does not change the output
+        assert main(["zeros", "--degree", "5", "--sweep", "2,1"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines] == ["lambda", "1.0", "2.0"]
+        assert main(["zeros", "--degree", "5", "--sweep", "1,2"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == lines
 
     @pytest.mark.parametrize("sweep", ["1:2:0", "2:1:0.5", "nan,1.0"])
     def test_bad_sweep_range_rejected(self, sweep, capsys):

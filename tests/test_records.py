@@ -313,6 +313,39 @@ def test_flags_and_problem_names_by_their_kind(build_bad, message):
         build_bad()
 
 
+def no_apply(x):
+    raise AssertionError("an operator was applied before the dilation was read")
+
+
+U = chebyshev_u_scheme()
+UNAPPLIED = Problem(operators.LinearOperator(2, 2, no_apply, no_apply), np.ones(2))
+DILATION_READERS = {
+    "eval_monic": lambda d: orthopoly.eval_monic(U, d, 3, 0.5),
+    "representation": lambda d: orthopoly.eval_codilated_via_representation(U, d, 3, 0.5),
+    "residual_eval": lambda d: orthopoly.residual_eval(U, d, SYM, 3, 0.5),
+    "mu_recursive": lambda d: orthopoly.mu_recursive(U, d, 3),
+    "find_zeros": lambda d: zeros.find_zeros(U, d, SYM, 3),
+    "modulus": lambda d: zeros.modulus_of_convergence(U, d, SYM, 3, 1.0),
+    "semi_iterative": lambda d: solvers.semi_iterative(UNAPPLIED, U, d,
+                                                       SolverConfig("general-si", omega=0.9)),
+}
+
+
+@pytest.mark.parametrize("dilation", [(1, 1.5), [1, 1.5], 1.5], ids=["tuple", "list", "float"])
+@pytest.mark.parametrize("name", DILATION_READERS)
+def test_dilations_by_their_kind(name, dilation):
+    # read where it enters: before any evaluation, and before the norm estimate's applies
+    with pytest.raises(ValueError, match=r"^dilation must be a CoDilation"):
+        DILATION_READERS[name](dilation)
+
+
+def test_representation_reads_its_degree_and_dilation():
+    with pytest.raises(ValueError, match="degree must be an integer, not None"):
+        orthopoly.eval_codilated_via_representation(U, CoDilation(1, 1.5), None, 0.5)
+    with pytest.raises(ValueError, match="dilation must be a CoDilation, not None"):
+        orthopoly.eval_codilated_via_representation(U, None, 3, 0.5)
+
+
 def test_flags_are_stored_as_bools():
     scheme = RecurrenceScheme(ZERO, QUARTER, symmetric=np.bool_(True),
                               allow_zero_beta=np.bool_(False))
