@@ -42,7 +42,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import Problem, add_noise, deriv2_assemble, diagonal_operator
-from .orthopoly import CoDilation, _checked_record, _require_flag, _require_integer, _require_real
+from .orthopoly import (
+    CoDilation,
+    _checked_record,
+    _require_flag,
+    _require_instance,
+    _require_integer,
+    _require_real,
+)
 from .solvers import (
     DILATION_KINDS,
     Method,
@@ -53,7 +60,7 @@ from .solvers import (
     solve,
     solve_dilations,
 )
-from .zeros import ZeroReport, _check_degree, find_zeros
+from .zeros import MAX_DEGREE, ZeroReport, find_zeros
 
 __all__ = [
     "DEFAULT_SEED",
@@ -108,11 +115,10 @@ class ExperimentSpec(NamedTuple):
 
     def _checked(self):
         _problem_size(self.problem, self.n)
-        if not isinstance(self.config, SolverConfig):
-            raise ValueError(f"config must be a SolverConfig, not {self.config!r}")
+        _require_instance(self.config, SolverConfig, "config")
         _require_integer(self.seed, "seed", 0)
         if self.zero_degree is not None:
-            _check_degree(self.zero_degree, "zero degree")
+            _require_integer(self.zero_degree, "zero degree", 1, MAX_DEGREE)
         self.sweep_values()  # rejects a malformed range here, not at the first sweep
         return self
 
@@ -126,9 +132,7 @@ def _problem_size(problem: str, n: int | None) -> int:
     if not isinstance(problem, str) or problem not in PROBLEM_DEFAULTS:
         raise ValueError(f"unknown problem {problem!r}; choose from {sorted(PROBLEM_DEFAULTS)}")
     n = PROBLEM_DEFAULTS[problem][0] if n is None else n
-    _require_integer(n, "problem size n", 2)
-    if n > MAX_N[problem]:
-        raise ValueError(f"problem size n must be <= {MAX_N[problem]} for {problem}")
+    _require_integer(n, "problem size n", 2, MAX_N[problem])
     return n
 
 

@@ -51,8 +51,9 @@ class LinearOperator:
     def __init__(
         self, domain_dim, range_dim, matvec, rmatvec, matvec_rows=None, rmatvec_rows=None
     ):
-        self.domain_dim = int(domain_dim)
-        self.range_dim = int(range_dim)
+        _require_integer(domain_dim, "domain_dim", 1)
+        _require_integer(range_dim, "range_dim", 1)
+        self.domain_dim, self.range_dim = int(domain_dim), int(range_dim)
         self._matvec = matvec
         self._rmatvec = rmatvec
         self.matvec_rows = matvec_rows or partial(_row_by_row, matvec)
@@ -125,9 +126,7 @@ def add_noise(g_clean, epsilon: float, seed: int) -> np.ndarray:
     The generator is NumPy's default PCG64 (``np.random.default_rng``); the
     same seed reproduces the noise bit for bit.
     """
-    epsilon = _require_real(epsilon, "noise level epsilon")
-    if not epsilon >= 0:
-        raise ValueError(f"noise level {epsilon} must be finite and >= 0")
+    epsilon = _require_real(epsilon, "noise level epsilon", at_least=0)
     _require_integer(seed, "seed", 0)
     g_clean = _real_array(g_clean, "data g_clean", 1)
     if epsilon == 0.0:

@@ -72,12 +72,15 @@ class DivergentNormalization(ArithmeticError):
     """A denominator in the mu recursion crossed zero (dilation beyond critical)."""
 
 
-def _require_integer(value, what: str, minimum: int) -> None:
-    """ValueError unless value is an int or a NumPy integer (a bool is neither) >= minimum."""
+def _require_integer(value, what: str, minimum: int, maximum: int | None = None) -> None:
+    """ValueError unless value is an int or a NumPy integer (a bool is neither)
+    >= minimum, and <= maximum where given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, not {value!r}")
     if value < minimum:
         raise ValueError(f"{what} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{what} must be <= {maximum}")
 
 
 def _is_real(value) -> bool:
@@ -85,9 +88,10 @@ def _is_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
 
 
-def _require_real(value, what: str) -> float:
+def _require_real(value, what: str, *, above=None, at_least=None, at_most=None) -> float:
     """value as the float it denotes; ValueError unless it is a finite real
-    (``_is_real``).  An int too large for a float is not finite."""
+    (``_is_real``), > above, >= at_least and <= at_most where each is given.
+    An int too large for a float is not finite."""
     if not _is_real(value):
         raise ValueError(f"{what} must be real, not {value!r}")
     try:  # exact for a NumPy float32 or float16, and for an int below 2^53
@@ -96,6 +100,12 @@ def _require_real(value, what: str) -> float:
         number = math.inf
     if not math.isfinite(number):
         raise ValueError(f"{what} must be finite, not {value!r}")
+    if above is not None and not number > above:
+        raise ValueError(f"{what} must be finite and > {above}")
+    if at_least is not None and not number >= at_least:
+        raise ValueError(f"{what} must be finite and >= {at_least}")
+    if at_most is not None and not number <= at_most:
+        raise ValueError(f"{what} must be finite and <= {at_most}")
     return number
 
 
@@ -106,11 +116,11 @@ def _require_flag(value, what: str) -> bool:
     return bool(value)
 
 
-def _require_dilation(value, optional: bool = True) -> None:
-    """ValueError unless value is a ``CoDilation``, or None where ``optional``."""
-    if not (isinstance(value, CoDilation) or optional and value is None):
-        kinds = "a CoDilation or None" if optional else "a CoDilation"
-        raise ValueError(f"dilation must be {kinds}, not {value!r}")
+def _require_instance(value, cls: type, what: str, optional: bool = False) -> None:
+    """ValueError unless value is a cls, or None where ``optional``."""
+    if not (isinstance(value, cls) or optional and value is None):
+        kinds = f"a {cls.__name__} or None" if optional else f"a {cls.__name__}"
+        raise ValueError(f"{what} must be {kinds}, not {value!r}")
 
 
 def _real_points(values, what: str) -> np.ndarray:
@@ -216,12 +226,7 @@ class UltrasphericalParams(NamedTuple):
     nu: float
 
     def _checked(self):
-        nu = _require_real(self.nu, "ultraspherical parameter nu")
-        if not nu > -0.5:
-            raise ValueError("ultraspherical parameter requires nu > -1/2")
-        if not nu <= MAX_NU:
-            raise ValueError(f"ultraspherical parameter requires nu <= MAX_NU = {MAX_NU:g}")
-        return (nu,)
+        return (_require_real(self.nu, "ultraspherical parameter nu", above=-0.5, at_most=MAX_NU),)
 
     def require_closed_forms(self):
         """The explicit x=1 formulas only exist for nu > 1/2."""
@@ -265,6 +270,7 @@ def ultraspherical_beta(params: UltrasphericalParams, n):
     the same rational function with the removable nu = 0 singularity cleared.
     n is an int, giving a float, or an integer index ndarray; one expression serves both.
     """
+    _require_instance(params, UltrasphericalParams, "params")
     array = isinstance(n, np.ndarray)
     if not array:
         _require_integer(n, "beta index n", 1)
@@ -280,6 +286,7 @@ def ultraspherical_beta(params: UltrasphericalParams, n):
 
 
 def ultraspherical_scheme(params: UltrasphericalParams) -> RecurrenceScheme:
+    _require_instance(params, UltrasphericalParams, "params")
     return RecurrenceScheme(
         alpha=_zero, beta=lambda n: ultraspherical_beta(params, n), symmetric=True
     )
@@ -304,11 +311,12 @@ def _jacobi(scheme: RecurrenceScheme, dilation: CoDilation | None, start: int, s
     Unfolded, d_k = alpha_k and e_k = beta_k; folded (the even fold S_n of a
     symmetric scheme), d_k = beta_{2k} + beta_{2k+1} and e_k = beta_{2k-1} beta_{2k}.
     beta_0 = 0, so e_0 = 0.  The dilation scales beta_m before the fold.
-    ValueError unless the dilation is a ``CoDilation`` or None, each alpha read
-    is finite and each undilated beta read is finite and positive, or zero
-    where ``allow_zero_beta`` holds.
+    ValueError unless the scheme is a ``RecurrenceScheme``, the dilation a
+    ``CoDilation`` or None, each alpha read is finite and each undilated beta
+    read is finite and positive, or zero where ``allow_zero_beta`` holds.
     """
-    _require_dilation(dilation)
+    _require_instance(scheme, RecurrenceScheme, "scheme")
+    _require_instance(dilation, CoDilation, "dilation", optional=True)
     first, end = (2 * start - 1, 2 * stop) if folded else (start, stop)  # beta indices used
     lo = max(first, 1)  # beta_k = 0 for k <= 0
     idx = np.arange(lo, end)
@@ -352,6 +360,7 @@ def eval_monic(scheme: RecurrenceScheme, dilation: CoDilation | None, n: int, x)
 
 def numerator_scheme(scheme: RecurrenceScheme, m: int) -> RecurrenceScheme:
     """Scheme of the m-th numerator polynomials: the beta sequence shifted by m."""
+    _require_instance(scheme, RecurrenceScheme, "scheme")
     _require_integer(m, "numerator shift m", 1)
     if not scheme.symmetric:
         raise ValueError("numerator polynomials are defined for symmetric schemes")
@@ -373,7 +382,7 @@ def eval_codilated_via_representation(
     the same dilation to roundoff and serves as its cross-check.
     """
     _require_integer(n, "degree", 0)
-    _require_dilation(dilation, optional=False)
+    _require_instance(dilation, CoDilation, "dilation")
     if n <= dilation.m:
         return eval_monic(scheme, None, n, x)
     m, lam = dilation.m, dilation.lam
@@ -531,8 +540,7 @@ def _shifted(nu: float) -> bool:
 
 def _folded(kind) -> bool:
     """Whether kind is the asymmetric (even-fold) kind; ValueError unless a ``ResidualKind``."""
-    if not isinstance(kind, ResidualKind):
-        raise ValueError(f"residual kind must be a ResidualKind, not {kind!r}")
+    _require_instance(kind, ResidualKind, "residual kind")
     return kind is ResidualKind.ASYMMETRIC
 
 
@@ -540,6 +548,7 @@ def _require_admissible(params: UltrasphericalParams, lam):
     """lam read as a float, or as a float64 array where it is an array of one
     or more axes; ValueError unless nu > 1/2 and each dilation in lam is a
     finite real below the critical value 2 nu."""
+    _require_instance(params, UltrasphericalParams, "params")
     params.require_closed_forms()
     critical = critical_constants(params).lambda_critical
     values = lam.ravel().tolist() if isinstance(lam, np.ndarray) and lam.ndim else [lam]
@@ -564,7 +573,8 @@ def _closed_form_coefficients(params: UltrasphericalParams, lam, kind: ResidualK
     is formed as (2 nu - 1) + (lam - 1)(R - 1), from ``_r_values``' e = R - 1.
     (nu, lam) and kind are checked when the stream is created, not on its first item.
     """
-    return _closed_form_stream(params.nu, _require_admissible(params, lam), not _folded(kind))
+    lam = _require_admissible(params, lam)  # reads params first
+    return _closed_form_stream(params.nu, lam, not _folded(kind))
 
 
 def _closed_form_stream(nu: float, lam, symmetric: bool):
@@ -652,6 +662,7 @@ def mu_closed(
 
 def critical_constants(params: UltrasphericalParams) -> CriticalConstants:
     """L1 and the critical dilation 1/(1 - L1), taken as 2 nu exactly for nu > 1/2; else 0, 1."""
+    _require_instance(params, UltrasphericalParams, "params")
     nu = params.nu
     if nu > 0.5:
         return CriticalConstants(L1=(2.0 * nu - 1.0) / (2.0 * nu), lambda_critical=2.0 * nu)
@@ -664,6 +675,7 @@ def numerator_quotient_at_one(params: UltrasphericalParams, n: int) -> float:
     Formed as 1 - e(n)/(2 nu - 1) with e = R - 1 (``_r_values``), which keeps
     its relative accuracy as nu -> 1/2, where (2 nu - R(n))/(2 nu - 1) cancels.
     """
+    _require_instance(params, UltrasphericalParams, "params")
     params.require_closed_forms()
     _require_integer(n, "quotient index n", 1)
     e_n = next(islice(_r_values(params.nu, shifted=True), n, None))
@@ -672,11 +684,10 @@ def numerator_quotient_at_one(params: UltrasphericalParams, n: int) -> float:
 
 def limit_ratio(params: UltrasphericalParams, lam: float) -> float:
     """Limit of P_n*(1)/P_n(1): lam + (1 - lam)/L1; zero exactly at the critical lam."""
+    _require_instance(params, UltrasphericalParams, "params")
     params.require_closed_forms()
     consts = critical_constants(params)
-    if not (_is_real(lam) and -math.inf < lam <= consts.lambda_critical):  # NaN fails too
-        raise ValueError(f"limit exists only for a finite lam <= critical dilation, not {lam!r}")
-    lam = float(lam)
+    lam = _require_real(lam, "dilation lam", at_most=consts.lambda_critical)
     return lam + (1.0 - lam) / consts.L1
 
 

@@ -84,7 +84,7 @@ from .orthopoly import (
     _real_array,
     _recursive_coefficients,
     _require_admissible,
-    _require_dilation,
+    _require_instance,
     _require_integer,
     _require_real,
     power_basis_scheme,
@@ -171,16 +171,10 @@ class SolverConfig(NamedTuple):
     def _checked(self):
         method, nu, lam, omega, tau, epsilon, max_iter = self
         method = Method(method)
-        nu, lam, omega, tau, epsilon = (_require_real(value, what) for value, what in (
-            (nu, "polynomial parameters nu and lam"), (lam, "polynomial parameters nu and lam"),
-            (omega, "relaxation parameter omega"), (tau, "discrepancy factor tau"),
-            (epsilon, "noise level epsilon")))
-        if not omega > 0:
-            raise ValueError("relaxation parameter omega must be finite and > 0")
-        if not tau > 1:
-            raise ValueError("discrepancy factor tau must be finite and > 1")
-        if not epsilon >= 0:
-            raise ValueError("noise level epsilon must be finite and >= 0")
+        nu, lam = (_require_real(value, "polynomial parameters nu and lam") for value in (nu, lam))
+        omega = _require_real(omega, "relaxation parameter omega", above=0)
+        tau = _require_real(tau, "discrepancy factor tau", above=1)
+        epsilon = _require_real(epsilon, "noise level epsilon", at_least=0)
         if max_iter is not None:
             _require_integer(max_iter, "iteration cap max_iter", 0)
         return method, nu, lam, omega, tau, epsilon, max_iter
@@ -344,10 +338,11 @@ def semi_iterative(problem: Problem, scheme: RecurrenceScheme, dilation: CoDilat
     method = config.method
     if method not in (Method.GENERAL_SI, Method.ASYMMETRIC_SI):
         raise ValueError(f"method {method.value} takes no recurrence scheme")
+    _require_instance(scheme, RecurrenceScheme, "scheme")
+    _require_instance(dilation, CoDilation, "dilation", optional=True)
     kind = DILATION_KINDS[method]
     if kind is ResidualKind.ASYMMETRIC and not scheme.symmetric:
         raise ValueError("asymmetric residual polynomials need a symmetric scheme")
-    _require_dilation(dilation)
     steps = _two_step(problem, config.omega, _recursive_coefficients(scheme, dilation, kind))
     return _drive(problem, config, steps, callback)
 

@@ -39,8 +39,8 @@ from .orthopoly import (
     _folded,
     _jacobi,
     _normalised_at_one,
-    _require_dilation,
     _require_flag,
+    _require_instance,
     _require_integer,
     _require_real,
     residual_eval,
@@ -66,13 +66,6 @@ class ZeroReport(NamedTuple):
     @property
     def smallest(self) -> float:
         return float(self.zeros[0]) if self.zeros.size else float("nan")
-
-
-def _check_degree(n: int, name: str = "degree") -> None:
-    """ValueError unless n is an integer, 1 <= n <= MAX_DEGREE, before anything is built."""
-    _require_integer(n, name, 1)
-    if n > MAX_DEGREE:
-        raise ValueError(f"{name} must be <= {MAX_DEGREE}")
 
 
 def _residual_grid(n: int) -> np.ndarray:
@@ -148,8 +141,9 @@ def find_zeros(
 ) -> ZeroReport:
     """Roots of the degree-n residual polynomial of ``kind`` in [0, 1], or of
     P_n itself (co-dilated if requested) in [-1, 1] where ``kind`` is None."""
-    _check_degree(n)
-    _require_dilation(dilation)
+    _require_integer(n, "degree", 1, MAX_DEGREE)
+    _require_instance(scheme, RecurrenceScheme, "scheme")
+    _require_instance(dilation, CoDilation, "dilation", optional=True)
     eig = _jacobi_eigenvalues(scheme, dilation, n, folded=kind is not None and _folded(kind))
     if eig is None and kind is None:
         zeros = _scan_roots(lambda x: _normalised_at_one(scheme, dilation, n, x),
@@ -198,11 +192,9 @@ def modulus_of_convergence(
     Approximated on the angular scan grid with golden-section refinement
     around the grid maximum.
     """
-    _check_degree(n)
+    _require_integer(n, "degree", 1, MAX_DEGREE)
     symmetric_weight = _require_flag(symmetric_weight, "symmetric_weight")
-    s = _require_real(s, "smoothness s")
-    if s < 0:
-        raise ValueError("smoothness s must be >= 0")
+    s = _require_real(s, "smoothness s", at_least=0)
     grid = _residual_grid(n)
 
     def fn(y):

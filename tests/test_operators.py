@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,21 @@ class TestRowBlockApply:
         assert calls == [("adjoint", (2,))] * 4
 
 
+class TestLinearOperator:
+    @pytest.mark.parametrize("dims, message", [
+        ((2.7, 2), "domain_dim must be an integer, not 2.7"),
+        ((2, True), "range_dim must be an integer, not True"),
+        (("3", 3), "domain_dim must be an integer, not '3'"),
+        ((3, 0), "range_dim must be >= 1"),
+    ])
+    def test_dimensions_read_as_integers(self, dims, message):
+        # each would have been read through int(): 2.7 as 2, True as 1, "3" as 3
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LinearOperator(*dims, np.negative, np.negative)
+        op = LinearOperator(np.int64(3), 2, np.negative, np.negative)
+        assert (type(op.domain_dim), op.domain_dim, op.range_dim) == (int, 3, 2)
+
+
 class TestDeriv2:
     def test_symmetry_and_sign(self):
         a = deriv2_assemble(50).matrix
@@ -277,7 +294,7 @@ class TestAddNoise:
         assert abs(rho) < 0.2
 
     def test_rejects_negative_epsilon(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^noise level epsilon must be finite and >= 0$"):
             add_noise(np.zeros(3), -0.1, 0)
 
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf")])

@@ -288,7 +288,7 @@ class TestNuBound:
         # far enough above it the closed forms overflow to a NaN mu, whose
         # NaN carries would each take a chunk of the cache
         before = cold_memo.cache_info()
-        message = "nu must be finite" if nu == math.inf else r"nu <= MAX_NU = 1e\+150"
+        message = "nu must be finite" if nu == math.inf else r"nu must be finite and <= 1e\+150"
         for kind in (SYM, ASYM):
             with pytest.raises(ValueError, match=message):
                 mu_closed(UltrasphericalParams(nu), 1.0, 1000, kind)
@@ -685,8 +685,9 @@ class TestConstants:
     def test_limit_ratio_rejects(self):
         with pytest.raises(ValueError):
             limit_ratio(UltrasphericalParams(0.5), 1.0)
-        for lam in (2.5, math.nan, -math.inf, math.inf):
-            with pytest.raises(ValueError, match="finite lam <= critical"):
+        for lam, message in ((2.5, r"finite and <= 2\.0"), (math.nan, "finite, not nan"),
+                             (-math.inf, "finite, not -inf"), (math.inf, "finite, not inf")):
+            with pytest.raises(ValueError, match=f"^dilation lam must be {message}$"):
                 limit_ratio(UltrasphericalParams(1.0), lam)
 
     def test_sup_bound_values(self):
@@ -757,7 +758,7 @@ class TestInputRules:
             mu_closed(params, lam, 3)
         with pytest.raises(ValueError, match="must be real and below critical value 2.0"):
             sup_bound_codilated(params, lam)
-        with pytest.raises(ValueError, match="finite lam <= critical"):
+        with pytest.raises(ValueError, match="^dilation lam must be real, not"):
             limit_ratio(params, lam)
         with pytest.raises(ValueError, match="finite dilation factor"):
             chebyshev_closed("star", 3, 0.5, lam=lam)

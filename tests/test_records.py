@@ -10,6 +10,7 @@ import inspect
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -116,7 +117,7 @@ def test_solve_report_defaults_and_replace():
     (lambda: RecurrenceScheme(lambda n: 0 * n, lambda n: 0.0 * n), "must be finite and positive"),
     (lambda: CoDilation(0, 1.5), "dilation index m must be >= 1"),
     (lambda: CoDilation(1, math.inf), "dilation factor lam must be finite"),
-    (lambda: UltrasphericalParams(-0.5), "requires nu > -1/2"),
+    (lambda: UltrasphericalParams(-0.5), r"nu must be finite and > -0\.5"),
     (lambda: UltrasphericalParams(math.nan), "ultraspherical parameter nu must be finite"),
     # a real field takes an int, a float or a NumPy real scalar, stored as the float it denotes
     (lambda: CoDilation(1, "1.5"), "dilation factor lam must be real, not '1.5'"),
@@ -314,7 +315,7 @@ def test_flags_and_problem_names_by_their_kind(build_bad, message):
 
 
 def no_apply(x):
-    raise AssertionError("an operator was applied before the dilation was read")
+    raise AssertionError("an operator was applied before the arguments were read")
 
 
 U = chebyshev_u_scheme()
@@ -337,6 +338,36 @@ def test_dilations_by_their_kind(name, dilation):
     # read where it enters: before any evaluation, and before the norm estimate's applies
     with pytest.raises(ValueError, match=r"^dilation must be a CoDilation"):
         DILATION_READERS[name](dilation)
+
+
+SCHEME_READERS = {
+    "semi_iterative": lambda s: solvers.semi_iterative(UNAPPLIED, s, None,
+                                                       SolverConfig("general-si", omega=0.9)),
+    "eval_monic": lambda s: orthopoly.eval_monic(s, None, 3, 0.5),
+    "residual_eval": lambda s: orthopoly.residual_eval(s, None, SYM, 3, 0.5),
+    "find_zeros": lambda s: zeros.find_zeros(s, None, SYM, 3),
+    "mu_recursive": lambda s: orthopoly.mu_recursive(s, None, 3),
+    "numerator_scheme": lambda s: orthopoly.numerator_scheme(s, 1),
+}
+PARAMS_READERS = {
+    "ultraspherical_beta": lambda q: orthopoly.ultraspherical_beta(q, 1),
+    "ultraspherical_scheme": orthopoly.ultraspherical_scheme,
+    "critical_constants": orthopoly.critical_constants,
+    "mu_closed": lambda q: orthopoly.mu_closed(q, 1.5, 3),
+    "sup_bound_codilated": lambda q: orthopoly.sup_bound_codilated(q, 1.5),
+    "numerator_quotient_at_one": lambda q: orthopoly.numerator_quotient_at_one(q, 1),
+    "limit_ratio": lambda q: orthopoly.limit_ratio(q, 1.5),
+}
+
+
+@pytest.mark.parametrize("read, what, bad", [
+    *((read, "scheme must be a RecurrenceScheme", (0.0, 0.25)) for read in SCHEME_READERS.values()),
+    *((read, "params must be a UltrasphericalParams", 1.5) for read in PARAMS_READERS.values()),
+], ids=[*SCHEME_READERS, *PARAMS_READERS])
+def test_schemes_and_params_by_their_kind(read, what, bad):
+    # read where they enter, so before the norm estimate's applies (UNAPPLIED raises on one)
+    with pytest.raises(ValueError, match=rf"^{what}, not {re.escape(repr(bad))}$"):
+        read(bad)
 
 
 def test_representation_reads_its_degree_and_dilation():

@@ -16,3 +16,9 @@ def test_main_prints_totals(capsys):
     values, options = (sum(tool.surface(name)[k] for name in tool.MODULES) for k in (0, 1))
     assert lines[-2].split() == ["total", str(values), str(options)]
     assert lines[-1] == f"src/ lines {tool.src_lines()}" and tool.src_lines() > 0
+
+
+def test_package_totals_are_pinned():
+    # a new public value or option must show in this line of its diff
+    tool = load_tool("surface")
+    assert tuple(sum(tool.surface(name)[k] for name in tool.MODULES) for k in (0, 1)) == (170, 28)
