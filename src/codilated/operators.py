@@ -16,7 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .orthopoly import _checked_record, _real_array, _require_integer, _require_real
+from .orthopoly import (
+    _checked_record,
+    _real_array,
+    _require_instance,
+    _require_integer,
+    _require_real,
+)
 
 __all__ = [
     "LinearOperator",
@@ -43,14 +49,18 @@ class LinearOperator:
     single-vector apply of that row bit for bit.  An operator built without
     block applies falls back to applying its rows one at a time.
     ``matvec``/``rmatvec`` stay methods so that a tracer can count applies
-    by patching the class.  The actions are fixed at construction; the only
-    other state is ``norm_estimate``, the whole ``operator_norm_sq`` result,
-    computed on first read and kept.
+    by patching the class.  ``gram`` is the Gram operator AA*, formed by
+    the constructor's nullary ``gram``: a range x range matrix, or the
+    diagonal of a diagonal operator as a vector; None for an operator built
+    without one.  ``damped_gram(c)`` is the apply of I - c AA*, Landweber's
+    step in data space, through ``gram``, else composed as v - c A(A* v).
+    The actions are fixed at construction; the only other state is two
+    memos, computed on first read and kept: ``norm_estimate``, the whole
+    ``operator_norm_sq`` result, and ``gram``.
     """
 
-    def __init__(
-        self, domain_dim, range_dim, matvec, rmatvec, matvec_rows=None, rmatvec_rows=None
-    ):
+    def __init__(self, domain_dim, range_dim, matvec, rmatvec, matvec_rows=None,
+                 rmatvec_rows=None, gram=None):
         _require_integer(domain_dim, "domain_dim", 1)
         _require_integer(range_dim, "range_dim", 1)
         self.domain_dim, self.range_dim = int(domain_dim), int(range_dim)
@@ -58,6 +68,7 @@ class LinearOperator:
         self._rmatvec = rmatvec
         self.matvec_rows = matvec_rows or partial(_row_by_row, matvec)
         self.rmatvec_rows = rmatvec_rows or partial(_row_by_row, rmatvec)
+        self._gram = gram
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._matvec(x)
@@ -69,6 +80,18 @@ class LinearOperator:
     def norm_estimate(self) -> NormEstimate:
         return operator_norm_sq(self)  # looked up at call time: a patched global is seen
 
+    @cached_property
+    def gram(self) -> np.ndarray | None:
+        return None if self._gram is None else self._gram()
+
+    def damped_gram(self, c: float):
+        gram = self.gram
+        if gram is None:
+            return lambda v: v - c * self.matvec(self.rmatvec(v))
+        if gram.ndim == 1:
+            return (1.0 - c * gram).__mul__
+        return (np.identity(self.range_dim) - c * gram).dot
+
 
 def _row_by_row(apply, block: np.ndarray) -> np.ndarray:
     return np.stack([apply(row) for row in block])
@@ -76,13 +99,15 @@ def _row_by_row(apply, block: np.ndarray) -> np.ndarray:
 
 @_checked_record
 class Problem(NamedTuple):
-    """Data pair (A, g) consumed by the solvers; ValueError unless g is one
-    finite real vector of A's range, which is stored as a float64 array."""
+    """Data pair (A, g) consumed by the solvers; ValueError unless A is a
+    ``LinearOperator`` and g one finite real vector of A's range, which is
+    stored as a float64 array."""
 
     operator: LinearOperator
     g: np.ndarray
 
     def _checked(self):
+        _require_instance(self.operator, LinearOperator, "operator")
         if np.shape(self.g) != (self.operator.range_dim,):
             raise ValueError(f"data g of shape {np.shape(self.g)} is not a vector of the "
                              f"operator's range, of dimension {self.operator.range_dim}")
@@ -94,26 +119,28 @@ def diagonal_operator(diag) -> LinearOperator:
     self-adjoint since the diagonal is real.
 
     The product broadcasts over the rows of a block, so it is also the
-    block apply.
+    block apply; the Gram operator is the diagonal of squares d * d.
     """
     d = _real_array(diag, "diagonal", 1)
 
     def scale(x):
         return d * x
 
-    return LinearOperator(d.size, d.size, scale, scale, scale, scale)
+    return LinearOperator(d.size, d.size, scale, scale, scale, scale, lambda: d * d)
 
 
 def matrix_operator(a) -> LinearOperator:
     """Dense operator of a finite real 2-D matrix with no empty dimension.  Single
     vectors go through ``dot``, blocks through ``np.matvec``, whose rows equal
     ``dot`` bit for bit (a GEMM's do not); the adjoint uses a contiguous copy
-    of the transpose."""
+    of the transpose.  The Gram operator is the m x m matrix a a^T where its
+    apply takes no more multiplications than the two applies it replaces
+    (m^2 <= 2mn); a taller matrix has none."""
     a = np.ascontiguousarray(_real_array(a, "matrix", 2))
     at = np.ascontiguousarray(a.T)
-    return LinearOperator(
-        a.shape[1], a.shape[0], a.dot, at.dot, partial(np.matvec, a), partial(np.matvec, at)
-    )
+    (m, n), gram = a.shape, lambda: a @ a.T
+    return LinearOperator(n, m, a.dot, at.dot, partial(np.matvec, a), partial(np.matvec, at),
+                          gram if m <= 2 * n else None)
 
 
 def add_noise(g_clean, epsilon: float, seed: int) -> np.ndarray:

@@ -16,20 +16,22 @@ step builds no state object.  A method may end the solve itself by
 returning a StopReason: cg on breakdown or Krylov exhaustion, the adaptive
 method when two consecutive residuals coincide.
 
-Landweber, the general and asymmetric semi-iterative methods, the co-dilated
+The general and asymmetric semi-iterative methods, the co-dilated
 ultraspherical method, the co-dilated nu-method and the adaptive method share
-the second-order update
+the second-order update (``_two_step``)
 
     f_{n+1} = f_n + a_n (f_n - f_{n-1}) + b_n * omega * A*(g - A f_n),  n >= 0,
 
-from f_0 = f_{-1} = 0, so b_0 is the start factor.  Landweber's stream
-yields a_n = None, which leaves the momentum term out; every other stream
-yields a number, whose term is added even where a_n = 0.  The methods
-differ only in the stream of (a_n, b_n, mu_{n+1}) fed to the update:
-constant for Landweber, otherwise one of the ``orthopoly`` coefficient
-streams (recursive, from a scheme and a dilation, or closed-form
-co-dilated ultraspherical); the adaptive method runs the nu-method's
-stream at nu = lam = 1 and watches the affine-minimal residual.
+from f_0 = f_{-1} = 0, so b_0 is the start factor; the momentum term is
+added even where a_n = 0.  The methods differ only in the stream of (a_n,
+b_n, mu_{n+1}) fed to the update: one of the ``orthopoly`` coefficient
+streams (recursive, from a scheme and a dilation, or closed-form co-dilated
+ultraspherical); the adaptive method runs the nu-method's stream at nu =
+lam = 1 and watches the affine-minimal residual.  Landweber is the update at
+a_n = 0, b_n = 2, run in data space (``_landweber``): with f_n = A* s_n,
+s_{n+1} = s_n + 2 omega v_n and v_{n+1} = (I - 2 omega AA*) v_n, one apply
+of the operator's ``damped_gram`` per step, and f formed only for a
+callback and once at the end.
 The error obeys f - f_n = r_n(omega A*A) f with r_n the matching residual
 polynomial, which ``_residual_polynomial`` names for a config (Landweber and
 the four methods that take a dilation; cg and the adaptive method have none)
@@ -53,8 +55,12 @@ The gate checks omega ||A*A|| (the memoised ``norm_estimate``) against the
 method's relaxation bound, skips cg, which has none, and warns once per solve
 or block, also where the level is not finite or its estimate did not converge.
 
-Residual norms are recomputed from v = g - A f every step; nothing is
-updated incrementally, so histories do not drift over long runs.  A solve
+Every method but Landweber recomputes its residual from v = g - A f every
+step, so its history does not drift over long runs.  Landweber's
+recurrence for v is exact algebra that carries its rounding from step to
+step: on ``deriv2`` at seed 15, over the 345 071 steps to the discrepancy
+stop, its history agrees with the f-space loop's within 4.8e-12 relative
+and f within 1.9e-11 of its largest entry, at the same stop.  A solve
 is single-threaded and deterministic.  Distinct solves share one thing: the
 closed-form streams' memo of nu-only factors in ``orthopoly``.  Its entries
 are read-only, and each is the same bit for bit whichever solve formed it,
@@ -68,7 +74,6 @@ import math
 import sys
 import warnings
 from enum import Enum
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -187,8 +192,8 @@ class SolverConfig(NamedTuple):
 
 class IterationState(NamedTuple):
     """Snapshot of one iteration: residual is g - A f_curr, or from n = 1 on the
-    affine-minimal v_min for the adaptive method; residual_norm is recomputed
-    from it every step, never updated incrementally."""
+    affine-minimal v_min for the adaptive method, or Landweber's recurrence for
+    g - A f_curr (module docstring); residual_norm is taken from it every step."""
 
     n: int
     f_curr: np.ndarray
@@ -311,17 +316,50 @@ def _two_step(problem, omega, coeffs, applies=None, state=None):
     yields (a_n, b_n, mu_{n+1}), of which only a_n and b_n are read.
 
     It runs from state = (f_0, f_{-1}, g - A f_0), by default f_0 = f_{-1} = 0,
-    with applies = (matvec, rmatvec), by default the single applies.  A None
-    a_n, which only Landweber's stream yields, leaves the momentum term out.
+    with applies = (matvec, rmatvec), by default the single applies.  Every
+    step applies A and A* once and adds the momentum term, also where a_n = 0.
     """
     op, g = problem.operator, problem.g
     matvec, rmatvec = applies or (op.matvec, op.rmatvec)
     f, f_prev, v = state or (np.zeros(op.domain_dim),) * 2 + (g,)
     for a, b, _ in coeffs:
         step = b * omega * rmatvec(v)
-        f_prev, f = f, f + step if a is None else f + a * (f - f_prev) + step
+        f_prev, f = f, f + a * (f - f_prev) + step
         v = g - matvec(f)
         yield f, f_prev, v
+
+
+def _landweber(problem: Problem, config: SolverConfig, callback) -> SolveReport:
+    """Landweber in data space: f_n = A* s_n with s_n = c (v_0 + ... + v_{n-1}),
+    c = 2 omega, and v_{n+1} = (I - c AA*) v_n from v_0 = g.
+
+    A step is one apply of ``damped_gram(c)``, which forms the operator's
+    Gram memo on the first step, and one add; f is formed every step only
+    for a callback, else once at the end (outside the loop, so under its own
+    ``np.errstate``).  A solve stopped at n = 0 applies no operator.
+    """
+    op, c = problem.operator, 2.0 * config.omega
+    total = np.zeros(op.range_dim)  # v_0 + ... + v_{n-1}
+
+    def iterate():
+        return c * op.rmatvec(total)
+
+    def steps():
+        nonlocal total
+        damped, watched = op.damped_gram(c), callback is not None
+        v, f, f_prev = problem.g, np.zeros(op.domain_dim) if watched else None, None
+        while True:
+            total += v
+            v = damped(v)
+            if watched:
+                f_prev, f = f, iterate()
+            yield f, f_prev, v
+
+    report = _drive(problem, config, steps(), callback)
+    if report.f_final is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = report._replace(f_final=iterate())
+    return report
 
 
 def semi_iterative(problem: Problem, scheme: RecurrenceScheme, dilation: CoDilation | None,
@@ -332,9 +370,12 @@ def semi_iterative(problem: Problem, scheme: RecurrenceScheme, dilation: CoDilat
     general-si has residual polynomials P_n(1 - 2y)/P_n(1) and reduces to
     Landweber for the power-basis scheme; asymmetric-si has P_{2n}(sqrt(1-y))
     /P_{2n}(1), which vanish at y = 1, so omega ||A*A|| = 1 is tolerated, and
-    needs a symmetric scheme.  Any other method raises ValueError before any
-    apply.
+    needs a symmetric scheme.  Any other method, and a problem or config
+    that is not a ``Problem`` or a ``SolverConfig``, raise ValueError before
+    any apply.
     """
+    _require_instance(problem, Problem, "problem")
+    _require_instance(config, SolverConfig, "config")
     method = config.method
     if method not in (Method.GENERAL_SI, Method.ASYMMETRIC_SI):
         raise ValueError(f"method {method.value} takes no recurrence scheme")
@@ -442,8 +483,10 @@ def oracle_check(diag, f_true, config: SolverConfig, n_max: int) -> float:
     residual polynomial.  Deviations are measured relative to the sup norm of
     f_true.  A diag or f_true that is not a nonempty finite real vector, the
     two of different lengths, an all-zero f_true, an n_max that is not an
-    integer >= 0, cg and the adaptive method raise ValueError before any apply.
+    integer >= 0, a config that is not a ``SolverConfig``, cg and the adaptive
+    method raise ValueError before any apply.
     """
+    _require_instance(config, SolverConfig, "config")
     scheme, dilation, kind = _residual_polynomial(config)
     _require_integer(n_max, "n_max", 0)
     d, f_true = _real_array(diag, "diag", 1), _real_array(f_true, "f_true", 1)
@@ -469,10 +512,14 @@ def oracle_check(diag, f_true, config: SolverConfig, n_max: int) -> float:
 def solve(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
     """Run config.method; the methods of ``DILATION_KINDS`` use the co-dilated
     (m = 1) ultraspherical family at config's nu and lam, which cg and the
-    adaptive method ignore.  Landweber is f_{n+1} = f_n + 2 omega A*(g - A f_n);
+    adaptive method ignore.  Landweber is f_{n+1} = f_n + 2 omega A*(g - A f_n),
+    run in data space;
     codilated-ultraspherical at nu = lam = 1 is Stiefel's Chebyshev method, and
     codilated-nu at lam = 1 the classical nu-method, with the start iterate
-    f_1 = (2 nu + 2)/(2 nu + 2 - lam) omega A* g."""
+    f_1 = (2 nu + 2)/(2 nu + 2 - lam) omega A* g.  ValueError unless problem is
+    a ``Problem`` and config a ``SolverConfig``."""
+    _require_instance(problem, Problem, "problem")
+    _require_instance(config, SolverConfig, "config")
     method = config.method
     if method in _CLOSED_FORM:
         coeffs = _closed_form_coefficients(UltrasphericalParams(config.nu), config.lam,
@@ -482,7 +529,7 @@ def solve(problem: Problem, config: SolverConfig, callback=None) -> SolveReport:
         scheme, dilation, _ = _residual_polynomial(config)
         return semi_iterative(problem, scheme, dilation, config, callback)
     elif method is Method.LANDWEBER:
-        steps = _two_step(problem, config.omega, repeat((None, 2.0, 1.0)))
+        return _landweber(problem, config, callback)
     elif method is Method.CG:
         steps = _cg_steps(problem)
     else:
@@ -514,8 +561,11 @@ def solve_dilations(problem: Problem, config: SolverConfig, lams) -> list[SolveR
     stopped row's report is final at that step, but the row steps on until
     the last row stops.  The relaxation check runs once per call.  Raises
     ValueError unless lams is a 1-D sequence of reals, and where ``batchable``
-    is false for some lam; no callback.
+    is false for some lam, or problem and config are not a ``Problem`` and a
+    ``SolverConfig``; no callback.
     """
+    _require_instance(problem, Problem, "problem")
+    _require_instance(config, SolverConfig, "config")
     if config.method not in _CLOSED_FORM:
         raise ValueError(f"method {config.method.value} has no block iteration")
     if np.ndim(lams) != 1:

@@ -359,11 +359,30 @@ PARAMS_READERS = {
     "limit_ratio": lambda q: orthopoly.limit_ratio(q, 1.5),
 }
 
+PROBLEM, CONFIG = "problem must be a Problem", "config must be a SolverConfig"
+# (reader, message, an argument of another kind), by what is read where
+SOLVE_ARGUMENT_READERS = {
+    "solve-problem": (lambda p: solvers.solve(p, SolverConfig()), PROBLEM, (1, 2)),
+    "solve-config": (lambda c: solvers.solve(UNAPPLIED, c), CONFIG, ("cg",)),
+    "semi_iterative-problem": (
+        lambda p: solvers.semi_iterative(p, U, None, SolverConfig("general-si")), PROBLEM, (1, 2)),
+    "semi_iterative-config": (
+        lambda c: solvers.semi_iterative(UNAPPLIED, U, None, c), CONFIG, ("general-si",)),
+    "oracle_check-config": (lambda c: solvers.oracle_check([1.0], [1.0], c, 3), CONFIG, None),
+    "solve_dilations-problem": (
+        lambda p: solvers.solve_dilations(p, SolverConfig(), [1.0]), PROBLEM, (1, 2)),
+    "solve_dilations-config": (lambda c: solvers.solve_dilations(UNAPPLIED, c, [1.0]), CONFIG,
+                               SolverConfig()._asdict()),
+    "problem-operator": (lambda o: Problem(o, np.ones(2)), "operator must be a LinearOperator",
+                         "x"),
+}
+
 
 @pytest.mark.parametrize("read, what, bad", [
     *((read, "scheme must be a RecurrenceScheme", (0.0, 0.25)) for read in SCHEME_READERS.values()),
     *((read, "params must be a UltrasphericalParams", 1.5) for read in PARAMS_READERS.values()),
-], ids=[*SCHEME_READERS, *PARAMS_READERS])
+    *SOLVE_ARGUMENT_READERS.values(),
+], ids=[*SCHEME_READERS, *PARAMS_READERS, *SOLVE_ARGUMENT_READERS])
 def test_schemes_and_params_by_their_kind(read, what, bad):
     # read where they enter, so before the norm estimate's applies (UNAPPLIED raises on one)
     with pytest.raises(ValueError, match=rf"^{what}, not {re.escape(repr(bad))}$"):

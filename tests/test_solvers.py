@@ -734,32 +734,64 @@ def textbook_two_step(problem, omega, coeffs, threshold, max_iter):
     return history, f
 
 
+def textbook_landweber(problem, a, omega, threshold, max_iter):
+    """Landweber in data space for the matrix a of problem's operator:
+    v <- (I - 2 omega a a^T) v from v = g, until ||v|| < threshold or n =
+    max_iter, and f = A*(2 omega (v_0 + ... + v_{n-1})).  Returns the norms
+    and the last iterate."""
+    c = 2.0 * omega
+    damped = np.identity(a.shape[0]) - c * (a @ a.T)
+    total = np.zeros(a.shape[0])
+    v = problem.g
+    history = [math.sqrt(v @ v)]
+    while not (history[-1] < threshold or len(history) > max_iter):
+        total = total + v
+        v = damped @ v
+        history.append(math.sqrt(v @ v))
+    return history, c * problem.operator.rmatvec(total)
+
+
 class TestTextbookLoop:
     """Solves on deriv2 equal a textbook loop bit for bit: the norms taken
     with ``dot`` and the stop screen change no arithmetic."""
 
     _, OMEGA, EPS, TAU = PROBLEM_DEFAULTS["deriv2"]
 
-    def check(self, config, coeffs, reason):
+    def check(self, config, textbook, reason):
         problem = deriv2_problem()
         report = solve(problem, config)
-        history, f = textbook_two_step(
-            problem, self.OMEGA, coeffs, self.TAU * self.EPS, config.resolved_max_iter())
+        history, f = textbook(problem, self.TAU * self.EPS, config.resolved_max_iter())
         assert report.stop_reason is reason
         assert report.iterations == len(history) - 1
         assert report.residual_history.tolist() == history
         assert np.array_equal(report.f_final, f)
+        return report
 
     def test_landweber_2000_steps(self):
         config = SolverConfig(method="landweber", omega=self.OMEGA, epsilon=self.EPS,
                               tau=self.TAU, max_iter=2000)
-        self.check(config, repeat((0.0, 2.0, 1.0)), StopReason.MAX_ITER)
+        a = deriv2_assemble(50).matrix
+
+        def data_space(problem, threshold, max_iter):
+            return textbook_landweber(problem, a, self.OMEGA, threshold, max_iter)
+
+        report = self.check(config, data_space, StopReason.MAX_ITER)
+        # the f-space loop, f <- f + 2 omega A*(g - A f), as the oracle of the recurrence
+        history, f = textbook_two_step(deriv2_problem(), self.OMEGA, repeat((0.0, 2.0, 1.0)),
+                                       self.TAU * self.EPS, 2000)
+        assert report.iterations == len(history) - 1
+        np.testing.assert_allclose(report.residual_history, history, rtol=1e-10, atol=0)
+        assert np.max(np.abs(report.f_final - f)) <= 1e-10 * np.max(np.abs(f))
 
     def test_codilated_nu_to_its_stop(self):
         config = SolverConfig(method="codilated-nu", nu=2.0, lam=3.99, omega=self.OMEGA,
                               epsilon=self.EPS, tau=self.TAU)
         coeffs = textbook_closed_form(2.0, 3.99, symmetric=False)
-        self.check(config, coeffs, StopReason.DISCREPANCY)
+
+        def two_step(problem, threshold, max_iter):
+            return textbook_two_step(problem, self.OMEGA, coeffs, threshold, max_iter)
+
+        self.check(config, two_step, StopReason.DISCREPANCY)
 
 
 class TestRelaxationWarnings:
@@ -1162,3 +1194,90 @@ class TestRectangularOperator:
         problem, _, _ = rectangular_problem()
         config = quiet_config(method=method, omega=RECT_OMEGA, max_iter=60)
         assert_block_equals_singles(problem, config, [0.0, 1.0, 1.5, 1.9])
+
+
+# omega ||A*A|| = 1 on the diagonal problems: Landweber warns, and converges there
+@pytest.mark.filterwarnings("ignore::codilated.solvers.RelaxationWarning")
+class TestLandweberInDataSpace:
+    """Landweber steps v <- (I - 2 omega AA*) v through the operator's Gram
+    memo AA*, formed at the first Landweber solve; f = A* s only for a
+    callback and at the end."""
+
+    def test_gram_of_a_rectangular_matrix(self):
+        # AA* of the 60 x 40 matrix is 60 x 60; A*A would be 40 x 40
+        op = rectangular_problem()[0].operator
+        a = np.column_stack([op.matvec(e) for e in np.identity(op.domain_dim)])
+        assert op.gram.shape == (60, 60)
+        np.testing.assert_allclose(op.gram, a @ a.T, rtol=0, atol=1e-14)
+        # up to m = 2n rows, where one m x m apply costs no more than an apply of A and A*
+        assert matrix_operator(np.ones((80, 40))).gram.shape == (80, 80)
+        assert matrix_operator(np.ones((81, 40))).gram is None
+
+    def test_diagonal_gram_is_the_squares(self):
+        d = np.array([1.0, -0.5, 0.25])
+        assert np.array_equal(diagonal_operator(d).gram, d * d)
+
+    def test_gram_formed_at_the_first_landweber_solve(self):
+        _, omega, eps, tau = PROBLEM_DEFAULTS["deriv2"]
+        config = SolverConfig(omega=omega, epsilon=eps, tau=tau, max_iter=5)
+        problem = build_problem(ExperimentSpec(problem="deriv2", config=config))
+        op = problem.operator
+        op.norm_estimate
+        for method in set(Method) - {Method.LANDWEBER}:
+            solve(problem, config._replace(method=method))
+        solve_dilations(problem, config._replace(method="codilated-nu"), [1.0, 1.5])
+        assert "gram" not in vars(op)  # no set-up, norm estimate or other method forms it
+        solve(problem, config._replace(method="landweber", max_iter=0))
+        assert "gram" not in vars(op)  # no step, no Gram
+        solve(problem, config._replace(method="landweber"))
+        gram = op.gram
+        solve(problem, config._replace(method="landweber"))
+        assert op.gram is gram
+
+    @pytest.mark.parametrize("callback, formed", [(None, 1), (lambda state: None, 30)],
+                             ids=["unwatched", "watched"])
+    def test_f_formed_once_without_a_callback(self, monkeypatch, callback, formed):
+        problem = deriv2_problem()
+        problem.operator.norm_estimate
+        calls = []
+        for name in ("matvec", "rmatvec"):
+            apply = getattr(LinearOperator, name)
+            monkeypatch.setattr(LinearOperator, name, lambda op, x, apply=apply, name=name:
+                                calls.append(name) or apply(op, x))
+        report = solve(problem, quiet_config(method="landweber", omega=96.5, max_iter=30),
+                       callback)
+        assert report.iterations == 30
+        assert calls == ["rmatvec"] * formed
+
+    @pytest.mark.parametrize("name", ["diag-last", "rectangular"])
+    def test_operator_from_callables_gives_the_same_stops(self, name):
+        if name == "rectangular":
+            problem = rectangular_problem()[0]
+            config = SolverConfig("landweber", omega=RECT_OMEGA, epsilon=1e-3)
+        else:
+            _, omega, eps, tau = PROBLEM_DEFAULTS[name]
+            config = SolverConfig("landweber", omega=omega, epsilon=eps, tau=tau)
+            problem = build_problem(ExperimentSpec(problem=name, config=config))
+        op = problem.operator
+        bare = Problem(LinearOperator(op.domain_dim, op.range_dim, op.matvec, op.rmatvec),
+                       problem.g)
+        report, composed = solve(problem, config), solve(bare, config)
+        assert bare.operator.gram is None
+        assert report.stop_reason is composed.stop_reason is StopReason.DISCREPANCY
+        assert report.iterations == composed.iterations
+        np.testing.assert_allclose(composed.residual_history, report.residual_history,
+                                   rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("name, seed, max_iter", [
+        *((name, seed, None) for name in ("diag-second", "diag-last") for seed in range(1, 11)),
+        ("deriv2", 15, 20000),
+    ])
+    def test_stops_equal_the_f_space_loop(self, name, seed, max_iter):
+        _, omega, eps, tau = PROBLEM_DEFAULTS[name]
+        config = SolverConfig("landweber", omega=omega, epsilon=eps, tau=tau, max_iter=max_iter)
+        problem = build_problem(ExperimentSpec(problem=name, config=config, seed=seed))
+        report = solve(problem, config)
+        history, _ = textbook_two_step(problem, omega, repeat((0.0, 2.0, 1.0)), tau * eps,
+                                       config.resolved_max_iter())
+        reason = StopReason.DISCREPANCY if history[-1] < tau * eps else StopReason.MAX_ITER
+        assert (report.iterations, report.stop_reason) == (len(history) - 1, reason)

@@ -6,12 +6,14 @@ On the stock ``deriv2`` problem (N = 50, omega = 96.5, eps = 0.01, tau = 4,
 seed 15) each method is solved with ``codilated.solvers.solve`` and then
 replayed by a plain loop written here: the same matrix products, vector
 updates and norms, with the coefficients listed in advance and no stopping
-test.  The loop runs the solve's iteration count, and the script asserts that
-its residual history equals the solve's bit for bit.  It prints the best of
-N timings per step of both, and their difference: the cost of the driver,
-the step generators and the coefficient streams.  ``general-si`` and
-``asymmetric-si`` run the co-dilated ultraspherical scheme at nu = 1,
-lam = 1.5 through the recursive coefficient stream.
+test.  Landweber's loop runs in data space, as the solve does: one product
+with I - 2 omega A A* per step.  The loop runs the solve's iteration count,
+and the script asserts that its residual history equals the solve's bit for
+bit.  It prints the best of N timings per step of both, and their
+difference: the cost of the driver, the step generators and the coefficient
+streams.  ``general-si`` and ``asymmetric-si`` run the co-dilated
+ultraspherical scheme at nu = 1, lam = 1.5 through the recursive
+coefficient stream.
 
 The block cases run dilations of ``codilated-nu`` through ``solve_dilations``
 and replay them by a plain loop over the same block of rows, which, as the
@@ -109,15 +111,19 @@ def plain_block(mv, rmv, g, omega, coeffs, counts):
         v = g - mv(f)
 
 
-def plain_landweber(a, at, g, omega, steps):
+def plain_landweber(gram, g, omega, steps):
+    """History of Landweber in data space, v <- (I - 2 omega A A*) v from v = g,
+    and the sum of the v_n, from which the solve forms f once, at the end
+    (gram = A A*, formed once, as the operator keeps it)."""
     sqrt = math.sqrt
     c = 2.0 * omega
-    f = np.zeros(a.shape[1])
+    damped = np.identity(g.size) - c * gram
+    total = np.zeros(g.size)
     v = g
     history = [sqrt(g.dot(g))]
     for _ in range(steps):
-        f = f + c * at.dot(v)
-        v = g - a.dot(f)
+        total += v
+        v = damped.dot(v)
         history.append(sqrt(v.dot(v)))
     return history
 
@@ -191,6 +197,7 @@ def main(argv=None) -> int:
     problem = build_problem(ExperimentSpec(problem="deriv2", config=base))
     a = np.ascontiguousarray(deriv2_assemble(n).matrix)
     at = np.ascontiguousarray(a.T)
+    gram = a @ a.T
     g = problem.g
 
     def two_step_replay(plain, coefficients):
@@ -207,7 +214,7 @@ def main(argv=None) -> int:
 
     # (method, its lam, its plain loop: iteration count -> the timed replay)
     cases = [
-        (Method.LANDWEBER, 1.0, lambda k: lambda: plain_landweber(a, at, g, omega, k)),
+        (Method.LANDWEBER, 1.0, lambda k: lambda: plain_landweber(gram, g, omega, k)),
         (Method.GENERAL_SI, 1.5, two_step_replay(plain_two_step, recursive(ResidualKind.SYMMETRIC))),
         (Method.ASYMMETRIC_SI, 1.5,
          two_step_replay(plain_two_step, recursive(ResidualKind.ASYMMETRIC))),
